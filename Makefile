@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving smoke-slo trend-check figures report wn-vectors examples clean
+.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving smoke-slo trend-check figures report wn-vectors examples clean
 
 # Targets that run pytest / the library directly need the src layout on the
 # import path; the smoke scripts insert it themselves but inherit it too.
@@ -16,6 +16,13 @@ test:
 
 test-report:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+
+# The repository benchmark's own tests (~30 s): every metric printed with
+# its unit, exact results repeat, layer times add up, and the layer
+# tracer still finds every entry point it wraps in src/ (a renamed one
+# fails here instead of breaking the next benchmark run).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt

@@ -149,10 +149,9 @@ def measure_population_batch(
     stream = make_stream(accesses, NUM_SETS, assoc)
     warmup = accesses // 10
     population = [bench_ipv(assoc, seed=100 + i) for i in range(lanes)]
-    # Construct the simulator outside the timed region: _LaneTables holds
-    # its own table references, so this is the "compile outside the timed
-    # region" idiom of the other benches (a precompile loop would not do —
-    # `lanes` can exceed the kernel LRU capacity and churn the cache).
+    # Construct the simulator outside the timed region, like the other
+    # benches' set-up.  Its lanes are the IPVs themselves over the shared
+    # per-k tables, so nothing is compiled here or in the timed region.
     simulator = BatchSimulator(NUM_SETS, assoc, population, warmup)
 
     t0 = time.perf_counter()

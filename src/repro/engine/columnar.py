@@ -1,16 +1,18 @@
 """Columnar numpy batch simulation engine for tree-PLRU IPV policies.
 
-The PR-3 transition-table kernels made the per-access policy math O(1),
+The transition-table kernels made the per-access policy math O(1),
 which left the Python interpreter loop over accesses as the hot-path
 bottleneck.  This module removes that loop: tags, PLRU state words and
 per-set fill counts live in 2-D/3-D numpy arrays indexed
-``[lane, set(, way)]`` — a *lane* is one (IPV, config) combination — and
-whole batches of accesses are applied with ``np.take``/fancy indexing
-against the exact same ``array('H')`` transition tables the scalar LUT
-kernel uses.  Because the tables *are* the scalar walks (memoized), every
-miss count produced here is bit-identical to the bit-walk reference in
-:mod:`repro.ga.fitness`; the differential/golden suites in
-``tests/engine`` and ``tests/verify`` pin that.
+``[lane, set(, way)]`` — a *lane* is one IPV, nothing more than its
+``k + 1`` entries — and whole batches of accesses are applied with
+``np.take``/fancy indexing.  Every transition is the path write
+``(state & ~path_mask[way]) | path_bits[way][target]`` over the per-``k``
+tables of :func:`repro.kernels.tables.base_tables` (the memoized Figure
+5/7/9 walks), with ``target`` read from the lane's IPV, so no lane needs
+tables of its own and every miss count produced here is bit-identical to
+the bit-walk reference in :mod:`repro.ga.fitness`; the differential/golden
+suites in ``tests/engine`` and ``tests/verify`` pin that.
 
 Lockstep-over-sets scheduling
 -----------------------------
@@ -254,7 +256,7 @@ def require_numpy():
 def columnar_supported(assoc: int) -> bool:
     """True when the engine can simulate ``assoc``-way sets here and now.
 
-    Requires numpy and compiled transition tables (powers of two up to
+    Requires numpy and the per-``k`` base tables (powers of two up to
     :data:`repro.kernels.MAX_TABLE_ASSOC`).
     """
     return _np() is not None and _tables.tables_supported(assoc)
@@ -268,7 +270,7 @@ def _check_geometry(num_sets: int, assoc: int) -> None:
             require_numpy()
         raise ValueError(
             f"columnar engine unsupported for associativity {assoc} "
-            f"(needs compiled tables: powers of two <= "
+            f"(needs the per-k tables: powers of two <= "
             f"{_tables.MAX_TABLE_ASSOC})"
         )
 
@@ -417,100 +419,68 @@ class ColumnarTrace:
 
 
 # ----------------------------------------------------------------------
-# Compiled lane tables (deduplicated, stacked flat for np.take).
+# Lanes: IPV entries over the shared per-k tables.
 # ----------------------------------------------------------------------
 class _LaneTables:
-    """Per-unique-IPV hit/fill tables stacked into flat numpy vectors.
+    """The lanes' IPVs and the per-``k`` tables every transition reads.
 
-    Also carries the run-collapse tables (promotion orbits per unique IPV
-    plus the per-``k`` path-write tables) so the kernel can apply a whole
-    run of duplicate accesses as one state write.
+    A lane is nothing more than its ``k + 1`` IPV entries, read as a
+    promotion map on ``k + 1`` positions: ``V[p]`` for a hit at position
+    ``p``, and ``V[k]`` for a fill, which promotes from the virtual
+    position ``k`` (not resident).  Every transition moves the touched
+    way ``n`` steps along that map from ``p0`` (its position on a hit,
+    ``k`` on a miss) and rewrites only its leaf-to-root path bits::
+
+        (state & ~path_mask[way]) | path_bits[way][orbit[p0][n]]
+
+    A single access is ``n = 1``, so the target is ``V[p0]`` itself; a
+    collapsed run of ``rep`` identical accesses is ``n = rep``.
+    ``victim``, ``pos`` and the path-write tables are the shared
+    :func:`repro.kernels.tables.base_tables`; per unique IPV there is
+    only its :func:`~repro.kernels.tables.promotion_orbit` (``k + 1``
+    rows of ``2k`` positions plus an entry and a cycle length each).
     """
 
-    __slots__ = ("assoc", "shift", "states", "victim", "pos",
-                 "hit_flat", "fill_flat", "table_base", "unique",
-                 "pos_i64", "orbit_flat", "entry_flat", "cycle_flat",
-                 "orbit_base", "ec_base", "insert_lane",
-                 "path_mask", "path_bits",
-                 "scalar", "lane_unique", "mask_list", "bits_list")
+    __slots__ = ("assoc", "shift", "base", "victim", "pos", "keep",
+                 "path_bits", "unique", "orbits", "lane_unique", "orbit",
+                 "entry", "cycle", "row_base")
 
     def __init__(self, assoc: int, entries_list: Sequence[Sequence[int]]):
         np = require_numpy()
+        base = _tables.base_tables(assoc)
         unique: Dict[Tuple[int, ...], int] = {}
-        stacked_hit = []
-        stacked_fill = []
-        stacked_orbit = []
-        stacked_entry = []
-        stacked_cycle = []
-        insert_of: List[int] = []
-        base_of: List[int] = []
-        victim = pos = None
-        shift = states = 0
-        # Per-unique scalar views for the spill path: the compiled
-        # ``array('H')`` tables plus the raw (nested-list) orbit tables.
-        # References only — the numpy stacks below share their buffers.
-        scalar: List[tuple] = []
+        lane_unique: List[int] = []
+        orbits: List[tuple] = []
         for entries in entries_list:
-            tables = _tables.compile_tables(assoc, entries)
-            if tables is None:  # pragma: no cover - guarded by caller
-                raise ValueError(
-                    f"no transition tables for associativity {assoc}"
-                )
-            key = tables.entries
+            key = tuple(int(e) for e in entries)
             index = unique.get(key)
             if index is None:
-                index = len(unique)
-                unique[key] = index
-                stacked_hit.append(np.frombuffer(tables.hit, dtype=np.uint16))
-                stacked_fill.append(
-                    np.frombuffer(tables.fill, dtype=np.uint16)
-                )
-                orbit, entry, cycle = _tables.promotion_orbit(assoc, key)
-                stacked_orbit.append(
-                    np.asarray(orbit, dtype=np.int64).reshape(-1)
-                )
-                stacked_entry.append(np.asarray(entry, dtype=np.int64))
-                stacked_cycle.append(np.asarray(cycle, dtype=np.int64))
-                insert_of.append(key[assoc])
-                scalar.append((tables, orbit, entry, cycle))
-            base_of.append(index)
-            if victim is None:
-                victim = np.frombuffer(tables.victim, dtype=np.uint16)
-                pos = np.frombuffer(tables.pos, dtype=np.uint16)
-                shift = tables.log2k
-                states = 1 << (assoc - 1)
+                index = unique[key] = len(unique)
+                # Raises ValueError unless there are k + 1 entries, each
+                # in 0..k-1: a malformed lane must never mis-simulate.
+                orbits.append(_tables.promotion_orbit(assoc, key))
+            lane_unique.append(index)
         self.assoc = assoc
-        self.shift = shift
-        self.states = states
-        # int32 working copies: uint16 lookups promote awkwardly in the
-        # hot mixed-dtype where/compare chains, and the state words they
-        # produce live in int32 arrays anyway.
-        self.victim = victim.astype(np.int32)
-        self.pos = pos
-        self.pos_i64 = pos.astype(np.int64)
-        self.hit_flat = np.concatenate(stacked_hit).astype(np.int32)
-        self.fill_flat = np.concatenate(stacked_fill).astype(np.int32)
-        stride = states * assoc
-        bases = np.asarray(base_of, dtype=np.int64)
-        self.table_base = bases * stride
+        self.shift = base.log2k
+        self.base = base
+        # Zero-copy uint16 views of the per-k tables.
+        self.victim = np.frombuffer(base.victim, dtype=np.uint16)
+        self.pos = np.frombuffer(base.pos, dtype=np.uint16)
+        self.keep = ~np.asarray(base.path_mask, dtype=np.int64)
+        self.path_bits = np.asarray(base.path_bits, dtype=np.int64).reshape(-1)
+        # Per unique IPV: (orbit, entry, cycle) as nested lists for the
+        # scalar spill loop, and stacked flat for np.take — row
+        # ``u * (k + 1) + p0`` is IPV u's orbit from p0, and its position
+        # n steps on is ``orbit[row * 2k + n]``.
         self.unique = len(unique)
-        # Run-collapse tables: per-lane orbit/entry/cycle bases plus the
-        # per-k path-write identity (tiny; see kernels.tables docs).
-        self.orbit_flat = np.concatenate(stacked_orbit)
-        self.entry_flat = np.concatenate(stacked_entry)
-        self.cycle_flat = np.concatenate(stacked_cycle)
-        self.orbit_base = (bases * (2 * assoc * assoc))[:, None]
-        self.ec_base = (bases * assoc)[:, None]
-        self.insert_lane = np.asarray(
-            [insert_of[i] for i in base_of], dtype=np.int64
-        )[:, None]
-        mask, bits = _tables.path_write_tables(assoc)
-        self.path_mask = np.asarray(mask, dtype=np.int32)
-        self.path_bits = np.asarray(bits, dtype=np.int32).reshape(-1)
-        self.scalar = scalar
-        self.lane_unique = base_of
-        self.mask_list = mask
-        self.bits_list = bits
+        self.orbits = orbits
+        self.orbit, self.entry, self.cycle = (
+            np.asarray([o[part] for o in orbits], dtype=np.int64).reshape(-1)
+            for part in range(3)
+        )
+        # Per lane: the first row of its unique IPV.
+        self.lane_unique = lane_unique
+        self.row_base = np.asarray(lane_unique, dtype=np.int64) * (assoc + 1)
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +491,7 @@ class BatchSimulator:
 
     Each lane is one IPV; all lanes share the geometry, the warmup window
     and — crucially — the preprocessed trace.  Identical IPVs share one
-    compiled table set (GA populations routinely carry duplicates).
+    promotion orbit (GA populations routinely carry duplicates).
     Results are bit-identical to the scalar walk/LUT simulators of
     :mod:`repro.ga.fitness`, per lane.
     """
@@ -688,13 +658,14 @@ class BatchSimulator:
         # of `index_offset` accesses the measured window starts at
         # local index `warmup - index_offset` (negative: all measured).
         warmup = self.warmup - index_offset
-        victim_t, hit_t, fill_t = t.victim, t.hit_flat, t.fill_flat
+        victim_t, pos_t, keep_t, bits_t = t.victim, t.pos, t.keep, t.path_bits
+        orbit_t, entry_t, cycle_t = t.orbit, t.entry, t.cycle
+        row_base = t.row_base[:, None]
         if state is None:
             state = np.zeros((L, S), dtype=np.int64)
             tags = np.full((L, S, k), -1, dtype=trace.addr_dtype)
             nfill = np.zeros((L, S), dtype=np.int32)
         misses = np.zeros(L, dtype=np.int64)
-        lane_base = t.table_base[:, None]
         lane_rows = np.arange(L)[:, None]
         miss_lanes: List = []
         miss_gidx: List = []
@@ -702,10 +673,8 @@ class BatchSimulator:
             set_accesses = np.zeros(S, dtype=np.int64)
             miss_ls = np.zeros((L, S), dtype=np.int64)
             depth_counts = np.zeros(L * k + 1, dtype=np.int64)
-            pos_i64 = t.pos.astype(np.int64)
             lane_k = (np.arange(L, dtype=np.int64) * k)[:, None]
         two_k = 2 * k
-        orbit_t, entry_t, cycle_t = t.orbit_flat, t.entry_flat, t.cycle_flat
         for chunk in trace.chunks:
             cols = chunk.cols
             offsets = chunk.step_offsets
@@ -774,32 +743,23 @@ class BatchSimulator:
                     np.where(cold, nfj, victim_t.take(stj)),
                 )
                 sw = (stj << shift) | way
+                # The one transition (see _LaneTables): the way moves n
+                # steps along its lane's promotion orbit, from the row of
+                # its position (k on a miss), and only its path bits are
+                # rewritten.  A single access is n = 1; a collapsed run
+                # is n = rep, folded onto the orbit's cycle past the
+                # stored 2k positions.
+                row = row_base + np.where(is_hit, pos_t.take(sw), k)
                 if rep_max is not None and rep_max[j] > 1:
-                    rep_j = rep_by_step[o0:o1]
-                    # Collapsed-run transition: a run of rep identical
-                    # accesses advances the way's position n steps along
-                    # the promotion orbit (n = rep for a hit-led run,
-                    # rep - 1 past the insertion point for a miss-led
-                    # one) and rewrites only its path bits — exactly the
-                    # composed table semantics, applied once per run.
-                    n = rep_j.astype(np.int64)[None, :] - miss
-                    p0 = np.where(
-                        is_hit, t.pos_i64.take(sw), t.insert_lane
-                    )
-                    ec = t.ec_base + p0
-                    e = entry_t.take(ec)
-                    c = cycle_t.take(ec)
-                    idx = np.where(n < two_k, n, e + (n - e) % c)
-                    pfin = orbit_t.take(t.orbit_base + p0 * two_k + idx)
-                    new_state = (
-                        (stj & ~t.path_mask.take(way))
-                        | t.path_bits.take(way * k + pfin)
-                    )
+                    n = rep_by_step[o0:o1].astype(np.int64)
+                    e = entry_t.take(row)
+                    n = np.where(n < two_k, n, e + (n - e) % cycle_t.take(row))
                 else:
-                    flat = lane_base + sw
-                    new_state = np.where(
-                        is_hit, hit_t.take(flat), fill_t.take(flat)
-                    )
+                    n = 1
+                target = orbit_t.take(row * two_k + n)
+                new_state = (
+                    (stj & keep_t.take(way)) | bits_t.take(way * k + target)
+                )
                 if counters:
                     miss_buf[:, j, :w] = miss
                     if j % depth_sample == 0:
@@ -856,7 +816,7 @@ class BatchSimulator:
                     sw_all = np.concatenate(sw_frames, axis=1)
                     hit_all = np.concatenate(hit_frames, axis=1)
                     sel = np.where(
-                        hit_all, pos_i64.take(sw_all) + lane_k, L * k
+                        hit_all, pos_t.take(sw_all) + lane_k, L * k
                     )
                     depth_counts += np.bincount(
                         sel.ravel(), minlength=L * k + 1
@@ -889,17 +849,18 @@ class BatchSimulator:
         Past ``depth_cap`` every lockstep step is at most ``_SPILL_WIDTH``
         columns wide, so the numpy per-call overhead dwarfs the work.
         This walks the surviving columns' remaining entries one access at
-        a time against the same flat tables — the scalar mirror of the
-        vectorized transition (including the run-orbit composition), so
-        results stay bit-identical.  Mutates the chunk-local ``st``,
-        ``tg``, ``nf`` views in place; returns per-lane measured-miss
-        counts plus (lane, gidx) pairs when ``collect`` is set.
+        a time against the same tables — the scalar mirror of the
+        vectorized orbit transition, so results stay bit-identical.
+        Mutates the chunk-local ``st``, ``tg``, ``nf`` views in place;
+        returns per-lane measured-miss counts plus (lane, gidx) pairs when
+        ``collect`` is set.
         """
         t = self._tables
         k = self.assoc
         two_k = 2 * k
         offsets = chunk.step_offsets
-        mask_w, bits_w = t.mask_list, t.bits_list
+        victim, pos, shift = t.base.victim, t.base.pos, t.shift
+        keep_w, bits_w = t.keep.tolist(), t.base.path_bits
         lane_misses = [0] * self.lanes
         rows: List[int] = []
         gidxs: List[int] = []
@@ -920,11 +881,7 @@ class BatchSimulator:
         for ci in range(ncols):
             steps_c = col_depths[ci] - depth_cap
             for lane in range(self.lanes):
-                ct, orbit, entry, cycle = t.scalar[t.lane_unique[lane]]
-                victim, hit, fill = ct.victim, ct.hit, ct.fill
-                pos = ct.pos
-                shift = ct.log2k
-                insert = ct.entries[k]
+                orbit, entry, cycle = t.orbits[t.lane_unique[lane]]
                 s = int(st[lane, ci])
                 tag_list = tg[lane, ci].tolist()
                 nfv = int(nf[lane, ci])
@@ -936,9 +893,7 @@ class BatchSimulator:
                     r = reps[o]
                     try:
                         w = tag_list.index(a)
-                        is_hit = True
                     except ValueError:
-                        is_hit = False
                         if g >= warmup:
                             missed += 1
                             if collect:
@@ -950,20 +905,13 @@ class BatchSimulator:
                         else:
                             w = victim[s]
                         tag_list[w] = a
-                    sw = (s << shift) | w
-                    if r > 1:
-                        # Same composed run-orbit transition as the
-                        # vectorized branch, one run at a time.
-                        p0 = pos[sw] if is_hit else insert
-                        n = r if is_hit else r - 1
-                        if n >= two_k:
-                            e = entry[p0]
-                            n = e + (n - e) % cycle[p0]
-                        s = (s & ~mask_w[w]) | bits_w[w][orbit[p0][n]]
-                    elif is_hit:
-                        s = hit[sw]
+                        p0 = k
                     else:
-                        s = fill[sw]
+                        p0 = pos[(s << shift) | w]
+                    if r >= two_k:
+                        e = entry[p0]
+                        r = e + (r - e) % cycle[p0]
+                    s = (s & keep_w[w]) | bits_w[w][orbit[p0][r]]
                 st[lane, ci] = s
                 tg[lane, ci] = tag_list
                 nf[lane, ci] = nfv
@@ -1043,8 +991,6 @@ class DuelBatchSimulator:
         if len(flattened) != 2 * self.lanes:
             raise ValueError("each duel lane needs exactly two IPVs")
         self._tables = _LaneTables(assoc, flattened)
-        #: table_base reshaped to [lane, vector] for per-access selection.
-        self._vector_base = self._tables.table_base.reshape(self.lanes, 2)
         self.leaders = assign_leader_sets(
             num_sets, 2, leaders_per_policy, seed=seed
         )
@@ -1080,6 +1026,10 @@ class DuelBatchSimulator:
         psel = self.psel
         psel[:] = 0
         lanes = np.arange(L)
+        # Flat _LaneTables index of lane l's vector v is 2l + v.
+        first_vector = 2 * lanes
+        leader_vectors = (first_vector, first_vector + 1)
+        two_k = 2 * k
         leaders = self.leaders
         self.counters = None
         if counters:
@@ -1099,35 +1049,34 @@ class DuelBatchSimulator:
                 is_hit = hitmask.any(axis=1)
                 hit_way = hitmask.argmax(axis=1)
                 miss = ~is_hit
-                # Vector governing the hit promotion: PSEL *before* this
-                # access's record_miss (hits never update PSEL anyway).
+                # The governing vector: a leader set's own, else PSEL's
+                # choice.  PSEL moves only on leader-set misses, so a
+                # follower's hit and fill (the cache calls on_miss
+                # before on_fill) see the same PSEL and the same vector.
                 if leader >= 0:
-                    vec_hit = np.full(L, leader, dtype=np.int64)
+                    vector = leader_vectors[leader]
                 else:
-                    vec_hit = (psel >= 0).astype(np.int64)
+                    vector = first_vector + (psel >= 0)
                 # record_miss: leader-0 misses increment, leader-1 misses
                 # decrement, saturating at the rails.
                 if leader == 0:
                     psel[miss & (psel < self._psel_hi)] += 1
                 elif leader == 1:
                     psel[miss & (psel > self._psel_lo)] -= 1
-                # Fill vector: PSEL *after* the update (the cache calls
-                # on_miss before on_fill).
-                if leader >= 0:
-                    vec_fill = vec_hit
-                else:
-                    vec_fill = (psel >= 0).astype(np.int64)
                 st = state[:, si]
                 nf = nfill[:, si]
                 cold = miss & (nf < k)
                 way = np.where(is_hit, hit_way,
                                np.where(cold, nf, t.victim[st]))
                 idx = (st << shift) | way
-                base = self._vector_base[
-                    lanes, np.where(is_hit, vec_hit, vec_fill)
-                ]
-                state[:, si] = np.where(
-                    is_hit, t.hit_flat[base + idx], t.fill_flat[base + idx]
+                # The batch engine's transition for one access (n = 1).
+                row = t.row_base.take(vector) + np.where(
+                    is_hit, t.pos.take(idx), k
+                )
+                target = t.orbit.take(row * two_k + 1)
+                state[:, si] = (
+                    (st & t.keep.take(way))
+                    | t.path_bits.take(way * k + target)
                 )
                 tg[lanes, way] = address
                 nfill[:, si] = nf + cold
@@ -1153,7 +1102,7 @@ class DuelBatchSimulator:
                 accesses_per_set = np.bincount(addr_arr & mask, minlength=S)
                 idx_all = np.stack(idx_frames, axis=0)
                 hit_all = np.stack(hit_frames, axis=0)
-                depth = t.pos.astype(np.int64).take(idx_all)
+                depth = t.pos.take(idx_all).astype(np.int64)
                 sel = np.where(
                     hit_all,
                     depth + (np.arange(L, dtype=np.int64) * k)[None, :],

@@ -18,6 +18,7 @@ from .tables import (
     KernelTables,
     MAX_TABLE_ASSOC,
     PURE_PYTHON_MAX_ASSOC,
+    base_tables,
     clear_kernel_cache,
     compile_tables,
     kernel_cache_info,
@@ -36,6 +37,7 @@ __all__ = [
     "KernelTables",
     "MAX_TABLE_ASSOC",
     "PURE_PYTHON_MAX_ASSOC",
+    "base_tables",
     "clear_kernel_cache",
     "compile_tables",
     "kernel_cache_info",

@@ -24,7 +24,10 @@ Key compilation trick: ``set_position(state, way, x)`` rewrites only the
 depend only on ``(way, x)`` — never on the old state.  So every composed
 transition is ``(state & ~path_mask[way]) | path_bits[way][x]``, built from
 two tiny per-``k`` tables; per-IPV compilation is a vectorized pass over
-the state space (numpy) or a short pure-Python loop for small ``k``.
+the state space (numpy) or a short pure-Python loop for small ``k``.  The
+columnar engine skips that composition altogether: it applies the
+path write against the per-``k`` tables of :func:`base_tables` with the
+target position read from the lane's IPV, so its lanes carry no tables.
 
 Tables are stored as ``array('H')`` (uint16; the packed state of a 16-way
 set fits in 15 bits) and cached in a bounded LRU keyed by
@@ -74,13 +77,13 @@ __all__ = [
     "KernelTables",
     "MAX_TABLE_ASSOC",
     "PURE_PYTHON_MAX_ASSOC",
+    "base_tables",
     "clear_kernel_cache",
     "compile_tables",
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
     "numpy_or_none",
-    "path_write_tables",
     "promotion_orbit",
     "publish_kernel_metrics",
     "record_kernel_call",
@@ -184,7 +187,8 @@ def _normalize_entries(k: int, entries: Optional[Sequence[int]]) -> Tuple[int, .
 # Per-k base tables (never evicted: at most a handful of k values live).
 # ----------------------------------------------------------------------
 class _BaseTables:
-    """Per-associativity tables every IPV's composed tables are built from."""
+    """Per-associativity tables every IPV's transitions are built from
+    (obtain through :func:`base_tables`)."""
 
     __slots__ = ("k", "log2k", "states", "victim", "pos", "path_mask", "path_bits")
 
@@ -260,28 +264,32 @@ def _np_to_array(values) -> array:
 _BASE_TABLES: Dict[int, _BaseTables] = {}
 
 
-def _base_tables(k: int) -> _BaseTables:
+def base_tables(k: int) -> _BaseTables:
+    """The per-``k`` tables, built once per process and never evicted.
+
+    ``victim`` and ``pos`` are indexed as in the module docstring.
+    ``path_mask[w]`` holds the plru bits on way ``w``'s leaf-to-root
+    path; ``path_bits[w][x]`` holds those bits valued so that ``w``
+    decodes to position ``x`` — i.e. ``set_position(s, w, x, k)`` for
+    *any* state ``s`` equals ``(s & ~path_mask[w]) | path_bits[w][x]``.
+    Every IPV's transitions are expressible over these alone: a hit on
+    ``way`` writes ``x = V[pos[(state << log2k) | way]]``, a fill
+    ``x = V[k]``.  :class:`KernelTables` composes that per vector for
+    the scalar kernels; the columnar engine applies it directly (see
+    :func:`promotion_orbit` for runs of hits).  Raises
+    :class:`ValueError` where :func:`tables_supported` is false.
+    """
+    if not tables_supported(k):
+        raise ValueError(
+            f"no base tables for associativity {k} (supported: powers of "
+            f"two <= {MAX_TABLE_ASSOC}, numpy required above "
+            f"{PURE_PYTHON_MAX_ASSOC})"
+        )
     base = _BASE_TABLES.get(k)
     if base is None:
         base = _BaseTables(k)
         _BASE_TABLES[k] = base
     return base
-
-
-def path_write_tables(k: int) -> Tuple[List[int], List[List[int]]]:
-    """``(path_mask, path_bits)`` for associativity ``k``.
-
-    ``path_mask[w]`` holds the plru bits on way ``w``'s leaf-to-root path;
-    ``path_bits[w][x]`` holds those bits valued so that ``w`` decodes to
-    position ``x`` — i.e. ``set_position(s, w, x, k)`` for *any* state
-    ``s`` equals ``(s & ~path_mask[w]) | path_bits[w][x]``.  This is the
-    compilation identity the composed tables are built from, exported for
-    run-collapsed simulation (see :func:`promotion_orbit`).
-    """
-    if not is_power_of_two(k) or k < 2:
-        raise ValueError(f"associativity must be a power of two >= 2, got {k}")
-    base = _base_tables(k)
-    return base.path_mask, base.path_bits
 
 
 def promotion_orbit(
@@ -292,20 +300,24 @@ def promotion_orbit(
     ``n`` consecutive hits to the same way advance its recency position
     along the promotion chain ``p -> V[p]`` — the tags never move, and
     each hop rewrites only the way's path bits from the new position
-    (:func:`path_write_tables`), so the whole run collapses to a single
-    state write at position ``V^n(p)``.  The chain over ``k`` positions
-    enters a cycle within ``k`` steps, making ``V^n`` O(1) for any ``n``:
+    (:func:`base_tables`), so the whole run collapses to a single
+    state write at position ``V^n(p)``.  A fill is one more hop of the
+    same chain: from the virtual position ``k`` (not resident) to the
+    insertion position ``V[k]``, so a miss followed by ``n - 1`` hits
+    lands on ``V^n(k)``.  The chain enters a cycle within ``k + 1``
+    steps, making ``V^n`` O(1) for any ``n``:
 
-    Returns ``(orbit, entry, cycle)`` with ``orbit[p][i] == V^i(p)`` for
-    ``i < 2k``, and for ``n >= 2k``
-    ``V^n(p) == orbit[p][entry[p] + (n - entry[p]) % cycle[p]]``.
+    Returns ``(orbit, entry, cycle)`` for start positions ``p`` in
+    ``0..k``, with ``orbit[p][i] == V^i(p)`` for ``i < 2k``, and for
+    ``n >= 2k``
+    ``V^n(p) == orbit[p][entry[p] + (n - entry[p]) % cycle[p]]``;
+    ``orbit[p][1]`` is ``V[p]`` itself.
     """
-    entries = _normalize_entries(k, entries)
-    promo = entries[:k]
+    promo = _normalize_entries(k, entries)
     orbit: List[List[int]] = []
     entry: List[int] = []
     cycle: List[int] = []
-    for p in range(k):
+    for p in range(k + 1):
         row: List[int] = []
         seen: Dict[int, int] = {}
         e = c = -1
@@ -319,8 +331,9 @@ def promotion_orbit(
                     seen[cur] = i
             row.append(cur)
             cur = promo[cur]
-        # A repeat always lands within the first k+1 visits (pigeonhole
-        # over k positions) and 2k >= k + 1 for every k >= 2.
+        # A repeat always lands within the first k + 2 visits (the start,
+        # then pigeonhole over the k real positions) and 2k >= k + 2 for
+        # every k >= 2.
         orbit.append(row)
         entry.append(e)
         cycle.append(c)
@@ -344,7 +357,7 @@ class KernelTables:
     )
 
     def __init__(self, k: int, entries: Tuple[int, ...]):
-        base = _base_tables(k)
+        base = base_tables(k)
         self.k = k
         self.log2k = base.log2k
         self.entries = entries

@@ -14,10 +14,20 @@ Registers hypothesis settings profiles so the property tests
     environment, or explicitly via ``REPRO_HYPOTHESIS_PROFILE``.
 
 Hypothesis itself is optional (the ``test``/``dev`` extras provide it);
-without it the property tests skip and this module does nothing.
+without it the property tests skip and the profiles are not registered.
+
+Every test also runs with the ``repro`` logger restored afterwards.
+``repro.cli.main`` calls ``configure_logging``, which turns propagation
+off and binds a handler to the stderr of the moment — under pytest, a
+captured stream that is closed once that test ends.  Without the restore,
+a later test's ``caplog`` check on a ``repro.*`` logger sees nothing and
+logging writes to the closed stream.
 """
 
+import logging
 import os
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -33,3 +43,11 @@ if settings is not None:
         _profile = "ci"
     if _profile is not None:
         settings.load_profile(_profile)
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    logger = logging.getLogger("repro")
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    yield
+    logger.handlers, logger.level, logger.propagate = saved

@@ -18,7 +18,7 @@ np = pytest.importorskip("numpy")
 from repro.core.ipv import lip_ipv, lru_ipv
 from repro.core.plru import position, set_position
 from repro.engine.columnar import BatchSimulator, ColumnarTrace
-from repro.kernels.tables import path_write_tables, promotion_orbit
+from repro.kernels.tables import base_tables, promotion_orbit
 
 # IPV zoo: recency extremes, a pure promotion 4-cycle, a 2-cycle with a
 # tail, and fixed-point-free shapes — the orbit table's hard cases.
@@ -50,7 +50,8 @@ def skewed_stream(n, num_sets=16, hot_share=0.4, seed=11):
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_path_write_identity(k):
     """set_position(s, w, x) == (s & ~mask[w]) | bits[w][x] for all s."""
-    mask, bits = path_write_tables(k)
+    base = base_tables(k)
+    mask, bits = base.path_mask, base.path_bits
     for s in range(1 << (k - 1)):
         for w in range(k):
             for x in range(k):
@@ -61,10 +62,12 @@ def test_path_write_identity(k):
 
 @pytest.mark.parametrize("entries", IPVS4)
 def test_promotion_orbit_matches_iteration(entries):
+    """Rows 0..k-1 walk the promotion chain; row k starts from the
+    virtual not-resident position k, whose one hop is the insertion."""
     k = 4
     orbit, entry, cycle = promotion_orbit(k, entries)
-    promo = entries[:k]
-    for p in range(k):
+    promo = entries
+    for p in range(k + 1):
         cur = p
         for n in range(50):  # well past every cycle closure
             if n < 2 * k:

@@ -9,6 +9,7 @@ streams, plus the no-numpy / bad-input error contract.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -181,6 +182,25 @@ class TestMultiLane:
             kernel="walk",
         )
 
+    def test_population_lanes_compile_nothing(self):
+        """A ga-plru initial population (120 distinct k=16 vectors) is
+        built from the shared per-k tables: no per-IPV compile, and a
+        few MiB at most where per-lane tables took ~6 MiB a vector."""
+        rng = random.Random(120)
+        lanes = set()
+        while len(lanes) < 120:
+            lanes.add(tuple(rng.randrange(16) for _ in range(17)))
+        compiles = ktables.kernel_counters()["compiles"]
+        tracemalloc.start()
+        try:
+            simulator = BatchSimulator(64, 16, sorted(lanes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert simulator._tables.unique == 120
+        assert ktables.kernel_counters()["compiles"] == compiles
+        assert peak < 16 * 2**20
+
     def test_multi_lane_miss_indices(self):
         num_sets, assoc = 8, 4
         stream = make_stream(1500, num_sets, assoc, seed=17)
@@ -243,6 +263,20 @@ class TestValidation:
     def test_empty_lanes(self):
         with pytest.raises(ValueError, match="at least one"):
             BatchSimulator(16, 4, [])
+
+    @pytest.mark.parametrize("bad,match", [
+        ((0, 0, 0, 0), r"needs 5 entries, got 4"),
+        ((0, 0, 4, 0, 0), r"V\[2\]=4 out of range"),
+        ((0, 0, 0, -1, 0), r"V\[3\]=-1 out of range"),
+    ])
+    def test_malformed_lanes(self, bad, match):
+        """k entries, an entry equal to k, a negative entry: each lane is
+        checked before it is simulated, batch and duel alike."""
+        good = tuple(lru_ipv(4).entries)
+        with pytest.raises(ValueError, match=match):
+            BatchSimulator(16, 4, [good, bad])
+        with pytest.raises(ValueError, match=match):
+            DuelBatchSimulator(16, 4, [(good, bad)])
 
     def test_negative_warmup(self):
         with pytest.raises(ValueError, match="warmup"):

@@ -14,16 +14,6 @@ def _cli_handlers():
             if getattr(h, "_repro_cli", False)]
 
 
-@pytest.fixture(autouse=True)
-def _restore_repro_logger():
-    logger = logging.getLogger("repro")
-    saved = (list(logger.handlers), logger.level, logger.propagate)
-    yield
-    logger.handlers, logger.level, logger.propagate = (
-        saved[0], saved[1], saved[2]
-    )
-
-
 class TestConfigureLogging:
     def test_default_level_is_info(self):
         logger = configure_logging()
