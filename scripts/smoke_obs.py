@@ -14,8 +14,9 @@ Exercises the whole ``repro.obs`` stack end to end and asserts:
 4. a provenance manifest is written next to the JSONL with the required
    schema fields;
 5. the **disabled-tracing overhead budget** holds: with no tracer
-   attached, the instrumented hot path is within 5 % of an
-   uninstrumented reference cache (min-of-N interleaved timing);
+   attached, the hot path is within 5 % of a reference derived from it
+   with the tracer dispatch removed (min-of-N interleaved timing over
+   many short runs);
 6. the **disabled span profiler is free**: with no recorder installed,
    ``span(...)`` returns the shared no-op singleton (identity, no
    allocation) and a call costs well under 5 µs;
@@ -131,7 +132,7 @@ def main():
         print(f"manifest OK             [schema={manifest['schema']}]")
 
     # 5. Overhead budget: disabled tracing within 5% of the reference.
-    ratio = disabled_overhead_ratio(accesses=120_000, repeats=5)
+    ratio = disabled_overhead_ratio(accesses=30_000, repeats=40)
     assert ratio <= OVERHEAD_BUDGET, (
         f"disabled-tracing overhead {ratio:.3f}x exceeds "
         f"{OVERHEAD_BUDGET:.2f}x budget"

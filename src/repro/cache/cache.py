@@ -66,6 +66,7 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.name = name
         self._offset_bits = block_size.bit_length() - 1
+        self._index_bits = num_sets.bit_length() - 1
         self._index_mask = num_sets - 1
         # tags[s][w] is the tag in way w of set s, or None when invalid.
         self._tags = [[None] * assoc for _ in range(num_sets)]
@@ -120,7 +121,7 @@ class SetAssociativeCache:
     def locate(self, address: int):
         """Split an address into (set index, tag)."""
         block = address >> self._offset_bits
-        return block & self._index_mask, block >> (self.num_sets.bit_length() - 1)
+        return block & self._index_mask, block >> self._index_bits
 
     # ------------------------------------------------------------------
     # The access path.
@@ -139,13 +140,15 @@ class SetAssociativeCache:
         """
         if self._tracer is not None:
             return self._traced_access(address, pc, is_write, next_use)
-        set_index, tag = self.locate(address)
+        block = address >> self._offset_bits
+        set_index = block & self._index_mask
+        tag = block >> self._index_bits
         ctx = self._ctx
         ctx.pc = pc
         ctx.is_write = is_write
         ctx.next_use = next_use
         ctx.access_index += 1
-        ctx.block = address >> self._offset_bits
+        ctx.block = block
 
         stats = self.stats
         stats.accesses += 1
@@ -198,20 +201,21 @@ class SetAssociativeCache:
         identical statistics); the only additions are read-only probes
         (``position_of``, ``selector.selected``) and event emission.
         """
-        set_index, tag = self.locate(address)
+        block = address >> self._offset_bits
+        set_index = block & self._index_mask
+        tag = block >> self._index_bits
         ctx = self._ctx
         ctx.pc = pc
         ctx.is_write = is_write
         ctx.next_use = next_use
         ctx.access_index += 1
-        ctx.block = address >> self._offset_bits
+        ctx.block = block
 
         tracer = self._tracer
         policy = self.policy
         position_of = self._position_of
         selector = self._selector
         access_index = ctx.access_index
-        block = ctx.block
         selected = (
             selector.policy_for_set(set_index) if selector is not None else None
         )

@@ -23,12 +23,14 @@ __all__ = ["RecencyStack"]
 class RecencyStack:
     """Recency stack for one cache set, storing way numbers by position.
 
-    ``stack[p]`` is the way occupying position ``p``; ``pos_of[w]`` is the
-    inverse map.  Ways start out in identity order, which matches a cold
-    set being filled way 0 first.
+    ``stack[p]`` is the way occupying position ``p``; a way's position is
+    ``stack.index(way)``.  A move takes the way out of the list and inserts
+    it at its target, which shifts the bystanders by one position exactly
+    as Section 2.3 specifies.  Ways start out in identity order, which
+    matches a cold set being filled way 0 first.
     """
 
-    __slots__ = ("k", "ipv", "stack", "pos_of")
+    __slots__ = ("k", "ipv", "stack")
 
     def __init__(self, k: int, ipv: IPV):
         if ipv.k != k:
@@ -36,43 +38,22 @@ class RecencyStack:
         self.k = k
         self.ipv = ipv
         self.stack: List[int] = list(range(k))
-        self.pos_of: List[int] = list(range(k))
-
-    # ------------------------------------------------------------------
-    # Primitive: move the block at position ``src`` to position ``dst``.
-    # ------------------------------------------------------------------
-    def _move(self, src: int, dst: int) -> None:
-        if src == dst:
-            return
-        stack = self.stack
-        pos_of = self.pos_of
-        way = stack[src]
-        if dst < src:
-            # Shift positions dst..src-1 down by one.
-            for p in range(src, dst, -1):
-                moved = stack[p - 1]
-                stack[p] = moved
-                pos_of[moved] = p
-        else:
-            # Shift positions src+1..dst up by one.
-            for p in range(src, dst):
-                moved = stack[p + 1]
-                stack[p] = moved
-                pos_of[moved] = p
-        stack[dst] = way
-        pos_of[way] = dst
 
     # ------------------------------------------------------------------
     # Policy operations.
     # ------------------------------------------------------------------
     def victim(self) -> int:
         """Way to evict: the block in the LRU position ``k - 1``."""
-        return self.stack[self.k - 1]
+        return self.stack[-1]
 
     def touch(self, way: int) -> None:
         """Re-reference ``way``: promote it to ``V[position(way)]``."""
-        src = self.pos_of[way]
-        self._move(src, self.ipv.promotion(src))
+        stack = self.stack
+        src = stack.index(way)
+        dst = self.ipv.entries[src]
+        if dst != src:
+            del stack[src]
+            stack.insert(dst, way)
 
     def insert(self, way: int) -> None:
         """Fill ``way`` with an incoming block.
@@ -83,11 +64,12 @@ class RecencyStack:
         the way previously occupied by :meth:`victim` (or any way, for cold
         fills — the way keeps its current position before the move).
         """
-        src = self.pos_of[way]
-        self._move(src, self.ipv.insertion)
+        stack = self.stack
+        stack.remove(way)
+        stack.insert(self.ipv.entries[self.k], way)
 
     def position_of(self, way: int) -> int:
-        return self.pos_of[way]
+        return self.stack.index(way)
 
     def place(self, way: int, pos: int) -> None:
         """Move ``way`` directly to ``pos``, bypassing the IPV.
@@ -97,7 +79,9 @@ class RecencyStack:
         """
         if not 0 <= pos < self.k:
             raise ValueError(f"position {pos} out of range for {self.k}-way set")
-        self._move(self.pos_of[way], pos)
+        stack = self.stack
+        stack.remove(way)
+        stack.insert(pos, way)
 
     def set_ipv(self, ipv: IPV) -> None:
         """Switch the active IPV (used by set-dueling followers)."""
@@ -113,10 +97,8 @@ class RecencyStack:
         return list(self.stack)
 
     def check_invariants(self) -> None:
-        """Raise AssertionError unless stack and inverse map are consistent."""
+        """Raise AssertionError unless the stack is a permutation of ways."""
         assert sorted(self.stack) == list(range(self.k)), self.stack
-        for pos, way in enumerate(self.stack):
-            assert self.pos_of[way] == pos, (self.stack, self.pos_of)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RecencyStack(k={self.k}, mru_first={self.stack})"

@@ -8,6 +8,7 @@ simpoints by SimPoint weight (Section 4.6).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from ..cache.cache import SetAssociativeCache
@@ -136,12 +137,15 @@ def run_trace(
     needs_future = getattr(policy, "requires_future", False)
     next_use = annotate_next_use(trace) if needs_future else None
 
+    # One pass over the (address, pc) pairs: the first ``warmup`` warm the
+    # cache, the rest are measured.
+    stream = zip(addresses, pcs)
     if needs_future:
-        for i in range(warmup):
-            access(addresses[i], pcs[i], next_use=next_use[i])
+        for i, (address, pc) in enumerate(islice(stream, warmup)):
+            access(address, pc, next_use=next_use[i])
     else:
-        for i in range(warmup):
-            access(addresses[i], pcs[i])
+        for address, pc in islice(stream, warmup):
+            access(address, pc)
     cache.reset_stats()
     if tracer is not None:
         cache.attach_tracer(tracer)
@@ -169,17 +173,17 @@ def run_trace(
         return int(i * instructions_per_access)
 
     if needs_future:
-        for i in range(warmup, len(addresses)):
-            hit = access(addresses[i], pcs[i], next_use=next_use[i])
+        for i, (address, pc) in enumerate(stream, warmup):
+            hit = access(address, pc, next_use=next_use[i])
             if not hit and miss_positions is not None:
                 miss_positions.append(position_of(i))
     elif miss_positions is not None:
-        for i in range(warmup, len(addresses)):
-            if not access(addresses[i], pcs[i]):
+        for i, (address, pc) in enumerate(stream, warmup):
+            if not access(address, pc):
                 miss_positions.append(position_of(i))
     else:
-        for i in range(warmup, len(addresses)):
-            access(addresses[i], pcs[i])
+        for address, pc in stream:
+            access(address, pc)
 
     stats = cache.stats
     if stats_sink is not None:

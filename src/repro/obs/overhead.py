@@ -2,22 +2,32 @@
 
 The observability layer's contract is that a cache with **no tracer
 attached** pays only one ``is not None`` test per access.  This module
-measures that cost empirically: :class:`_UninstrumentedCache` overrides
-``access`` with a copy of the pre-observability hot path (no tracer test
-at all), and :func:`disabled_overhead_ratio` times both against the same
-trace, returning ``instrumented / uninstrumented`` wall time (min over
-repeats, which is robust to scheduler noise).
+measures that cost empirically against a reference built from the live
+:meth:`SetAssociativeCache.access`: its source with the leading
+``if self._tracer is not None:`` dispatch removed, compiled in
+:mod:`repro.cache.cache`'s globals.  The reference is therefore the real
+hot path minus exactly the test being priced, and cannot drift from it;
+work added anywhere else in ``access`` slows both alike and is the
+benchmark's to catch, not this ratio's.  :func:`disabled_overhead_ratio`
+times both against the same trace and returns ``instrumented / reference``
+wall time (min over repeats, which is robust to scheduler noise).  Many
+short runs beat a few long ones here: the true cost is about 1 %, and the
+minimum of each variant only reaches the machine's quiet speed when it
+gets many chances to.
 
 ``make smoke-obs`` asserts the ratio stays within the 5 % budget; a unit
-test additionally asserts both paths produce identical statistics, so the
-reference copy cannot silently rot.
+test additionally asserts both paths produce identical statistics.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import textwrap
 import time
-from typing import Optional
+from functools import lru_cache
 
+from ..cache import cache as cache_module
 from ..cache.cache import SetAssociativeCache
 
 __all__ = [
@@ -26,65 +36,34 @@ __all__ = [
     "measure_overhead",
 ]
 
+_DISPATCH = "self._tracer is not None"
 
-class _UninstrumentedCache(SetAssociativeCache):
-    """Reference cache whose ``access`` predates the tracer hook.
 
-    Byte-for-byte the original hot path: no ``self._tracer`` test.  Kept
-    here (not in tests) so the smoke target and the unit tests share one
-    ground truth.
-    """
-
-    def access(
-        self,
-        address: int,
-        pc: int = 0,
-        is_write: bool = False,
-        next_use: Optional[int] = None,
-    ) -> bool:
-        set_index, tag = self.locate(address)
-        ctx = self._ctx
-        ctx.pc = pc
-        ctx.is_write = is_write
-        ctx.next_use = next_use
-        ctx.access_index += 1
-        ctx.block = address >> self._offset_bits
-
-        stats = self.stats
-        stats.accesses += 1
-        way_of = self._way_of[set_index]
-        way = way_of.get(tag)
-        if way is not None:
-            stats.hits += 1
-            if is_write:
-                self._dirty[set_index][way] = True
-            self.policy.on_hit(set_index, way, ctx)
-            return True
-
-        stats.misses += 1
-        self.policy.on_miss(set_index, ctx)
-        tags = self._tags[set_index]
-        try:
-            way = tags.index(None)
-        except ValueError:
-            if self.policy.should_bypass(set_index, ctx):
-                stats.bypasses += 1
-                return False
-            way = self.policy.victim(set_index, ctx)
-            if not 0 <= way < self.assoc:
-                raise RuntimeError(
-                    f"{self.policy.name} returned invalid victim way {way}"
-                )
-            self.policy.on_evict(set_index, way, ctx)
-            stats.evictions += 1
-            if self._dirty[set_index][way]:
-                stats.writebacks += 1
-            del way_of[tags[way]]
-        tags[way] = tag
-        way_of[tag] = way
-        self._dirty[set_index][way] = is_write
-        self.policy.on_fill(set_index, way, ctx)
-        return False
+@lru_cache(maxsize=None)
+def _reference_cache() -> type:
+    """A ``SetAssociativeCache`` subclass whose ``access`` lacks the
+    tracer dispatch, derived from the live method's source."""
+    method = SetAssociativeCache.access
+    source = textwrap.dedent(inspect.getsource(method))
+    tree = ast.parse(source)
+    ast.increment_lineno(tree, method.__code__.co_firstlineno - 1)
+    body = tree.body[0].body
+    first = 1 if ast.get_docstring(tree.body[0]) is not None else 0
+    dispatch = body[first]
+    if not (isinstance(dispatch, ast.If)
+            and ast.unparse(dispatch.test) == _DISPATCH):
+        raise RuntimeError(
+            "SetAssociativeCache.access no longer starts with "
+            f"`if {_DISPATCH}:`; the overhead reference cannot be derived"
+        )
+    del body[first]
+    namespace: dict = {}
+    code = compile(tree, inspect.getsourcefile(method), "exec")
+    exec(code, vars(cache_module), namespace)
+    return type(
+        "_ReferenceCache", (SetAssociativeCache,),
+        {"access": namespace["access"]},
+    )
 
 
 def _build(kind, num_sets: int, assoc: int, policy_name: str):
@@ -117,18 +96,18 @@ def _time_run(cache, addresses) -> float:
 
 
 def measure_overhead(
-    accesses: int = 120_000,
+    accesses: int = 30_000,
     num_sets: int = 64,
     assoc: int = 16,
-    repeats: int = 5,
+    repeats: int = 40,
     policy: str = "plru",
 ):
-    """Return ``(instrumented_sec, uninstrumented_sec, ratio, stats_match)``.
+    """Return ``(instrumented_sec, reference_sec, ratio, stats_match)``.
 
-    Runs are interleaved (A/B per repeat) and the minimum per variant is
-    taken, which cancels most machine noise.  ``stats_match`` confirms the
-    instrumented tracer-disabled path and the reference path simulated the
-    exact same run.
+    Runs are interleaved (A/B, then B/A, per repeat) and the minimum per
+    variant is taken, which cancels most machine noise.  ``stats_match``
+    confirms the instrumented tracer-disabled path and the reference path
+    simulated the exact same run.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -142,22 +121,29 @@ def measure_overhead(
         return (s.accesses, s.hits, s.misses, s.evictions, s.writebacks,
                 s.bypasses)
 
-    for _ in range(repeats):
-        inst = _build(SetAssociativeCache, num_sets, assoc, policy)
-        ref = _build(_UninstrumentedCache, num_sets, assoc, policy)
-        best_inst = min(best_inst, _time_run(inst, addresses))
-        best_ref = min(best_ref, _time_run(ref, addresses))
-        inst_snapshot = counters(inst)
-        ref_snapshot = counters(ref)
+    reference = _reference_cache()
+    for round_index in range(repeats):
+        # Alternate which variant runs first, so neither always gets the
+        # warmer (or the colder) slot of a round.
+        kinds = (SetAssociativeCache, reference)
+        for kind in kinds if round_index % 2 == 0 else kinds[::-1]:
+            cache = _build(kind, num_sets, assoc, policy)
+            seconds = _time_run(cache, addresses)
+            if kind is reference:
+                best_ref = min(best_ref, seconds)
+                ref_snapshot = counters(cache)
+            else:
+                best_inst = min(best_inst, seconds)
+                inst_snapshot = counters(cache)
     ratio = best_inst / best_ref if best_ref > 0 else float("inf")
     return best_inst, best_ref, ratio, inst_snapshot == ref_snapshot
 
 
 def disabled_overhead_ratio(
-    accesses: int = 120_000,
+    accesses: int = 30_000,
     num_sets: int = 64,
     assoc: int = 16,
-    repeats: int = 5,
+    repeats: int = 40,
     policy: str = "plru",
 ) -> float:
     """Tracing-disabled slowdown factor (1.0 = free; budget is 1.05)."""
@@ -166,8 +152,8 @@ def disabled_overhead_ratio(
     )
     if not stats_match:
         raise AssertionError(
-            "instrumented and reference caches diverged — the "
-            "_UninstrumentedCache copy of the hot path is stale"
+            "instrumented and reference caches diverged — removing the "
+            "tracer dispatch changed what SetAssociativeCache.access does"
         )
     return ratio
 

@@ -16,7 +16,9 @@ Mechanics
 * Every line has a quantized remaining-protecting-distance (RPD) counter.
 * On a fill or hit the RPD is reset to the quantized PD.
 * Every ``step`` accesses to a set, all RPDs in the set decay by one; a line
-  with RPD 0 is unprotected.
+  with RPD 0 is unprotected.  The model keeps a per-set decay epoch and a
+  per-line expiry epoch, so a tick is one increment and a line's RPD is
+  ``max(0, expiry - epoch)``.
 * The victim is an unprotected line if one exists.  When every line is
   still protected, the *youngest* line (highest RPD) is evicted: older
   protected lines are closer to their predicted reuse, and churning the
@@ -99,7 +101,8 @@ class PDPPolicy(ReplacementPolicy):
         self.sampled_set_stride = sampled_set_stride
         self.pd = default_pd
         self._default_pd = default_pd
-        self._rpd: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._expiry: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._epoch: List[int] = [0] * num_sets
         self._set_accesses: List[int] = [0] * num_sets
         self._decay_tick: List[int] = [0] * num_sets
         # Per sampled set: block address -> set-access count at last touch.
@@ -115,23 +118,32 @@ class PDPPolicy(ReplacementPolicy):
     # ``step`` set accesses instead of every access.
     # ------------------------------------------------------------------
     @property
+    def pd(self) -> int:
+        """The protecting distance, in set accesses."""
+        return self._pd
+
+    @pd.setter
+    def pd(self, value: int) -> None:
+        self._pd = value
+        self._step = max(1, -(-value // self.max_rpd))
+        self._qpd = min(self.max_rpd, -(-value // self._step))
+
+    @property
     def step(self) -> int:
         """Set accesses per RPD decay tick (ceil(PD / max counter))."""
-        return max(1, -(-self.pd // self.max_rpd))
+        return self._step
 
     def _quantized_pd(self) -> int:
-        return min(self.max_rpd, -(-self.pd // self.step))
+        return self._qpd
 
     def _tick_and_observe(self, set_index: int, ctx: AccessContext) -> None:
         """Advance the set clock, decay RPDs, and sample reuse distance."""
         self._set_accesses[set_index] += 1
-        self._decay_tick[set_index] += 1
-        if self._decay_tick[set_index] >= self.step:
-            self._decay_tick[set_index] = 0
-            rpd = self._rpd[set_index]
-            for way in range(self.assoc):
-                if rpd[way] > 0:
-                    rpd[way] -= 1
+        tick = self._decay_tick[set_index] + 1
+        if tick >= self._step:
+            tick = 0
+            self._epoch[set_index] += 1
+        self._decay_tick[set_index] = tick
         sampler = self._last_touch.get(set_index)
         if sampler is None:
             return
@@ -156,29 +168,25 @@ class PDPPolicy(ReplacementPolicy):
     # Policy hooks.
     # ------------------------------------------------------------------
     def victim(self, set_index: int, ctx: AccessContext) -> int:
-        rpd = self._rpd[set_index]
-        # Prefer any unprotected line (scan for RPD 0)...
-        youngest_way = 0
-        youngest_rpd = rpd[0]
-        for way in range(self.assoc):
-            value = rpd[way]
-            if value == 0:
-                return way
-            if value > youngest_rpd:
-                youngest_rpd = value
-                youngest_way = way
-        # ...else evict the youngest protected line (highest RPD).
-        return youngest_way
+        expiry = self._expiry[set_index]
+        epoch = self._epoch[set_index]
+        # Prefer the first unprotected line (RPD 0)...
+        if min(expiry) <= epoch:
+            for way, value in enumerate(expiry):
+                if value <= epoch:
+                    return way
+        # ...else evict the first youngest protected line (highest RPD).
+        return expiry.index(max(expiry))
 
     def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
         self._tick_and_observe(set_index, ctx)
-        self._rpd[set_index][way] = self._quantized_pd()
+        self._expiry[set_index][way] = self._epoch[set_index] + self._qpd
 
     def on_miss(self, set_index: int, ctx: AccessContext) -> None:
         self._tick_and_observe(set_index, ctx)
 
     def on_fill(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        self._rpd[set_index][way] = self._quantized_pd()
+        self._expiry[set_index][way] = self._epoch[set_index] + self._qpd
 
     def state_bits_per_set(self) -> float:
         return self.counter_bits * self.assoc

@@ -1,10 +1,13 @@
 """Tests for the Protecting Distance Policy."""
 
 import random
+from typing import Dict, List
+
+import pytest
 
 from repro.cache import SetAssociativeCache
 from repro.policies import PDPPolicy, TrueLRUPolicy
-from repro.policies.base import AccessContext
+from repro.policies.base import AccessContext, ReplacementPolicy
 from repro.policies.pdp import compute_protecting_distance
 
 
@@ -104,3 +107,180 @@ class TestPDPPolicy:
         policy = PDPPolicy(4096, 16)
         assert policy.state_bits_per_set() == 64  # 4 bits x 16 blocks
         assert policy.global_state_bits() > 0
+
+
+# ----------------------------------------------------------------------
+# Differential test: PDPPolicy keeps an expiry epoch per line and a decay
+# epoch per set, so a decay tick is one increment.  The reference below is
+# the eager form it replaced, which decrements every RPD of the set on
+# each tick; the two must agree access for access.  PD adaptation is
+# pinned nowhere else: the PDP golden cells never recompute the PD.
+# ----------------------------------------------------------------------
+class EagerPDPPolicy(ReplacementPolicy):
+    """Protecting Distance Policy without bypass, 4 bits per block."""
+
+    name = "pdp"
+
+    def __init__(
+        self,
+        num_sets: int,
+        assoc: int,
+        counter_bits: int = 4,
+        max_distance: int = 256,
+        recompute_interval: int = 512,
+        sampled_set_stride: int = 4,
+        default_pd: int = 17,
+    ):
+        super().__init__(num_sets, assoc)
+        if counter_bits < 2:
+            raise ValueError("PDP needs at least 2 counter bits")
+        self.counter_bits = counter_bits
+        self.max_rpd = (1 << counter_bits) - 1
+        self.max_distance = max_distance
+        self.recompute_interval = recompute_interval
+        self.sampled_set_stride = sampled_set_stride
+        self.pd = default_pd
+        self._default_pd = default_pd
+        self._rpd: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._set_accesses: List[int] = [0] * num_sets
+        self._decay_tick: List[int] = [0] * num_sets
+        # Per sampled set: block address -> set-access count at last touch.
+        self._last_touch: Dict[int, Dict[int, int]] = {
+            s: {} for s in range(0, num_sets, sampled_set_stride)
+        }
+        self._histogram: List[int] = [0] * (max_distance + 1)
+        self._samples_since_recompute = 0
+        self.recompute_count = 0
+
+    # ------------------------------------------------------------------
+    # Quantization: the RPD counter has few bits, so it decays once every
+    # ``step`` set accesses instead of every access.
+    # ------------------------------------------------------------------
+    @property
+    def step(self) -> int:
+        """Set accesses per RPD decay tick (ceil(PD / max counter))."""
+        return max(1, -(-self.pd // self.max_rpd))
+
+    def _quantized_pd(self) -> int:
+        return min(self.max_rpd, -(-self.pd // self.step))
+
+    def _tick_and_observe(self, set_index: int, ctx: AccessContext) -> None:
+        """Advance the set clock, decay RPDs, and sample reuse distance."""
+        self._set_accesses[set_index] += 1
+        self._decay_tick[set_index] += 1
+        if self._decay_tick[set_index] >= self.step:
+            self._decay_tick[set_index] = 0
+            rpd = self._rpd[set_index]
+            for way in range(self.assoc):
+                if rpd[way] > 0:
+                    rpd[way] -= 1
+        sampler = self._last_touch.get(set_index)
+        if sampler is None:
+            return
+        now = self._set_accesses[set_index]
+        last = sampler.get(ctx.block)
+        if last is not None:
+            distance = min(now - last, self.max_distance)
+            self._histogram[distance] += 1
+        sampler[ctx.block] = now
+        self._samples_since_recompute += 1
+        if self._samples_since_recompute >= self.recompute_interval:
+            self._recompute()
+
+    def _recompute(self) -> None:
+        self.pd = compute_protecting_distance(self._histogram, self._default_pd)
+        self.recompute_count += 1
+        self._samples_since_recompute = 0
+        # Exponential decay so the PD tracks phase changes.
+        self._histogram = [n >> 1 for n in self._histogram]
+
+    # ------------------------------------------------------------------
+    # Policy hooks.
+    # ------------------------------------------------------------------
+    def victim(self, set_index: int, ctx: AccessContext) -> int:
+        rpd = self._rpd[set_index]
+        # Prefer any unprotected line (scan for RPD 0)...
+        youngest_way = 0
+        youngest_rpd = rpd[0]
+        for way in range(self.assoc):
+            value = rpd[way]
+            if value == 0:
+                return way
+            if value > youngest_rpd:
+                youngest_rpd = value
+                youngest_way = way
+        # ...else evict the youngest protected line (highest RPD).
+        return youngest_way
+
+    def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
+        self._tick_and_observe(set_index, ctx)
+        self._rpd[set_index][way] = self._quantized_pd()
+
+    def on_miss(self, set_index: int, ctx: AccessContext) -> None:
+        self._tick_and_observe(set_index, ctx)
+
+    def on_fill(self, set_index: int, way: int, ctx: AccessContext) -> None:
+        self._rpd[set_index][way] = self._quantized_pd()
+
+
+def effective_rpds(policy: PDPPolicy, set_index: int) -> List[int]:
+    """The RPD counters of one set: ``max(0, expiry - epoch)`` per way."""
+    epoch = policy._epoch[set_index]
+    return [max(0, e - epoch) for e in policy._expiry[set_index]]
+
+
+def phased_stream(num_sets: int, assoc: int, n: int, seed: int) -> List[int]:
+    """Phases of a hot set, a loop and random misses, with a footprint that
+    changes every 2000 accesses, so the reuse histogram (and the PD) keeps
+    moving."""
+    rng = random.Random(seed)
+    capacity = num_sets * assoc
+    hot = max(2, capacity // 8)
+    out: List[int] = []
+    while len(out) < n:
+        loop = max(2, int(capacity * rng.choice((0.25, 0.75, 1.25, 2.5))))
+        for i in range(2000):
+            r = rng.random()
+            if r < 0.35:
+                out.append(rng.randrange(hot))
+            elif r < 0.85:
+                out.append(hot + i % loop)
+            else:
+                out.append(hot + loop + rng.randrange(4 * capacity))
+    return out[:n]
+
+
+GEOMETRIES = [(64, 16), (8, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("counter_bits", [2, 3, 4])
+@pytest.mark.parametrize("recompute_interval", [32, 128, 512])
+@pytest.mark.parametrize("num_sets,assoc", GEOMETRIES)
+def test_lazy_decay_matches_eager_reference(
+    num_sets, assoc, recompute_interval, counter_bits
+):
+    kwargs = dict(
+        counter_bits=counter_bits, recompute_interval=recompute_interval
+    )
+    lazy = PDPPolicy(num_sets, assoc, **kwargs)
+    eager = EagerPDPPolicy(num_sets, assoc, **kwargs)
+    lazy_cache = SetAssociativeCache(num_sets, assoc, lazy, block_size=1)
+    eager_cache = SetAssociativeCache(num_sets, assoc, eager, block_size=1)
+    stream = phased_stream(
+        num_sets, assoc, 20_000, seed=num_sets + recompute_interval + counter_bits
+    )
+    pds_seen = set()
+    for i, address in enumerate(stream):
+        hit = lazy_cache.access(address)
+        assert hit == eager_cache.access(address), f"access {i}: {address}"
+        if i % 97 == 0:
+            pds_seen.add(lazy.pd)
+            assert (lazy.pd, lazy.step) == (eager.pd, eager.step), f"access {i}"
+            for s in range(num_sets):
+                assert effective_rpds(lazy, s) == eager._rpd[s], (
+                    f"access {i}, set {s}"
+                )
+    assert lazy.pd == eager.pd
+    assert lazy.recompute_count == eager.recompute_count > 0
+    assert len(pds_seen) > 1, "the stream never moved the PD"
+    assert lazy_cache.stats.misses == eager_cache.stats.misses

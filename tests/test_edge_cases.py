@@ -127,9 +127,23 @@ class TestPolicyEdgeCases:
 
     def test_pdp_step_quantization(self):
         policy = PDPPolicy(4, 4, counter_bits=2)  # max RPD 3
+        cache = SetAssociativeCache(4, 4, policy, block_size=1)
+
+        def fill_rpd(address):
+            assert not cache.access(address)
+            set_index, tag = cache.locate(address)
+            way = cache._way_of[set_index][tag]
+            epoch = policy._epoch[set_index]
+            return max(0, policy._expiry[set_index][way] - epoch)
+
         policy.pd = 10
         assert policy.step == 4  # ceil(10/3)
         assert policy._quantized_pd() <= policy.max_rpd
+        assert fill_rpd(0) == policy._quantized_pd() == 3
+        # A write to ``pd`` refreshes the cached step and quantized PD.
+        policy.pd = 2
+        assert policy.step == 1
+        assert fill_rpd(1) == policy._quantized_pd() == 2
 
     def test_ship_small_table(self):
         policy = SHiPPolicy(4, 4, signature_bits=4)
