@@ -167,17 +167,17 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     generated prefix: the Figure 5/7/9 *bit-walk* reference (the
     per-access scalar loop proper — every access walks the tree) and the
     LUT-stepped :class:`ScalarStreamSimulator` (the no-numpy serving
-    fallback).  Rates include generation time, like the serving number.
+    fallback).  Rates include generation time, like the serving number,
+    but not the conversion to the Python ints those loops take.
     Miss counts of all paths over the prefix must agree exactly.
     """
     sample = min(sample, accesses)
     spec = bench_spec(accesses).with_accesses(sample)
     stream = ServingStream(spec)
     t0 = time.perf_counter()
-    prefix = []
-    for chunk in stream.chunks(CHUNK_ACCESSES):
-        prefix.extend(int(a) for a in chunk)
+    chunks = list(stream.chunks(CHUNK_ACCESSES))
     gen_sec = time.perf_counter() - t0
+    prefix = [a for chunk in chunks for a in chunk.tolist()]
 
     t0 = time.perf_counter()
     walk_misses = simulate_misses_plru_ipv(

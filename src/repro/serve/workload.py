@@ -19,10 +19,14 @@ Design constraints, in order:
    ``(seed, stream tag, access index)``, and churn is applied on fixed
    generation-block boundaries — so the address sequence is a pure
    function of the spec, independent of how the consumer chunks it.
-3. **Backend bit-identity.**  The numpy backend computes exactly the
-   integer/float64 operations of the pure-Python backend (shared
-   Zipf CDF, ``u >> 11`` 53-bit uniform floats, `searchsorted` ==
-   `bisect_right`), so a no-numpy host generates the identical stream.
+3. **Backend bit-identity.**  Both backends draw the same 53-bit
+   uniform floats (``v >> 11``) and invert the same shared Zipf CDF,
+   so a no-numpy host generates the identical stream.  The Python
+   backend binary-searches the CDF per draw (``bisect_right``).  The
+   numpy backend looks the rank up in a guide table built once from
+   the CDF: a draw's top bits pick a bucket of ``u`` values, a bucket
+   no CDF entry splits holds its one rank, and only draws in split
+   buckets are binary-searched.
 4. **Churned-out keys never reappear.**  Every key slot holds a
    monotonically increasing uid; retiring a slot assigns a fresh uid and
    uids are never reused.  Addresses are an *injective* image of
@@ -110,8 +114,9 @@ def zipf_cdf(keys: int, alpha: float) -> List[float]:
     """CDF of the Zipf(alpha) law over ranks ``0..keys-1``.
 
     Built once in pure Python and shared verbatim by both backends —
-    the float64 list *is* the contract, so numpy and no-numpy hosts
-    binary-search identical values.  The last entry is pinned to 1.0.
+    the float64 list *is* the contract: the Python backend
+    binary-searches it per draw and the numpy backend builds its rank
+    guide table from it.  The last entry is pinned to 1.0.
     """
     if keys < 1:
         raise ValueError(f"keys must be positive, got {keys}")
@@ -312,10 +317,19 @@ class ServingStream:
         self._s_churn_t = _stream_seed(seed, _TAG_CHURN_TENANT)
         self._s_churn_s = _stream_seed(seed, _TAG_CHURN_SLOT)
         self._cdf = zipf_cdf(spec.keys, spec.alpha)
-        self._cdf_np = (
-            np.asarray(self._cdf, dtype=np.float64)
-            if np is not None else None
-        )
+        if np is not None:
+            # Guide table: bucket b = v >> (64 - bits) holds the draws
+            # with b <= u * 2**bits < b + 1.  bisect_right is monotone in
+            # u, so a bucket whose two edges share a rank has that rank
+            # throughout; the others (-1) fall back to searchsorted.
+            self._cdf_np = np.asarray(self._cdf, dtype=np.float64)
+            bits = min(16, max(8, (8 * spec.keys).bit_length()))
+            edges = np.arange((1 << bits) + 1) * 2.0 ** -bits
+            at = np.searchsorted(self._cdf_np, edges, side="right")
+            self._guide = np.where(
+                at[:-1] == at[1:], at[:-1], -1
+            ).astype(np.int32)
+            self._guide_shift = np.uint64(64 - bits)
         self._phases = [
             (p.start, p.start + p.length, _share_threshold(p.share),
              min(p.hot_keys, spec.keys))
@@ -429,6 +443,15 @@ class ServingStream:
             out.append((g * ADDR_MULT) & ADDR_MASK)
         return out
 
+    def _ranks(self, v):
+        """Zipf ranks of uint64 draws ``v``: ``bisect_right(cdf, _u53(v))``."""
+        np = self._np
+        rank = self._guide.take(v >> self._guide_shift)
+        mixed = np.flatnonzero(rank < 0)
+        u = (v[mixed] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        rank[mixed] = np.searchsorted(self._cdf_np, u, side="right")
+        return rank
+
     def _block_numpy(self, block: int, m: int):
         np = self._np
         spec = self.spec
@@ -446,9 +469,7 @@ class ServingStream:
             return x ^ (x >> s31)
 
         tenant = (draws(self._s_tenant) % np.uint64(T)).astype(np.int64)
-        u = (draws(self._s_rank) >> np.uint64(11)).astype(np.float64)
-        u *= 2.0 ** -53
-        rank = np.searchsorted(self._cdf_np, u, side="right")
+        rank = self._ranks(draws(self._s_rank))
         for start, end, thr, hot in self._phases:
             if start >= base + m or end <= base:
                 continue
@@ -459,7 +480,7 @@ class ServingStream:
                     draws(self._s_hot) % np.uint64(hot)
                 ).astype(np.int64)
                 rank = np.where(mask, hot_rank, rank)
-        uid = self._slots[tenant, rank]
+        uid = self._slots.take(tenant * spec.keys + rank)
         g = uid * np.uint64(T) + tenant.astype(np.uint64)
         addr = (g * np.uint64(ADDR_MULT)) & np.uint64(ADDR_MASK)
         return addr.astype(np.int64)

@@ -13,11 +13,14 @@ The three contracts the ISSUE pins, plus the backend mirror:
   after its retirement block.
 * **Backend bit-identity** — the pure-Python mirror emits the same
   addresses as the numpy backend.
+* **Exact rank lookup** — the numpy backend's guide table returns
+  ``bisect_right`` ranks on the draws at every bucket edge.
 
 Every draw goes through hypothesis so the spec space (alpha, keys,
 tenants, churn, flash phases, seed) is explored rather than spot-checked.
 """
 
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -121,6 +124,53 @@ class TestBackendIdentity:
     @given(spec=serving_specs(max_accesses=GEN_BLOCK + 100))
     def test_python_mirror_matches_auto_backend(self, spec):
         assert flat(spec, 997, backend="python") == flat(spec, 997)
+
+    def test_python_mirror_matches_at_serve_zipf_shape(self):
+        # Hypothesis draws keys <= 1024; this is the repository
+        # benchmark's key space, churn and flash phases.
+        n = 2 * GEN_BLOCK + 100
+        spec = ServingSpec(
+            keys=1 << 15, alpha=1.2, tenants=2, accesses=n,
+            churn_per_million=20_000,
+            phases=auto_flash_phases(n, 2, share=0.5, hot_keys=64),
+            seed=1,
+        )
+        assert flat(spec, 997, backend="python") == flat(spec, 997)
+
+
+# -- exact guide-table rank lookup -------------------------------------
+
+class TestRankLookup:
+    @pytest.mark.parametrize("keys, alpha", [
+        (1, 1.2),
+        # Uniform CDF entries land exactly on bucket edges.
+        (64, 0.0), (1024, 0.0), (1 << 15, 0.0),
+        (512, 1.1), (1024, 1.6), (1 << 15, 1.2), (1 << 15, 0.8),
+        (1 << 17, 1.2),  # past the table-width cap
+        (3000, 0.5),
+    ])
+    def test_ranks_match_bisect_at_bucket_edges(self, keys, alpha):
+        np = pytest.importorskip("numpy")
+        stream = ServingStream(
+            ServingSpec(keys=keys, alpha=alpha, accesses=0, seed=0),
+            backend="numpy",
+        )
+        assert stream._guide.nbytes <= 256 << 10
+        bits = stream._guide.size.bit_length() - 1
+        lowest = np.arange(1 << bits, dtype=np.uint64) << np.uint64(
+            64 - bits
+        )
+        highest = lowest + np.uint64((1 << (64 - bits)) - 1)
+        low11 = np.uint64((1 << 11) - 1)
+        v = np.concatenate([
+            lowest, lowest + low11 + np.uint64(1),
+            highest, highest & ~low11,
+        ])
+        cdf = zipf_cdf(keys, alpha)
+        expected = [
+            bisect_right(cdf, (x >> 11) * 2.0 ** -53) for x in v.tolist()
+        ]
+        assert stream._ranks(v).tolist() == expected
 
 
 # -- Zipf rank monotonicity --------------------------------------------
