@@ -7,8 +7,8 @@ per-access scalar loop (the Figure 5/7/9 bit-walk reference, one access
 at a time), asserting bit-identical miss counts on a shared sample.  A
 separate untimed pass replays the full stream under ``tracemalloc`` and
 reports post-warm-up heap growth: the bounded-memory claim, measured.
-A paired pass with SLO telemetry attached records the telemetry
-throughput ratio (the >= 95 % acceptance bar of the observability PR).
+Three alternating plain/telemetry pairs record the telemetry throughput
+ratio as their median (its acceptance bar is >= 95 %).
 
 Runs two ways:
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 import tracemalloc
@@ -61,6 +62,8 @@ SHARD_SWEEP = (1, 2, 4)
 CHUNK_ACCESSES = 1 << 16
 #: Accesses in the bit-identity / scalar-baseline sample.
 SAMPLE_ACCESSES = 1_000_000
+#: Alternating plain/telemetry pairs behind the telemetry ratio (median).
+TELEMETRY_PAIRS = 3
 ENTRIES = tuple(lru_ipv(ASSOC).entries)
 
 
@@ -120,12 +123,15 @@ def measure_telemetry_overhead(
     shards: int = SHARDS,
     chunk_accesses: int = CHUNK_ACCESSES,
 ) -> dict:
-    """Timed pass with SLO telemetry attached vs the plain drain loop.
+    """Timed passes with SLO telemetry attached vs the plain drain loop.
 
     Telemetry is fed once per engine batch (HDR histograms, sliding
     windows, drift detection), so the enabled run must sustain >= 95 %
-    of the plain run's throughput — the PR's acceptance bar.  Misses
-    must be bit-identical: observing a run never changes it.
+    of the plain run's throughput — the telemetry acceptance bar.  One
+    pair is at the mercy of the machine's moment, so
+    :data:`TELEMETRY_PAIRS` plain/telemetry pairs run alternately; every
+    pair's ratio is recorded and their median is ``throughput_ratio``.
+    Misses must be bit-identical: observing a run never changes it.
     """
     spec = bench_spec(accesses)
 
@@ -141,19 +147,26 @@ def measure_telemetry_overhead(
             misses += frontend.process(chunk)
         return misses, time.perf_counter() - t0
 
-    plain_misses, plain_sec = run(None)
-    telem = ServeTelemetry(shards)
-    telem_misses, telem_sec = run(telem)
-    telem.finalize()
-    assert telem_misses == plain_misses, (
-        f"telemetry changed misses: {telem_misses} != {plain_misses}"
-    )
-    ratio = plain_sec / telem_sec if telem_sec > 0 else 1.0
+    plain_rates, telem_rates, ratios = [], [], []
+    for _ in range(TELEMETRY_PAIRS):
+        plain_misses, plain_sec = run(None)
+        telem = ServeTelemetry(shards)
+        telem_misses, telem_sec = run(telem)
+        telem.finalize()
+        assert telem_misses == plain_misses, (
+            f"telemetry changed misses: {telem_misses} != {plain_misses}"
+        )
+        plain_rates.append(accesses / plain_sec)
+        telem_rates.append(accesses / telem_sec)
+        ratios.append(plain_sec / telem_sec if telem_sec > 0 else 1.0)
+    ratio = statistics.median(ratios)
     return {
         "accesses": accesses,
         "shards": shards,
-        "plain_accesses_per_sec": accesses / plain_sec,
-        "telemetry_accesses_per_sec": accesses / telem_sec,
+        "pairs": TELEMETRY_PAIRS,
+        "plain_accesses_per_sec": statistics.median(plain_rates),
+        "telemetry_accesses_per_sec": statistics.median(telem_rates),
+        "pair_ratios": ratios,
         "throughput_ratio": ratio,
         "windows_closed": telem.windows.windows_closed,
         "meets_95pct": ratio >= 0.95,
@@ -381,7 +394,8 @@ def main(argv=None) -> int:
     telem = results["telemetry"]
     print(f"  telemetry {telem['telemetry_accesses_per_sec']:>12,.0f}"
           f" acc/s with SLO telemetry attached "
-          f"({telem['throughput_ratio']:.1%} of plain, "
+          f"({telem['throughput_ratio']:.1%} of plain, median of "
+          f"{telem['pairs']} pairs, "
           f"{'meets' if telem['meets_95pct'] else 'BELOW'} the 95% bar, "
           f"{telem['windows_closed']} windows)")
     print(f"wrote {out}")

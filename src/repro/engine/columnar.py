@@ -161,6 +161,37 @@ _SPILL_MIN_STEPS = 32
 _SPILL_MIN_CAP = 16
 
 
+def _hit_decoder(np, k: int):
+    """``decode(eq, miss_way) -> (is_hit, way)`` for ``[..., k]`` compares.
+
+    A set's tags are unique, so a compare row holds at most one True.  Its
+    k bytes are read as ``k // 8`` uint64 words (one ``u{k}`` word when
+    k < 8), word j shifted up j bits, so each way owns one bit of ``x``
+    and a de Bruijn lookup finds it without a reduce over the way axis.
+    A miss and a way-0 hit share lookup slot 0, so ``is_hit`` gates it.
+    The lookup decodes the identity compare: either byte order works.
+    """
+    mul, top = np.uint64(0x03F79D71B4CB0A89), np.uint64(58)
+    shifts = [np.uint64(j) for j in range(1, k // 8)]
+
+    def word(eq):
+        words = eq.view(f"u{min(k, 8)}").astype(np.uint64, copy=False)
+        x = words[..., 0]
+        for j, shift in enumerate(shifts, 1):
+            x = x | (words[..., j] << shift)
+        return x
+
+    hit_way = np.zeros(64, dtype=np.int64)
+    hit_way[(word(np.eye(k, dtype=bool)) * mul) >> top] = np.arange(k)
+
+    def decode(eq, miss_way):
+        x = word(eq)
+        is_hit = x != 0
+        way = hit_way.take((x * mul) >> top)
+        return is_hit, np.where(is_hit, way, miss_way)
+    return decode
+
+
 class BatchCounters:
     """Per-lane/per-set counters accumulated during one engine run.
 
@@ -660,7 +691,11 @@ class BatchSimulator:
         warmup = self.warmup - index_offset
         victim_t, pos_t, keep_t, bits_t = t.victim, t.pos, t.keep, t.path_bits
         orbit_t, entry_t, cycle_t = t.orbit, t.entry, t.cycle
+        two_k = 2 * k
+        # Single accesses (n = 1) land on orbit[row][1] == V[p0].
+        first_t = orbit_t[1::two_k].copy()
         row_base = t.row_base[:, None]
+        decode = _hit_decoder(np, k)
         if state is None:
             state = np.zeros((L, S), dtype=np.int64)
             tags = np.full((L, S, k), -1, dtype=trace.addr_dtype)
@@ -674,7 +709,6 @@ class BatchSimulator:
             miss_ls = np.zeros((L, S), dtype=np.int64)
             depth_counts = np.zeros(L * k + 1, dtype=np.int64)
             lane_k = (np.arange(L, dtype=np.int64) * k)[:, None]
-        two_k = 2 * k
         for chunk in trace.chunks:
             cols = chunk.cols
             offsets = chunk.step_offsets
@@ -682,10 +716,12 @@ class BatchSimulator:
             gidx_by_step = chunk.gidx_by_step
             rep_by_step = chunk.rep_by_step
             # Chunk-local copies in column order: every step below then
-            # touches a contiguous prefix of the column axis.
+            # touches a contiguous prefix of the column axis.  `tg` is
+            # C-contiguous: (lane, column c, way 0) is flat_base[lane, c].
             st = state[:, cols]
-            tg = tags[:, cols, :]
+            tg = tags.take(cols, axis=1)
             nf = nfill[:, cols]
+            flat_base = (lane_rows * cols.size + np.arange(cols.size)) * k
             # Collapsed chunks with a pathologically deep tail (a couple
             # of interleaved hot keys in one set) cap the lockstep loop
             # at the first thin step and finish those columns scalar.
@@ -714,7 +750,6 @@ class BatchSimulator:
                 )
                 sw_frames: List = []
                 hit_frames: List = []
-            col_ar = np.arange(cols.size, dtype=np.int64)[None, :]
             # One segment-max pass replaces a per-step rep reduce.
             rep_max = None
             if rep_by_step is not None and depth_cap:
@@ -726,22 +761,18 @@ class BatchSimulator:
                 w = o1 - o0
                 addr = addr_by_step[o0:o1]
                 gidx = gidx_by_step[o0:o1]
-                tgj = tg[:, :w, :]
                 stj = st[:, :w]
                 nfj = nf[:, :w]
-                # One [L, w, k] scan for the compare, then two cheap C
-                # reduces.  (any/argmax beat a take_along_axis here: the
-                # wrapper's Python-side index plumbing costs more than
-                # the extra scan at lockstep widths.)
-                eq = tgj == addr[None, :, None]
-                is_hit = eq.any(axis=2)
-                hit_way = eq.argmax(axis=2)
-                miss = ~is_hit
-                cold = miss & (nfj < k)
-                way = np.where(
-                    is_hit, hit_way,
-                    np.where(cold, nfj, victim_t.take(stj)),
+                # One [L, w, k] compare, decoded as words (_hit_decoder)
+                # instead of any/argmax reduces over the short way axis.
+                # A miss fills the next cold way, else the victim.
+                room = nfj < k
+                is_hit, way = decode(
+                    tg[:, :w, :] == addr[None, :, None],
+                    np.where(room, nfj, victim_t.take(stj)),
                 )
+                miss = ~is_hit
+                cold = miss & room
                 sw = (stj << shift) | way
                 # The one transition (see _LaneTables): the way moves n
                 # steps along its lane's promotion orbit, from the row of
@@ -754,9 +785,9 @@ class BatchSimulator:
                     n = rep_by_step[o0:o1].astype(np.int64)
                     e = entry_t.take(row)
                     n = np.where(n < two_k, n, e + (n - e) % cycle_t.take(row))
+                    target = orbit_t.take(row * two_k + n)
                 else:
-                    n = 1
-                target = orbit_t.take(row * two_k + n)
+                    target = first_t.take(row)
                 new_state = (
                     (stj & keep_t.take(way)) | bits_t.take(way * k + target)
                 )
@@ -770,12 +801,9 @@ class BatchSimulator:
                         sw_frames.append(sw)
                         hit_frames.append(is_hit)
                 # Hits rewrite the resident tag with itself, so the tag
-                # scatter needs no mask at all.  One fancy assignment —
-                # put_along_axis's Python-side plumbing is
-                # step-dominating at this width (and `tg` need not be
-                # contiguous: a sandwiched advanced index hands back a
-                # transposed layout for L > 1).
-                tg[lane_rows, col_ar[:, :w], way] = addr
+                # scatter needs no mask at all: one flat put, whose
+                # [L, w] indices take `addr` cyclically, i.e. per column.
+                tg.put(flat_base[:, :w] + way, addr)
                 stj[...] = new_state
                 nfj += cold
                 measured = miss & (gidx >= warmup)[None, :]

@@ -320,13 +320,15 @@ def _shared_columnar_trace(key: tuple, addresses, num_sets: int):
     capacity, seed) plus ``num_sets`` — never by address-list identity,
     so evaluators rebuilt across GA generations (or sweep points) reuse
     layouts instead of growing one dict per instance without limit.
+    Layouts collapse runs, as serving's do: a run of repeats is one exact
+    O(1) orbit step, so a hot set's column takes far fewer lockstep steps.
     """
     trace = _COLUMNAR_MEMO.get(key)
     if trace is None:
         from ..engine.columnar import ColumnarTrace
 
         _COLUMNAR_MEMO_STATS["misses"] += 1
-        trace = ColumnarTrace(addresses, num_sets)
+        trace = ColumnarTrace(addresses, num_sets, collapse_runs=True)
         _COLUMNAR_MEMO[key] = trace
         while len(_COLUMNAR_MEMO) > _COLUMNAR_MEMO_LIMIT:
             _COLUMNAR_MEMO.popitem(last=False)

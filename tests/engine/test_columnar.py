@@ -22,6 +22,7 @@ from repro.engine.columnar import (
     ColumnarTrace,
     ColumnarUnavailable,
     DuelBatchSimulator,
+    _hit_decoder,
     columnar_config,
     columnar_supported,
     require_numpy,
@@ -218,6 +219,62 @@ class TestMultiLane:
             )
             assert int(misses[i]) == walk
             assert indices[i] == walk_idx
+
+
+def compare_rows(np, k, lanes, dtype, seed):
+    """Crafted ``[lanes, w, k]`` tag compares, as one lockstep step sees.
+
+    The columns cover a hit at every way of a full set, the all-miss
+    full set, and for every cold fill count ``n < k`` (the other ways
+    still holding -1) a miss plus a hit at each filled way.  Lane 0 takes
+    the cases in order; every other lane a shuffle, so one step mixes
+    them.  Tags in a row are unique and never equal the -1 cold marker,
+    exactly like a set's resident tags.
+    """
+    cases = [(k, b) for b in range(k)] + [(k, None)]
+    for filled in range(k):
+        cases += [(filled, None)] + [(filled, b) for b in range(filled)]
+    rng = random.Random(seed)
+    low = (1 << 31) + 5 if dtype == "int64" else 5
+    addr = np.arange(len(cases), dtype=dtype) * (4 * k) + low
+    tags = np.full((lanes, len(cases), k), -1, dtype=dtype)
+    for lane in range(lanes):
+        order = list(range(len(cases)))
+        if lane:
+            rng.shuffle(order)
+        for col, case in enumerate(order):
+            filled, hit = cases[case]
+            # Distinct non-addresses: addr + 1 .. addr + filled.
+            resident = [int(addr[col]) + 1 + i for i in range(filled)]
+            if hit is not None:
+                resident[hit] = int(addr[col])
+            tags[lane, col, :filled] = resident
+    return tags == addr[None, :, None]
+
+
+@needs_numpy
+class TestHitDecoder:
+    """The lockstep step's word-view hit decode against any/argmax."""
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    @pytest.mark.parametrize("lanes", [1, 24])
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    def test_matches_any_argmax(self, k, lanes, dtype):
+        np = require_numpy()
+        eq = compare_rows(np, k, lanes, dtype, seed=k + lanes)
+        # A miss takes the caller's fill way; a sentinel exposes any miss
+        # the decode reports as a way-0 hit.
+        miss_way = np.full(eq.shape[:2], -7, dtype=np.int64)
+        is_hit, way = _hit_decoder(np, k)(eq, miss_way)
+        expect_hit = eq.any(axis=-1)
+        assert is_hit.dtype == bool and way.dtype == np.int64
+        assert np.array_equal(is_hit, expect_hit)
+        assert np.array_equal(
+            way, np.where(expect_hit, eq.argmax(axis=-1), miss_way)
+        )
+        # Every way is hit somewhere, way 0 included, and misses occur.
+        assert set(way[is_hit].tolist()) == set(range(k))
+        assert (~is_hit).any()
 
 
 @needs_numpy

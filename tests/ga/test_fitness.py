@@ -244,6 +244,36 @@ class TestColumnarKernel:
         serial = [evaluator.evaluate(ipv) for ipv in population]
         assert batched == serial  # bit-identical, not approx
 
+    def test_evaluate_many_matches_walk_at_ga_shape(self, monkeypatch):
+        """ga-plru's batch shape: 24 lanes over collapsed 10 000-access
+        traces whose hot columns are deep enough for the multi-lane
+        spill tail to finish them."""
+        from repro.engine.columnar import BatchSimulator
+
+        spilled_lanes = []
+        spill_tail = BatchSimulator._spill_tail
+
+        def spy(self, *args, **kwargs):
+            spilled_lanes.append(self.lanes)
+            return spill_tail(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "_spill_tail", spy)
+        config = default_config(trace_length=10_000)
+        names = ["471.omnetpp", "483.xalancbmk"]
+        rng = random.Random(15)
+        population = [
+            lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
+            lru_ipv(16), GIPPR_WI_VECTOR,  # duplicate lanes
+        ]
+        while len(population) < 24:
+            population.append(IPV([rng.randrange(16) for _ in range(17)]))
+        batched = FitnessEvaluator(
+            names, config=config, kernel="columnar"
+        ).evaluate_many(population)
+        walk = FitnessEvaluator(names, config=config, kernel="walk")
+        assert batched == [walk.evaluate(ipv) for ipv in population]
+        assert spilled_lanes and set(spilled_lanes) == {24}
+
     def test_evaluate_many_auto_batches_only_large(self, config):
         from repro.engine.columnar import columnar_supported
 
