@@ -37,11 +37,7 @@ if __name__ == "__main__":  # script mode: make src importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.engine.columnar import (  # noqa: E402
-    BatchSimulator,
-    ColumnarTrace,
-    columnar_supported,
-)
+from repro.engine.columnar import BatchSimulator, ColumnarTrace  # noqa: E402
 from repro.ga.fitness import (  # noqa: E402
     FitnessEvaluator,
     simulate_misses_plru_ipv,
@@ -118,19 +114,18 @@ def measure_sim_throughput(assoc: int, accesses: int) -> dict:
         "speedup": walk_sec / lut_sec,
         "table_bytes": compile_tables(assoc, entries).nbytes,
     }
-    if columnar_supported(assoc):
-        t0 = time.perf_counter()
-        columnar_misses = simulate_misses_plru_ipv(
-            stream, NUM_SETS, assoc, entries, warmup, kernel="columnar"
+    t0 = time.perf_counter()
+    columnar_misses = simulate_misses_plru_ipv(
+        stream, NUM_SETS, assoc, entries, warmup, kernel="columnar"
+    )
+    columnar_sec = time.perf_counter() - t0
+    if columnar_misses != walk_misses:
+        raise AssertionError(
+            f"k={assoc}: columnar misses {columnar_misses}"
+            f" != walk misses {walk_misses}"
         )
-        columnar_sec = time.perf_counter() - t0
-        if columnar_misses != walk_misses:
-            raise AssertionError(
-                f"k={assoc}: columnar misses {columnar_misses}"
-                f" != walk misses {walk_misses}"
-            )
-        row["columnar_accesses_per_sec"] = accesses / columnar_sec
-        row["columnar_speedup"] = walk_sec / columnar_sec
+    row["columnar_accesses_per_sec"] = accesses / columnar_sec
+    row["columnar_speedup"] = walk_sec / columnar_sec
     return row
 
 
@@ -436,8 +431,6 @@ if pytest is not None:
         assert row["speedup"] > 1.0
 
     def test_kernel_population_batch(benchmark):
-        if not columnar_supported(16):
-            pytest.skip("columnar engine needs numpy")
         accesses = max(10_000, int(60_000 * _scale()))
         row = benchmark.pedantic(
             measure_population_batch,
@@ -452,10 +445,6 @@ if pytest is not None:
         assert row["speedup"] > 1.0
 
     def test_kernel_analytics_profile(benchmark):
-        from repro.kernels.tables import numpy_or_none
-
-        if numpy_or_none() is None:
-            pytest.skip("vectorized profiler needs numpy")
         accesses = max(10_000, int(60_000 * _scale()))
         row = benchmark.pedantic(
             measure_analytics_profile,
@@ -470,10 +459,6 @@ if pytest is not None:
         assert row["speedup_vs_oracle"] > 1.0
 
     def test_kernel_population_surrogate(benchmark):
-        from repro.kernels.tables import numpy_or_none
-
-        if numpy_or_none() is None:
-            pytest.skip("vectorized surrogate scoring needs numpy")
         row = benchmark.pedantic(
             measure_population_surrogate,
             kwargs={
@@ -514,7 +499,7 @@ if pytest is not None:
 def collect(accesses: int, ga_trace_length: int) -> dict:
     sim_rows = [measure_sim_throughput(k, accesses) for k in ASSOCIATIVITIES]
     ga_row = measure_ga_generation(trace_length=ga_trace_length)
-    results = {
+    return {
         "schema": "repro-bench-kernels/1",
         "created_at": time.strftime(
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
@@ -523,24 +508,13 @@ def collect(accesses: int, ga_trace_length: int) -> dict:
         "sim_throughput": sim_rows,
         "ga_generation": ga_row,
         "kernels": kernel_provenance(),
-    }
-    if columnar_supported(16):
-        results["population_batch"] = measure_population_batch(
-            accesses=accesses
-        )
-    from repro.kernels.tables import numpy_or_none
-
-    if numpy_or_none() is not None:
-        # The speed claim is about the vectorized path; without numpy the
-        # profiler falls back to the oracle walk and the row is meaningless.
-        results["analytics_profile"] = measure_analytics_profile(
-            accesses=accesses
-        )
-        results["population_surrogate"] = measure_population_surrogate(
+        "population_batch": measure_population_batch(accesses=accesses),
+        "analytics_profile": measure_analytics_profile(accesses=accesses),
+        "population_surrogate": measure_population_surrogate(
             trace_length=ga_trace_length,
             population=max(200, int(1_500 * _scale())),
-        )
-    return results
+        ),
+    }
 
 
 def main(argv=None) -> int:

@@ -110,7 +110,6 @@ def measure_serving_throughput(
         "miss_rate": misses / accesses,
         "shards": shards,
         "engine": frontend.engine,
-        "backend": stream.backend,
         "chunk_accesses": chunk_accesses,
         "wall_sec": wall,
         "accesses_per_sec": accesses / wall,
@@ -179,9 +178,10 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     Two flavours, both one-access-at-a-time Python loops over the same
     generated prefix: the Figure 5/7/9 *bit-walk* reference (the
     per-access scalar loop proper — every access walks the tree) and the
-    LUT-stepped :class:`ScalarStreamSimulator` (the no-numpy serving
-    fallback).  Rates include generation time, like the serving number,
-    but not the conversion to the Python ints those loops take.
+    LUT-stepped :class:`ScalarStreamSimulator` (the front-end's
+    ``engine="scalar"``).  Rates include generation time, like the
+    serving number, but not the conversion to the Python ints those loops
+    take.
     Miss counts of all paths over the prefix must agree exactly.
     """
     sample = min(sample, accesses)
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
           f"(per-access scalar reference, {base['sample_accesses']:,}"
           f"-access sample)")
     print(f"  scalar    {base['scalar_stream_accesses_per_sec']:>12,.0f}"
-          f" acc/s (LUT stream fallback)")
+          f" acc/s (scalar LUT stream)")
     for row in results["shard_sweep"]:
         print(f"  sweep     {row['accesses_per_sec']:>12,.0f} acc/s "
               f"@ {row['shards']} shard(s) "

@@ -27,9 +27,7 @@ Exercises ``repro.obs.analytics`` end to end and asserts:
    costs at most 5 % over a plain columnar run (min-of-N interleaved
    timing via :func:`repro.obs.overhead.measure_counters_overhead`).
 
-Exits non-zero on any failure.  Without numpy only the (slow but
-identical) profiler fallback can run, so the columnar checks are
-skipped with a notice — same posture as ``make smoke-kernels``.
+Exits non-zero on any failure.
 """
 
 import os
@@ -100,8 +98,6 @@ def check_profile_matches_oracle(label, addresses, num_sets, max_distance=64):
 
 
 def columnar_checks():
-    import numpy as np  # noqa: F401  (presence gates this block)
-
     from repro.cache import SetAssociativeCache
     from repro.core.ipv import IPV, lip_ipv, lru_ipv
     from repro.engine.columnar import BatchSimulator, DuelBatchSimulator
@@ -263,13 +259,7 @@ def main():
     print(f"archetype OK            [{BENCHMARK}, footprint "
           f"{profile.footprint}, bit-identical to oracle]")
 
-    from repro.kernels.tables import numpy_or_none
-
-    if numpy_or_none() is None:
-        print("columnar checks SKIPPED [numpy unavailable; profiler "
-              "fallback already verified above]")
-    else:
-        columnar_checks()
+    columnar_checks()
     print("smoke-analytics: all checks passed")
 
 

@@ -46,7 +46,7 @@ ENTRIES = tuple(lru_ipv(ASSOC).entries)
 
 REPORT_FIELDS = (
     "schema", "spec", "spec_digest", "seed", "seed_derived", "policy",
-    "ipv", "num_sets", "assoc", "shards", "engine", "backend",
+    "ipv", "num_sets", "assoc", "shards", "engine",
     "accesses", "misses", "miss_rate", "wall_sec",
     "throughput_accesses_per_sec", "shed_accesses", "shed_ratio",
     "retired_keys", "shards_detail", "totals", "telemetry", "slo",
@@ -112,7 +112,7 @@ def check_report_schema():
             payload = json.load(handle)
         missing = [f for f in REPORT_FIELDS if f not in payload]
         assert not missing, f"report missing fields: {missing}"
-        assert payload["schema"] == "repro-serving-report/2"
+        assert payload["schema"] == "repro-serving-report/3"
         assert payload["accesses"] == spec.accesses
         assert payload["misses"] == report.misses
         assert payload["seed_derived"] is True

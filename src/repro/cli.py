@@ -945,8 +945,7 @@ def _cmd_serve(args) -> int:
             tracer.close()
     print(
         f"{report.policy} @ {args.sets}x{args.assoc}, "
-        f"{report.shards} shard(s), engine {report.engine} "
-        f"({report.backend} stream)"
+        f"{report.shards} shard(s), engine {report.engine}"
     )
     print(
         f"served {report.accesses:,} accesses in {report.wall_sec:.2f}s "

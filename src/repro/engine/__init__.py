@@ -1,24 +1,22 @@
-"""Vectorized simulation engines.
+"""Simulation engines for tree-PLRU IPV policies.
 
 :mod:`repro.engine.columnar` is the numpy-columnar batch simulator: all
 cache sets (and many IPV/config lanes) advance in lockstep over an access
 trace, with the per-access policy math served by the precompiled
-transition tables of :mod:`repro.kernels`.  The scalar simulators in
-:mod:`repro.ga.fitness` remain the bit-exact reference.
+transition tables of :mod:`repro.kernels`.
 
-:mod:`repro.engine.scalar` adds a numpy-free *streaming* scalar
-simulator (:class:`ScalarStreamSimulator`) whose per-batch ``feed``
-matches both the one-shot scalar kernels and the columnar ``feed``
-stream bit-for-bit — the serving front-end's engine of last resort.
+:mod:`repro.engine.scalar` holds the one scalar loop,
+:class:`ScalarStreamSimulator`: one lane fed in batches (a one-shot run
+is a single ``feed``), with the inlined bit-walk as the reference and the
+path for associativities without tables.  Its miss counts match the
+columnar ``feed`` stream bit-for-bit.
 """
 
 from .columnar import (
     BatchSimulator,
     ColumnarTrace,
-    ColumnarUnavailable,
     DuelBatchSimulator,
     columnar_supported,
-    require_numpy,
     simulate_misses_plru_columnar,
 )
 from .scalar import ScalarStreamSimulator
@@ -26,10 +24,8 @@ from .scalar import ScalarStreamSimulator
 __all__ = [
     "BatchSimulator",
     "ColumnarTrace",
-    "ColumnarUnavailable",
     "DuelBatchSimulator",
     "ScalarStreamSimulator",
     "columnar_supported",
-    "require_numpy",
     "simulate_misses_plru_columnar",
 ]

@@ -11,8 +11,9 @@ per-set fill counts live in 2-D/3-D numpy arrays indexed
 tables of :func:`repro.kernels.tables.base_tables` (the memoized Figure
 5/7/9 walks), with ``target`` read from the lane's IPV, so no lane needs
 tables of its own and every miss count produced here is bit-identical to
-the bit-walk reference in :mod:`repro.ga.fitness`; the differential/golden
-suites in ``tests/engine`` and ``tests/verify`` pin that.
+the bit-walk in :class:`~repro.engine.scalar.ScalarStreamSimulator`; the
+differential/golden suites in ``tests/engine`` and ``tests/verify`` pin
+that.
 
 Lockstep-over-sets scheduling
 -----------------------------
@@ -39,17 +40,13 @@ set-dueling.  :class:`DuelBatchSimulator` therefore runs access-serial
 but *lane-parallel*: one vectorized update over all duelling lanes per
 access, bit-identical to :class:`~repro.policies.plru.DGIPPRPolicy`
 driven through :class:`~repro.cache.cache.SetAssociativeCache`.
-
-numpy is a hard requirement here.  When it is absent the engine raises
-:class:`ColumnarUnavailable` — it must never silently degrade to a
-scalar path the caller did not ask for (the scalar fallbacks live behind
-``kernel="auto"`` in :mod:`repro.ga.fitness`, not here).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.dueling import assign_leader_sets
 from ..core.plru import is_power_of_two
@@ -61,13 +58,8 @@ __all__ = [
     "BatchCounters",
     "BatchSimulator",
     "ColumnarTrace",
-    "ColumnarUnavailable",
     "DuelBatchSimulator",
-    "columnar_config",
     "columnar_supported",
-    "require_numpy",
-    "resolve_batch_accesses",
-    "resolve_min_lanes",
     "simulate_misses_plru_columnar",
 ]
 
@@ -85,53 +77,6 @@ DEFAULT_BATCH_ACCESSES = 1 << 16
 #: ``population_scaling`` row: the crossover sits between 2 and 8 lanes
 #: on every host measured).
 DEFAULT_AUTO_MIN_LANES = 4
-
-
-def _env_positive_int(name: str) -> Optional[int]:
-    """``$name`` as a positive int, or ``None`` (unset/blank/invalid)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def resolve_batch_accesses(value: Optional[int] = None) -> int:
-    """Columnar chunk size: kwarg > ``$REPRO_COLUMNAR_BATCH_ACCESSES`` >
-    :data:`DEFAULT_BATCH_ACCESSES`.  Pure env parsing — works (and is
-    recorded in build manifests) even when numpy is absent."""
-    if value is not None:
-        if value < 1:
-            raise ValueError("batch_accesses must be positive")
-        return int(value)
-    env = _env_positive_int("REPRO_COLUMNAR_BATCH_ACCESSES")
-    return env if env is not None else DEFAULT_BATCH_ACCESSES
-
-
-def resolve_min_lanes(
-    value: Optional[int] = None, default: int = DEFAULT_AUTO_MIN_LANES
-) -> int:
-    """Auto-batch lane threshold: kwarg > ``$REPRO_COLUMNAR_MIN_LANES`` >
-    ``default`` (:data:`DEFAULT_AUTO_MIN_LANES`, or the caller's own
-    fallback — :class:`~repro.ga.fitness.FitnessEvaluator` passes its
-    overridable class attribute)."""
-    if value is not None:
-        if value < 1:
-            raise ValueError("columnar_min_lanes must be positive")
-        return int(value)
-    env = _env_positive_int("REPRO_COLUMNAR_MIN_LANES")
-    return env if env is not None else default
-
-
-def columnar_config() -> dict:
-    """The effective columnar tuning knobs (for build manifests)."""
-    return {
-        "batch_accesses": resolve_batch_accesses(),
-        "min_lanes": resolve_min_lanes(),
-    }
 
 #: Default hit-depth sampling stride for :class:`BatchCounters`: depths
 #: are decoded on every ``depth_sample``-th lockstep step (a systematic
@@ -161,7 +106,7 @@ _SPILL_MIN_STEPS = 32
 _SPILL_MIN_CAP = 16
 
 
-def _hit_decoder(np, k: int):
+def _hit_decoder(k: int):
     """``decode(eq, miss_way) -> (is_hit, way)`` for ``[..., k]`` compares.
 
     A set's tags are unique, so a compare row holds at most one True.  Its
@@ -258,47 +203,17 @@ class BatchCounters:
         return [int(c) for c in self.hit_depth[lane]]
 
 
-class ColumnarUnavailable(RuntimeError):
-    """The columnar engine cannot run in this environment/geometry."""
-
-
-def _np():
-    """The numpy module, or ``None`` — one seam shared with the kernels.
-
-    Routed through :func:`repro.kernels.tables.numpy_or_none` so a single
-    monkeypatch (or ``REPRO_FORCE_NO_NUMPY=1``) disables numpy
-    consistently for table compilation *and* the columnar engine.
-    """
-    return _tables.numpy_or_none()
-
-
-def require_numpy():
-    """Return numpy or raise a clear :class:`ColumnarUnavailable`."""
-    np = _np()
-    if np is None:
-        raise ColumnarUnavailable(
-            "the columnar engine requires numpy, which is not importable "
-            "(or is disabled via REPRO_FORCE_NO_NUMPY); use the scalar "
-            "kernels ('auto'/'lut'/'walk') instead"
-        )
-    return np
-
-
 def columnar_supported(assoc: int) -> bool:
-    """True when the engine can simulate ``assoc``-way sets here and now.
-
-    Requires numpy and the per-``k`` base tables (powers of two up to
-    :data:`repro.kernels.MAX_TABLE_ASSOC`).
-    """
-    return _np() is not None and _tables.tables_supported(assoc)
+    """True when the engine can simulate ``assoc``-way sets: the per-``k``
+    base tables exist (powers of two up to
+    :data:`repro.kernels.MAX_TABLE_ASSOC`)."""
+    return _tables.tables_supported(assoc)
 
 
 def _check_geometry(num_sets: int, assoc: int) -> None:
     if not is_power_of_two(num_sets):
         raise ValueError(f"num_sets must be a power of two, got {num_sets}")
     if not _tables.tables_supported(assoc):
-        if _np() is None and is_power_of_two(assoc):
-            require_numpy()
         raise ValueError(
             f"columnar engine unsupported for associativity {assoc} "
             f"(needs the per-k tables: powers of two <= "
@@ -362,12 +277,14 @@ class ColumnarTrace:
         batch_accesses: Optional[int] = None,
         collapse_runs: bool = False,
     ):
-        np = require_numpy()
         if not is_power_of_two(num_sets):
             raise ValueError(
                 f"num_sets must be a power of two, got {num_sets}"
             )
-        batch_accesses = resolve_batch_accesses(batch_accesses)
+        if batch_accesses is None:
+            batch_accesses = DEFAULT_BATCH_ACCESSES
+        elif batch_accesses < 1:
+            raise ValueError("batch_accesses must be positive")
         addrs = np.ascontiguousarray(addresses, dtype=np.int64)
         if addrs.ndim != 1:
             raise ValueError("addresses must be a flat sequence")
@@ -386,9 +303,9 @@ class ColumnarTrace:
         mask = num_sets - 1
         for base in range(0, self.n, batch_accesses):
             chunk = addrs[base:base + batch_accesses]
-            self.chunks.append(self._transpose(np, chunk, base, mask))
+            self.chunks.append(self._transpose(chunk, base, mask))
 
-    def _transpose(self, np, chunk, base: int, mask: int) -> _Chunk:
+    def _transpose(self, chunk, base: int, mask: int) -> _Chunk:
         m = chunk.size
         si = chunk & mask
         # Stable argsort picks radix for small int dtypes: an order of
@@ -477,7 +394,6 @@ class _LaneTables:
                  "entry", "cycle", "row_base")
 
     def __init__(self, assoc: int, entries_list: Sequence[Sequence[int]]):
-        np = require_numpy()
         base = _tables.base_tables(assoc)
         unique: Dict[Tuple[int, ...], int] = {}
         lane_unique: List[int] = []
@@ -523,8 +439,8 @@ class BatchSimulator:
     Each lane is one IPV; all lanes share the geometry, the warmup window
     and — crucially — the preprocessed trace.  Identical IPVs share one
     promotion orbit (GA populations routinely carry duplicates).
-    Results are bit-identical to the scalar walk/LUT simulators of
-    :mod:`repro.ga.fitness`, per lane.
+    Results are bit-identical to the scalar walk/LUT loops of
+    :class:`~repro.engine.scalar.ScalarStreamSimulator`, per lane.
     """
 
     def __init__(
@@ -534,7 +450,6 @@ class BatchSimulator:
         entries_list: Sequence[Sequence[int]],
         warmup: int = 0,
     ):
-        require_numpy()
         _check_geometry(num_sets, assoc)
         if not entries_list:
             raise ValueError("BatchSimulator needs at least one IPV lane")
@@ -573,7 +488,6 @@ class BatchSimulator:
         extra cost per step is one chunk-local accumulate and two list
         appends of arrays the kernel computes anyway.
         """
-        np = require_numpy()
         from ..obs.spans import span
 
         if not isinstance(trace, ColumnarTrace):
@@ -593,7 +507,7 @@ class BatchSimulator:
         self.counters = None
         with span("engine.columnar_run", lanes=self.lanes,
                   accesses=trace.n, counters=int(counters)):
-            return self._run(np, trace, collect_miss_indices, counters,
+            return self._run(trace, collect_miss_indices, counters,
                              depth_sample)
 
     def begin_stream(self) -> "BatchSimulator":
@@ -605,7 +519,6 @@ class BatchSimulator:
         bit-identical to one cold :meth:`run` over the concatenation.
         Persistent tags are ``int64`` so chunks may mix address widths.
         """
-        np = require_numpy()
         L, S, k = self.lanes, self.num_sets, self.assoc
         self._stream = {
             "state": np.zeros((L, S), dtype=np.int64),
@@ -632,7 +545,6 @@ class BatchSimulator:
         collapsing (see :class:`ColumnarTrace`) — bit-identical results,
         large speedup on skewed streams.
         """
-        np = require_numpy()
         from ..obs.spans import span
 
         if self._stream is None:
@@ -653,7 +565,7 @@ class BatchSimulator:
         with span("engine.columnar_feed", lanes=self.lanes,
                   accesses=trace.n):
             misses = self._run(
-                np, trace, False,
+                trace, False,
                 state=stream["state"], tags=stream["tags"],
                 nfill=stream["nfill"], index_offset=stream["pos"],
             )
@@ -678,7 +590,7 @@ class BatchSimulator:
         self._stream = None
         return misses
 
-    def _run(self, np, trace: ColumnarTrace, collect_miss_indices: bool,
+    def _run(self, trace: ColumnarTrace, collect_miss_indices: bool,
              counters: bool = False,
              depth_sample: int = DEFAULT_DEPTH_SAMPLE,
              state=None, tags=None, nfill=None, index_offset: int = 0):
@@ -695,7 +607,7 @@ class BatchSimulator:
         # Single accesses (n = 1) land on orbit[row][1] == V[p0].
         first_t = orbit_t[1::two_k].copy()
         row_base = t.row_base[:, None]
-        decode = _hit_decoder(np, k)
+        decode = _hit_decoder(k)
         if state is None:
             state = np.zeros((L, S), dtype=np.int64)
             tags = np.full((L, S, k), -1, dtype=trace.addr_dtype)
@@ -815,7 +727,7 @@ class BatchSimulator:
                         miss_gidx.append(gidx[cells])
             if spill_widths is not None:
                 sp_misses, sp_rows, sp_gidx = self._spill_tail(
-                    np, chunk, depth_cap, spill_widths, st, tg, nf,
+                    chunk, depth_cap, spill_widths, st, tg, nf,
                     warmup, collect_miss_indices,
                 )
                 misses += np.asarray(sp_misses, dtype=np.int64)
@@ -870,7 +782,7 @@ class BatchSimulator:
                 indices[lane] = gidx[bounds[lane]:bounds[lane + 1]].tolist()
         return misses, indices
 
-    def _spill_tail(self, np, chunk, depth_cap, widths, st, tg, nf,
+    def _spill_tail(self, chunk, depth_cap, widths, st, tg, nf,
                     warmup, collect):
         """Finish pathologically deep columns with a per-access loop.
 
@@ -949,7 +861,6 @@ class BatchSimulator:
     def positions(self, lane: int):
         """Recency positions ``[set, way]`` decoded from the final state
         of the most recent :meth:`run` (verification hook)."""
-        np = require_numpy()
         state = self.final_state[lane]
         idx = (state[:, None] << self._tables.shift) | np.arange(
             self.assoc, dtype=np.int64
@@ -969,8 +880,7 @@ def simulate_misses_plru_columnar(
     """Single-lane columnar twin of the scalar PLRU-IPV simulators.
 
     Bit-identical miss counts (and ``miss_indices`` contents) to
-    ``kernel="walk"``/``"lut"``; raises :class:`ColumnarUnavailable`
-    without numpy rather than silently degrading.
+    ``kernel="walk"``/``"lut"``.
     """
     simulator = BatchSimulator(num_sets, assoc, [entries], warmup)
     trace = ColumnarTrace(addresses, num_sets, batch_accesses)
@@ -1008,7 +918,6 @@ class DuelBatchSimulator:
         counter_bits: int = 11,
         seed: int = 0xDEAD,
     ):
-        np = require_numpy()
         _check_geometry(num_sets, assoc)
         if not ipv_pairs:
             raise ValueError("DuelBatchSimulator needs at least one lane")
@@ -1040,7 +949,6 @@ class DuelBatchSimulator:
         hit-depth histogram (``depth_sample == 1``: the access-serial
         loop makes per-access appends essentially free).
         """
-        np = require_numpy()
         from ..obs.spans import span
 
         L, S, k = self.lanes, self.num_sets, self.assoc
@@ -1150,7 +1058,6 @@ class DuelBatchSimulator:
 
     def positions(self, lane: int):
         """Final recency positions ``[set, way]`` (verification hook)."""
-        np = require_numpy()
         state = self.final_state[lane]
         idx = (state[:, None] << self._tables.shift) | np.arange(
             self.assoc, dtype=np.int64

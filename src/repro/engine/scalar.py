@@ -1,28 +1,26 @@
-"""Pure-Python streaming scalar simulator for tree-PLRU IPV policies.
+"""The scalar tree-PLRU IPV simulator: one lane, fed in batches.
 
-The scalar kernels in :mod:`repro.ga.fitness` are one-shot functions: a
-trace in, a miss count out, state discarded.  The serving front-end
-(:mod:`repro.serve`) needs the *streaming* shape instead — feed bounded
-batches forever, carry the cache state across batches — and it needs it
-without numpy, because the scalar path is the engine-of-last-resort when
-:class:`~repro.engine.columnar.BatchSimulator` is unavailable.
+:class:`ScalarStreamSimulator` is the one per-access PLRU-IPV loop.  The
+GA's one-shot :func:`repro.ga.fitness.simulate_misses_plru_ipv` is a
+single :meth:`~ScalarStreamSimulator.feed` over the whole trace, and the
+serving front-end (:mod:`repro.serve`) feeds bounded batches forever,
+carrying the cache state across them.
 
-:class:`ScalarStreamSimulator` is that shape.  Per batch it performs
-exactly the transitions of ``kernel="lut"`` (table lookups when
-:func:`repro.kernels.tables.compile_tables` succeeds) or the inlined
-Figure 5/7/9 bit-walk reference otherwise, so miss counts are
-bit-identical to both the one-shot scalar kernels and the columnar
-``feed`` stream over the same concatenated accesses — pinned by
-``tests/engine/test_streaming_feed.py`` and the serving conformance
-cells.
+Per access it performs exactly the transitions of ``kernel="lut"``
+(table lookups through :func:`repro.kernels.tables.resolve_kernel`) or,
+for ``kernel="walk"`` and associativities without tables (k > 16), the
+inlined Figure 5/7/9 bit-walk reference.  Miss counts and miss indices
+are bit-identical between the two and to the columnar ``feed`` stream
+over the same concatenated accesses — pinned by
+``tests/engine/test_streaming_feed.py`` and the conformance cells.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plru import is_power_of_two
-from ..kernels import tables as _tables
+from ..kernels.tables import resolve_kernel
 
 __all__ = ["ScalarStreamSimulator"]
 
@@ -30,12 +28,13 @@ __all__ = ["ScalarStreamSimulator"]
 class ScalarStreamSimulator:
     """One IPV lane over one cache geometry, fed in batches.
 
-    State (PLRU words, tag maps, fill counts) persists across
-    :meth:`feed` calls; :meth:`reset` returns to cold.  ``warmup`` is
-    interpreted against the global stream position, exactly like the
-    one-shot kernels interpret it against the access index — feeding a
-    trace in any chunking yields the same measured miss count as one
-    cold pass over the whole trace.
+    State (PLRU words and tag maps) persists across :meth:`feed` calls;
+    :meth:`reset` returns to cold.  ``warmup`` is interpreted against the
+    global stream position, so feeding a trace in any chunking yields the
+    same measured misses as one cold pass over the whole trace.
+    ``kernel`` is ``"auto"`` (tables when supported, else the walk),
+    ``"lut"`` (demand tables) or ``"walk"``; :attr:`kernel` afterwards
+    names the loop that runs (``"lut"`` or ``"walk"``).
     """
 
     def __init__(
@@ -44,6 +43,7 @@ class ScalarStreamSimulator:
         assoc: int,
         entries: Sequence[int],
         warmup: int = 0,
+        kernel: str = "auto",
     ):
         if not is_power_of_two(num_sets):
             raise ValueError(
@@ -51,25 +51,15 @@ class ScalarStreamSimulator:
             )
         if not is_power_of_two(assoc):
             raise ValueError(f"assoc must be a power of two, got {assoc}")
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != assoc + 1:
-            raise ValueError(
-                f"IPV needs {assoc + 1} entries for {assoc}-way sets, "
-                f"got {len(entries)}"
-            )
-        if any(e < 0 or e >= assoc for e in entries):
-            raise ValueError(f"IPV entries must lie in [0, {assoc}), "
-                             f"got {entries}")
         if warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.entries = entries
+        self.entries = tuple(int(e) for e in entries)
         self.warmup = warmup
-        # LUT stepping when tables compile (powers of two <= 16; k > 8
-        # needs numpy to build tables, in which case compile_tables
-        # returns None and the bit-walk below takes over).
-        self._lut = _tables.compile_tables(assoc, entries)
+        # Raises ValueError for a malformed IPV in every kernel mode.
+        self._lut = resolve_kernel(kernel, assoc, self.entries)
+        self.kernel = "walk" if self._lut is None else "lut"
         self.reset()
 
     def reset(self) -> "ScalarStreamSimulator":
@@ -82,40 +72,56 @@ class ScalarStreamSimulator:
             [-1] * self.assoc for _ in range(self.num_sets)
         ]
         self.pos = 0
-        self.accesses = 0
         self.misses = 0
         self.measured_misses = 0
-        self.cold_fills = 0
         return self
+
+    @property
+    def accesses(self) -> int:
+        """Whole-stream access count (the stream position)."""
+        return self.pos
 
     @property
     def hits(self) -> int:
         """Whole-stream hit count (warmup included)."""
-        return self.accesses - self.misses
+        return self.pos - self.misses
+
+    @property
+    def cold_fills(self) -> int:
+        """Misses that filled an empty way: lines are never invalidated,
+        so this is the number of resident lines."""
+        return sum(map(len, self._tag_to_way))
 
     @property
     def evictions(self) -> int:
         """Whole-stream eviction count (misses minus cold fills)."""
         return self.misses - self.cold_fills
 
-    def feed(self, addresses: Sequence[int]) -> int:
+    def feed(
+        self,
+        addresses: Sequence[int],
+        miss_indices: Optional[List[int]] = None,
+    ) -> int:
         """Apply one batch; return its *measured* miss count.
 
-        Addresses must be non-negative ints (numpy integer scalars are
-        fine).  Summing the per-batch returns over a stream equals the
-        one-shot kernel's measured misses over the concatenation.
+        Addresses are non-negative ints; numpy arrays are converted once
+        with ``tolist()`` (numpy scalars are several times slower than
+        Python ints in these loops).  ``miss_indices``, when given,
+        collects the global stream index of every measured miss.
+        Summing the per-batch returns over a stream equals one cold
+        ``feed`` of the concatenation.
         """
-        # numpy arrays iterate as np.int64 scalars whose arithmetic is
-        # several times slower than Python ints in this loop; one bulk
-        # tolist() up front is far cheaper.
         tolist = getattr(addresses, "tolist", None)
         if tolist is not None:
             addresses = tolist()
-        if self._lut is not None:
-            return self._feed_lut(addresses)
-        return self._feed_walk(addresses)
+        step = self._feed_walk if self._lut is None else self._feed_lut
+        measured, warm = step(addresses, miss_indices)
+        self.pos += len(addresses)
+        self.misses += measured + warm
+        self.measured_misses += measured
+        return measured
 
-    def _feed_lut(self, addresses: Sequence[int]) -> int:
+    def _feed_lut(self, addresses, miss_indices) -> Tuple[int, int]:
         t = self._lut
         victim, hit, fill, shift = t.victim, t.hit, t.fill, t.log2k
         mask = self.num_sets - 1
@@ -124,24 +130,22 @@ class ScalarStreamSimulator:
         tag_to_way = self._tag_to_way
         way_to_tag = self._way_to_tag
         warmup = self.warmup
-        i = self.pos
-        batch_misses = 0
-        measured = 0
-        cold_fills = 0
-        for addr in addresses:
-            addr = int(addr)
+        measured = warm = 0
+        for i, addr in enumerate(addresses, self.pos):
             si = addr & mask
             ways = tag_to_way[si]
             way = ways.get(addr)
             state = states[si]
             if way is None:
-                batch_misses += 1
                 if i >= warmup:
                     measured += 1
+                    if miss_indices is not None:
+                        miss_indices.append(i)
+                else:
+                    warm += 1
                 tags = way_to_tag[si]
                 if len(ways) < assoc:
                     way = len(ways)  # cold fill: ways fill in order
-                    cold_fills += 1
                 else:
                     way = victim[state]
                     del ways[tags[way]]
@@ -150,16 +154,9 @@ class ScalarStreamSimulator:
                 states[si] = fill[(state << shift) | way]
             else:
                 states[si] = hit[(state << shift) | way]
-            i += 1
-        n = i - self.pos
-        self.pos = i
-        self.accesses += n
-        self.misses += batch_misses
-        self.measured_misses += measured
-        self.cold_fills += cold_fills
-        return measured
+        return measured, warm
 
-    def _feed_walk(self, addresses: Sequence[int]) -> int:
+    def _feed_walk(self, addresses, miss_indices) -> Tuple[int, int]:
         assoc = self.assoc
         promo = list(self.entries[:assoc])
         insert = self.entries[assoc]
@@ -168,24 +165,22 @@ class ScalarStreamSimulator:
         tag_to_way = self._tag_to_way
         way_to_tag = self._way_to_tag
         warmup = self.warmup
-        i = self.pos
-        batch_misses = 0
-        measured = 0
-        cold_fills = 0
-        for addr in addresses:
-            addr = int(addr)
+        measured = warm = 0
+        for i, addr in enumerate(addresses, self.pos):
             si = addr & mask
             ways = tag_to_way[si]
             state = states[si]
             way = ways.get(addr)
             if way is None:
-                batch_misses += 1
                 if i >= warmup:
                     measured += 1
+                    if miss_indices is not None:
+                        miss_indices.append(i)
+                else:
+                    warm += 1
                 tags = way_to_tag[si]
                 if len(ways) < assoc:
                     way = len(ways)  # cold fill: ways fill in order
-                    cold_fills += 1
                 else:
                     # find_plru walk (Figure 5)
                     n = 1
@@ -223,14 +218,7 @@ class ScalarStreamSimulator:
                 q = parent
                 b += 1
             states[si] = state
-            i += 1
-        n = i - self.pos
-        self.pos = i
-        self.accesses += n
-        self.misses += batch_misses
-        self.measured_misses += measured
-        self.cold_fills += cold_fills
-        return measured
+        return measured, warm
 
     def totals(self) -> Dict[str, int]:
         """Whole-stream totals (CacheStats-comparable, fills == misses)."""

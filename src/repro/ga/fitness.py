@@ -5,13 +5,14 @@ LRU across a set of workload traces, with CPI estimated as a linear
 function of miss count — exactly the paper's simplified fitness, which it
 notes runs in minutes where a performance simulation takes hours.
 
-The evaluator embeds two specialised simulators (true-LRU-IPV and
+The evaluator uses two specialised simulators (true-LRU-IPV and
 PLRU-IPV) that skip the general cache machinery: the GA calls them millions
 of times, so the hot loops run on plain lists and ints.  The PLRU simulator
-additionally dispatches to the precompiled transition-table kernels of
-:mod:`repro.kernels` when available, replacing the three ``log2(k)``
-bit-walks per access with O(1) ``array('H')`` lookups (the bit-walk
-reference below remains the ground truth and the fallback).
+is one ``feed`` of :class:`~repro.engine.scalar.ScalarStreamSimulator`,
+which steps the precompiled transition tables of :mod:`repro.kernels`
+(O(1) ``array('H')`` lookups in place of three ``log2(k)`` bit-walks per
+access) or the bit-walk reference; populations go through the columnar
+batch engine instead (:meth:`FitnessEvaluator.evaluate_many`).
 
 Workload sharing: generated traces, their MLP instruction positions and
 the baseline LRU miss counts are memoized at module level keyed by the
@@ -27,8 +28,16 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ipv import IPV, lru_ipv
+from ..engine.columnar import (
+    DEFAULT_AUTO_MIN_LANES,
+    BatchSimulator,
+    ColumnarTrace,
+    columnar_supported,
+    simulate_misses_plru_columnar,
+)
+from ..engine.scalar import ScalarStreamSimulator
 from ..eval.config import ExperimentConfig, default_config
-from ..kernels import record_kernel_call, resolve_kernel
+from ..kernels import record_kernel_call
 from ..timing import LinearCPIModel
 from ..workloads.spec import SPEC_BENCHMARKS, benchmark_names
 
@@ -123,122 +132,6 @@ def simulate_misses_lru_ipv(
     return misses
 
 
-def _simulate_misses_plru_walk(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    entries: Sequence[int],
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """Bit-walk reference: inlined Figure 5/7/9 over packed plru bits."""
-    promo = list(entries[:assoc])
-    insert = entries[assoc]
-    mask = num_sets - 1
-    states = [0] * num_sets
-    tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-    way_to_tag: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        si = addr & mask
-        ways = tag_to_way[si]
-        state = states[si]
-        way = ways.get(addr)
-        if way is None:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            tags = way_to_tag[si]
-            if len(ways) < assoc:
-                way = len(ways)  # cold fill: ways fill in order
-            else:
-                # find_plru walk
-                n = 1
-                while n < assoc:
-                    n = (n << 1) | ((state >> (n - 1)) & 1)
-                way = n - assoc
-                del ways[tags[way]]
-            tags[way] = addr
-            ways[addr] = way
-            new_pos = insert
-        else:
-            # position decode (Figure 7)
-            q = assoc + way
-            pos = 0
-            b = 0
-            while q > 1:
-                parent = q >> 1
-                bit = (state >> (parent - 1)) & 1
-                if not (q & 1):
-                    bit ^= 1
-                pos |= bit << b
-                q = parent
-                b += 1
-            new_pos = promo[pos]
-        # set_position (Figure 9)
-        q = assoc + way
-        b = 0
-        while q > 1:
-            parent = q >> 1
-            bit = (new_pos >> b) & 1
-            if not (q & 1):
-                bit ^= 1
-            pmask = 1 << (parent - 1)
-            state = (state | pmask) if bit else (state & ~pmask)
-            q = parent
-            b += 1
-        states[si] = state
-    return misses
-
-
-def _simulate_misses_plru_lut(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    tables,
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """LUT kernel: every Figure 5/7/9 walk replaced by one table index.
-
-    Performs *exactly* the reference's state transitions (the composed
-    ``hit``/``fill`` tables are the walks, memoized), so miss counts are
-    bit-identical — asserted exhaustively in ``tests/kernels``.
-    """
-    victim = tables.victim
-    hit = tables.hit
-    fill = tables.fill
-    shift = tables.log2k
-    mask = num_sets - 1
-    states = [0] * num_sets
-    tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-    way_to_tag: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        si = addr & mask
-        ways = tag_to_way[si]
-        way = ways.get(addr)
-        state = states[si]
-        if way is None:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            tags = way_to_tag[si]
-            if len(ways) < assoc:
-                way = len(ways)  # cold fill: ways fill in order
-            else:
-                way = victim[state]
-                del ways[tags[way]]
-            tags[way] = addr
-            ways[addr] = way
-            states[si] = fill[(state << shift) | way]
-        else:
-            states[si] = hit[(state << shift) | way]
-    return misses
-
-
 def simulate_misses_plru_ipv(
     addresses: Sequence[int],
     num_sets: int,
@@ -253,32 +146,25 @@ def simulate_misses_plru_ipv(
     ``kernel`` selects the implementation: ``"auto"`` (default) uses the
     precompiled transition tables of :mod:`repro.kernels` when available
     and falls back to the bit-walk reference otherwise; ``"lut"`` demands
-    tables (raises when unsupported); ``"walk"`` forces the reference;
-    ``"columnar"`` runs the numpy batch engine of
-    :mod:`repro.engine.columnar` (raises without numpy — it never
-    silently degrades).  All paths are bit-identical.  ``miss_indices``,
-    when given, collects the access index of every measured miss (for
-    MLP-aware fitness).
+    tables (raises when unsupported); ``"walk"`` forces the reference
+    (all three are one :class:`~repro.engine.scalar.ScalarStreamSimulator`
+    feed); ``"columnar"`` runs the batch engine of
+    :mod:`repro.engine.columnar`.  All paths are bit-identical.
+    ``miss_indices``, when given, collects the access index of every
+    measured miss (for MLP-aware fitness).
     """
     _validate_ipv_entries(entries, assoc)
     _validate_window(addresses, warmup)
     if kernel == "columnar":
-        from ..engine.columnar import simulate_misses_plru_columnar
-
         record_kernel_call("columnar")
         return simulate_misses_plru_columnar(
             addresses, num_sets, assoc, entries, warmup, miss_indices
         )
-    tables = resolve_kernel(kernel, assoc, entries)
-    if tables is not None:
-        record_kernel_call("lut")
-        return _simulate_misses_plru_lut(
-            addresses, num_sets, assoc, tables, warmup, miss_indices
-        )
-    record_kernel_call("walk")
-    return _simulate_misses_plru_walk(
-        addresses, num_sets, assoc, entries, warmup, miss_indices
+    simulator = ScalarStreamSimulator(
+        num_sets, assoc, entries, warmup, kernel=kernel
     )
+    record_kernel_call(simulator.kernel)
+    return simulator.feed(addresses, miss_indices)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +211,6 @@ def _shared_columnar_trace(key: tuple, addresses, num_sets: int):
     """
     trace = _COLUMNAR_MEMO.get(key)
     if trace is None:
-        from ..engine.columnar import ColumnarTrace
-
         _COLUMNAR_MEMO_STATS["misses"] += 1
         trace = ColumnarTrace(addresses, num_sets, collapse_runs=True)
         _COLUMNAR_MEMO[key] = trace
@@ -491,19 +375,13 @@ class FitnessEvaluator:
         clustering actually matters.
     kernel:
         Kernel selection for the PLRU substrate: ``"auto"`` (transition
-        tables when available), ``"lut"`` (demand tables), ``"walk"``
-        (force the bit-walk reference) or ``"columnar"`` (the numpy batch
-        engine; :meth:`evaluate_many` then shares one columnar trace pass
-        across the whole population).  All choices are bit-identical.
+        tables when available; :meth:`evaluate_many` batches of at least
+        :data:`~repro.engine.columnar.DEFAULT_AUTO_MIN_LANES` IPVs go
+        columnar), ``"lut"`` (demand tables), ``"walk"`` (force the
+        bit-walk reference) or ``"columnar"`` (the numpy batch engine;
+        :meth:`evaluate_many` then shares one columnar trace pass across
+        the whole population).  All choices are bit-identical.
     """
-
-    #: ``kernel="auto"`` batches through the columnar engine only at or
-    #: above this many lanes — below it the per-run numpy setup outweighs
-    #: the amortized trace pass and the scalar LUT path wins.  Class-level
-    #: default; per-instance it resolves through ``columnar_min_lanes`` /
-    #: ``$REPRO_COLUMNAR_MIN_LANES`` (see
-    #: :func:`repro.engine.columnar.resolve_min_lanes`).
-    COLUMNAR_AUTO_MIN_LANES = 4
 
     def __init__(
         self,
@@ -513,7 +391,6 @@ class FitnessEvaluator:
         mlp_aware: bool = False,
         burstiness: float = 0.5,
         kernel: str = "auto",
-        columnar_min_lanes: Optional[int] = None,
     ):
         if substrate not in ("plru", "lru"):
             raise ValueError("substrate must be 'plru' or 'lru'")
@@ -524,11 +401,6 @@ class FitnessEvaluator:
             )
         self.substrate = substrate
         self.kernel = kernel
-        from ..engine.columnar import resolve_min_lanes
-
-        self.columnar_min_lanes = resolve_min_lanes(
-            columnar_min_lanes, default=self.COLUMNAR_AUTO_MIN_LANES
-        )
         self.config = config or default_config(trace_length=30_000)
         self.benchmark_names = list(benchmarks or benchmark_names())
         self.timing: LinearCPIModel = self.config.timing
@@ -663,7 +535,6 @@ class FitnessEvaluator:
             "mlp_aware": self.mlp_aware,
             "burstiness": self.burstiness,
             "kernel": self.kernel,
-            "columnar_min_lanes": self.columnar_min_lanes,
         }
 
     @classmethod
@@ -681,7 +552,6 @@ class FitnessEvaluator:
             mlp_aware=spec["mlp_aware"],
             burstiness=spec["burstiness"],
             kernel=spec["kernel"],
-            columnar_min_lanes=spec.get("columnar_min_lanes"),
         )
 
     def evaluate(self, ipv) -> float:
@@ -708,22 +578,19 @@ class FitnessEvaluator:
     def _columnar_batchable(self, lanes: int) -> bool:
         """Can (and should) a batch of ``lanes`` IPVs go columnar?
 
-        ``kernel="columnar"`` always says yes — the engine then raises its
-        own clear error if numpy is missing, rather than silently running
-        scalar.  ``"auto"`` opts in only when the engine is actually
-        available and the batch is big enough to amortize the numpy setup;
-        MLP-aware fitness stays scalar (it needs per-miss indices fed
-        through the position model, a per-lane post-pass not worth the
-        gather today).
+        ``kernel="columnar"`` always says yes (the engine raises its own
+        clear error for an unsupported geometry).  ``"auto"`` opts in only
+        when the engine supports the associativity and the batch is big
+        enough to amortize the numpy setup; MLP-aware fitness stays scalar
+        (it needs per-miss indices fed through the position model, a
+        per-lane post-pass not worth the gather today).
         """
         if self.substrate != "plru" or self.mlp_model is not None:
             return False
         if self.kernel == "columnar":
             return True
-        if self.kernel != "auto" or lanes < self.columnar_min_lanes:
+        if self.kernel != "auto" or lanes < DEFAULT_AUTO_MIN_LANES:
             return False
-        from ..engine.columnar import columnar_supported
-
         return columnar_supported(self.config.assoc)
 
     def _columnar_trace(self, index: int, addresses: List[int]):
@@ -765,8 +632,6 @@ class FitnessEvaluator:
             _validate_ipv_entries(entries, self.config.assoc)
         if not self._columnar_batchable(len(batch)):
             return [self.evaluate(entries) for entries in batch]
-        from ..engine.columnar import BatchSimulator
-
         cfg = self.config
         simulator = BatchSimulator(
             cfg.num_sets, cfg.assoc, batch, cfg.warmup_accesses

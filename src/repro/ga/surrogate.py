@@ -52,8 +52,7 @@ This module removes it with three cooperating pieces:
    parameters are per-workload (each workload simulates on its own
    cache).  Scoring a whole population is a few numpy einsums per
    workload over ``(N, k, k)`` tensors — milliseconds for 20k
-   candidates — with a pure-Python twin behind the usual
-   ``numpy_or_none`` seam.
+   candidates.
 
 3. **A prefilter + self-audit stage** (:class:`SurrogatePrefilter`) and a
    **cross-generation fitness memo** (:class:`FitnessMemo`).  The
@@ -80,8 +79,9 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core.ipv import IPV, lru_ipv
-from ..kernels.tables import numpy_or_none
 from ..obs.spans import span
 from .fitness import FitnessEvaluator, _validate_ipv_entries
 
@@ -141,14 +141,9 @@ _TOUCH_CAP = 64
 # ----------------------------------------------------------------------
 def trace_digest(addresses: Sequence[int]) -> str:
     """sha256 over the trace's int64-LE address bytes (cache identity)."""
-    np = numpy_or_none()
-    digest = hashlib.sha256()
-    if np is not None:
-        digest.update(np.ascontiguousarray(addresses, dtype="<i8").tobytes())
-    else:
-        for address in addresses:
-            digest.update(int(address).to_bytes(8, "little", signed=True))
-    return digest.hexdigest()
+    return hashlib.sha256(
+        np.ascontiguousarray(addresses, dtype="<i8").tobytes()
+    ).hexdigest()
 
 
 _surrogate_code_memo: Optional[str] = None
@@ -325,23 +320,11 @@ def feature_memo_stats() -> dict:
 def _touch_histogram(addresses: Sequence[int]) -> List[int]:
     """``hist[m-1]`` = # distinct blocks touched exactly ``m`` times
     (last bucket: >= ``_TOUCH_CAP``)."""
-    np = numpy_or_none()
-    hist = [0] * _TOUCH_CAP
-    if np is not None:
-        _unique, counts = np.unique(
-            np.asarray(addresses, dtype=np.int64), return_counts=True
-        )
-        capped = np.minimum(counts, _TOUCH_CAP)
-        binned = np.bincount(capped, minlength=_TOUCH_CAP + 1)
-        for m in range(1, _TOUCH_CAP + 1):
-            hist[m - 1] = int(binned[m])
-        return hist
-    per_block: Dict[int, int] = {}
-    for address in addresses:
-        per_block[address] = per_block.get(address, 0) + 1
-    for count in per_block.values():
-        hist[min(count, _TOUCH_CAP) - 1] += 1
-    return hist
+    _unique, counts = np.unique(
+        np.asarray(addresses, dtype=np.int64), return_counts=True
+    )
+    capped = np.minimum(counts, _TOUCH_CAP)
+    return np.bincount(capped, minlength=_TOUCH_CAP + 1)[1:].tolist()
 
 
 def features_for_trace(
@@ -548,7 +531,7 @@ class SurrogateModel:
             out.append(entries)
         return out
 
-    def _batch_arrays(self, np, batch: List[Tuple[int, ...]]):
+    def _batch_arrays(self, batch: List[Tuple[int, ...]]):
         """Population-shaped arrays reused by every workload pass."""
         k = self.assoc
         n = len(batch)
@@ -569,8 +552,8 @@ class SurrogateModel:
         ins_onehot[np.arange(n), ins] = 1.0
         return promo, ins, ind, insmask, onehot, ins_onehot
 
-    def _workload_predict_np(
-        self, np, arrays, feat: WorkloadFeatures, params: Dict[str, object]
+    def _workload_predict(
+        self, arrays, feat: WorkloadFeatures, params: Dict[str, object]
     ):
         """Predicted misses + mean protected depth for one workload.
 
@@ -676,85 +659,6 @@ class SurrogateModel:
             hd = hit_pos / total_hit
         return pred, depths
 
-    def _workload_predict_py(
-        self, entries: Tuple[int, ...], feat: WorkloadFeatures,
-        params: Dict[str, object],
-    ) -> Tuple[float, float]:
-        """Scalar twin of :meth:`_workload_predict_np` (no-numpy path)."""
-        k = self.assoc
-        promo = list(entries[:k])
-        ins = entries[k]
-        cold = float(feat.cold)
-        accesses = float(max(1, feat.accesses))
-        reuses = float(feat.accesses - feat.cold)
-        cap = float(feat.depth)
-        wh = params["wh"]
-        fr = float(params["fr"])
-        hd = list(wh)
-        capacity = (self.num_sets or 0) * k
-        founder_frac = (
-            min(1.0, capacity / cold) if (capacity and cold) else 0.0
-        )
-        birth = [0.0] * k
-        birth[ins] += 1.0 - founder_frac
-        if founder_frac:
-            for j in range(k):
-                birth[min(ins, j)] += founder_frac / k
-        step_w = params["step_w"]
-        pred = fr * accesses
-        depth_mean = float(k)
-        for _ in range(_OUTER_ITERS):
-            inv = []
-            for p in range(k):
-                push_miss = 1.0 if (ins <= p or p == k - 1) else 0.0
-                hit_push = sum(
-                    hd[s] for s in range(p + 1, k) if promo[s] <= p
-                )
-                hit_any = sum(hd[s] for s in range(p + 1, k))
-                q = (fr * push_miss + (1.0 - fr) * hit_push) / max(
-                    fr + (1.0 - fr) * hit_any, _Q_FLOOR
-                )
-                inv.append(1.0 / max(q, _Q_FLOOR))
-            thresholds = [0.0] * k
-            running = 0.0
-            for p in range(k - 1, -1, -1):
-                running += inv[p]
-                thresholds[p] = min(max(running, 0.0), cap)
-            if reuses > 0:
-                rm = [
-                    min(max(
-                        (feat.misses_at(t) - cold) / reuses, 0.0), 1.0)
-                    for t in thresholds
-                ]
-            else:
-                rm = [1.0] * k
-            cur = list(birth)
-            pi = [0.0] * k
-            weight_sum = 0.0
-            for w in step_w:
-                for s in range(k):
-                    pi[s] += w * cur[s]
-                weight_sum += w
-                nxt = [0.0] * k
-                miss_mass = 0.0
-                for s in range(k):
-                    if not cur[s]:
-                        continue
-                    nxt[promo[s]] += cur[s] * (1.0 - rm[s])
-                    miss_mass += cur[s] * rm[s]
-                nxt[ins] += miss_mass
-                cur = nxt
-            for s in range(k):
-                pi[s] += (1.0 - weight_sum) * cur[s]
-            reuse_miss = sum(p * r for p, r in zip(pi, rm))
-            pred = cold + reuse_miss * reuses
-            depth_mean = sum(p * t for p, t in zip(pi, thresholds))
-            fr = pred / accesses
-            hit_pos = [p * (1.0 - r) for p, r in zip(pi, rm)]
-            total_hit = max(sum(hit_pos), 1e-12)
-            hd = [h / total_hit for h in hit_pos]
-        return pred, depth_mean
-
     def effective_depths(self, ipvs: Sequence) -> List[float]:
         """Access-weighted stationary mean of the survival thresholds.
 
@@ -769,58 +673,39 @@ class SurrogateModel:
         total_acc = float(
             sum(w[4].accesses for w in self.workloads)
         ) or 1.0
-        np = numpy_or_none()
-        if np is not None:
-            depths = np.zeros(len(batch), dtype=np.float64)
-            for start in range(0, len(batch), _SCORE_CHUNK):
-                chunk = batch[start:start + _SCORE_CHUNK]
-                arrays = self._batch_arrays(np, chunk)
-                for (_n, _w, _i, _f, feat), params in zip(
-                    self.workloads, self._params
-                ):
-                    _pred, d = self._workload_predict_np(
-                        np, arrays, feat, params
-                    )
-                    depths[start:start + len(chunk)] += d * (
-                        feat.accesses / total_acc
-                    )
-            return depths.tolist()
-        out = []
-        for entries in batch:
-            depth = 0.0
+        depths = np.zeros(len(batch), dtype=np.float64)
+        for start in range(0, len(batch), _SCORE_CHUNK):
+            chunk = batch[start:start + _SCORE_CHUNK]
+            arrays = self._batch_arrays(chunk)
             for (_n, _w, _i, _f, feat), params in zip(
                 self.workloads, self._params
             ):
-                _pred, d = self._workload_predict_py(entries, feat, params)
-                depth += d * (feat.accesses / total_acc)
-            out.append(depth)
-        return out
+                _pred, d = self._workload_predict(arrays, feat, params)
+                depths[start:start + len(chunk)] += d * (
+                    feat.accesses / total_acc
+                )
+        return depths.tolist()
 
     def score_population(self, ipvs: Sequence) -> List[float]:
         """Analytic fitness estimate of every candidate, in input order.
 
-        Chunked numpy passes per workload over the whole population; the
-        pure-Python twin (``REPRO_FORCE_NO_NUMPY=1``) computes the same
-        closed form.  Returns a plain list so callers never hold numpy
-        types.
+        Chunked numpy passes per workload over the whole population.
+        Returns a plain list so callers never hold numpy types.
         """
         if not len(ipvs):
             return []
-        np = numpy_or_none()
         with span("surrogate.score", candidates=len(ipvs)):
-            if np is None:
-                return self._score_py(ipvs)
             batch = self._entries_matrix(ipvs)
             out = np.zeros(len(batch), dtype=np.float64)
             for start in range(0, len(batch), _SCORE_CHUNK):
                 chunk = batch[start:start + _SCORE_CHUNK]
-                arrays = self._batch_arrays(np, chunk)
+                arrays = self._batch_arrays(chunk)
                 cycles: Dict[str, object] = {}
                 for (name, weight, instructions, mfrac, feat), params in (
                     zip(self.workloads, self._params)
                 ):
-                    pred, _depths = self._workload_predict_np(
-                        np, arrays, feat, params
+                    pred, _depths = self._workload_predict(
+                        arrays, feat, params
                     )
                     value = (instructions * self.base_cpi
                              + pred * mfrac * self.miss_penalty) * weight
@@ -830,26 +715,6 @@ class SurrogateModel:
                     total += self._base_cycles[name] / lane_cycles
                 out[start:start + len(chunk)] = total / len(cycles)
             return out.tolist()
-
-    def _score_py(self, ipvs: Sequence) -> List[float]:
-        batch = self._entries_matrix(ipvs)
-        out = []
-        for entries in batch:
-            cycles: Dict[str, float] = {}
-            for (name, weight, instructions, mfrac, feat), params in zip(
-                self.workloads, self._params
-            ):
-                pred, _depth = self._workload_predict_py(
-                    entries, feat, params
-                )
-                value = (instructions * self.base_cpi
-                         + pred * mfrac * self.miss_penalty) * weight
-                cycles[name] = cycles.get(name, 0.0) + value
-            speedups = [
-                self._base_cycles[name] / cycles[name] for name in cycles
-            ]
-            out.append(sum(speedups) / len(speedups))
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,12 @@ from .tables import (
     KERNEL_CACHE_CAPACITY,
     KernelTables,
     MAX_TABLE_ASSOC,
-    PURE_PYTHON_MAX_ASSOC,
     base_tables,
     clear_kernel_cache,
     compile_tables,
     kernel_cache_info,
     kernel_counters,
     kernel_provenance,
-    numpy_or_none,
     publish_kernel_metrics,
     record_kernel_call,
     reset_kernel_counters,
@@ -36,14 +34,12 @@ __all__ = [
     "KERNEL_CACHE_CAPACITY",
     "KernelTables",
     "MAX_TABLE_ASSOC",
-    "PURE_PYTHON_MAX_ASSOC",
     "base_tables",
     "clear_kernel_cache",
     "compile_tables",
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
-    "numpy_or_none",
     "publish_kernel_metrics",
     "record_kernel_call",
     "reset_kernel_counters",

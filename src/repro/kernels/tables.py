@@ -23,67 +23,45 @@ Key compilation trick: ``set_position(state, way, x)`` rewrites only the
 ``log2(k)`` plru bits on ``way``'s leaf-to-root path, and the new values
 depend only on ``(way, x)`` — never on the old state.  So every composed
 transition is ``(state & ~path_mask[way]) | path_bits[way][x]``, built from
-two tiny per-``k`` tables; per-IPV compilation is a vectorized pass over
-the state space (numpy) or a short pure-Python loop for small ``k``.  The
-columnar engine skips that composition altogether: it applies the
-path write against the per-``k`` tables of :func:`base_tables` with the
-target position read from the lane's IPV, so its lanes carry no tables.
+two tiny per-``k`` tables; per-IPV compilation is one vectorized numpy pass
+over the state space.  The columnar engine skips that composition
+altogether: it applies the path write against the per-``k`` tables of
+:func:`base_tables` with the target position read from the lane's IPV, so
+its lanes carry no tables.
 
 Tables are stored as ``array('H')`` (uint16; the packed state of a 16-way
 set fits in 15 bits) and cached in a bounded LRU keyed by
 ``(k, ipv_entries)`` — DGIPPR duels 2-4 vectors, the GA's elites recur, and
 classic PLRU is the all-zeros vector, so the cache absorbs recompiles.
 
-When tables are unavailable (``k > MAX_TABLE_ASSOC``, or ``k == 16``
-without numpy) callers fall back to the bit-walk reference implementations
-in :mod:`repro.core.plru`; the counters here record which kernel actually
-ran so provenance manifests can state it (see :func:`kernel_provenance`).
+When tables are unavailable (``k > MAX_TABLE_ASSOC``) callers fall back
+to the bit-walk reference implementations in :mod:`repro.core.plru`; the
+counters here record which kernel actually ran so provenance manifests can
+state it (see :func:`kernel_provenance`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.plru import find_plru, is_power_of_two, position, set_position
+import numpy as np
 
-try:  # numpy accelerates table compilation; tables themselves are stdlib.
-    # REPRO_FORCE_NO_NUMPY=1 takes the ImportError arm deliberately so the
-    # pure-Python compile path (and every caller's no-numpy behaviour) can
-    # be exercised in CI on machines that do have numpy installed.
-    if os.environ.get("REPRO_FORCE_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_FORCE_NO_NUMPY")
-    import numpy as _np
-except ImportError:
-    _np = None
-
-
-def numpy_or_none():
-    """The numpy module this process compiles with, or ``None``.
-
-    The single numpy seam for the kernel layer *and* the columnar engine:
-    tests monkeypatch ``tables._np`` (or set ``REPRO_FORCE_NO_NUMPY=1``
-    before import) and every consumer that routes through this accessor
-    sees the same answer at call time.
-    """
-    return _np
+from ..core.plru import is_power_of_two, set_position
 
 __all__ = [
     "KERNEL_CACHE_CAPACITY",
     "KernelTables",
     "MAX_TABLE_ASSOC",
-    "PURE_PYTHON_MAX_ASSOC",
     "base_tables",
     "clear_kernel_cache",
     "compile_tables",
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
-    "numpy_or_none",
     "promotion_orbit",
     "publish_kernel_metrics",
     "record_kernel_call",
@@ -95,10 +73,6 @@ __all__ = [
 #: Largest associativity we compile tables for: S = 2**(k-1) states, so 16
 #: ways is 32 768 states and ~3 MB of tables per IPV — the paper's LLC.
 MAX_TABLE_ASSOC = 16
-
-#: Up to this associativity pure-Python compilation is cheap enough
-#: (S * k <= 1024 entries); beyond it numpy is required.
-PURE_PYTHON_MAX_ASSOC = 8
 
 #: Bounded LRU capacity for composed per-IPV tables (DGIPPR duels 2-4
 #: vectors; GA elites and the classic-PLRU vector recur).
@@ -151,17 +125,9 @@ def record_kernel_call(mode: str) -> None:
 # Support predicate.
 # ----------------------------------------------------------------------
 def tables_supported(k: int) -> bool:
-    """True when transition tables can be compiled for associativity ``k``.
-
-    Requires a power of two no larger than :data:`MAX_TABLE_ASSOC`; above
-    :data:`PURE_PYTHON_MAX_ASSOC` numpy must be importable (pure-Python
-    compilation of the 524 288-entry k=16 tables would dwarf the payoff).
-    """
-    if not is_power_of_two(k) or k < 2 or k > MAX_TABLE_ASSOC:
-        return False
-    if k > PURE_PYTHON_MAX_ASSOC and _np is None:
-        return False
-    return True
+    """True when transition tables can be compiled for associativity ``k``:
+    a power of two from 2 to :data:`MAX_TABLE_ASSOC`."""
+    return is_power_of_two(k) and 2 <= k <= MAX_TABLE_ASSOC
 
 
 def _normalize_entries(k: int, entries: Optional[Sequence[int]]) -> Tuple[int, ...]:
@@ -211,37 +177,22 @@ class _BaseTables:
                 q = parent
             self.path_mask.append(mask)
             self.path_bits.append([set_position(0, w, x, k) for x in range(k)])
-        if _np is not None and k > PURE_PYTHON_MAX_ASSOC:
-            self.victim, self.pos = self._compile_numpy()
-        else:
-            self.victim, self.pos = self._compile_python()
+        self.victim, self.pos = self._compile()
 
-    # -- pure python (small k) -----------------------------------------
-    def _compile_python(self) -> Tuple[array, array]:
+    def _compile(self) -> Tuple[array, array]:
         k, S, log2k = self.k, self.states, self.log2k
-        victim = array("H", (find_plru(s, k) for s in range(S)))
-        pos = array("H", bytes(2 * S * k))
-        for s in range(S):
-            base = s << log2k
-            for w in range(k):
-                pos[base | w] = position(s, w, k)
-        return victim, pos
-
-    # -- numpy (large k) -----------------------------------------------
-    def _compile_numpy(self) -> Tuple[array, array]:
-        k, S, log2k = self.k, self.states, self.log2k
-        states = _np.arange(S, dtype=_np.uint32)
+        states = np.arange(S, dtype=np.uint32)
         # Figure 5 walk, vectorized over every state at once.
-        n = _np.ones(S, dtype=_np.uint32)
+        n = np.ones(S, dtype=np.uint32)
         for _ in range(log2k):
             n = (n << 1) | ((states >> (n - 1)) & 1)
-        victim_np = (n - k).astype(_np.uint16)
+        victim_np = (n - k).astype(np.uint16)
         # Figure 7 decode per way.
-        pos_np = _np.empty((S, k), dtype=_np.uint16)
+        pos_np = np.empty((S, k), dtype=np.uint16)
         for w in range(k):
             q = k + w
             b = 0
-            acc = _np.zeros(S, dtype=_np.uint32)
+            acc = np.zeros(S, dtype=np.uint32)
             while q > 1:
                 parent = q >> 1
                 bit = (states >> (parent - 1)) & 1
@@ -257,7 +208,7 @@ class _BaseTables:
 def _np_to_array(values) -> array:
     """uint-ish numpy vector -> ``array('H')`` without a Python-int detour."""
     out = array("H")
-    out.frombytes(values.astype(_np.uint16, copy=False).tobytes())
+    out.frombytes(values.astype(np.uint16, copy=False).tobytes())
     return out
 
 
@@ -282,8 +233,7 @@ def base_tables(k: int) -> _BaseTables:
     if not tables_supported(k):
         raise ValueError(
             f"no base tables for associativity {k} (supported: powers of "
-            f"two <= {MAX_TABLE_ASSOC}, numpy required above "
-            f"{PURE_PYTHON_MAX_ASSOC})"
+            f"two <= {MAX_TABLE_ASSOC})"
         )
     base = _BASE_TABLES.get(k)
     if base is None:
@@ -367,35 +317,18 @@ class KernelTables:
         promo = entries[:k]
         insert = entries[k]
         S = base.states
-        if _np is not None and k > PURE_PYTHON_MAX_ASSOC:
-            states = _np.arange(S, dtype=_np.uint32)
-            pos_np = _np.frombuffer(base.pos, dtype=_np.uint16).reshape(S, k)
-            promo_np = _np.asarray(promo, dtype=_np.intp)
-            hit = _np.empty((S, k), dtype=_np.uint32)
-            fill = _np.empty((S, k), dtype=_np.uint32)
-            for w in range(k):
-                keep = states & ~_np.uint32(base.path_mask[w])
-                path_bits_w = _np.asarray(base.path_bits[w], dtype=_np.uint32)
-                hit[:, w] = keep | path_bits_w[promo_np[pos_np[:, w]]]
-                fill[:, w] = keep | path_bits_w[insert]
-            self.hit = _np_to_array(hit.reshape(-1))
-            self.fill = _np_to_array(fill.reshape(-1))
-        else:
-            log2k = base.log2k
-            pos_t = base.pos
-            hit = array("H", bytes(2 * S * k))
-            fill = array("H", bytes(2 * S * k))
-            for w in range(k):
-                mask = ~base.path_mask[w]
-                bits = base.path_bits[w]
-                fill_bits = bits[insert]
-                for s in range(S):
-                    i = (s << log2k) | w
-                    keep = s & mask
-                    hit[i] = keep | bits[promo[pos_t[i]]]
-                    fill[i] = keep | fill_bits
-            self.hit = hit
-            self.fill = fill
+        states = np.arange(S, dtype=np.uint32)
+        pos_np = np.frombuffer(base.pos, dtype=np.uint16).reshape(S, k)
+        promo_np = np.asarray(promo, dtype=np.intp)
+        hit = np.empty((S, k), dtype=np.uint32)
+        fill = np.empty((S, k), dtype=np.uint32)
+        for w in range(k):
+            keep = states & ~np.uint32(base.path_mask[w])
+            path_bits_w = np.asarray(base.path_bits[w], dtype=np.uint32)
+            hit[:, w] = keep | path_bits_w[promo_np[pos_np[:, w]]]
+            fill[:, w] = keep | path_bits_w[insert]
+        self.hit = _np_to_array(hit.reshape(-1))
+        self.fill = _np_to_array(fill.reshape(-1))
         self.compile_seconds = time.perf_counter() - started
 
     @property
@@ -470,8 +403,7 @@ def resolve_kernel(
         if tables is None:
             raise ValueError(
                 f"LUT kernel unavailable for associativity {k} "
-                f"(supported: powers of two <= {MAX_TABLE_ASSOC}"
-                f"{', numpy required above %d' % PURE_PYTHON_MAX_ASSOC if _np is None else ''})"
+                f"(supported: powers of two <= {MAX_TABLE_ASSOC})"
             )
         return tables
     if kernel == "auto":
@@ -507,9 +439,8 @@ def kernel_provenance() -> Dict[str, object]:
     """The kernel facts a provenance manifest should record.
 
     Which kernel modes ran (``lut_calls`` / ``walk_calls`` /
-    ``columnar_calls``), compile activity and cache traffic, plus whether
-    numpy-backed compilation was available — enough to state which kernel
-    produced a traced run.
+    ``columnar_calls``), compile activity and cache traffic — enough to
+    state which kernel produced a traced run.
     """
     counters = kernel_counters()
     modes_used = [
@@ -517,7 +448,6 @@ def kernel_provenance() -> Dict[str, object]:
         if counters[f"{mode}_calls"]
     ]
     return {
-        "numpy": _np is not None,
         "max_table_assoc": MAX_TABLE_ASSOC,
         "cache_capacity": KERNEL_CACHE_CAPACITY,
         "cache_size": len(_IPV_CACHE),

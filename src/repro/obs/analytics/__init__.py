@@ -6,8 +6,7 @@ this package tells you *why* a result looks the way it does:
 * :mod:`.profile` — a numpy-vectorized, single-pass Mattson profiler:
   full LRU miss curve MR(c), global and per-set stack-distance
   histograms, cold-miss/working-set stats.  Bit-consistent with the
-  ``trace.analysis`` oracle, ≥20× faster at a million accesses, with a
-  pure-Python fallback when numpy is unavailable.
+  ``trace.analysis`` oracle, ≥20× faster at a million accesses.
 * :mod:`.counters` — flushes the columnar engine's
   :class:`~repro.engine.columnar.BatchCounters` into the metrics
   registry, provenance manifests, and a schema-valid sampled event

@@ -35,19 +35,15 @@ pass:
 * the PDP-style per-set reuse histogram, bit-identical to
   :func:`repro.trace.analysis.per_set_reuse_histogram` (in set-major
   coordinates the reuse delta is simply ``i - prev[i]``).
-
-Without numpy (``REPRO_FORCE_NO_NUMPY=1``) the profiler falls back to a
-pure-Python walk with identical semantics — slow but never wrong, the
-same posture as the scalar simulator kernels.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ...core.plru import is_power_of_two
-from ...kernels import tables as _tables
 
 __all__ = [
     "MattsonProfile",
@@ -63,11 +59,6 @@ DEFAULT_MAX_DISTANCE = 4096
 DEFAULT_REUSE_MAX_DISTANCE = 256
 
 
-def _np():
-    """numpy or ``None`` — same seam as the kernels/columnar engine."""
-    return _tables.numpy_or_none()
-
-
 def _extract_addresses(trace) -> Tuple[Sequence[int], Optional[int]]:
     """Addresses (and the binned set count, if the input carries one).
 
@@ -76,9 +67,6 @@ def _extract_addresses(trace) -> Tuple[Sequence[int], Optional[int]]:
     chunks are scattered back into global access order).
     """
     if hasattr(trace, "chunks") and hasattr(trace, "num_sets"):
-        np = _np()
-        if np is None:  # pragma: no cover - ColumnarTrace implies numpy
-            raise RuntimeError("ColumnarTrace input requires numpy")
         addrs = np.empty(trace.n, dtype=np.int64)
         for chunk in trace.chunks:
             addrs[chunk.gidx_by_step] = chunk.addr_by_step
@@ -91,7 +79,7 @@ def _extract_addresses(trace) -> Tuple[Sequence[int], Optional[int]]:
 # ----------------------------------------------------------------------
 # Vectorized building blocks.
 # ----------------------------------------------------------------------
-def _previous_occurrence(np, addrs):
+def _previous_occurrence(addrs):
     """``prev[i]``: index of the previous occurrence of ``addrs[i]``
     (-1 for first touches).  One stable argsort groups equal addresses
     in time order; within a group each element's predecessor is simply
@@ -113,7 +101,7 @@ def _previous_occurrence(np, addrs):
     return prev
 
 
-def _left_smaller_counts(np, values):
+def _left_smaller_counts(values):
     """``c[i] = #{j < i : values[j] < values[i]}`` for *distinct* values.
 
     Bottom-up mergesort counting, fully vectorized: at each level the
@@ -166,55 +154,27 @@ def _left_smaller_counts(np, values):
     return counts[:n]
 
 
-def _stack_distances_np(np, addrs):
+def _stack_distances(addrs):
     """Exact LRU stack distance per access (-1 cold); returns (dist, prev)."""
     n = int(addrs.size)
-    prev = _previous_occurrence(np, addrs)
+    prev = _previous_occurrence(addrs)
     if n == 0:
         return np.empty(0, dtype=np.int64), prev
     # First touches get distinct negative surrogates: they sort below
     # every real prev index, so each one inside a reuse window counts as
     # one distinct address, exactly as the LRU stack sees it.
     points = np.where(prev >= 0, prev, -np.arange(n, dtype=np.int64) - 1)
-    counts = _left_smaller_counts(np, points)
+    counts = _left_smaller_counts(points)
     dist = counts - prev - 1
     dist[prev < 0] = -1
     return dist, prev
 
 
-def _stack_distances_py(addresses) -> List[int]:
-    """Pure-Python exact stack distances (-1 cold): the oracle walk,
-    uncapped.  Fallback for numpy-less environments; identical numbers."""
-    stack: "OrderedDict[int, None]" = OrderedDict()
-    out: List[int] = []
-    for address in addresses:
-        if address in stack:
-            distance = 0
-            for key in stack:
-                if key == address:
-                    break
-                distance += 1
-            out.append(distance)
-            stack.move_to_end(address, last=False)
-        else:
-            out.append(-1)
-            stack[address] = None
-            stack.move_to_end(address, last=False)
-    return out
-
-
 def stack_distances(trace) -> List[int]:
-    """Exact (uncapped) LRU stack distance per access; -1 = first touch.
-
-    Vectorized when numpy is available, oracle walk otherwise — the
-    numbers are identical either way.
-    """
+    """Exact (uncapped) LRU stack distance per access; -1 = first touch."""
     addresses, _ = _extract_addresses(trace)
-    np = _np()
-    if np is None:
-        return _stack_distances_py(list(addresses))
     addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-    dist, _ = _stack_distances_np(np, addrs)
+    dist, _ = _stack_distances(addrs)
     return dist.tolist()
 
 
@@ -225,8 +185,8 @@ class MattsonProfile:
     """One-pass cache-dynamics profile of an access stream.
 
     All histogram fields are plain Python lists of ints, so the profile
-    itself is numpy-free once built (reports, JSON and the no-numpy
-    fallback all share one representation).
+    itself is numpy-free once built (reports and JSON share one
+    representation).
 
     Attributes
     ----------
@@ -430,9 +390,9 @@ def _validate(max_distance: int, reuse_max_distance: int,
         raise ValueError(f"num_sets must be a power of two, got {num_sets}")
 
 
-def _profile_np(np, addrs, num_sets, max_distance, reuse_max_distance):
+def _profile(addrs, num_sets, max_distance, reuse_max_distance):
     n = int(addrs.size)
-    dist, _prev = _stack_distances_np(np, addrs)
+    dist, _prev = _stack_distances(addrs)
     reuse_mask = dist >= 0
     exact = dist[reuse_mask]
     cold = n - int(exact.size)
@@ -449,7 +409,7 @@ def _profile_np(np, addrs, num_sets, max_distance, reuse_max_distance):
         order = np.argsort(si, kind="stable")
         sub = addrs[order]
         ssub = si[order]
-        dsub, prev_sub = _stack_distances_np(np, sub)
+        dsub, prev_sub = _stack_distances(sub)
         cold_sub = dsub < 0
         width = max_distance + 1
         if n:
@@ -485,57 +445,6 @@ def _profile_np(np, addrs, num_sets, max_distance, reuse_max_distance):
     )
 
 
-def _profile_py(addresses, num_sets, max_distance, reuse_max_distance):
-    addresses = [int(a) for a in addresses]
-    n = len(addresses)
-    dist = _stack_distances_py(addresses)
-    cold = sum(1 for d in dist if d < 0)
-    max_exact = max((d for d in dist if d >= 0), default=-1)
-    exact_counts = [0] * (max_exact + 1)
-    distance_counts = [0] * (max_distance + 1)
-    for d in dist:
-        if d >= 0:
-            exact_counts[d] += 1
-            distance_counts[min(d, max_distance)] += 1
-    kwargs = {}
-    if num_sets is not None:
-        mask = num_sets - 1
-        width = max_distance + 1
-        by_set: List[List[int]] = [[] for _ in range(num_sets)]
-        for a in addresses:
-            by_set[a & mask].append(a)
-        set_accesses = [len(seq) for seq in by_set]
-        set_cold = [0] * num_sets
-        set_counts = [[0] * width for _ in range(num_sets)]
-        reuse_counts = [0] * (reuse_max_distance + 1)
-        for s, seq in enumerate(by_set):
-            last: Dict[int, int] = {}
-            for rank, (a, d) in enumerate(
-                zip(seq, _stack_distances_py(seq))
-            ):
-                if d < 0:
-                    set_cold[s] += 1
-                else:
-                    set_counts[s][min(d, max_distance)] += 1
-                prev_rank = last.get(a)
-                if prev_rank is not None:
-                    reuse_counts[
-                        min(rank - prev_rank, reuse_max_distance)
-                    ] += 1
-                last[a] = rank
-        kwargs = {
-            "num_sets": num_sets,
-            "set_accesses": set_accesses,
-            "set_cold": set_cold,
-            "set_distance_counts": set_counts,
-            "reuse_max_distance": reuse_max_distance,
-            "reuse_counts": reuse_counts,
-        }
-    return MattsonProfile(
-        n, cold, max_distance, distance_counts, exact_counts, **kwargs
-    )
-
-
 def profile_trace(
     trace,
     num_sets: Optional[int] = None,
@@ -553,15 +462,10 @@ def profile_trace(
     if num_sets is None:
         num_sets = inferred
     _validate(max_distance, reuse_max_distance, num_sets)
-    np = _np()
-    if np is None:
-        return _profile_py(
-            list(addresses), num_sets, max_distance, reuse_max_distance
-        )
     addrs = np.ascontiguousarray(addresses, dtype=np.int64)
     if addrs.ndim != 1:
         raise ValueError("addresses must be a flat sequence")
-    return _profile_np(np, addrs, num_sets, max_distance, reuse_max_distance)
+    return _profile(addrs, num_sets, max_distance, reuse_max_distance)
 
 
 def per_set_reuse_histogram_fast(
@@ -578,16 +482,12 @@ def per_set_reuse_histogram_fast(
     if max_distance < 1:
         raise ValueError("max_distance must be positive")
     addresses, _ = _extract_addresses(trace)
-    np = _np()
-    if np is None:
-        profile = _profile_py(list(addresses), num_sets, 0, max_distance)
-        return profile.per_set_reuse_histogram()
     addrs = np.ascontiguousarray(addresses, dtype=np.int64)
     n = int(addrs.size)
     if n == 0:
         return [0] * (max_distance + 1)
     order = np.argsort(addrs & (num_sets - 1), kind="stable")
-    prev = _previous_occurrence(np, addrs[order])
+    prev = _previous_occurrence(addrs[order])
     deltas = (np.arange(n, dtype=np.int64) - prev)[prev >= 0]
     return np.bincount(
         np.minimum(deltas, max_distance), minlength=max_distance + 1

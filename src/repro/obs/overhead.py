@@ -182,9 +182,7 @@ def measure_counters_overhead(
     sides of a pair roughly equally and cancel in the ratio; the min
     over rounds is then the cleanest-round estimate of the true cost.
     ``make smoke-analytics`` holds it to the same 5 % budget as disabled
-    tracing.  Engine imports are lazy so this module stays importable
-    without numpy; callers should gate on
-    :func:`repro.engine.columnar.columnar_supported`.
+    tracing.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")

@@ -121,7 +121,6 @@ def build_manifest(
     precomputed LUTs or reference bit-walks, compile counts and compile
     cache behaviour — enough to explain perf differences between runs.
     """
-    from ..engine.columnar import columnar_config  # lazy: numpy-free knobs
     from ..eval.parallel import _canonical, code_version  # lazy import
     from ..kernels import kernel_provenance  # lazy: avoid import cycles
 
@@ -145,7 +144,6 @@ def build_manifest(
         "seed": seed,
         "wall_time_sec": wall_time_sec,
         "kernels": kernel_provenance(),
-        "columnar": columnar_config(),
     }
     if extra:
         for key, value in extra.items():

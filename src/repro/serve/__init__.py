@@ -3,7 +3,7 @@
 :mod:`repro.serve.workload` generates bounded-memory, deterministic,
 chunk-invariant Zipf/churn/flash-crowd access streams;
 :mod:`repro.serve.frontend` shards them by set index into persistent
-streaming simulators (columnar when numpy is present, scalar otherwise);
+streaming simulators (columnar up to 16 ways, scalar above);
 :mod:`repro.serve.service` wires the two into the observability stack
 and backs the ``repro serve`` CLI.
 """

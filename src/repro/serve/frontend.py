@@ -10,8 +10,8 @@ original order and the shard ensemble's miss counts are **bit-identical**
 to one unsharded simulator over the same stream — the property the
 serving conformance corpus and the soak test pin.
 
-Each shard owns a persistent streaming engine — the PR-6 columnar
-``BatchSimulator.feed`` when numpy is importable, the pure-Python
+Each shard owns a persistent streaming engine — the columnar
+``BatchSimulator.feed`` where the associativity has tables, the scalar
 :class:`~repro.engine.scalar.ScalarStreamSimulator` otherwise — plus a
 bounded queue of pending sub-batches.  :meth:`ingest` bins and enqueues
 with **backpressure accounting**: when a shard's queue is full the
@@ -31,11 +31,12 @@ from collections import deque
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..cache.stats import CacheStats
 from ..core.plru import is_power_of_two
 from ..engine.columnar import columnar_supported
 from ..engine.scalar import ScalarStreamSimulator
-from ..kernels.tables import numpy_or_none
 
 __all__ = ["DEFAULT_MAX_QUEUE_BATCHES", "ShardResult", "ShardedFrontend"]
 
@@ -100,8 +101,8 @@ class ShardedFrontend:
     """Bin batches by set-shard and feed persistent per-shard engines.
 
     ``engine`` selects the per-shard simulator: ``"auto"`` takes the
-    columnar engine when supported (numpy + compiled tables) and the
-    scalar walk/LUT stream otherwise; ``"columnar"``/``"scalar"`` force
+    columnar engine when the associativity has tables (k <= 16) and the
+    scalar walk stream otherwise; ``"columnar"``/``"scalar"`` force
     one (columnar raises where unsupported).
 
     ``telemetry`` (a :class:`~repro.serve.telemetry.ServeTelemetry`)
@@ -154,7 +155,6 @@ class ShardedFrontend:
         self.max_queue_batches = max_queue_batches
         self.sets_per_shard = num_sets // shards
         self._shard_shift = (self.sets_per_shard - 1).bit_length()
-        self._np = numpy_or_none()
         self.telemetry = telemetry
         self._shards: List[_Shard] = [
             self._make_shard() for _ in range(shards)
@@ -181,25 +181,16 @@ class ShardedFrontend:
         """Stable per-shard sub-batches of ``batch`` (empty bins omitted)."""
         if self.shards == 1:
             return {0: batch} if len(batch) else {}
-        np = self._np
         out: Dict[int, object] = {}
-        if np is not None and not isinstance(batch, list):
-            arr = np.ascontiguousarray(batch, dtype=np.int64)
-            shard_of = (arr & (self.num_sets - 1)) >> self._shard_shift
-            # Boolean selection is stable: each set's accesses stay in
-            # stream order, which is all bit-identity needs.
-            for s in range(self.shards):
-                sub = arr[shard_of == s]
-                if sub.size:
-                    out[s] = sub
-            return out
-        mask = self.num_sets - 1
-        shift = self._shard_shift
-        bins: Dict[int, List[int]] = {}
-        for addr in batch:
-            addr = int(addr)
-            bins.setdefault((addr & mask) >> shift, []).append(addr)
-        return bins
+        arr = np.ascontiguousarray(batch, dtype=np.int64)
+        shard_of = (arr & (self.num_sets - 1)) >> self._shard_shift
+        # Boolean selection is stable: each set's accesses stay in stream
+        # order, which is all bit-identity needs.
+        for s in range(self.shards):
+            sub = arr[shard_of == s]
+            if sub.size:
+                out[s] = sub
+        return out
 
     # -- ingest / drain / process --------------------------------------
     def ingest(self, batch) -> int:

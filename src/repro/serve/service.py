@@ -13,10 +13,6 @@ through a :class:`~repro.serve.frontend.ShardedFrontend`:
 * a provenance manifest (spec digest + resolved seed — derived seeds
   are *recorded*, per the workloads seeding contract) is written next
   to the report when a report path is given.
-
-The driver is backend-agnostic: with numpy the stream generates in
-columnar blocks and the shards run the PR-6 batch engine; without it
-both degrade to the pure-Python mirrors with bit-identical results.
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ class ServingReport:
     """Everything a serving run produced, JSON-ready via :meth:`to_dict`."""
 
     def __init__(self, spec, policy, entries, num_sets, assoc, shards,
-                 engine, backend, accesses, misses, wall_sec, shed,
+                 engine, accesses, misses, wall_sec, shed,
                  retired, shard_snapshots, totals_snapshot,
                  telemetry=None, slo_summary=None):
         self.spec = spec
@@ -87,7 +83,6 @@ class ServingReport:
         self.assoc = assoc
         self.shards = shards
         self.engine = engine
-        self.backend = backend
         self.accesses = accesses
         self.misses = misses
         self.wall_sec = wall_sec
@@ -122,8 +117,9 @@ class ServingReport:
 
     def to_dict(self) -> dict:
         return {
-            # /2 adds shed_ratio + the telemetry and slo blocks.
-            "schema": "repro-serving-report/2",
+            # /2 adds shed_ratio + the telemetry and slo blocks; /3
+            # drops the stream backend.
+            "schema": "repro-serving-report/3",
             "spec": self.spec.digest_payload(),
             "spec_digest": self.spec.digest(),
             "seed": self.spec.resolved_seed(),
@@ -134,7 +130,6 @@ class ServingReport:
             "assoc": self.assoc,
             "shards": self.shards,
             "engine": self.engine,
-            "backend": self.backend,
             "accesses": self.accesses,
             "misses": self.misses,
             "miss_rate": self.miss_rate,
@@ -219,7 +214,7 @@ def run_serving(
         num_sets, assoc, entries, shards=shards, engine=engine,
         telemetry=telem,
     )
-    stream = ServingStream(spec, backend="auto")
+    stream = ServingStream(spec)
     publisher = (
         StatusPublisher(status_path, "serve") if status_path else None
     )
@@ -283,7 +278,7 @@ def run_serving(
         totals = frontend.totals()
         report = ServingReport(
             spec, name, entries, num_sets, assoc, shards, frontend.engine,
-            stream.backend, done, misses, wall, frontend.shed_accesses,
+            done, misses, wall, frontend.shed_accesses,
             stream.retired,
             [r.snapshot() for r in frontend.shard_results()],
             totals.snapshot(),
@@ -332,7 +327,6 @@ def run_serving(
             "assoc": assoc,
             "shards": shards,
             "engine": frontend.engine,
-            "backend": stream.backend,
             "throughput_accesses_per_sec": rate,
         }
         write_manifest(

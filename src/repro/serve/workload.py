@@ -19,14 +19,11 @@ Design constraints, in order:
    ``(seed, stream tag, access index)``, and churn is applied on fixed
    generation-block boundaries — so the address sequence is a pure
    function of the spec, independent of how the consumer chunks it.
-3. **Backend bit-identity.**  Both backends draw the same 53-bit
-   uniform floats (``v >> 11``) and invert the same shared Zipf CDF,
-   so a no-numpy host generates the identical stream.  The Python
-   backend binary-searches the CDF per draw (``bisect_right``).  The
-   numpy backend looks the rank up in a guide table built once from
-   the CDF: a draw's top bits pick a bucket of ``u`` values, a bucket
-   no CDF entry splits holds its one rank, and only draws in split
-   buckets are binary-searched.
+3. **Exact rank draws.**  A rank is ``bisect_right(cdf, u)`` of a
+   53-bit uniform float ``u`` (``v >> 11``) over the Zipf CDF, looked
+   up in a guide table built once from the CDF: a draw's top bits pick
+   a bucket of ``u`` values, a bucket no CDF entry splits holds its one
+   rank, and only draws in split buckets are binary-searched.
 4. **Churned-out keys never reappear.**  Every key slot holds a
    monotonically increasing uid; retiring a slot assigns a fresh uid and
    uids are never reused.  Addresses are an *injective* image of
@@ -42,11 +39,11 @@ selection is unbiased.  Addresses are non-negative int64 — exactly what
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
 
-from ..kernels.tables import numpy_or_none
+import numpy as np
+
 from ..obs.slo import SLOSpec
 from ..workloads.seeding import derive_seed, spec_digest
 
@@ -100,11 +97,6 @@ def _hash_at(stream: int, i: int) -> int:
     return _mix64((stream + i * _GOLDEN) & _M64)
 
 
-def _u53(v: int) -> float:
-    """Uniform float64 in [0, 1) from a 64-bit draw (exact, portable)."""
-    return (v >> 11) * (2.0 ** -53)
-
-
 def _share_threshold(share: float) -> int:
     """Integer threshold for ``draw < threshold`` == prob. ``share``."""
     return min(int(share * 2.0 ** 64), _M64)
@@ -113,10 +105,9 @@ def _share_threshold(share: float) -> int:
 def zipf_cdf(keys: int, alpha: float) -> List[float]:
     """CDF of the Zipf(alpha) law over ranks ``0..keys-1``.
 
-    Built once in pure Python and shared verbatim by both backends —
-    the float64 list *is* the contract: the Python backend
-    binary-searches it per draw and the numpy backend builds its rank
-    guide table from it.  The last entry is pinned to 1.0.
+    Built once in pure Python; the float64 list *is* the contract: a
+    draw's rank is ``bisect_right(cdf, u)``, and the stream's rank
+    guide table is built from it.  The last entry is pinned to 1.0.
     """
     if keys < 1:
         raise ValueError(f"keys must be positive, got {keys}")
@@ -287,26 +278,12 @@ class ServingSpec:
 class ServingStream:
     """Iterator factory over one :class:`ServingSpec`'s address stream.
 
-    ``backend`` is ``"auto"`` (numpy when importable), ``"numpy"``
-    (demand it) or ``"python"`` (force the scalar mirror — bit-identical
-    output).  ``track_retired=True`` records every retired address in
+    ``track_retired=True`` records every retired address in
     :attr:`retired_addresses` (test hook; unbounded, off by default).
     """
 
-    def __init__(self, spec: ServingSpec, backend: str = "auto",
-                 track_retired: bool = False):
-        if backend not in ("auto", "numpy", "python"):
-            raise ValueError(
-                f"backend must be auto|numpy|python, got {backend!r}"
-            )
-        np = numpy_or_none() if backend in ("auto", "numpy") else None
-        if backend == "numpy" and np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not importable"
-            )
+    def __init__(self, spec: ServingSpec, track_retired: bool = False):
         self.spec = spec
-        self._np = np
-        self.backend = "numpy" if np is not None else "python"
         self.track_retired = track_retired
         self.retired_addresses: set = set()
         seed = spec.resolved_seed()
@@ -316,20 +293,18 @@ class ServingStream:
         self._s_hot = _stream_seed(seed, _TAG_HOT)
         self._s_churn_t = _stream_seed(seed, _TAG_CHURN_TENANT)
         self._s_churn_s = _stream_seed(seed, _TAG_CHURN_SLOT)
-        self._cdf = zipf_cdf(spec.keys, spec.alpha)
-        if np is not None:
-            # Guide table: bucket b = v >> (64 - bits) holds the draws
-            # with b <= u * 2**bits < b + 1.  bisect_right is monotone in
-            # u, so a bucket whose two edges share a rank has that rank
-            # throughout; the others (-1) fall back to searchsorted.
-            self._cdf_np = np.asarray(self._cdf, dtype=np.float64)
-            bits = min(16, max(8, (8 * spec.keys).bit_length()))
-            edges = np.arange((1 << bits) + 1) * 2.0 ** -bits
-            at = np.searchsorted(self._cdf_np, edges, side="right")
-            self._guide = np.where(
-                at[:-1] == at[1:], at[:-1], -1
-            ).astype(np.int32)
-            self._guide_shift = np.uint64(64 - bits)
+        # Guide table: bucket b = v >> (64 - bits) holds the draws with
+        # b <= u * 2**bits < b + 1.  bisect_right is monotone in u, so a
+        # bucket whose two edges share a rank has that rank throughout;
+        # the others (-1) fall back to searchsorted.
+        self._cdf = np.asarray(zipf_cdf(spec.keys, spec.alpha))
+        bits = min(16, max(8, (8 * spec.keys).bit_length()))
+        edges = np.arange((1 << bits) + 1) * 2.0 ** -bits
+        at = np.searchsorted(self._cdf, edges, side="right")
+        self._guide = np.where(at[:-1] == at[1:], at[:-1], -1).astype(
+            np.int32
+        )
+        self._guide_shift = np.uint64(64 - bits)
         self._phases = [
             (p.start, p.start + p.length, _share_threshold(p.share),
              min(p.hot_keys, spec.keys))
@@ -342,15 +317,9 @@ class ServingStream:
         """Return to stream position 0 (slot uids back to initial)."""
         spec = self.spec
         T, K = spec.tenants, spec.keys
-        if self._np is not None:
-            np = self._np
-            # slot s of tenant t starts as uid s: uid*T + t enumerates
-            # the initial key population injectively.
-            self._slots = np.tile(
-                np.arange(K, dtype=np.uint64), (T, 1)
-            )
-        else:
-            self._slots = [list(range(K)) for _ in range(T)]
+        # slot s of tenant t starts as uid s: uid*T + t enumerates the
+        # initial key population injectively.
+        self._slots = np.tile(np.arange(K, dtype=np.uint64), (T, 1))
         self._next_uid = [K] * T
         self._churn_done = 0
         self.retired = 0
@@ -369,12 +338,11 @@ class ServingStream:
             return
         due = (block * GEN_BLOCK * cpm) // 1_000_000
         T, K = self.spec.tenants, self.spec.keys
-        np = self._np
-        if np is not None and due - self._churn_done > 16:
+        if due - self._churn_done > 16:
             # Bulk-hash the pending events: the per-event splitmix in
             # Python dominates generation under heavy churn.  The
             # scatter itself stays sequential for exact parity with the
-            # Python backend — a slot drawn twice in one batch must
+            # per-event path — a slot drawn twice in one batch must
             # retire the uid installed by the earlier event.
             j = np.arange(self._churn_done, due, dtype=np.uint64)
             golden = np.uint64(_GOLDEN)
@@ -402,19 +370,13 @@ class ServingStream:
             self.retired += len(t_list)
             self._churn_done = due
             return
-        numpy_slots = np is not None
         while self._churn_done < due:
             j = self._churn_done
             t = _hash_at(self._s_churn_t, j) % T
             slot = _hash_at(self._s_churn_s, j) % K
-            old = int(self._slots[t][slot]) if not numpy_slots else int(
-                self._slots[t, slot]
-            )
+            old = int(self._slots[t, slot])
             uid = self._next_uid[t]
-            if numpy_slots:
-                self._slots[t, slot] = uid
-            else:
-                self._slots[t][slot] = uid
+            self._slots[t, slot] = uid
             self._next_uid[t] = uid + 1
             self.retired += 1
             if self.track_retired:
@@ -422,38 +384,16 @@ class ServingStream:
             self._churn_done += 1
 
     # -- block generation ----------------------------------------------
-    def _block_python(self, block: int, m: int) -> List[int]:
-        spec = self.spec
-        T = spec.tenants
-        cdf = self._cdf
-        slots = self._slots
-        base = block * GEN_BLOCK
-        phases = [
-            p for p in self._phases if p[0] < base + m and p[1] > base
-        ]
-        out = []
-        for i in range(base, base + m):
-            tenant = _hash_at(self._s_tenant, i) % T
-            rank = bisect_right(cdf, _u53(_hash_at(self._s_rank, i)))
-            for start, end, thr, hot in phases:
-                if start <= i < end and _hash_at(self._s_flash, i) < thr:
-                    rank = _hash_at(self._s_hot, i) % hot
-            uid = slots[tenant][rank]
-            g = uid * T + tenant
-            out.append((g * ADDR_MULT) & ADDR_MASK)
-        return out
-
     def _ranks(self, v):
-        """Zipf ranks of uint64 draws ``v``: ``bisect_right(cdf, _u53(v))``."""
-        np = self._np
+        """Zipf ranks of uint64 draws ``v``: ``bisect_right(cdf, u)`` with
+        ``u = (v >> 11) * 2**-53``."""
         rank = self._guide.take(v >> self._guide_shift)
         mixed = np.flatnonzero(rank < 0)
         u = (v[mixed] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        rank[mixed] = np.searchsorted(self._cdf_np, u, side="right")
+        rank[mixed] = np.searchsorted(self._cdf, u, side="right")
         return rank
 
-    def _block_numpy(self, block: int, m: int):
-        np = self._np
+    def _block(self, block: int, m: int):
         spec = self.spec
         T = spec.tenants
         base = block * GEN_BLOCK
@@ -491,13 +431,12 @@ class ServingStream:
 
         Restarts from position 0 on every call (:meth:`reset`), so the
         sequence is a pure function of the spec: any two chunk sizes
-        yield the same concatenated stream, numpy or not.  Batches are
-        int64 numpy arrays (numpy backend) or Python int lists.
+        yield the same concatenated stream.  Batches are int64 numpy
+        arrays.
         """
         if chunk_accesses < 1:
             raise ValueError("chunk_accesses must be positive")
         self.reset()
-        np = self._np
         total = self.spec.accesses
         buf: List = []
         have = 0
@@ -505,16 +444,10 @@ class ServingStream:
         for block in range(nblocks):
             self._apply_churn(block)
             m = min(GEN_BLOCK, total - block * GEN_BLOCK)
-            if np is not None:
-                buf.append(self._block_numpy(block, m))
-            else:
-                buf.append(self._block_python(block, m))
+            buf.append(self._block(block, m))
             have += m
             if have >= chunk_accesses:
-                if np is not None:
-                    flat = np.concatenate(buf)
-                else:
-                    flat = [a for part in buf for a in part]
+                flat = np.concatenate(buf)
                 pos = 0
                 while have - pos >= chunk_accesses:
                     yield flat[pos:pos + chunk_accesses]
@@ -522,14 +455,11 @@ class ServingStream:
                 buf = [flat[pos:]] if have - pos else []
                 have -= pos
         if have:
-            if np is not None:
-                yield np.concatenate(buf)
-            else:
-                yield [a for part in buf for a in part]
+            yield np.concatenate(buf)
 
     def addresses(self) -> List[int]:
         """The full stream as a flat Python int list (small specs only)."""
         out: List[int] = []
         for chunk in self.chunks(max(1, min(self.spec.accesses, 1 << 16))):
-            out.extend(int(a) for a in chunk)
+            out.extend(chunk.tolist())
         return out

@@ -253,8 +253,8 @@ def check_columnar_equality(
     permutation of every set (engine state vs a walk-kernel
     :class:`~repro.policies.plru.GIPPRPolicy` driven through the
     production cache).  Returns a mismatch description or ``None``.
-    Trivially ``None`` when the engine is unavailable here (no numpy /
-    unsupported geometry) — its *error* behaviour is covered separately.
+    Trivially ``None`` for an unsupported geometry (k > 16) — its
+    *error* behaviour is covered separately.
     """
     from ..engine.columnar import BatchSimulator, columnar_supported
     from ..ga.fitness import simulate_misses_plru_ipv
@@ -321,7 +321,7 @@ def check_duel_columnar_equality(
     counts, the final PSEL value and the final position permutation —
     PSEL is global-access-order state, so this is the check that pins the
     engine's access-serial duel path.  Returns a description or ``None``
-    (trivially when the engine is unavailable or the pair is not binary).
+    (trivially for an unsupported geometry or a pair that is not binary).
     """
     from ..engine.columnar import DuelBatchSimulator, columnar_supported
 

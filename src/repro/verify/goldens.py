@@ -447,17 +447,11 @@ def check_columnar_goldens(
     Each committed cell is recomputed via the columnar engine *and* its
     scalar references (walk + LUT for ipv cells, the DGIPPR production
     path for duel cells); any engine disagreeing with the committed value
-    is reported by name.  Skipped entirely (no drift, 0 checked) when the
-    engine is unavailable — scalar coverage of those cells lives in the
-    main corpus.
+    is reported by name.
     """
-    from ..engine.columnar import columnar_supported
-
     target = (
         Path(path) if path is not None else DEFAULT_COLUMNAR_GOLDENS_PATH
     )
-    if not columnar_supported(MAX_ASSOC_PROBE):
-        return [], 0
     try:
         with open(target) as handle:
             payload = json.load(handle)
@@ -498,11 +492,6 @@ def check_columnar_goldens(
     return drift, checked
 
 
-#: Probe associativity for "is the columnar engine available at all":
-#: the widest geometry in the matrix (k=16 needs numpy for its tables).
-MAX_ASSOC_PROBE = 16
-
-
 # ----------------------------------------------------------------------
 # Serving corpus: the streaming Zipf key-value scenario, end to end.
 #
@@ -511,8 +500,8 @@ MAX_ASSOC_PROBE = 16
 # generator, the set-sharded front-end and the streaming engines all sit
 # inside the pinned number.  The committed value comes from the
 # single-shard pure-scalar reference; the checker recomputes it there
-# *and* (when numpy is up) through the sharded columnar front-end, so a
-# drift message names both the cell and the engine that moved.
+# *and* through the sharded columnar front-end, so a drift message names
+# both the cell and the engine that moved.
 # ----------------------------------------------------------------------
 SERVING_GOLDEN_SCHEMA = "repro-serving-goldens/1"
 
@@ -591,7 +580,7 @@ def compute_serving_golden(
         num_sets, assoc, entries, shards=shards, engine=engine
     )
     misses = 0
-    stream = ServingStream(_serving_golden_spec(cell), backend="auto")
+    stream = ServingStream(_serving_golden_spec(cell))
     for chunk in stream.chunks(SERVING_GOLDEN_CHUNK):
         misses += frontend.process(chunk)
     return misses
@@ -603,32 +592,25 @@ def write_serving_golden_corpus(
 ) -> Path:
     """Atomically (re)write the committed serving corpus.
 
-    The committed value is the single-shard pure-scalar reference; when
-    the columnar engine is available the sharded columnar front-end is
-    recomputed too and any disagreement aborts the write — the corpus
-    must never pin a diverging engine pair.
+    The committed value is the single-shard pure-scalar reference; the
+    sharded columnar front-end is recomputed too and any disagreement
+    aborts the write — the corpus must never pin a diverging engine pair.
     """
-    from ..engine.columnar import columnar_supported
-
     path = (
         Path(path) if path is not None else DEFAULT_SERVING_GOLDENS_PATH
     )
-    _, assoc = SERVING_GOLDEN_GEOMETRY
-    cross_check = columnar_supported(assoc)
     entries: Dict[str, int] = {}
     for cell in serving_golden_matrix():
         key = serving_golden_key(cell)
         value = compute_serving_golden(cell, engine="scalar", shards=1)
-        if cross_check:
-            sharded = compute_serving_golden(
-                cell, engine="columnar", shards=SERVING_GOLDEN_SHARDS
+        sharded = compute_serving_golden(
+            cell, engine="columnar", shards=SERVING_GOLDEN_SHARDS
+        )
+        if sharded != value:
+            raise AssertionError(
+                f"{key}: sharded columnar misses {sharded} != scalar "
+                f"reference {value}; refusing to write a divergent corpus"
             )
-            if sharded != value:
-                raise AssertionError(
-                    f"{key}: sharded columnar misses {sharded} != scalar "
-                    f"reference {value}; refusing to write a divergent "
-                    f"corpus"
-                )
         entries[key] = value
     payload = {
         "schema": SERVING_GOLDEN_SCHEMA,
@@ -657,7 +639,7 @@ def write_serving_golden_corpus(
                     "serving_goldens": {
                         "schema": SERVING_GOLDEN_SCHEMA,
                         "entries": len(entries),
-                        "columnar_cross_checked": cross_check,
+                        "columnar_cross_checked": True,
                     }
                 }
             ),
@@ -671,13 +653,9 @@ def check_serving_goldens(
     """Recompute the serving corpus and name each drifting cell.
 
     Every cell is recomputed through the single-shard scalar reference
-    (always available — the front-end's no-numpy fallback) and, when the
-    columnar engine is up, through the ``SERVING_GOLDEN_SHARDS``-way
-    columnar front-end; a drift message names the cell *and* the
-    configuration that moved.
+    and through the ``SERVING_GOLDEN_SHARDS``-way columnar front-end; a
+    drift message names the cell *and* the configuration that moved.
     """
-    from ..engine.columnar import columnar_supported
-
     target = (
         Path(path) if path is not None else DEFAULT_SERVING_GOLDENS_PATH
     )
@@ -691,16 +669,14 @@ def check_serving_goldens(
             f"{target}: unknown serving goldens schema "
             f"{payload.get('schema')!r}"
         ], 0
-    _, assoc = SERVING_GOLDEN_GEOMETRY
-    configs: List[Tuple[str, str, int]] = [("scalar", "scalar", 1)]
-    if columnar_supported(assoc):
-        configs.append(
-            (
-                f"columnar/shards={SERVING_GOLDEN_SHARDS}",
-                "columnar",
-                SERVING_GOLDEN_SHARDS,
-            )
-        )
+    configs: List[Tuple[str, str, int]] = [
+        ("scalar", "scalar", 1),
+        (
+            f"columnar/shards={SERVING_GOLDEN_SHARDS}",
+            "columnar",
+            SERVING_GOLDEN_SHARDS,
+        ),
+    ]
     committed: Dict[str, int] = dict(payload.get("entries", {}))
     drift: List[str] = []
     checked = 0

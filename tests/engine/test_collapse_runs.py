@@ -13,8 +13,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.ipv import lip_ipv, lru_ipv
 from repro.core.plru import position, set_position
 from repro.engine.columnar import BatchSimulator, ColumnarTrace

@@ -5,39 +5,28 @@ miss count, miss index, final recency position and PSEL value must match
 the scalar walk reference bit for bit — across associativities, ragged
 chunk tails, warmup windows, duplicate lanes and set-dueling.  These
 tests are therefore equality proofs over randomized and adversarial
-streams, plus the no-numpy / bad-input error contract.
+streams, plus the bad-input error contract.
 """
 
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.cache import SetAssociativeCache
 from repro.core.ipv import IPV, lip_ipv, lru_ipv
 from repro.engine.columnar import (
-    DEFAULT_AUTO_MIN_LANES,
     DEFAULT_BATCH_ACCESSES,
     BatchSimulator,
     ColumnarTrace,
-    ColumnarUnavailable,
     DuelBatchSimulator,
     _hit_decoder,
-    columnar_config,
-    columnar_supported,
-    require_numpy,
-    resolve_batch_accesses,
-    resolve_min_lanes,
     simulate_misses_plru_columnar,
 )
 from repro.ga.fitness import simulate_misses_plru_ipv
 from repro.kernels import tables as ktables
 from repro.policies import DGIPPRPolicy, GIPPRPolicy
-
-numpy_missing = ktables.numpy_or_none() is None
-needs_numpy = pytest.mark.skipif(
-    numpy_missing, reason="columnar engine requires numpy"
-)
 
 GEOMETRIES = [(16, 2), (8, 4), (8, 8), (4, 16)]
 
@@ -61,7 +50,6 @@ def make_stream(n, num_sets, assoc, seed, skew=False):
     return [rng.randrange(footprint) for _ in range(n)]
 
 
-@needs_numpy
 class TestSingleLaneIdentity:
     @pytest.mark.parametrize("num_sets,assoc", GEOMETRIES)
     @pytest.mark.parametrize("skew", [False, True])
@@ -146,7 +134,6 @@ class TestSingleLaneIdentity:
                 assert int(pos[s, w]) == policy.position_of(s, w)
 
 
-@needs_numpy
 class TestMultiLane:
     def test_lanes_match_scalar_including_duplicates(self):
         num_sets, assoc = 8, 8
@@ -221,7 +208,7 @@ class TestMultiLane:
             assert indices[i] == walk_idx
 
 
-def compare_rows(np, k, lanes, dtype, seed):
+def compare_rows(k, lanes, dtype, seed):
     """Crafted ``[lanes, w, k]`` tag compares, as one lockstep step sees.
 
     The columns cover a hit at every way of a full set, the all-miss
@@ -252,7 +239,6 @@ def compare_rows(np, k, lanes, dtype, seed):
     return tags == addr[None, :, None]
 
 
-@needs_numpy
 class TestHitDecoder:
     """The lockstep step's word-view hit decode against any/argmax."""
 
@@ -260,12 +246,11 @@ class TestHitDecoder:
     @pytest.mark.parametrize("lanes", [1, 24])
     @pytest.mark.parametrize("dtype", ["int32", "int64"])
     def test_matches_any_argmax(self, k, lanes, dtype):
-        np = require_numpy()
-        eq = compare_rows(np, k, lanes, dtype, seed=k + lanes)
+        eq = compare_rows(k, lanes, dtype, seed=k + lanes)
         # A miss takes the caller's fill way; a sentinel exposes any miss
         # the decode reports as a way-0 hit.
         miss_way = np.full(eq.shape[:2], -7, dtype=np.int64)
-        is_hit, way = _hit_decoder(np, k)(eq, miss_way)
+        is_hit, way = _hit_decoder(k)(eq, miss_way)
         expect_hit = eq.any(axis=-1)
         assert is_hit.dtype == bool and way.dtype == np.int64
         assert np.array_equal(is_hit, expect_hit)
@@ -277,7 +262,6 @@ class TestHitDecoder:
         assert (~is_hit).any()
 
 
-@needs_numpy
 class TestDuelBatch:
     @pytest.mark.parametrize("num_sets,assoc", [(16, 4), (16, 16)])
     def test_matches_dgippr_policy(self, num_sets, assoc):
@@ -309,7 +293,6 @@ class TestDuelBatch:
             DuelBatchSimulator(16, 4, [])
 
 
-@needs_numpy
 class TestValidation:
     def test_bad_geometry(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -360,95 +343,31 @@ class TestValidation:
 
 
 class TestConfigResolution:
-    """Chunk-size / auto-batch knobs: kwarg > environment > default."""
+    """The chunk size: ``batch_accesses`` or :data:`DEFAULT_BATCH_ACCESSES`."""
 
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_BATCH_ACCESSES", raising=False)
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
-        assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
-        assert resolve_min_lanes() == DEFAULT_AUTO_MIN_LANES
-        assert columnar_config() == {
-            "batch_accesses": DEFAULT_BATCH_ACCESSES,
-            "min_lanes": DEFAULT_AUTO_MIN_LANES,
-        }
+    def test_defaults(self):
+        assert ColumnarTrace([1, 2, 3], 16).batch_accesses == (
+            DEFAULT_BATCH_ACCESSES
+        )
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "9")
-        assert resolve_batch_accesses() == 2048
-        assert resolve_min_lanes() == 9
-        assert columnar_config() == {"batch_accesses": 2048, "min_lanes": 9}
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "9")
-        assert resolve_batch_accesses(512) == 512
-        assert resolve_min_lanes(2) == 2
-
-    @pytest.mark.parametrize("raw", ["", "  ", "abc", "0", "-5", "1.5"])
-    def test_invalid_env_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", raw)
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", raw)
-        assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
-        assert resolve_min_lanes() == DEFAULT_AUTO_MIN_LANES
-
-    def test_invalid_kwarg_raises(self):
-        with pytest.raises(ValueError, match="batch_accesses"):
-            resolve_batch_accesses(0)
-        with pytest.raises(ValueError, match="min_lanes"):
-            resolve_min_lanes(-1)
-
-    def test_caller_default_for_min_lanes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
-        assert resolve_min_lanes(default=7) == 7
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "3")
-        assert resolve_min_lanes(default=7) == 3
-
-    @pytest.mark.skipif(numpy_missing, reason="columnar engine needs numpy")
-    def test_trace_resolves_chunk_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "8")
-        trace = ColumnarTrace(list(range(20)), 16)
+    def test_trace_chunks_by_batch_accesses(self):
+        trace = ColumnarTrace(list(range(20)), 16, batch_accesses=8)
         assert trace.batch_accesses == 8
         assert len(trace.chunks) == 3  # 8 + 8 + ragged 4
         explicit = ColumnarTrace(list(range(20)), 16, batch_accesses=16)
         assert explicit.batch_accesses == 16
         assert len(explicit.chunks) == 2
 
-    @pytest.mark.skipif(numpy_missing, reason="columnar engine needs numpy")
-    def test_chunking_is_bit_identical(self, monkeypatch):
+    def test_invalid_kwarg_raises(self):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="batch_accesses"):
+                ColumnarTrace([1, 2], 16, batch_accesses=bad)
+
+    def test_chunking_is_bit_identical(self):
         """The chunk size is a memory/throughput knob, never a result knob."""
         addresses = make_stream(600, 16, 4, seed=3)
         lanes = [stress_ipv(4), lru_ipv(4)]
         simulator = BatchSimulator(16, 4, lanes, warmup=50)
         baseline = list(simulator.run(ColumnarTrace(addresses, 16)))
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "64")
-        assert list(simulator.run(ColumnarTrace(addresses, 16))) == baseline
-
-
-class TestNoNumpy:
-    """Without numpy the engine must refuse loudly, never degrade."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(ktables, "_np", None)
-
-    def test_require_numpy_raises(self, no_numpy):
-        with pytest.raises(ColumnarUnavailable, match="requires numpy"):
-            require_numpy()
-
-    def test_supported_is_false(self, no_numpy):
-        assert not columnar_supported(4)
-
-    def test_simulator_raises_clearly(self, no_numpy):
-        with pytest.raises(ColumnarUnavailable, match="REPRO_FORCE_NO_NUMPY"):
-            BatchSimulator(16, 4, [stress_ipv(4)])
-        with pytest.raises(ColumnarUnavailable):
-            ColumnarTrace([1, 2], 16)
-        with pytest.raises(ColumnarUnavailable):
-            DuelBatchSimulator(16, 4, [(stress_ipv(4), stress_ipv(4, 9))])
-
-    def test_fitness_kernel_columnar_raises(self, no_numpy):
-        with pytest.raises(ColumnarUnavailable):
-            simulate_misses_plru_ipv(
-                [1, 2, 3], 16, 4, (0,) * 5, 0, kernel="columnar"
-            )
+        chunked = ColumnarTrace(addresses, 16, batch_accesses=64)
+        assert list(simulator.run(chunked)) == baseline

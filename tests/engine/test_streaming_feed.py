@@ -14,9 +14,8 @@ import pytest
 from repro.core.ipv import lip_ipv, lru_ipv
 from repro.core.vectors import GIPPR_WI_VECTOR
 from repro.engine import ScalarStreamSimulator
-from repro.engine.columnar import columnar_supported
 from repro.ga.fitness import simulate_misses_plru_ipv
-from repro.kernels import tables as ktables
+from repro.verify import PLRUPositionsOracle
 
 NUM_SETS = 16
 ASSOC = 4
@@ -25,10 +24,6 @@ IPVS = {
     "lip": tuple(lip_ipv(ASSOC).entries),
     "skew": (1, 0, 1, 2, 2),
 }
-
-needs_columnar = pytest.mark.skipif(
-    not columnar_supported(ASSOC), reason="columnar engine unavailable"
-)
 
 
 def make_stream(n, num_sets=NUM_SETS, assoc=ASSOC, seed=7):
@@ -52,17 +47,21 @@ def _partitions(n):
 def test_scalar_feed_matches_one_shot(name, warmup):
     trace = make_stream(4000)
     entries = IPVS[name]
+    expected_indices = []
     expected = simulate_misses_plru_ipv(
-        trace, NUM_SETS, ASSOC, entries, warmup, kernel="walk"
+        trace, NUM_SETS, ASSOC, entries, warmup,
+        miss_indices=expected_indices, kernel="walk",
     )
     for parts in _partitions(len(trace)):
         sim = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup)
+        indices = []
         total = 0
         base = 0
         for size in parts:
-            total += sim.feed(trace[base:base + size])
+            total += sim.feed(trace[base:base + size], indices)
             base += size
         assert total == expected
+        assert indices == expected_indices
         assert sim.measured_misses == expected
         assert sim.accesses == len(trace)
         assert sim.hits + sim.misses == sim.accesses
@@ -72,31 +71,47 @@ def test_scalar_feed_matches_one_shot(name, warmup):
 def test_scalar_walk_and_lut_paths_agree():
     trace = make_stream(3000, seed=11)
     entries = IPVS["skew"]
-    lut = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup=100)
-    assert lut._lut is not None
-    walk = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup=100)
-    walk._lut = None  # force the Figure 5/7/9 bit-walk path
+    lut = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, 100, kernel="lut")
+    walk = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, 100, kernel="walk")
+    assert (lut.kernel, walk.kernel) == ("lut", "walk")
+    lut_indices, walk_indices = [], []
     for base in range(0, len(trace), 333):
         chunk = trace[base:base + 333]
-        assert lut.feed(chunk) == walk.feed(chunk)
+        assert lut.feed(chunk, lut_indices) == walk.feed(chunk, walk_indices)
+    assert lut_indices == walk_indices
     assert lut.totals() == walk.totals()
 
 
-def test_scalar_feed_k16_walk_fallback_without_numpy(monkeypatch):
-    # k=16 tables need numpy; with numpy masked the walk path must serve.
-    monkeypatch.setattr(ktables, "_np", None)
+def test_scalar_feed_k16_walk_kernel():
     trace = make_stream(1500, num_sets=64, assoc=16, seed=3)
     entries = tuple(GIPPR_WI_VECTOR.entries)
-    sim = ScalarStreamSimulator(64, 16, entries, warmup=0)
-    assert sim._lut is None
+    sim = ScalarStreamSimulator(64, 16, entries, warmup=0, kernel="walk")
+    assert sim.kernel == "walk"
     total = sum(
         sim.feed(trace[base:base + 500])
         for base in range(0, len(trace), 500)
     )
     expected = simulate_misses_plru_ipv(
-        trace, 64, 16, entries, 0, kernel="walk"
+        trace, 64, 16, entries, 0, kernel="lut"
     )
     assert total == expected
+
+
+def test_scalar_feed_k32_miss_indices_match_oracle():
+    # No tables above 16 ways: "auto" runs the walk, the only loop there.
+    trace = make_stream(3000, num_sets=16, assoc=32, seed=13)
+    sim = ScalarStreamSimulator(16, 32, lip_ipv(32).entries)
+    assert sim.kernel == "walk"
+    indices = []
+    base = 0
+    for size in (1, 498, 17, 1201, 1283):
+        sim.feed(trace[base:base + size], indices)
+        base += size
+    assert base == len(trace)
+    oracle = PLRUPositionsOracle(16, 32, [lip_ipv(32)])
+    expected = [i for i, a in enumerate(trace) if not oracle.access(a)[0]]
+    assert indices == expected
+    assert sim.misses == oracle.misses
 
 
 def test_scalar_reset_returns_to_cold():
@@ -120,7 +135,6 @@ def test_scalar_validation():
         ScalarStreamSimulator(16, 4, IPVS["lru"], warmup=-1)
 
 
-@needs_columnar
 @pytest.mark.parametrize("warmup", [0, 1000])
 def test_columnar_feed_matches_cold_run(warmup):
     from repro.engine.columnar import BatchSimulator
@@ -146,7 +160,6 @@ def test_columnar_feed_matches_cold_run(warmup):
         assert sim.end_stream().tolist() == expected.tolist()
 
 
-@needs_columnar
 def test_columnar_feed_matches_scalar_stream():
     from repro.engine.columnar import BatchSimulator
 
@@ -160,7 +173,6 @@ def test_columnar_feed_matches_scalar_stream():
     assert int(col.stream_misses()[0]) == sca.measured_misses
 
 
-@needs_columnar
 def test_columnar_begin_stream_resets():
     from repro.engine.columnar import BatchSimulator
 
@@ -172,7 +184,6 @@ def test_columnar_begin_stream_resets():
     assert sim.feed(trace).tolist() == first.tolist()
 
 
-@needs_columnar
 def test_columnar_run_unaffected_by_open_stream():
     # run() must stay cold-start even while a stream is open.
     from repro.engine.columnar import BatchSimulator
@@ -186,7 +197,6 @@ def test_columnar_run_unaffected_by_open_stream():
     assert sim.stream_pos == 400
 
 
-@needs_columnar
 def test_columnar_stream_misses_requires_open_stream():
     from repro.engine.columnar import BatchSimulator
 

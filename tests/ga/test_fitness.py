@@ -275,8 +275,6 @@ class TestColumnarKernel:
         assert spilled_lanes and set(spilled_lanes) == {24}
 
     def test_evaluate_many_auto_batches_only_large(self, config):
-        from repro.engine.columnar import columnar_supported
-
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="auto"
         )
@@ -284,48 +282,19 @@ class TestColumnarKernel:
         large = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
                  IPV([0] * 16 + [15])]
         assert not evaluator._columnar_batchable(len(small))
-        if columnar_supported(16):
-            assert evaluator._columnar_batchable(len(large))
+        assert evaluator._columnar_batchable(len(large))
         assert evaluator.evaluate_many(large) == [
             evaluator.evaluate(ipv) for ipv in large
         ]
 
-    def test_min_lanes_kwarg_env_precedence(self, config, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
-        evaluator = FitnessEvaluator(["429.mcf"], config=config)
-        assert evaluator.columnar_min_lanes == (
-            FitnessEvaluator.COLUMNAR_AUTO_MIN_LANES
-        )
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "2")
-        from_env = FitnessEvaluator(["429.mcf"], config=config)
-        assert from_env.columnar_min_lanes == 2
-        explicit = FitnessEvaluator(
-            ["429.mcf"], config=config, columnar_min_lanes=7
-        )
-        assert explicit.columnar_min_lanes == 7
-
     def test_min_lanes_gates_auto_batching(self, config):
-        from repro.engine.columnar import columnar_supported
+        from repro.engine.columnar import DEFAULT_AUTO_MIN_LANES
 
-        if not columnar_supported(16):
-            pytest.skip("columnar engine needs numpy")
-        eager = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto", columnar_min_lanes=2
-        )
-        assert eager._columnar_batchable(2)
-        lazy = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto", columnar_min_lanes=64
-        )
-        assert not lazy._columnar_batchable(63)
-
-    def test_min_lanes_survives_spec_round_trip(self, config):
         evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, columnar_min_lanes=9
+            ["429.mcf"], config=config, kernel="auto"
         )
-        spec = evaluator.spec()
-        assert spec["columnar_min_lanes"] == 9
-        rebuilt = FitnessEvaluator.from_spec(spec)
-        assert rebuilt.columnar_min_lanes == 9
+        assert evaluator._columnar_batchable(DEFAULT_AUTO_MIN_LANES)
+        assert not evaluator._columnar_batchable(DEFAULT_AUTO_MIN_LANES - 1)
 
     def test_evaluate_many_falls_back_scalar(self, config):
         evaluator = FitnessEvaluator(
@@ -426,11 +395,8 @@ class TestColumnarMemo:
             assert parsed[(name, ())] == pytest.approx(stats[field])
 
     def test_evaluators_share_trace_by_derivation(self):
-        from repro.engine.columnar import columnar_supported
         from repro.ga.fitness import columnar_memo_stats
 
-        if not columnar_supported(16):
-            pytest.skip("columnar engine requires numpy")
         config = default_config(trace_length=600)
         population = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
                       IPV([0] * 16 + [15])]

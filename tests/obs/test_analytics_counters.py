@@ -4,13 +4,6 @@ import random
 
 import pytest
 
-from repro.kernels import tables as ktables
-
-numpy_missing = ktables.numpy_or_none() is None
-needs_numpy = pytest.mark.skipif(
-    numpy_missing, reason="columnar engine requires numpy"
-)
-
 NUM_SETS = 8
 ASSOC = 8
 
@@ -44,7 +37,6 @@ def batch_run():
     return stream, simulator, misses, miss_indices
 
 
-@needs_numpy
 class TestBatchCounters:
     def test_reconciles_with_scalar_cache(self, batch_run):
         from repro.cache import SetAssociativeCache
@@ -127,7 +119,6 @@ class TestBatchCounters:
         assert problems and problems[0].startswith("accesses")
 
 
-@needs_numpy
 class TestDuelCounters:
     def test_reconciles_with_dgippr(self):
         from repro.cache import SetAssociativeCache
@@ -171,7 +162,6 @@ class TestDuelCounters:
         assert simulator.counters.totals(0)["accesses"] == 0
 
 
-@needs_numpy
 class TestFlushSurfaces:
     def test_publish_gauges_and_histogram(self, batch_run):
         from repro.obs.analytics import publish_batch_counters

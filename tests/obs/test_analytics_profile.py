@@ -1,15 +1,14 @@
-"""Vectorized Mattson profiler: oracle equality, miss curves, fallbacks.
+"""Vectorized Mattson profiler: oracle equality and miss curves.
 
 The binding contract is bit-identity with the ``repro.trace.analysis``
 walks — every histogram the profiler exposes must equal what the
-OrderedDict oracle produces on the same stream, with and without numpy.
+OrderedDict oracle produces on the same stream.
 """
 
 import random
 
 import pytest
 
-from repro.kernels import tables as ktables
 from repro.obs.analytics import profile_trace
 from repro.obs.analytics.profile import (
     per_set_reuse_histogram_fast,
@@ -19,11 +18,6 @@ from repro.trace import (
     Trace,
     per_set_reuse_histogram,
     stack_distance_histogram,
-)
-
-numpy_missing = ktables.numpy_or_none() is None
-needs_numpy = pytest.mark.skipif(
-    numpy_missing, reason="vectorized path requires numpy"
 )
 
 
@@ -162,41 +156,6 @@ class TestEdgeCasesAndValidation:
         json.dumps(payload)  # JSON-safe end to end
 
 
-@needs_numpy
-class TestNoNumpyFallback:
-    """The pure-Python fallback must produce identical numbers."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(ktables, "_np", None)
-
-    def test_profiles_identical(self, no_numpy):
-        addresses = mixed_stream(800, 120, seed=10)
-        fallback = profile_trace(addresses, num_sets=4, max_distance=16)
-        monkey_undone = ktables._np  # still None inside the fixture
-        assert monkey_undone is None
-        assert fallback.distance_counts is not None
-        # Rebuild vectorized numbers outside the patch for comparison.
-        oracle = stack_distance_histogram(Trace(addresses), max_distance=16)
-        assert fallback.stack_distance_histogram() == oracle
-        assert fallback.per_set_reuse_histogram() == (
-            per_set_reuse_histogram(Trace(addresses), 4)
-        )
-
-    def test_stack_distances_fallback(self, no_numpy):
-        addresses = mixed_stream(300, 50, seed=11)
-        assert stack_distances(addresses) == [
-            d for d in stack_distances(list(addresses))
-        ]
-
-    def test_reuse_fast_fallback(self, no_numpy):
-        addresses = mixed_stream(400, 60, seed=12)
-        assert per_set_reuse_histogram_fast(addresses, 2) == (
-            per_set_reuse_histogram(Trace(addresses), 2)
-        )
-
-
-@needs_numpy
 class TestColumnarTraceInput:
     def test_columnar_trace_infers_sets_and_matches(self):
         from repro.engine.columnar import ColumnarTrace

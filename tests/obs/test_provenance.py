@@ -51,14 +51,6 @@ class TestBuildManifest:
         assert config_hash(_config()) != config_hash(_config(seed=1))
         assert config_hash(None) is None
 
-    def test_columnar_knobs_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "4096")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "6")
-        manifest = build_manifest(config=_config())
-        assert manifest["columnar"] == {
-            "batch_accesses": 4096, "min_lanes": 6,
-        }
-
     def test_git_revision_never_raises(self):
         rev = git_revision()
         assert isinstance(rev, str) and rev

@@ -119,7 +119,7 @@ class TestSlidingWindows:
                             share=phase.share, hot_keys=phase.hot_keys)
         spec = ServingSpec(keys=1 << 14, alpha=1.01, accesses=accesses,
                            phases=(phase,), seed=5)
-        stream = ServingStream(spec, backend="python")
+        stream = ServingStream(spec)
         addrs = []
         for chunk in stream.chunks(W):
             addrs.extend(int(a) for a in chunk)

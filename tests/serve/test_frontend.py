@@ -11,7 +11,6 @@ import pytest
 
 from repro.cache.stats import CacheStats
 from repro.core.ipv import lru_ipv
-from repro.engine.columnar import columnar_supported
 from repro.serve.frontend import (
     DEFAULT_MAX_QUEUE_BATCHES,
     ShardedFrontend,
@@ -56,9 +55,10 @@ class TestValidation:
             make(max_queue_batches=0)
 
     def test_auto_engine_resolves(self):
-        fe = make(engine="auto")
-        expected = "columnar" if columnar_supported(ASSOC) else "scalar"
-        assert fe.engine == expected
+        assert make(engine="auto").engine == "columnar"
+        wide = ShardedFrontend(NUM_SETS, 32, lru_ipv(32).entries,
+                               engine="auto")
+        assert wide.engine == "scalar"  # no tables above 16 ways
 
 
 class TestBackpressure:
@@ -177,9 +177,6 @@ class TestProcessAndAccounting:
         assert fe.accesses == ref.accesses
 
 
-@pytest.mark.skipif(
-    not columnar_supported(ASSOC), reason="columnar engine unavailable"
-)
 class TestColumnarParity:
     def test_columnar_frontend_matches_scalar(self):
         import numpy as np

@@ -18,7 +18,12 @@ from repro.obs.tracer import Tracer, replay_counts
 from repro.obs.sinks import ListSink
 from repro.serve.frontend import ShardedFrontend
 from repro.serve.service import resolve_policy_entries, run_serving
-from repro.serve.workload import ServingSpec, ServingStream
+from repro.serve.workload import (
+    ServingSpec,
+    ServingStream,
+    auto_flash_phases,
+)
+from repro.verify import PLRUPositionsOracle
 
 NUM_SETS = 32
 ASSOC = 4
@@ -34,7 +39,7 @@ def reference_misses(spec=SPEC, policy="lru"):
     fe = ShardedFrontend(NUM_SETS, ASSOC, entries, shards=1,
                          engine="scalar")
     misses = 0
-    for chunk in ServingStream(spec, backend="python").chunks(4096):
+    for chunk in ServingStream(spec).chunks(4096):
         misses += fe.process(chunk)
     return misses
 
@@ -75,7 +80,8 @@ class TestRunServing:
     def test_report_dict_schema(self):
         report = run_serving(SPEC, NUM_SETS, ASSOC, shards=2)
         payload = report.to_dict()
-        assert payload["schema"] == "repro-serving-report/2"
+        assert payload["schema"] == "repro-serving-report/3"
+        assert "backend" not in payload
         assert payload["spec_digest"] == SPEC.digest()
         assert payload["seed"] == SPEC.resolved_seed()
         assert payload["seed_derived"] is False
@@ -149,6 +155,21 @@ class TestRunServing:
         auto = run_serving(SPEC, NUM_SETS, ASSOC, engine="auto",
                            shards=4)
         assert auto.misses == scalar.misses
+
+    def test_wide_assoc_runs_scalar_walk_matching_oracle(self):
+        # No tables above 16 ways, so k=32 is the one production input
+        # that reaches the scalar bit-walk.
+        spec = ServingSpec(
+            keys=2048, alpha=1.1, tenants=2, accesses=4096,
+            churn_per_million=50_000, phases=auto_flash_phases(4096, 1),
+            seed=3,
+        )
+        report = run_serving(spec, 16, 32, policy="lip", telemetry=False,
+                             chunk_accesses=509)
+        assert report.engine == "scalar"
+        oracle = PLRUPositionsOracle(16, 32, [lip_ipv(32)])
+        assert report.misses == oracle.run(ServingStream(spec).addresses())
+        assert report.misses == 1188
 
     def test_chunk_size_does_not_change_misses(self):
         a = run_serving(SPEC, NUM_SETS, ASSOC, chunk_accesses=1 << 12)

@@ -1,6 +1,6 @@
 """Property tests for the streaming Zipf serving workload generator.
 
-The three contracts the ISSUE pins, plus the backend mirror:
+The three stream contracts, plus pinned digests and the rank lookup:
 
 * **Chunk invariance** — the address sequence is a pure function of the
   spec: any two ``chunk_accesses`` values yield the identical
@@ -11,18 +11,20 @@ The three contracts the ISSUE pins, plus the backend mirror:
   is the single most frequent key outright).
 * **Churn permanence** — a churned-out key's address never reappears
   after its retirement block.
-* **Backend bit-identity** — the pure-Python mirror emits the same
-  addresses as the numpy backend.
-* **Exact rank lookup** — the numpy backend's guide table returns
-  ``bisect_right`` ranks on the draws at every bucket edge.
+* **Pinned streams** — five specs covering every generation path hash
+  to committed digests.
+* **Exact rank lookup** — the guide table returns ``bisect_right`` ranks
+  on the draws at every bucket edge.
 
 Every draw goes through hypothesis so the spec space (alpha, keys,
 tenants, churn, flash phases, seed) is explored rather than spot-checked.
 """
 
+import hashlib
 from bisect import bisect_right
 from collections import Counter
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -70,11 +72,10 @@ def serving_specs(draw, max_accesses=3 * GEN_BLOCK):
     )
 
 
-def flat(spec, chunk_accesses, backend="auto"):
-    stream = ServingStream(spec, backend=backend)
+def flat(spec, chunk_accesses):
     out = []
-    for chunk in stream.chunks(chunk_accesses):
-        out.extend(int(a) for a in chunk)
+    for chunk in ServingStream(spec).chunks(chunk_accesses):
+        out.extend(chunk.tolist())
     return out
 
 
@@ -117,25 +118,59 @@ class TestChunkInvariance:
         assert first == second
 
 
-# -- backend bit-identity ----------------------------------------------
+# -- pinned stream digests ---------------------------------------------
 
-class TestBackendIdentity:
-    @settings(max_examples=15, deadline=None)
-    @given(spec=serving_specs(max_accesses=GEN_BLOCK + 100))
-    def test_python_mirror_matches_auto_backend(self, spec):
-        assert flat(spec, 997, backend="python") == flat(spec, 997)
+N = 2 * GEN_BLOCK + 100
 
-    def test_python_mirror_matches_at_serve_zipf_shape(self):
-        # Hypothesis draws keys <= 1024; this is the repository
-        # benchmark's key space, churn and flash phases.
-        n = 2 * GEN_BLOCK + 100
-        spec = ServingSpec(
-            keys=1 << 15, alpha=1.2, tenants=2, accesses=n,
-            churn_per_million=20_000,
-            phases=auto_flash_phases(n, 2, share=0.5, hot_keys=64),
-            seed=1,
-        )
-        assert flat(spec, 997, backend="python") == flat(spec, 997)
+#: spec -> sha256 (first 16 hex digits) of the stream's little-endian
+#: int64 bytes, fed in 997-access chunks.  A separate per-draw Python
+#: generator (``bisect_right`` over the CDF, per-event churn) produced
+#: the same five digests.
+PINNED_STREAMS = {
+    # Uniform CDF entries land exactly on guide-table bucket edges.
+    "bucket-edges": (
+        ServingSpec(keys=64, alpha=0.0, tenants=1, accesses=GEN_BLOCK + 100,
+                    seed=3),
+        "6cbda0596ede11cf",
+    ),
+    # Light churn: at most 16 events per block take the per-event loop.
+    "per-event-churn": (
+        ServingSpec(keys=1024, alpha=1.1, tenants=3, accesses=N,
+                    churn_per_million=1_000, seed=5),
+        "aded8547262f0421",
+    ),
+    "bulk-churn-flash": (
+        ServingSpec(keys=256, alpha=1.6, tenants=2, accesses=N,
+                    churn_per_million=200_000,
+                    phases=auto_flash_phases(N, 2, share=0.5, hot_keys=16),
+                    seed=7),
+        "fecfcfd109d6dc9e",
+    ),
+    "derived-seed": (
+        ServingSpec(keys=1024, alpha=1.2, tenants=2, accesses=N,
+                    churn_per_million=10_000, seed=None),
+        "069349c0118e8ec5",
+    ),
+    # The repository benchmark's key space, churn and flash phases: many
+    # guide buckets are split and fall back to the binary search.
+    "serve-zipf-shape": (
+        ServingSpec(keys=1 << 15, alpha=1.2, tenants=2, accesses=N,
+                    churn_per_million=20_000,
+                    phases=auto_flash_phases(N, 2, share=0.5, hot_keys=64),
+                    seed=1),
+        "3c7ad304f1f6c527",
+    ),
+}
+
+
+class TestStreamDigests:
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_stream_digest_pinned(self, name):
+        spec, digest = PINNED_STREAMS[name]
+        h = hashlib.sha256()
+        for chunk in ServingStream(spec).chunks(997):
+            h.update(chunk.astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 # -- exact guide-table rank lookup -------------------------------------
@@ -150,10 +185,8 @@ class TestRankLookup:
         (3000, 0.5),
     ])
     def test_ranks_match_bisect_at_bucket_edges(self, keys, alpha):
-        np = pytest.importorskip("numpy")
         stream = ServingStream(
-            ServingSpec(keys=keys, alpha=alpha, accesses=0, seed=0),
-            backend="numpy",
+            ServingSpec(keys=keys, alpha=alpha, accesses=0, seed=0)
         )
         assert stream._guide.nbytes <= 256 << 10
         bits = stream._guide.size.bit_length() - 1
@@ -247,17 +280,13 @@ class TestChurnPermanence:
         seed=seeds,
         tenants=st.integers(min_value=1, max_value=3),
         churn=st.sampled_from([50_000, 200_000, 500_000]),
-        backend=st.sampled_from(["auto", "python"]),
     )
-    def test_churned_out_keys_never_reappear(
-        self, seed, tenants, churn, backend
-    ):
+    def test_churned_out_keys_never_reappear(self, seed, tenants, churn):
         spec = ServingSpec(
             keys=128, alpha=1.1, tenants=tenants,
             accesses=5 * GEN_BLOCK, churn_per_million=churn, seed=seed,
         )
-        stream = ServingStream(spec, backend=backend,
-                               track_retired=True)
+        stream = ServingStream(spec, track_retired=True)
         for chunk in stream.chunks(GEN_BLOCK):
             # After a chunk is generated, ``retired_addresses`` holds
             # every retirement up to and including its blocks; none may

@@ -92,3 +92,46 @@ class TestPaperVectorsDocumented:
     def test_citation_file_has_doi(self):
         citation = _read("CITATION.cff")
         assert "10.1145/2540708.2540733" in citation
+
+
+class TestEnvironmentVariables:
+    """Every ``REPRO_*`` variable the docs name is read by the code."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+            os.path.join(".claude", "skills", "verify", "SKILL.md"))
+    CODE_DIRS = ("src", "scripts", "benchmarks")
+
+    def _documented(self):
+        docs_dir = os.path.join(REPO, "docs")
+        names = list(self.DOCS) + [
+            os.path.join("docs", name) for name in sorted(os.listdir(docs_dir))
+            if name.endswith(".md")
+        ]
+        found = {}
+        for name in names:
+            if not os.path.exists(os.path.join(REPO, name)):
+                continue
+            for var in re.findall(r"\bREPRO_[A-Z_]+\b", _read(name)):
+                found.setdefault(var, name)
+        return found
+
+    def _read_by_code(self):
+        # A variable counts as read where it appears as a string literal.
+        literal = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
+        seen = set()
+        for top in self.CODE_DIRS:
+            for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+                for name in files:
+                    if name.endswith(".py"):
+                        with open(os.path.join(root, name)) as handle:
+                            seen.update(literal.findall(handle.read()))
+        return seen
+
+    def test_documented_variables_are_read(self):
+        documented = self._documented()
+        assert documented, "the docs no longer name any REPRO_* variable"
+        stale = {
+            var: doc for var, doc in documented.items()
+            if var not in self._read_by_code()
+        }
+        assert not stale, f"documented but read by no code: {stale}"

@@ -83,7 +83,6 @@ class TestShardingBitIdentity:
 
     @pytest.mark.parametrize("cell", serving_golden_matrix()[:4])
     def test_sharded_columnar_equals_scalar_reference(self, cell):
-        pytest.importorskip("numpy")
         reference = compute_serving_golden(cell, engine="scalar", shards=1)
         sharded = compute_serving_golden(
             cell, engine="columnar", shards=SERVING_GOLDEN_SHARDS
