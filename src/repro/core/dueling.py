@@ -289,7 +289,7 @@ class BracketSelector:
 def make_selector(
     num_sets: int,
     num_policies: int,
-    leaders_per_policy: int = 32,
+    leaders_per_policy: Optional[int] = None,
     counter_bits: int = 11,
     seed: int = 0xDEAD,
 ):
@@ -298,7 +298,8 @@ def make_selector(
     For a single policy a trivial constant selector is returned so that
     static GIPPR and dynamic DGIPPR share one code path.  Two and four
     policies use the paper's exact schemes; larger powers of two use the
-    generalized bracket (ablation only).
+    generalized bracket (ablation only).  ``leaders_per_policy=None``
+    takes :func:`default_leaders_per_policy`, as every selector does.
     """
     if num_policies == 1:
         return _ConstantSelector()

@@ -9,7 +9,9 @@ transition tables of :mod:`repro.kernels`.
 :class:`ScalarStreamSimulator`: one lane fed in batches (a one-shot run
 is a single ``feed``), with the inlined bit-walk as the reference and the
 path for associativities without tables.  Its miss counts match the
-columnar ``feed`` stream bit-for-bit.
+columnar ``feed`` stream bit-for-bit.  The same module holds the
+true-LRU-stack loop and the three-pass set-dueling run that
+:func:`repro.eval.runner.run_trace` uses for whole-trace cells.
 """
 
 from .columnar import (

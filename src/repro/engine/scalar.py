@@ -4,7 +4,8 @@
 GA's one-shot :func:`repro.ga.fitness.simulate_misses_plru_ipv` is a
 single :meth:`~ScalarStreamSimulator.feed` over the whole trace, and the
 serving front-end (:mod:`repro.serve`) feeds bounded batches forever,
-carrying the cache state across them.
+carrying the cache state across them.  :func:`simulate_duel` runs a
+whole set-dueling (DGIPPR) trace on the same loop in three passes.
 
 Per access it performs exactly the transitions of ``kernel="lut"``
 (table lookups through :func:`repro.kernels.tables.resolve_kernel`) or,
@@ -13,16 +14,110 @@ inlined Figure 5/7/9 bit-walk reference.  Miss counts and miss indices
 are bit-identical between the two and to the columnar ``feed`` stream
 over the same concatenated accesses — pinned by
 ``tests/engine/test_streaming_feed.py`` and the conformance cells.
+
+:func:`simulate_misses_lru_ipv` is the true-LRU-stack counterpart (the
+GA's LRU baselines and ``repro compare``'s LRU cells).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.plru import is_power_of_two
 from ..kernels.tables import resolve_kernel
 
-__all__ = ["ScalarStreamSimulator"]
+__all__ = [
+    "ScalarStreamSimulator",
+    "duel_selections",
+    "simulate_duel",
+    "simulate_misses_lru_ipv",
+]
+
+
+def _validate_ipv_entries(entries: Sequence[int], assoc: int) -> None:
+    """Reject malformed IPVs up front: silent mis-simulation is worse than
+    a :class:`ValueError` (an out-of-range ``V[i]`` used to corrupt the
+    recency state without any diagnostic)."""
+    if len(entries) != assoc + 1:
+        raise ValueError(
+            f"IPV for a {assoc}-way set needs {assoc + 1} entries, "
+            f"got {len(entries)}"
+        )
+    for i, e in enumerate(entries):
+        if not 0 <= e < assoc:
+            raise ValueError(
+                f"IPV entry V[{i}]={e} out of range 0..{assoc - 1}"
+            )
+
+
+def _validate_window(addresses: Sequence[int], warmup: int) -> None:
+    """Reject degenerate measurement windows.
+
+    ``warmup >= len(addresses)`` used to yield a silently empty measured
+    window: every simulator returned 0 misses, so fitness compared 0-vs-0
+    cycles and ranked all IPVs equal without any diagnostic.  Raise
+    instead — a caller who wants a pure-warmup run is holding a config
+    bug, not a result.
+    """
+    if warmup < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup}")
+    if warmup >= len(addresses):
+        raise ValueError(
+            f"warmup ({warmup}) consumes the whole trace "
+            f"({len(addresses)} accesses): the measured window is empty"
+        )
+
+
+def simulate_misses_lru_ipv(
+    addresses: Sequence[int],
+    num_sets: int,
+    assoc: int,
+    entries: Sequence[int],
+    warmup: int,
+    miss_indices: Optional[List[int]] = None,
+) -> int:
+    """Misses in the measured window for an IPV on true-LRU stacks.
+
+    Each set's recency stack is a list of block addresses, MRU first.
+    Returns misses at indices >= ``warmup``; when ``miss_indices`` is given,
+    the access index of every measured miss is appended to it (for
+    MLP-aware fitness).  With the LRU vector this is exactly
+    :class:`~repro.policies.lru.TrueLRUPolicy`; other vectors may differ
+    from it while sets fill, because the stacks hold no invalid ways.
+    """
+    _validate_ipv_entries(entries, assoc)
+    _validate_window(addresses, warmup)
+    promo = list(entries[:assoc])
+    insert = entries[assoc]
+    mask = num_sets - 1
+    stacks: List[List[int]] = [[] for _ in range(num_sets)]
+    misses = 0
+    for i, addr in enumerate(addresses):
+        stack = stacks[addr & mask]
+        # Membership first: about half of a typical trace misses, and a
+        # failed ``index`` would raise once per miss.
+        if addr in stack:
+            pos = stack.index(addr)
+            new = promo[pos]
+            if new >= len(stack):
+                new = len(stack) - 1
+        else:
+            if i >= warmup:
+                misses += 1
+                if miss_indices is not None:
+                    miss_indices.append(i)
+            if len(stack) >= assoc:
+                stack.pop()  # evict LRU
+            # Incoming block conceptually lands at LRU then moves to V[k].
+            stack.append(addr)
+            pos = len(stack) - 1
+            new = insert if insert < len(stack) else len(stack) - 1
+        if new != pos:
+            del stack[pos]
+            stack.insert(new, addr)
+    return misses
 
 
 class ScalarStreamSimulator:
@@ -55,12 +150,29 @@ class ScalarStreamSimulator:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.entries = tuple(int(e) for e in entries)
         self.warmup = warmup
-        # Raises ValueError for a malformed IPV in every kernel mode.
-        self._lut = resolve_kernel(kernel, assoc, self.entries)
+        self.kernel = kernel
+        self._vectors: Dict[tuple, tuple] = {}
+        self.set_entries(entries)
         self.kernel = "walk" if self._lut is None else "lut"
         self.reset()
+
+    def set_entries(self, entries: Sequence[int]) -> None:
+        """Run later feeds under the IPV ``entries``, in the same kernel
+        mode; cache state and stream position carry over.
+
+        Every vector's tables share ``victim`` and ``pos``, so a
+        set-dueling follower stream can change vectors between feeds;
+        each vector is resolved once per simulator.
+        """
+        key = tuple(entries)
+        vector = self._vectors.get(key)
+        if vector is None:
+            normalized = tuple(int(e) for e in key)
+            # Raises ValueError for a malformed IPV in every kernel mode.
+            lut = resolve_kernel(self.kernel, self.assoc, normalized)
+            vector = self._vectors[key] = (normalized, lut)
+        self.entries, self._lut = vector
 
     def reset(self) -> "ScalarStreamSimulator":
         """Return to cold state and stream position 0."""
@@ -231,3 +343,95 @@ class ScalarStreamSimulator:
             "evictions": self.evictions,
             "measured_misses": self.measured_misses,
         }
+
+
+def duel_selections(
+    selector, miss_sets: Sequence[int], miss_indices: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Replay leader-set misses through a set-dueling ``selector``.
+
+    ``miss_sets``/``miss_indices`` are every leader-set miss of a run,
+    warmup included, in access order.  Returns ``(starts, picks)``: the
+    follower sets run vector ``picks[j]`` from access ``starts[j]`` on,
+    where ``starts[0] == 0``.  A miss at access ``i`` moves the selector
+    before any later access, so its new pick starts at ``i + 1``.
+    ``selector`` ends in the state the per-access run leaves it in.
+    """
+    record, selected = selector.record_miss, selector.selected
+    current = selected()
+    starts, picks = [0], [current]
+    for set_index, i in zip(miss_sets, miss_indices):
+        record(set_index)
+        pick = selected()
+        if pick != current:
+            current = pick
+            starts.append(i + 1)
+            picks.append(pick)
+    return starts, picks
+
+
+def simulate_duel(
+    addresses: Sequence[int],
+    num_sets: int,
+    assoc: int,
+    vectors: Sequence[Sequence[int]],
+    selector,
+    warmup: int,
+    kernel: str = "auto",
+    miss_indices: Optional[List[int]] = None,
+) -> int:
+    """Measured misses of a set-dueling run over ``vectors`` (DGIPPR).
+
+    ``selector`` (:func:`repro.core.dueling.make_selector`) names the
+    leader sets and advances exactly as in the per-access run.  Leader sets
+    always run their own vector and PSEL moves only on leader-set misses,
+    so the run splits exactly into three passes on the scalar loop:
+
+    1. each leader group runs its own vector; all its misses, warmup
+       included, are kept;
+    2. :func:`duel_selections` replays them in access order, giving the
+       followers' vector as a step function of the access index;
+    3. the follower accesses run as one stream whose vector switches
+       between feeds at the steps.
+
+    ``miss_indices``, when given, collects the access index of every
+    measured miss in access order.
+    """
+    addresses = np.asarray(addresses, dtype=np.int64)
+    mask = num_sets - 1
+    roles = np.array(
+        [selector.leader_policy(s) for s in range(num_sets)], dtype=np.int64
+    )[addresses & mask]
+    found = [np.empty(0, dtype=np.int64)]
+    for policy, entries in enumerate(vectors):
+        group = np.flatnonzero(roles == policy)
+        if len(group):
+            local: List[int] = []
+            ScalarStreamSimulator(
+                num_sets, assoc, entries, kernel=kernel
+            ).feed(addresses[group], local)
+            found.append(group[local])
+    leader_misses = np.sort(np.concatenate(found))
+    starts, picks = duel_selections(
+        selector,
+        (addresses[leader_misses] & mask).tolist(),
+        leader_misses.tolist(),
+    )
+
+    followers = np.flatnonzero(roles < 0)
+    bounds = np.searchsorted(followers, starts).tolist() + [len(followers)]
+    simulator = ScalarStreamSimulator(
+        num_sets, assoc, vectors[picks[0]],
+        warmup=int(np.searchsorted(followers, warmup)), kernel=kernel,
+    )
+    follower_misses = [] if miss_indices is not None else None
+    for pick, lo, hi in zip(picks, bounds, bounds[1:]):
+        if lo < hi:
+            simulator.set_entries(vectors[pick])
+            simulator.feed(addresses[followers[lo:hi]], follower_misses)
+    measured_leaders = leader_misses[np.searchsorted(leader_misses, warmup):]
+    if miss_indices is not None:
+        merged = np.concatenate((measured_leaders, followers[follower_misses]))
+        merged.sort()
+        miss_indices.extend(merged.tolist())
+    return simulator.measured_misses + len(measured_leaders)

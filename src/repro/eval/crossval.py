@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.ipv import IPV, lru_ipv
+from ..engine.scalar import simulate_misses_lru_ipv
 from ..workloads.spec import SPEC_BENCHMARKS, benchmark_names
 from .config import ExperimentConfig, default_config
 
@@ -38,8 +39,6 @@ def lru_miss_rates(
     benchmarks: Sequence[str], config: ExperimentConfig
 ) -> Dict[str, float]:
     """Measured-window LRU miss rate per benchmark (weighted by simpoint)."""
-    from ..ga.fitness import simulate_misses_lru_ipv
-
     baseline = tuple(lru_ipv(config.assoc).entries)
     rates: Dict[str, float] = {}
     for name in benchmarks:

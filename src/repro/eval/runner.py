@@ -12,7 +12,15 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from ..cache.cache import SetAssociativeCache
+from ..core.plru import is_power_of_two
+from ..engine.scalar import (
+    ScalarStreamSimulator,
+    simulate_duel,
+    simulate_misses_lru_ipv,
+)
 from ..policies.base import ReplacementPolicy
+from ..policies.lru import TrueLRUPolicy
+from ..policies.plru import DGIPPRPolicy, GIPPRPolicy, TreePLRUPolicy
 from ..policies.registry import make_policy
 from ..trace.record import Trace, annotate_next_use
 from ..workloads.spec import SpecBenchmark
@@ -102,6 +110,77 @@ class BenchmarkResult:
         )
 
 
+def _lru_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+    if not len(addresses):
+        return 0  # the loop rejects an empty measured window
+    return simulate_misses_lru_ipv(
+        addresses.tolist(), num_sets, assoc, policy.ipv.entries, warmup,
+        miss_indices,
+    )
+
+
+def _plru_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+    ipv = getattr(policy, "ipv", None)
+    # Classic tree PLRU (no ``ipv``) is the all-zeros vector.
+    entries = ipv.entries if ipv is not None else (0,) * (assoc + 1)
+    return ScalarStreamSimulator(
+        num_sets, assoc, entries, warmup, kernel=policy.kernel_mode
+    ).feed(addresses, miss_indices)
+
+
+def _duel_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+    return simulate_duel(
+        addresses, num_sets, assoc, [ipv.entries for ipv in policy.ipvs],
+        policy.selector, warmup, policy.kernel_mode, miss_indices,
+    )
+
+
+#: Whole-trace engines by exact policy type (subclasses change behaviour).
+_ENGINES = {
+    TrueLRUPolicy: _lru_engine,
+    TreePLRUPolicy: _plru_engine,
+    GIPPRPolicy: _plru_engine,
+    DGIPPRPolicy: _duel_engine,
+}
+
+
+def _per_access(policy, trace, config, warmup, miss_indices, tracer):
+    """Drive ``trace`` through a fresh cache; the measured window's stats."""
+    cache = SetAssociativeCache(
+        config.num_sets, config.assoc, policy, block_size=1, name=trace.name
+    )
+    access = cache.access
+    needs_future = getattr(policy, "requires_future", False)
+    next_use = annotate_next_use(trace) if needs_future else None
+
+    # One pass over the (address, pc) pairs: the first ``warmup`` warm the
+    # cache, the rest are measured.
+    stream = zip(trace.address_list(), trace.pc_list())
+    if needs_future:
+        for i, (address, pc) in enumerate(islice(stream, warmup)):
+            access(address, pc, next_use=next_use[i])
+    else:
+        for address, pc in islice(stream, warmup):
+            access(address, pc)
+    cache.reset_stats()
+    if tracer is not None:
+        cache.attach_tracer(tracer)
+
+    if needs_future:
+        for i, (address, pc) in enumerate(stream, warmup):
+            hit = access(address, pc, next_use=next_use[i])
+            if not hit and miss_indices is not None:
+                miss_indices.append(i)
+    elif miss_indices is not None:
+        for i, (address, pc) in enumerate(stream, warmup):
+            if not access(address, pc):
+                miss_indices.append(i)
+    else:
+        for address, pc in stream:
+            access(address, pc)
+    return cache.stats
+
+
 def run_trace(
     policy: ReplacementPolicy,
     trace: Trace,
@@ -126,34 +205,50 @@ def run_trace(
     :meth:`~repro.cache.stats.CacheStats.snapshot` of the measured window
     (hits, evictions, writebacks, ... — more than :class:`RunResult`
     carries), which is what the trace-replay verification compares against.
-    """
-    cache = SetAssociativeCache(
-        config.num_sets, config.assoc, policy, block_size=1, name=trace.name
-    )
-    addresses = trace.address_list()
-    pcs = trace.pc_list()
-    warmup = int(len(addresses) * config.warmup_fraction)
-    access = cache.access
-    needs_future = getattr(policy, "requires_future", False)
-    next_use = annotate_next_use(trace) if needs_future else None
 
-    # One pass over the (address, pc) pairs: the first ``warmup`` warm the
-    # cache, the rest are measured.
-    stream = zip(addresses, pcs)
-    if needs_future:
-        for i, (address, pc) in enumerate(islice(stream, warmup)):
-            access(address, pc, next_use=next_use[i])
+    Without ``tracer`` and ``stats_sink``, a policy whose exact type is
+    :class:`~repro.policies.lru.TrueLRUPolicy`,
+    :class:`~repro.policies.plru.TreePLRUPolicy`,
+    :class:`~repro.policies.plru.GIPPRPolicy` or
+    :class:`~repro.policies.plru.DGIPPRPolicy` runs on a whole-trace engine
+    of :mod:`repro.engine.scalar` with the same result.  The engine uses
+    the policy as a description: it does not advance the policy's per-set
+    state, but it does advance a DGIPPR policy's ``selector`` exactly as
+    the per-access run would.  Every other policy, and any run with a
+    ``tracer`` or ``stats_sink``, goes through
+    :meth:`~repro.cache.cache.SetAssociativeCache.access` one access at a
+    time (``stats_sink={}`` therefore forces that path).
+    """
+    n = len(trace)
+    warmup = int(n * config.warmup_fraction)
+    miss_indices: Optional[List[int]] = [] if collect_miss_positions else None
+    engine = None
+    if (
+        tracer is None
+        and stats_sink is None
+        and policy.num_sets == config.num_sets
+        and policy.assoc == config.assoc
+        and is_power_of_two(config.num_sets)
+    ):
+        # (A geometry mismatch takes the per-access path, whose cache
+        # raises the error.)
+        engine = _ENGINES.get(type(policy))
+    if engine is not None:
+        accesses = n - warmup
+        misses = engine(
+            policy, trace.addresses, config.num_sets, config.assoc, warmup,
+            miss_indices,
+        )
     else:
-        for address, pc in islice(stream, warmup):
-            access(address, pc)
-    cache.reset_stats()
-    if tracer is not None:
-        cache.attach_tracer(tracer)
+        stats = _per_access(
+            policy, trace, config, warmup, miss_indices, tracer
+        )
+        accesses, misses = stats.accesses, stats.misses
 
     # Real instruction positions when the trace is annotated (see
     # repro.trace.assign_instruction_positions); uniform spacing otherwise.
     positions = trace.position_list()
-    if positions is not None and warmup < len(addresses):
+    if positions is not None and warmup < n:
         # The measured window starts at the instruction position of the
         # first measured access and runs to the end of the trace.  Using
         # the uniform estimate here would make the MPKI denominator
@@ -164,36 +259,24 @@ def run_trace(
         measured_instructions = max(
             1, int(trace.instructions * (1.0 - config.warmup_fraction))
         )
-    instructions_per_access = trace.instructions / max(1, len(addresses))
-    miss_positions: Optional[List[int]] = [] if collect_miss_positions else None
-
-    def position_of(i: int) -> int:
+    miss_positions: Optional[List[int]] = None
+    if miss_indices is not None:
         if positions is not None:
-            return positions[i]
-        return int(i * instructions_per_access)
+            miss_positions = [positions[i] for i in miss_indices]
+        else:
+            instructions_per_access = trace.instructions / max(1, n)
+            miss_positions = [
+                int(i * instructions_per_access) for i in miss_indices
+            ]
 
-    if needs_future:
-        for i, (address, pc) in enumerate(stream, warmup):
-            hit = access(address, pc, next_use=next_use[i])
-            if not hit and miss_positions is not None:
-                miss_positions.append(position_of(i))
-    elif miss_positions is not None:
-        for i, (address, pc) in enumerate(stream, warmup):
-            if not access(address, pc):
-                miss_positions.append(position_of(i))
-    else:
-        for address, pc in stream:
-            access(address, pc)
-
-    stats = cache.stats
     if stats_sink is not None:
         stats.instructions = measured_instructions
         stats_sink.update(stats.snapshot())
     return RunResult(
         trace.name,
         policy.name,
-        accesses=stats.accesses,
-        misses=stats.misses,
+        accesses=accesses,
+        misses=misses,
         instructions=measured_instructions,
         miss_positions=miss_positions,
     )

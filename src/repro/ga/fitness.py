@@ -6,7 +6,8 @@ function of miss count — exactly the paper's simplified fitness, which it
 notes runs in minutes where a performance simulation takes hours.
 
 The evaluator uses two specialised simulators (true-LRU-IPV and
-PLRU-IPV) that skip the general cache machinery: the GA calls them millions
+PLRU-IPV, both in :mod:`repro.engine.scalar`; the LRU one is re-exported
+here) that skip the general cache machinery: the GA calls them millions
 of times, so the hot loops run on plain lists and ints.  The PLRU simulator
 is one ``feed`` of :class:`~repro.engine.scalar.ScalarStreamSimulator`,
 which steps the precompiled transition tables of :mod:`repro.kernels`
@@ -35,7 +36,12 @@ from ..engine.columnar import (
     columnar_supported,
     simulate_misses_plru_columnar,
 )
-from ..engine.scalar import ScalarStreamSimulator
+from ..engine.scalar import (
+    ScalarStreamSimulator,
+    _validate_ipv_entries,
+    _validate_window,
+    simulate_misses_lru_ipv,
+)
 from ..eval.config import ExperimentConfig, default_config
 from ..kernels import record_kernel_call
 from ..timing import LinearCPIModel
@@ -49,87 +55,6 @@ __all__ = [
     "columnar_memo_stats",
     "publish_columnar_memo_gauges",
 ]
-
-
-def _validate_ipv_entries(entries: Sequence[int], assoc: int) -> None:
-    """Reject malformed IPVs up front: silent mis-simulation is worse than
-    a :class:`ValueError` (an out-of-range ``V[i]`` used to corrupt the
-    recency state without any diagnostic)."""
-    if len(entries) != assoc + 1:
-        raise ValueError(
-            f"IPV for a {assoc}-way set needs {assoc + 1} entries, "
-            f"got {len(entries)}"
-        )
-    for i, e in enumerate(entries):
-        if not 0 <= e < assoc:
-            raise ValueError(
-                f"IPV entry V[{i}]={e} out of range 0..{assoc - 1}"
-            )
-
-
-def _validate_window(addresses: Sequence[int], warmup: int) -> None:
-    """Reject degenerate measurement windows.
-
-    ``warmup >= len(addresses)`` used to yield a silently empty measured
-    window: every simulator returned 0 misses, so fitness compared 0-vs-0
-    cycles and ranked all IPVs equal without any diagnostic.  Raise
-    instead — a caller who wants a pure-warmup run is holding a config
-    bug, not a result.
-    """
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup}")
-    if warmup >= len(addresses):
-        raise ValueError(
-            f"warmup ({warmup}) consumes the whole trace "
-            f"({len(addresses)} accesses): the measured window is empty"
-        )
-
-
-def simulate_misses_lru_ipv(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    entries: Sequence[int],
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """Misses in the measured window for an IPV on true-LRU stacks.
-
-    Each set's recency stack is a list of block addresses, MRU first.
-    Returns misses at indices >= ``warmup``; when ``miss_indices`` is given,
-    the access index of every measured miss is appended to it (for
-    MLP-aware fitness).
-    """
-    _validate_ipv_entries(entries, assoc)
-    _validate_window(addresses, warmup)
-    promo = list(entries[:assoc])
-    insert = entries[assoc]
-    mask = num_sets - 1
-    stacks: List[List[int]] = [[] for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        stack = stacks[addr & mask]
-        try:
-            pos = stack.index(addr)
-        except ValueError:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            if len(stack) >= assoc:
-                stack.pop()  # evict LRU
-            # Incoming block conceptually lands at LRU then moves to V[k].
-            stack.append(addr)
-            pos = len(stack) - 1
-            new = insert if insert < len(stack) else len(stack) - 1
-        else:
-            new = promo[pos]
-            if new >= len(stack):
-                new = len(stack) - 1
-        if new != pos:
-            del stack[pos]
-            stack.insert(new, addr)
-    return misses
 
 
 def simulate_misses_plru_ipv(

@@ -13,7 +13,8 @@ This module knows, for every policy in :mod:`repro.policies.registry`:
 :func:`verify_policy` fuzzes one policy across the deterministic stream
 family (:mod:`repro.verify.streams`) over several seeds and geometries,
 checking the oracle differential, the per-access invariant battery, the
-LUT-vs-walk kernel identity and Belady dominance; any failure is shrunk
+LUT-vs-walk kernel identity, ``run_trace``'s engine-vs-per-access
+identity and Belady dominance; any failure is shrunk
 (:mod:`repro.verify.shrink`) and written as a replayable artifact.
 :func:`verify_all` aggregates every policy plus the golden-corpus drift
 check (:mod:`repro.verify.goldens`) and records a provenance manifest via
@@ -43,6 +44,7 @@ from .differential import (
     check_belady_dominance,
     check_columnar_equality,
     check_duel_columnar_equality,
+    check_engine_equality,
     check_lut_walk_equality,
     diff_stream,
 )
@@ -80,6 +82,15 @@ _DOMINANCE_STREAMS = ("cyclic-over-capacity", "zipf-hot")
 
 #: Policies whose production path can run on the precompiled LUT kernels.
 _KERNEL_POLICIES = frozenset({"plru", "gippr", "dgippr"})
+
+#: Policies ``run_trace`` runs on a whole-trace engine.
+_ENGINE_POLICIES = frozenset({"lru", "plru", "gippr", "dgippr"})
+
+#: Cells of the engine check: the kernel cells, plus a 16-set cell where
+#: the 4-vector duel has follower sets (at 4 x 16 every set leads).
+_ENGINE_GEOMETRIES: Tuple[Tuple[int, int], ...] = (
+    DEFAULT_GEOMETRIES[0], KERNEL_GEOMETRY, (16, 16),
+)
 
 #: Policies that may bypass (Belady dominance does not apply to them).
 _BYPASSING = frozenset({"bypass-dgippr"})
@@ -429,6 +440,25 @@ def verify_policy(
             if columnar_mismatch is not None:
                 report.lut_walk_failures.append(
                     f"{num_sets}x{assoc}: columnar: {columnar_mismatch}"
+                )
+
+    # Run-level: run_trace's whole-trace engine against the per-access
+    # path (reported into the same bucket, prefixed).
+    if name in _ENGINE_POLICIES and (not report.divergences or not fail_fast):
+        for num_sets, assoc in _ENGINE_GEOMETRIES:
+            kwargs = policy_kwargs(name, num_sets, assoc)
+            accesses = generate_stream(
+                "random-uniform", seeds[0], max(512, n_per_cell),
+                num_sets, assoc,
+            )
+
+            def engine_factory():
+                return build_policy(name, num_sets, assoc, kwargs)
+
+            mismatch = check_engine_equality(engine_factory, accesses)
+            if mismatch is not None:
+                report.lut_walk_failures.append(
+                    f"{num_sets}x{assoc}: engine: {mismatch}"
                 )
 
     # Run-level: Belady dominance (demand-fetch, non-bypassing policies).

@@ -15,11 +15,15 @@ context to re-run and shrink.  Per-access invariants from
 :mod:`repro.verify.invariants` ride along on the production side so state
 corruption is caught even for policies without an oracle.
 
-Two run-level checks complete the battery:
+Run-level checks complete the battery:
 
 * :func:`check_lut_walk_equality` — the precompiled transition-table
   kernels must be bit-identical to the reference bit-walks (same misses,
-  hits, evictions *and* final per-set state digests), and
+  hits, evictions *and* final per-set state digests),
+* :func:`check_columnar_equality` / :func:`check_duel_columnar_equality`
+  — the columnar engine against the scalar kernels,
+* :func:`check_engine_equality` — ``run_trace``'s whole-trace engine
+  against its per-access path, and
 * :func:`check_belady_dominance` — Belady's MIN never misses more than a
   practical (non-bypassing) policy on a next-use-annotated stream.
 """
@@ -40,6 +44,7 @@ __all__ = [
     "check_lut_walk_equality",
     "check_columnar_equality",
     "check_duel_columnar_equality",
+    "check_engine_equality",
     "check_belady_dominance",
 ]
 
@@ -358,6 +363,69 @@ def check_duel_columnar_equality(
             return (
                 f"duel columnar final positions mismatch in set {s}: "
                 f"{got} != {want}"
+            )
+    return None
+
+
+def _selector_counters(selector) -> tuple:
+    """Every counter value of a set-dueling selector, plus its pick."""
+    counters = [
+        getattr(selector, name).value
+        for name in ("psel", "pair01", "pair23", "meta")
+        if hasattr(selector, name)
+    ]
+    for level in getattr(selector, "levels", ()):
+        counters.extend(c.value for c in level)
+    return tuple(counters), selector.selected()
+
+
+def check_engine_equality(
+    policy_factory: Callable[[], ReplacementPolicy],
+    accesses: Sequence[int],
+) -> Optional[str]:
+    """Bit-identity of ``run_trace``'s whole-trace engine against the
+    per-access path.
+
+    Runs ``accesses`` through :func:`repro.eval.runner.run_trace` twice on
+    fresh policies, with the first quarter as warmup: as is (LRU,
+    tree-PLRU, GIPPR and DGIPPR take an engine of
+    :mod:`repro.engine.scalar`) and with ``stats_sink={}``, which forces
+    :meth:`~repro.cache.cache.SetAssociativeCache.access`.  Compares
+    measured accesses, misses, instructions, miss positions and, for a
+    set-dueling policy, every selector counter.  Returns a mismatch
+    description or ``None``.
+    """
+    from ..eval.config import ExperimentConfig
+    from ..eval.runner import run_trace
+    from ..trace.record import Trace
+
+    engine_policy, reference_policy = policy_factory(), policy_factory()
+    config = ExperimentConfig(
+        num_sets=engine_policy.num_sets,
+        assoc=engine_policy.assoc,
+        warmup_fraction=0.25,
+        apply_env_scale=False,
+    )
+    trace = Trace(list(accesses), name="engine-check")
+    engine = run_trace(engine_policy, trace, config, True)
+    reference = run_trace(reference_policy, trace, config, True, stats_sink={})
+    for field in ("accesses", "misses", "instructions", "miss_positions"):
+        got, want = getattr(engine, field), getattr(reference, field)
+        if got != want:
+            if field == "miss_positions":
+                got, want = len(got), len(want)  # keep the message short
+            return (
+                f"engine-vs-per-access {field} mismatch: "
+                f"{got!r} != {want!r}"
+            )
+    selector = getattr(engine_policy, "selector", None)
+    if selector is not None:
+        got = _selector_counters(selector)
+        want = _selector_counters(reference_policy.selector)
+        if got != want:
+            return (
+                f"engine-vs-per-access selector mismatch: "
+                f"{got!r} != {want!r}"
             )
     return None
 

@@ -257,3 +257,25 @@ class TestMakeSelector:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             make_selector(512, 6)
+
+    @pytest.mark.parametrize("num_sets", [1, 2, 8, 64, 512, 4096])
+    @pytest.mark.parametrize("num_policies", [2, 4, 8])
+    def test_default_leaders_match_selector_default(
+        self, num_sets, num_policies
+    ):
+        """Without a leader count, make_selector assigns the same leaders
+        as the selector classes (and DGIPPRPolicy) do by default."""
+        if num_policies == 2:
+            direct = DuelSelector(num_sets)
+        elif num_policies == 4:
+            direct = TournamentSelector(num_sets)
+        else:
+            direct = BracketSelector(num_sets, num_policies)
+        assert make_selector(num_sets, num_policies).leaders == direct.leaders
+
+    def test_default_keeps_followers(self):
+        leaders = make_selector(64, 4).leaders
+        assert sum(p >= 0 for p in leaders) == 4 * default_leaders_per_policy(
+            64, 4
+        ) == 8
+        assert leaders.count(-1) == 56

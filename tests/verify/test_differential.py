@@ -19,6 +19,7 @@ from repro.verify.conformance import (
 )
 from repro.verify.differential import (
     check_belady_dominance,
+    check_engine_equality,
     check_lut_walk_equality,
     diff_stream,
 )
@@ -210,6 +211,32 @@ class TestRunLevelChecks:
             accesses,
         )
         assert mismatch is None
+
+    @pytest.mark.parametrize("name", ["lru", "plru", "gippr", "dgippr"])
+    @pytest.mark.parametrize("geometry", [(8, 4), (4, 16), (16, 16)])
+    def test_engine_identity(self, name, geometry):
+        num_sets, assoc = geometry
+        kwargs = policy_kwargs(name, num_sets, assoc)
+        accesses = generate_stream("random-uniform", 0, 1500, num_sets, assoc)
+        mismatch = check_engine_equality(
+            lambda: build_policy(name, num_sets, assoc, kwargs), accesses
+        )
+        assert mismatch is None
+
+    def test_engine_identity_catches_a_broken_duel(self, monkeypatch):
+        """A duel engine whose followers never switch vectors is caught."""
+        from repro.engine import scalar
+
+        monkeypatch.setattr(
+            scalar, "duel_selections",
+            lambda selector, sets, indices: ([0], [selector.selected()]),
+        )
+        kwargs = policy_kwargs("dgippr", 16, 16)
+        accesses = generate_stream("random-uniform", 0, 1500, 16, 16)
+        mismatch = check_engine_equality(
+            lambda: build_policy("dgippr", 16, 16, kwargs), accesses
+        )
+        assert mismatch is not None and "engine-vs-per-access" in mismatch
 
     @pytest.mark.parametrize("name", ["lru", "plru", "srrip", "random"])
     def test_belady_dominates(self, name):
