@@ -17,13 +17,11 @@ Exercises ``repro.obs.analytics`` end to end and asserts:
    :func:`repro.obs.analytics.reconcile_with_stats`), miss counts are
    unchanged by enabling counters, and ``measured_misses`` carries the
    warmup-filtered view;
-4. :class:`DuelBatchSimulator` counters reconcile with the scalar
-   ``DGIPPRPolicy`` set-dueling oracle, including the final PSEL value;
-5. the counter flush surfaces work: gauges/histograms round-trip
+4. the counter flush surfaces work: gauges/histograms round-trip
    through the Prometheus exporter, the manifest block carries its
    schema, and sampled miss events validate against the tracer's
    ``EVENT_SCHEMA``;
-6. the **counters-enabled overhead budget** holds: ``counters=True``
+5. the **counters-enabled overhead budget** holds: ``counters=True``
    costs at most 5 % over a plain columnar run (min-of-N interleaved
    timing via :func:`repro.obs.overhead.measure_counters_overhead`).
 
@@ -100,7 +98,7 @@ def check_profile_matches_oracle(label, addresses, num_sets, max_distance=64):
 def columnar_checks():
     from repro.cache import SetAssociativeCache
     from repro.core.ipv import IPV, lip_ipv, lru_ipv
-    from repro.engine.columnar import BatchSimulator, DuelBatchSimulator
+    from repro.engine.columnar import BatchSimulator
     from repro.obs.analytics import (
         publish_batch_counters,
         reconcile_with_stats,
@@ -110,7 +108,7 @@ def columnar_checks():
         sampled_miss_events,
     )
     from repro.obs.metrics import MetricsRegistry, parse_prometheus
-    from repro.policies import DGIPPRPolicy, GIPPRPolicy
+    from repro.policies import GIPPRPolicy
 
     rng = random.Random(11)
     stream = make_stream(8_000, NUM_SETS, ASSOC, seed=11)
@@ -160,29 +158,7 @@ def columnar_checks():
     print("warmup view OK          [whole-stream totals invariant, "
           "measured_misses filtered]")
 
-    # 4. Duel counters reconcile with the scalar DGIPPR oracle.
-    pairs = [(lanes[0], lanes[1]), (lanes[1], lanes[2])]
-    duel = DuelBatchSimulator(NUM_SETS, ASSOC, pairs)
-    duel_misses = duel.run(stream, counters=True)
-    duel_counters = duel.counters
-    for lane, (a, b) in enumerate(pairs):
-        policy = DGIPPRPolicy(
-            NUM_SETS, ASSOC,
-            ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-            kernel="walk",
-        )
-        cache = SetAssociativeCache(NUM_SETS, ASSOC, policy, block_size=1)
-        for address in stream:
-            cache.access(address)
-        reconcile_with_stats(duel_counters, lane, cache.stats)
-        assert int(duel.psel[lane]) == policy.selector.psel.value, (
-            f"duel lane {lane}: PSEL diverges from scalar policy"
-        )
-        assert int(duel_misses[lane]) == cache.stats.misses
-    print(f"duel counters OK        [{len(pairs)} lanes reconcile, "
-          "PSEL exact]")
-
-    # 5. Flush surfaces: registry, manifest block, sampled events.
+    # 4. Flush surfaces: registry, manifest block, sampled events.
     registry = MetricsRegistry()
     publish_batch_counters(counters, registry)
     publish_batch_counters(counters, registry)  # republish must not drift
@@ -212,7 +188,7 @@ def columnar_checks():
     print(f"flush OK                [{len(parsed)} samples, "
           f"{len(events)} sampled events validate]")
 
-    # 6. Counters overhead budget.  The ratio's floor is the true cost;
+    # 5. Counters overhead budget.  The ratio's floor is the true cost;
     # noisy-box spikes only ever push it up, so best-of-3 measurement
     # batches gates on the floor without loosening the budget.
     from repro.obs.overhead import measure_counters_overhead

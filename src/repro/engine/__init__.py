@@ -7,8 +7,8 @@ transition tables of :mod:`repro.kernels`.
 
 :mod:`repro.engine.scalar` holds the one scalar loop,
 :class:`ScalarStreamSimulator`: one lane fed in batches (a one-shot run
-is a single ``feed``), with the inlined bit-walk as the reference and the
-path for associativities without tables.  Its miss counts match the
+is a single ``feed``), with the bit-walk of :mod:`repro.core.plru` as the
+reference and the path for associativities without tables.  Its miss counts match the
 columnar ``feed`` stream bit-for-bit.  The same module holds the
 true-LRU-stack loop and the three-pass set-dueling run that
 :func:`repro.eval.runner.run_trace` uses for whole-trace cells.
@@ -17,7 +17,6 @@ true-LRU-stack loop and the three-pass set-dueling run that
 from .columnar import (
     BatchSimulator,
     ColumnarTrace,
-    DuelBatchSimulator,
     columnar_supported,
     simulate_misses_plru_columnar,
 )
@@ -26,7 +25,6 @@ from .scalar import ScalarStreamSimulator
 __all__ = [
     "BatchSimulator",
     "ColumnarTrace",
-    "DuelBatchSimulator",
     "ScalarStreamSimulator",
     "columnar_supported",
     "simulate_misses_plru_columnar",

@@ -34,12 +34,10 @@ handled with the original global access indices, which ride along in the
 transposed layout.  Ragged tails (sets with fewer accesses than the
 deepest set, and a final short chunk) fall out of the prefix widths.
 
-The one piece of state this scheduling *cannot* reorder is anything
-updated in global access order across sets — the PSEL counter of
-set-dueling.  :class:`DuelBatchSimulator` therefore runs access-serial
-but *lane-parallel*: one vectorized update over all duelling lanes per
-access, bit-identical to :class:`~repro.policies.plru.DGIPPRPolicy`
-driven through :class:`~repro.cache.cache.SetAssociativeCache`.
+Set-dueling does not run here: its PSEL counter moves in global access
+order across sets, which this scheduling reorders.
+:func:`repro.engine.scalar.simulate_duel` runs a duel exactly, in three
+passes on the scalar loop.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.dueling import assign_leader_sets
 from ..core.plru import is_power_of_two
 from ..kernels import tables as _tables
 
@@ -58,7 +55,6 @@ __all__ = [
     "BatchCounters",
     "BatchSimulator",
     "ColumnarTrace",
-    "DuelBatchSimulator",
     "columnar_supported",
     "simulate_misses_plru_columnar",
 ]
@@ -151,19 +147,16 @@ class BatchCounters:
     ``hit_depth[lane, d]`` counts hits whose pre-promotion recency
     position was ``d``, sampled every ``depth_sample`` steps
     (``depth_sample == 1`` means exhaustive, in which case each row sums
-    to the lane's hit count).  Duel runs add ``duel_flips`` (follower
-    selection sign changes of PSEL) and the final ``psel`` values.
+    to the lane's hit count).
     """
 
-    __slots__ = ("kind", "lanes", "num_sets", "assoc", "warmup",
-                 "accesses", "set_accesses", "hits", "misses", "evictions",
-                 "cold_fills", "hit_depth", "depth_sample",
-                 "measured_misses", "duel_flips", "psel")
+    __slots__ = ("lanes", "num_sets", "assoc", "warmup", "accesses",
+                 "set_accesses", "hits", "misses", "evictions", "cold_fills",
+                 "hit_depth", "depth_sample", "measured_misses")
 
-    def __init__(self, kind, lanes, num_sets, assoc, warmup, accesses,
+    def __init__(self, lanes, num_sets, assoc, warmup, accesses,
                  set_accesses, misses, cold_fills, hit_depth, depth_sample,
-                 measured_misses, duel_flips=None, psel=None):
-        self.kind = kind
+                 measured_misses):
         self.lanes = lanes
         self.num_sets = num_sets
         self.assoc = assoc
@@ -177,14 +170,12 @@ class BatchCounters:
         self.hit_depth = hit_depth
         self.depth_sample = depth_sample
         self.measured_misses = measured_misses
-        self.duel_flips = duel_flips
-        self.psel = psel
 
     def totals(self, lane: int) -> Dict[str, int]:
         """Whole-stream totals for one lane (CacheStats-comparable)."""
         hits = int(self.hits[lane].sum())
         misses = int(self.misses[lane].sum())
-        out = {
+        return {
             "accesses": self.accesses,
             "hits": hits,
             "misses": misses,
@@ -194,9 +185,6 @@ class BatchCounters:
             "hit_rate": hits / self.accesses if self.accesses else 0.0,
             "measured_misses": int(self.measured_misses[lane]),
         }
-        if self.duel_flips is not None:
-            out["duel_flips"] = int(self.duel_flips[lane])
-        return out
 
     def hit_depth_histogram(self, lane: int):
         """Sampled pre-promotion recency-depth counts (length assoc)."""
@@ -764,7 +752,7 @@ class BatchSimulator:
         self.final_state = state
         if counters:
             self.counters = BatchCounters(
-                "batch", L, S, k, warmup, trace.n, set_accesses, miss_ls,
+                L, S, k, warmup, trace.n, set_accesses, miss_ls,
                 nfill.astype(np.int64), depth_counts[:L * k].reshape(L, k),
                 depth_sample, misses.copy(),
             )
@@ -890,176 +878,3 @@ def simulate_misses_plru_columnar(
     miss_indices.extend(indices[0])
     return int(misses[0])
 
-
-# ----------------------------------------------------------------------
-# Set-dueling lanes: lane-parallel, access-serial (PSEL is global-order
-# state, so lockstep-over-sets reordering would change its trajectory).
-# ----------------------------------------------------------------------
-class DuelBatchSimulator:
-    """Many 2-vector set-dueling (2-DGIPPR) lanes over one trace.
-
-    Each lane duels its own ``(ipv_a, ipv_b)`` pair with a private PSEL
-    counter; all lanes share the leader-set assignment (same
-    ``(num_sets, seed)`` derivation as
-    :class:`~repro.core.dueling.DuelSelector`).  Semantics — PSEL update
-    *before* the fill-vector choice of the same missing access, saturation
-    rails, follower selection ``0 if psel < 0 else 1`` — replicate
-    :class:`~repro.policies.plru.DGIPPRPolicy` under
-    :class:`~repro.cache.cache.SetAssociativeCache` exactly, which the
-    conformance cells in ``tests/engine`` assert bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        num_sets: int,
-        assoc: int,
-        ipv_pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
-        leaders_per_policy: Optional[int] = None,
-        counter_bits: int = 11,
-        seed: int = 0xDEAD,
-    ):
-        _check_geometry(num_sets, assoc)
-        if not ipv_pairs:
-            raise ValueError("DuelBatchSimulator needs at least one lane")
-        self.num_sets = num_sets
-        self.assoc = assoc
-        self.lanes = len(ipv_pairs)
-        flattened = [entries for pair in ipv_pairs for entries in pair]
-        if len(flattened) != 2 * self.lanes:
-            raise ValueError("each duel lane needs exactly two IPVs")
-        self._tables = _LaneTables(assoc, flattened)
-        self.leaders = assign_leader_sets(
-            num_sets, 2, leaders_per_policy, seed=seed
-        )
-        self._psel_lo = -(1 << (counter_bits - 1))
-        self._psel_hi = (1 << (counter_bits - 1)) - 1
-        self.psel = np.zeros(self.lanes, dtype=np.int64)
-        #: :class:`BatchCounters` from the last ``run(counters=True)``.
-        self.counters: Optional[BatchCounters] = None
-
-    def run(self, addresses: Sequence[int], warmup: int = 0,
-            counters: bool = False):
-        """Replay ``addresses`` through every duelling lane from cold
-        state; returns per-lane measured miss counts (``int64``,
-        shape ``(lanes,)``).
-
-        ``counters=True`` additionally accumulates a
-        :class:`BatchCounters` on ``self.counters``, including per-lane
-        PSEL flip counts (sign changes of the selector) and an *exact*
-        hit-depth histogram (``depth_sample == 1``: the access-serial
-        loop makes per-access appends essentially free).
-        """
-        from ..obs.spans import span
-
-        L, S, k = self.lanes, self.num_sets, self.assoc
-        t = self._tables
-        shift = t.shift
-        mask = S - 1
-        state = np.zeros((L, S), dtype=np.int64)
-        tags = np.full((L, S, k), -1, dtype=np.int64)
-        nfill = np.zeros((L, S), dtype=np.int64)
-        misses = np.zeros(L, dtype=np.int64)
-        psel = self.psel
-        psel[:] = 0
-        lanes = np.arange(L)
-        # Flat _LaneTables index of lane l's vector v is 2l + v.
-        first_vector = 2 * lanes
-        leader_vectors = (first_vector, first_vector + 1)
-        two_k = 2 * k
-        leaders = self.leaders
-        self.counters = None
-        if counters:
-            hits_set = np.zeros((L, S), dtype=np.int64)
-            flips = np.zeros(L, dtype=np.int64)
-            prev_sign = psel >= 0
-            idx_frames: List = []
-            hit_frames: List = []
-        with span("engine.columnar_duel", lanes=L, accesses=len(addresses),
-                  counters=int(counters)):
-            for i, address in enumerate(addresses):
-                address = int(address)
-                si = address & mask
-                leader = leaders[si]
-                tg = tags[:, si, :]
-                hitmask = tg == address
-                is_hit = hitmask.any(axis=1)
-                hit_way = hitmask.argmax(axis=1)
-                miss = ~is_hit
-                # The governing vector: a leader set's own, else PSEL's
-                # choice.  PSEL moves only on leader-set misses, so a
-                # follower's hit and fill (the cache calls on_miss
-                # before on_fill) see the same PSEL and the same vector.
-                if leader >= 0:
-                    vector = leader_vectors[leader]
-                else:
-                    vector = first_vector + (psel >= 0)
-                # record_miss: leader-0 misses increment, leader-1 misses
-                # decrement, saturating at the rails.
-                if leader == 0:
-                    psel[miss & (psel < self._psel_hi)] += 1
-                elif leader == 1:
-                    psel[miss & (psel > self._psel_lo)] -= 1
-                st = state[:, si]
-                nf = nfill[:, si]
-                cold = miss & (nf < k)
-                way = np.where(is_hit, hit_way,
-                               np.where(cold, nf, t.victim[st]))
-                idx = (st << shift) | way
-                # The batch engine's transition for one access (n = 1).
-                row = t.row_base.take(vector) + np.where(
-                    is_hit, t.pos.take(idx), k
-                )
-                target = t.orbit.take(row * two_k + 1)
-                state[:, si] = (
-                    (st & t.keep.take(way))
-                    | t.path_bits.take(way * k + target)
-                )
-                tg[lanes, way] = address
-                nfill[:, si] = nf + cold
-                if i >= warmup:
-                    misses += miss
-                if counters:
-                    hits_set[:, si] += is_hit
-                    idx_frames.append(idx)
-                    hit_frames.append(is_hit)
-                    if leader >= 0:
-                        # PSEL only moves on leader-set accesses, so the
-                        # selector sign can only flip here.
-                        sign = psel >= 0
-                        flips += sign != prev_sign
-                        prev_sign = sign
-        self.final_state = state
-        if counters:
-            n = len(addresses)
-            if n:
-                addr_arr = np.fromiter(
-                    (int(a) for a in addresses), dtype=np.int64, count=n
-                )
-                accesses_per_set = np.bincount(addr_arr & mask, minlength=S)
-                idx_all = np.stack(idx_frames, axis=0)
-                hit_all = np.stack(hit_frames, axis=0)
-                depth = t.pos.take(idx_all).astype(np.int64)
-                sel = np.where(
-                    hit_all,
-                    depth + (np.arange(L, dtype=np.int64) * k)[None, :],
-                    L * k,
-                )
-                depth_counts = np.bincount(sel.ravel(), minlength=L * k + 1)
-            else:
-                accesses_per_set = np.zeros(S, dtype=np.int64)
-                depth_counts = np.zeros(L * k + 1, dtype=np.int64)
-            self.counters = BatchCounters(
-                "duel", L, S, k, warmup, n, accesses_per_set,
-                accesses_per_set[None, :] - hits_set, nfill.copy(),
-                depth_counts[:L * k].reshape(L, k),
-                1, misses.copy(), duel_flips=flips, psel=psel.copy(),
-            )
-        return misses
-
-    def positions(self, lane: int):
-        """Final recency positions ``[set, way]`` (verification hook)."""
-        state = self.final_state[lane]
-        idx = (state[:, None] << self._tables.shift) | np.arange(
-            self.assoc, dtype=np.int64
-        )
-        return self._tables.pos[idx]

@@ -10,9 +10,9 @@ whole set-dueling (DGIPPR) trace on the same loop in three passes.
 Per access it performs exactly the transitions of ``kernel="lut"``
 (table lookups through :func:`repro.kernels.tables.resolve_kernel`) or,
 for ``kernel="walk"`` and associativities without tables (k > 16), the
-inlined Figure 5/7/9 bit-walk reference.  Miss counts and miss indices
-are bit-identical between the two and to the columnar ``feed`` stream
-over the same concatenated accesses — pinned by
+reference Figure 5/7/9 bit-walks of :mod:`repro.core.plru`.  Miss counts
+and miss indices are bit-identical between the two and to the columnar
+``feed`` stream over the same concatenated accesses — pinned by
 ``tests/engine/test_streaming_feed.py`` and the conformance cells.
 
 :func:`simulate_misses_lru_ipv` is the true-LRU-stack counterpart (the
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.plru import is_power_of_two
+from ..core.plru import find_plru, is_power_of_two, position, set_position
 from ..kernels.tables import resolve_kernel
 
 __all__ = [
@@ -270,7 +270,7 @@ class ScalarStreamSimulator:
 
     def _feed_walk(self, addresses, miss_indices) -> Tuple[int, int]:
         assoc = self.assoc
-        promo = list(self.entries[:assoc])
+        promo = self.entries[:assoc]
         insert = self.entries[assoc]
         mask = self.num_sets - 1
         states = self._states
@@ -294,42 +294,14 @@ class ScalarStreamSimulator:
                 if len(ways) < assoc:
                     way = len(ways)  # cold fill: ways fill in order
                 else:
-                    # find_plru walk (Figure 5)
-                    n = 1
-                    while n < assoc:
-                        n = (n << 1) | ((state >> (n - 1)) & 1)
-                    way = n - assoc
+                    way = find_plru(state, assoc)
                     del ways[tags[way]]
                 tags[way] = addr
                 ways[addr] = way
                 new_pos = insert
             else:
-                # position decode (Figure 7)
-                q = assoc + way
-                pos = 0
-                b = 0
-                while q > 1:
-                    parent = q >> 1
-                    bit = (state >> (parent - 1)) & 1
-                    if not (q & 1):
-                        bit ^= 1
-                    pos |= bit << b
-                    q = parent
-                    b += 1
-                new_pos = promo[pos]
-            # set_position (Figure 9)
-            q = assoc + way
-            b = 0
-            while q > 1:
-                parent = q >> 1
-                bit = (new_pos >> b) & 1
-                if not (q & 1):
-                    bit ^= 1
-                pmask = 1 << (parent - 1)
-                state = (state | pmask) if bit else (state & ~pmask)
-                q = parent
-                b += 1
-            states[si] = state
+                new_pos = promo[position(state, way, assoc)]
+            states[si] = set_position(state, way, new_pos, assoc)
         return measured, warm
 
     def totals(self) -> Dict[str, int]:
@@ -397,6 +369,11 @@ def simulate_duel(
     ``miss_indices``, when given, collects the access index of every
     measured miss in access order.
     """
+    if len(vectors) != selector.num_policies:
+        raise ValueError(
+            f"{len(vectors)} vectors for a selector over "
+            f"{selector.num_policies} policies"
+        )
     addresses = np.asarray(addresses, dtype=np.int64)
     mask = num_sets - 1
     roles = np.array(

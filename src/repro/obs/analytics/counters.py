@@ -46,14 +46,13 @@ def publish_batch_counters(
 ) -> None:
     """Publish one run's :class:`BatchCounters` into ``registry``.
 
-    Per lane (labelled ``{"engine": kind, "lane": name}``): gauges
+    Per lane (labelled ``{"engine": "batch", "lane": name}``): gauges
     ``repro_engine_hits`` / ``_misses`` / ``_evictions`` /
     ``_cold_fills`` / ``_measured_misses`` and a
     ``repro_engine_hit_depth`` histogram flushed with *weighted*
     observations — one ``observe(d, weight=count)`` per recency depth,
-    no Python loop over hits.  Duel runs add ``repro_engine_duel_flips``
-    and ``repro_engine_psel``.  ``lane_names`` defaults to the lane
-    index as a string.
+    no Python loop over hits.  ``lane_names`` defaults to the lane index
+    as a string.
     """
     if lane_names is None:
         lane_names = [str(lane) for lane in range(counters.lanes)]
@@ -64,11 +63,11 @@ def publish_batch_counters(
     registry.gauge(
         "repro_engine_accesses",
         "Accesses replayed by the last columnar engine run",
-        labels={"engine": counters.kind},
+        labels={"engine": "batch"},
     ).set(counters.accesses)
     depth_bounds = list(range(counters.assoc))
     for lane, name in enumerate(lane_names):
-        labels = {"engine": counters.kind, "lane": str(name)}
+        labels = {"engine": "batch", "lane": str(name)}
         totals = counters.totals(lane)
         for field, help_text in (
             ("hits", "Whole-stream hits"),
@@ -91,16 +90,6 @@ def publish_batch_counters(
         )
         for depth, count in enumerate(counters.hit_depth_histogram(lane)):
             hist.observe(depth, weight=int(count))
-        if counters.duel_flips is not None:
-            registry.gauge(
-                "repro_engine_duel_flips",
-                "PSEL follower-selection sign changes",
-                labels=labels,
-            ).set(int(counters.duel_flips[lane]))
-        if counters.psel is not None:
-            registry.gauge(
-                "repro_engine_psel", "Final PSEL value", labels=labels
-            ).set(int(counters.psel[lane]))
 
 
 def counters_manifest_extra(
@@ -128,7 +117,7 @@ def counters_manifest_extra(
         lanes.append(entry)
     return {
         "schema": "repro-engine-counters/1",
-        "engine": counters.kind,
+        "engine": "batch",
         "num_sets": counters.num_sets,
         "assoc": counters.assoc,
         "warmup": counters.warmup,

@@ -43,7 +43,6 @@ from .differential import (
     Divergence,
     check_belady_dominance,
     check_columnar_equality,
-    check_duel_columnar_equality,
     check_engine_equality,
     check_lut_walk_equality,
     diff_stream,
@@ -425,22 +424,17 @@ def verify_policy(
                 )
 
             # Columnar-engine identity on the same cells (reported into
-            # the same bucket, prefixed).  Single-IPV lanes for the
-            # GIPPR family; the access-serial duel path for binary duels.
-            columnar_mismatch = None
+            # the same bucket, prefixed), for the single-IPV GIPPR family.
+            # Duels are checked by the engine check below.
             if name in ("plru", "gippr"):
                 entries = kwargs.get("ipv") or [0] * (assoc + 1)
-                columnar_mismatch = check_columnar_equality(
+                mismatch = check_columnar_equality(
                     num_sets, assoc, entries, accesses
                 )
-            elif name == "dgippr" and len(kwargs.get("ipvs", ())) == 2:
-                columnar_mismatch = check_duel_columnar_equality(
-                    num_sets, assoc, kwargs["ipvs"], accesses
-                )
-            if columnar_mismatch is not None:
-                report.lut_walk_failures.append(
-                    f"{num_sets}x{assoc}: columnar: {columnar_mismatch}"
-                )
+                if mismatch is not None:
+                    report.lut_walk_failures.append(
+                        f"{num_sets}x{assoc}: columnar: {mismatch}"
+                    )
 
     # Run-level: run_trace's whole-trace engine against the per-access
     # path (reported into the same bucket, prefixed).

@@ -20,8 +20,8 @@ Run-level checks complete the battery:
 * :func:`check_lut_walk_equality` — the precompiled transition-table
   kernels must be bit-identical to the reference bit-walks (same misses,
   hits, evictions *and* final per-set state digests),
-* :func:`check_columnar_equality` / :func:`check_duel_columnar_equality`
-  — the columnar engine against the scalar kernels,
+* :func:`check_columnar_equality` — the columnar engine against the
+  scalar kernels,
 * :func:`check_engine_equality` — ``run_trace``'s whole-trace engine
   against its per-access path, and
 * :func:`check_belady_dominance` — Belady's MIN never misses more than a
@@ -43,7 +43,6 @@ __all__ = [
     "diff_stream",
     "check_lut_walk_equality",
     "check_columnar_equality",
-    "check_duel_columnar_equality",
     "check_engine_equality",
     "check_belady_dominance",
 ]
@@ -306,62 +305,6 @@ def check_columnar_equality(
         if got != want:
             return (
                 f"columnar final positions mismatch in set {s}: "
-                f"{got} != {want}"
-            )
-    return None
-
-
-def check_duel_columnar_equality(
-    num_sets: int,
-    assoc: int,
-    ipv_pair: Sequence[Sequence[int]],
-    accesses: Sequence[int],
-) -> Optional[str]:
-    """Bit-identity of the duelling engine against the DGIPPR policy.
-
-    Drives one 2-vector set-dueling lane through
-    :class:`~repro.engine.columnar.DuelBatchSimulator` and the scalar
-    :class:`~repro.policies.plru.DGIPPRPolicy` +
-    :class:`~repro.cache.cache.SetAssociativeCache` pair, comparing miss
-    counts, the final PSEL value and the final position permutation —
-    PSEL is global-access-order state, so this is the check that pins the
-    engine's access-serial duel path.  Returns a description or ``None``
-    (trivially for an unsupported geometry or a pair that is not binary).
-    """
-    from ..engine.columnar import DuelBatchSimulator, columnar_supported
-
-    if not columnar_supported(assoc) or len(ipv_pair) != 2 or not accesses:
-        return None
-    from ..core.ipv import IPV
-    from ..policies.plru import DGIPPRPolicy
-
-    simulator = DuelBatchSimulator(
-        num_sets, assoc, [tuple(tuple(v) for v in ipv_pair)]
-    )
-    engine_misses = int(simulator.run(accesses)[0])
-    policy = DGIPPRPolicy(
-        num_sets, assoc,
-        ipvs=[IPV(list(v), name=f"duel{i}") for i, v in enumerate(ipv_pair)],
-        kernel="walk",
-    )
-    cache = _build_cache(policy)
-    misses = sum(not cache.access(block) for block in accesses)
-    if engine_misses != misses:
-        return (
-            f"duel columnar misses mismatch: engine {engine_misses} != "
-            f"policy {misses}"
-        )
-    psel = int(simulator.psel[0])
-    want_psel = policy.selector.psel.value
-    if psel != want_psel:
-        return f"duel columnar PSEL mismatch: engine {psel} != {want_psel}"
-    engine_pos = simulator.positions(0)
-    for s in range(num_sets):
-        want = [policy.position_of(s, w) for w in range(assoc)]
-        got = [int(p) for p in engine_pos[s]]
-        if got != want:
-            return (
-                f"duel columnar final positions mismatch in set {s}: "
                 f"{got} != {want}"
             )
     return None

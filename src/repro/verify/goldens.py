@@ -241,9 +241,9 @@ def check_golden_corpus(
 # scalar kernels.  Each multi-lane cell commits the per-lane miss counts
 # once; the checker recomputes them through *every* kernel (walk, LUT and
 # the columnar engine — including a deliberately ragged chunk size) and
-# names the engine that drifted.  Duel cells pin the access-serial PSEL
-# path (final counter value included) the set-lockstep scheduling cannot
-# cover.
+# names the engine that drifted.  Duel cells pin the set-dueling engine
+# ``repro compare`` runs, :func:`repro.engine.scalar.simulate_duel` (final
+# PSEL value included), against the per-access DGIPPR policy.
 # ----------------------------------------------------------------------
 COLUMNAR_GOLDEN_SCHEMA = "repro-columnar-goldens/1"
 
@@ -266,8 +266,15 @@ COLUMNAR_GOLDEN_STREAMS: Tuple[str, ...] = (
 COLUMNAR_DUEL_STREAMS: Tuple[str, ...] = ("duel-flip", "zipf-hot")
 
 #: (kind, stream, seed, num_sets, assoc, n, warmup); kind "ipv" pins the
-#: lockstep batch engine, "duel" the access-serial PSEL engine.
+#: lockstep batch engine, "duel" the three-pass set-dueling engine.
 ColumnarCell = Tuple[str, str, int, int, int, int, int]
+
+#: Engines each kind is recomputed through, the pinned engine first and
+#: its reference second.
+_COLUMNAR_ENGINES: Dict[str, Tuple[str, ...]] = {
+    "ipv": ("columnar", "walk", "lut"),
+    "duel": ("simulate_duel", "scalar"),
+}
 
 _COLUMNAR_GEOMETRIES: Tuple[Tuple[int, int], ...] = (
     (16, 2), (8, 4), (8, 8), (4, 16)
@@ -325,12 +332,17 @@ def compute_columnar_golden(cell: ColumnarCell, engine: str = "columnar"):
     ``ipv`` cells return the per-lane miss-count list; ``engine`` selects
     ``"columnar"`` (ragged-chunk batch run), ``"walk"`` or ``"lut"``
     (scalar loop per lane).  ``duel`` cells return
-    ``{"misses": [...], "psel": [...]}`` via the duel engine
-    (``"columnar"``) or the production DGIPPR policy (any other value).
+    ``{"misses": [...], "psel": [...]}`` via
+    :func:`~repro.engine.scalar.simulate_duel` (``"simulate_duel"``) or
+    the walk-kernel DGIPPR policy run per access (``"scalar"``).
     """
     from .streams import generate_stream
 
     kind, stream, seed, num_sets, assoc, n, warmup = cell
+    if engine not in _COLUMNAR_ENGINES.get(kind, ()):
+        raise ValueError(
+            f"no engine {engine!r} for columnar golden kind {kind!r}"
+        )
     accesses = generate_stream(stream, seed, n, num_sets, assoc)
     if kind == "ipv":
         lanes = _columnar_lanes(assoc)
@@ -350,24 +362,24 @@ def compute_columnar_golden(cell: ColumnarCell, engine: str = "columnar"):
             )
             for entries in lanes
         ]
-    if kind != "duel":
-        raise ValueError(f"unknown columnar golden kind {kind!r}")
     pairs = _columnar_duel_lanes(assoc)
-    if engine == "columnar":
-        from ..engine.columnar import DuelBatchSimulator
+    misses: List[int] = []
+    psels: List[int] = []
+    if engine == "simulate_duel":
+        from ..core.dueling import make_selector
+        from ..engine.scalar import simulate_duel
 
-        simulator = DuelBatchSimulator(num_sets, assoc, pairs)
-        misses = simulator.run(accesses, warmup=warmup)
-        return {
-            "misses": [int(m) for m in misses],
-            "psel": [int(p) for p in simulator.psel],
-        }
+        for pair in pairs:
+            selector = make_selector(num_sets, 2)
+            misses.append(simulate_duel(
+                accesses, num_sets, assoc, pair, selector, warmup
+            ))
+            psels.append(selector.psel.value)
+        return {"misses": misses, "psel": psels}
     from ..cache.cache import SetAssociativeCache
     from ..core.ipv import IPV
     from ..policies.plru import DGIPPRPolicy
 
-    misses: List[int] = []
-    psels: List[int] = []
     for pair in pairs:
         policy = DGIPPRPolicy(
             num_sets, assoc,
@@ -400,14 +412,13 @@ def write_columnar_golden_corpus(
     entries: Dict[str, object] = {}
     for cell in columnar_golden_matrix():
         key = columnar_golden_key(cell)
-        value = compute_columnar_golden(cell, engine="columnar")
-        reference = compute_columnar_golden(
-            cell, engine="walk" if cell[0] == "ipv" else "scalar"
-        )
+        engine, reference_engine = _COLUMNAR_ENGINES[cell[0]][:2]
+        value = compute_columnar_golden(cell, engine=engine)
+        reference = compute_columnar_golden(cell, engine=reference_engine)
         if value != reference:
             raise AssertionError(
-                f"{key}: columnar {value!r} != reference {reference!r}; "
-                f"refusing to write a divergent corpus"
+                f"{key}: {engine} {value!r} != {reference_engine} "
+                f"{reference!r}; refusing to write a divergent corpus"
             )
         entries[key] = value
     payload = {
@@ -444,10 +455,10 @@ def check_columnar_goldens(
 ) -> Tuple[List[str], int]:
     """Recompute the columnar corpus through every engine; name drifters.
 
-    Each committed cell is recomputed via the columnar engine *and* its
-    scalar references (walk + LUT for ipv cells, the DGIPPR production
-    path for duel cells); any engine disagreeing with the committed value
-    is reported by name.
+    Each ipv cell is recomputed via the columnar engine, the walk and the
+    LUT; each duel cell via :func:`~repro.engine.scalar.simulate_duel`
+    and the per-access DGIPPR policy.  Any engine disagreeing with the
+    committed value is reported by name.
     """
     target = (
         Path(path) if path is not None else DEFAULT_COLUMNAR_GOLDENS_PATH
@@ -474,11 +485,7 @@ def check_columnar_goldens(
             continue
         expected = committed[key]
         checked += 1
-        engines = (
-            ("columnar", "walk", "lut") if cell[0] == "ipv"
-            else ("columnar", "scalar")
-        )
-        for engine in engines:
+        for engine in _COLUMNAR_ENGINES[cell[0]]:
             actual = compute_columnar_golden(cell, engine=engine)
             if actual != expected:
                 drift.append(

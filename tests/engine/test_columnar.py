@@ -1,11 +1,11 @@
 """Bit-identity and behaviour tests for :mod:`repro.engine.columnar`.
 
 The columnar engine's contract is *exactness*, not approximation: every
-miss count, miss index, final recency position and PSEL value must match
-the scalar walk reference bit for bit — across associativities, ragged
-chunk tails, warmup windows, duplicate lanes and set-dueling.  These
-tests are therefore equality proofs over randomized and adversarial
-streams, plus the bad-input error contract.
+miss count, miss index and final recency position must match the scalar
+walk reference bit for bit — across associativities, ragged chunk tails,
+warmup windows and duplicate lanes.  These tests are therefore equality
+proofs over randomized and adversarial streams, plus the bad-input error
+contract.
 """
 
 import random
@@ -20,13 +20,12 @@ from repro.engine.columnar import (
     DEFAULT_BATCH_ACCESSES,
     BatchSimulator,
     ColumnarTrace,
-    DuelBatchSimulator,
     _hit_decoder,
     simulate_misses_plru_columnar,
 )
 from repro.ga.fitness import simulate_misses_plru_ipv
 from repro.kernels import tables as ktables
-from repro.policies import DGIPPRPolicy, GIPPRPolicy
+from repro.policies import GIPPRPolicy
 
 GEOMETRIES = [(16, 2), (8, 4), (8, 8), (4, 16)]
 
@@ -262,37 +261,6 @@ class TestHitDecoder:
         assert (~is_hit).any()
 
 
-class TestDuelBatch:
-    @pytest.mark.parametrize("num_sets,assoc", [(16, 4), (16, 16)])
-    def test_matches_dgippr_policy(self, num_sets, assoc):
-        stream = make_stream(3000, num_sets, assoc, seed=assoc + 1)
-        pairs = [
-            (tuple(lru_ipv(assoc).entries), tuple(lip_ipv(assoc).entries)),
-            (tuple(lip_ipv(assoc).entries), stress_ipv(assoc, salt=9)),
-        ]
-        simulator = DuelBatchSimulator(num_sets, assoc, pairs)
-        misses = simulator.run(stream, warmup=300)
-        for lane, (a, b) in enumerate(pairs):
-            policy = DGIPPRPolicy(
-                num_sets, assoc,
-                ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-                kernel="walk",
-            )
-            cache = SetAssociativeCache(num_sets, assoc, policy, block_size=1)
-            for addr in stream[:300]:
-                cache.access(addr)
-            cache.reset_stats()
-            for addr in stream[300:]:
-                cache.access(addr)
-            assert int(misses[lane]) == cache.stats.misses
-            # PSEL is global-order state: its final value must agree too.
-            assert int(simulator.psel[lane]) == policy.selector.psel.value
-
-    def test_each_lane_needs_two_ipvs(self):
-        with pytest.raises(ValueError):
-            DuelBatchSimulator(16, 4, [])
-
-
 class TestValidation:
     def test_bad_geometry(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -311,12 +279,10 @@ class TestValidation:
     ])
     def test_malformed_lanes(self, bad, match):
         """k entries, an entry equal to k, a negative entry: each lane is
-        checked before it is simulated, batch and duel alike."""
+        checked before it is simulated."""
         good = tuple(lru_ipv(4).entries)
         with pytest.raises(ValueError, match=match):
             BatchSimulator(16, 4, [good, bad])
-        with pytest.raises(ValueError, match=match):
-            DuelBatchSimulator(16, 4, [(good, bad)])
 
     def test_negative_warmup(self):
         with pytest.raises(ValueError, match="warmup"):

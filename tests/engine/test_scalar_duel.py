@@ -92,6 +92,25 @@ def test_simulate_duel_matches_oracle(warmup):
     ]
 
 
+def test_simulate_duel_rejects_fewer_vectors_than_policies():
+    """Two vectors under a 4-policy selector would index past the list."""
+    vectors = [lru_ipv(4).entries, lip_ipv(4).entries]
+    with pytest.raises(ValueError, match="2 vectors .* over 4 policies"):
+        simulate_duel(
+            make_stream(500, 64), 16, 4, vectors, TournamentSelector(16), 0
+        )
+
+
+def test_simulate_duel_rejects_more_vectors_than_policies():
+    """Four vectors under a 2-policy selector would run only the first
+    two and still return a result."""
+    vectors = [v.entries for v in DGIPPR4_WI_VECTORS]
+    with pytest.raises(ValueError, match="4 vectors .* over 2 policies"):
+        simulate_duel(
+            make_stream(500, 64), 16, 16, vectors, DuelSelector(16), 0
+        )
+
+
 def test_lru_loop_is_reexported_for_the_ga():
     from repro.ga import fitness
 

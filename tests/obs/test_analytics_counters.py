@@ -119,49 +119,6 @@ class TestBatchCounters:
         assert problems and problems[0].startswith("accesses")
 
 
-class TestDuelCounters:
-    def test_reconciles_with_dgippr(self):
-        from repro.cache import SetAssociativeCache
-        from repro.core.ipv import IPV
-        from repro.engine.columnar import DuelBatchSimulator
-        from repro.obs.analytics import reconcile_with_stats
-        from repro.policies import DGIPPRPolicy
-
-        stream = make_stream(3_000, seed=4)
-        all_lanes = lanes()
-        pairs = [(all_lanes[0], all_lanes[1]), (all_lanes[1], all_lanes[2])]
-        simulator = DuelBatchSimulator(NUM_SETS, ASSOC, pairs)
-        misses = simulator.run(stream, counters=True)
-        counters = simulator.counters
-        assert counters.kind == "duel"
-        for lane, (a, b) in enumerate(pairs):
-            policy = DGIPPRPolicy(
-                NUM_SETS, ASSOC,
-                ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-                kernel="walk",
-            )
-            cache = SetAssociativeCache(
-                NUM_SETS, ASSOC, policy, block_size=1
-            )
-            for address in stream:
-                cache.access(address)
-            assert reconcile_with_stats(counters, lane, cache.stats) == []
-            assert int(misses[lane]) == cache.stats.misses
-            assert int(counters.psel[lane]) == policy.selector.psel.value
-            assert counters.duel_flips[lane] >= 0
-
-    def test_empty_stream(self):
-        from repro.engine.columnar import DuelBatchSimulator
-
-        all_lanes = lanes()
-        simulator = DuelBatchSimulator(
-            NUM_SETS, ASSOC, [(all_lanes[0], all_lanes[1])]
-        )
-        misses = simulator.run([], counters=True)
-        assert int(misses[0]) == 0
-        assert simulator.counters.totals(0)["accesses"] == 0
-
-
 class TestFlushSurfaces:
     def test_publish_gauges_and_histogram(self, batch_run):
         from repro.obs.analytics import publish_batch_counters

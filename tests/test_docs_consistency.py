@@ -4,6 +4,7 @@ DESIGN.md promises a bench per experiment and EXPERIMENTS.md reports them;
 these tests keep those promises honest as the code evolves.
 """
 
+import builtins
 import os
 import re
 
@@ -15,6 +16,27 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _read(name):
     with open(os.path.join(REPO, name)) as handle:
         return handle.read()
+
+
+def _doc_files():
+    """README, DESIGN, EXPERIMENTS, ``docs/*.md`` and the verify skill."""
+    names = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+             os.path.join(".claude", "skills", "verify", "SKILL.md")]
+    names += [
+        os.path.join("docs", name)
+        for name in sorted(os.listdir(os.path.join(REPO, "docs")))
+        if name.endswith(".md")
+    ]
+    return [name for name in names if os.path.exists(os.path.join(REPO, name))]
+
+
+def _python_sources(tops):
+    for top in tops:
+        for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name)) as handle:
+                        yield handle.read()
 
 
 class TestDesignIndex:
@@ -97,20 +119,11 @@ class TestPaperVectorsDocumented:
 class TestEnvironmentVariables:
     """Every ``REPRO_*`` variable the docs name is read by the code."""
 
-    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
-            os.path.join(".claude", "skills", "verify", "SKILL.md"))
     CODE_DIRS = ("src", "scripts", "benchmarks")
 
     def _documented(self):
-        docs_dir = os.path.join(REPO, "docs")
-        names = list(self.DOCS) + [
-            os.path.join("docs", name) for name in sorted(os.listdir(docs_dir))
-            if name.endswith(".md")
-        ]
         found = {}
-        for name in names:
-            if not os.path.exists(os.path.join(REPO, name)):
-                continue
+        for name in _doc_files():
             for var in re.findall(r"\bREPRO_[A-Z_]+\b", _read(name)):
                 found.setdefault(var, name)
         return found
@@ -119,12 +132,8 @@ class TestEnvironmentVariables:
         # A variable counts as read where it appears as a string literal.
         literal = re.compile(r"""["'](REPRO_[A-Z_]+)["']""")
         seen = set()
-        for top in self.CODE_DIRS:
-            for root, _dirs, files in os.walk(os.path.join(REPO, top)):
-                for name in files:
-                    if name.endswith(".py"):
-                        with open(os.path.join(root, name)) as handle:
-                            seen.update(literal.findall(handle.read()))
+        for source in _python_sources(self.CODE_DIRS):
+            seen.update(literal.findall(source))
         return seen
 
     def test_documented_variables_are_read(self):
@@ -135,3 +144,50 @@ class TestEnvironmentVariables:
             if var not in self._read_by_code()
         }
         assert not stale, f"documented but read by no code: {stale}"
+
+
+class TestCodeNames:
+    """Every class or function name the docs put in backticks exists."""
+
+    CODE_DIRS = ("src", "scripts", "benchmarks", "tests")
+    # A backticked reference: an optional pytest node prefix, a dotted
+    # name, an optional call.  Other spans (shell lines, placeholders such
+    # as ``error=<ExcType>``) are prose, not names.
+    REFERENCE = re.compile(r"(?:[\w/.-]+::)?([A-Za-z_][\w.:]*)(?:\(.*\))?")
+    # CamelCase with two or more capitalised parts (an acronym counts as
+    # one part): ``BatchSimulator``, ``DGIPPRPolicy``; not ``Trace``.
+    CAMEL = re.compile(r"(?:[A-Z]+(?![a-z])|[A-Z][a-z0-9]+){2,}")
+
+    def _checked(self, name):
+        camel = self.CAMEL.fullmatch(name) and re.search("[a-z]", name)
+        return bool(camel) or name.startswith(("check_", "simulate_"))
+
+    def _documented(self):
+        found = {}
+        for doc in _doc_files():
+            for span in re.findall(r"`([^`\n]+)`", _read(doc)):
+                match = self.REFERENCE.fullmatch(span)
+                if match is None:
+                    continue
+                for name in re.split(r"[.:]+", match.group(1)):
+                    if self._checked(name):
+                        found.setdefault(name, doc)
+        return found
+
+    def _defined(self):
+        definition = re.compile(r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)", re.M)
+        names = set()
+        for source in _python_sources(self.CODE_DIRS):
+            names.update(definition.findall(source))
+        return names
+
+    def test_documented_names_are_defined(self):
+        documented = self._documented()
+        assert documented, "the docs no longer name any class or function"
+        defined = self._defined()
+        stale = {
+            name: doc for name, doc in documented.items()
+            if name not in defined and not hasattr(builtins, name)
+        }
+        assert not stale, f"documented but defined nowhere: {stale}"
+
