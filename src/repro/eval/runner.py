@@ -20,8 +20,10 @@ from ..engine.scalar import (
 )
 from ..policies.base import ReplacementPolicy
 from ..policies.lru import TrueLRUPolicy
+from ..policies.pdp import PDPPolicy, simulate_pdp
 from ..policies.plru import DGIPPRPolicy, GIPPRPolicy, TreePLRUPolicy
 from ..policies.registry import make_policy
+from ..policies.rrip import DRRIPPolicy, simulate_drrip
 from ..trace.record import Trace, annotate_next_use
 from ..workloads.spec import SpecBenchmark
 from .config import ExperimentConfig
@@ -110,28 +112,30 @@ class BenchmarkResult:
         )
 
 
-def _lru_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+def _lru_engine(policy, addresses, warmup, miss_indices):
     if not len(addresses):
         return 0  # the loop rejects an empty measured window
     return simulate_misses_lru_ipv(
-        addresses.tolist(), num_sets, assoc, policy.ipv.entries, warmup,
-        miss_indices,
+        addresses.tolist(), policy.num_sets, policy.assoc,
+        policy.ipv.entries, warmup, miss_indices,
     )
 
 
-def _plru_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+def _plru_engine(policy, addresses, warmup, miss_indices):
     ipv = getattr(policy, "ipv", None)
     # Classic tree PLRU (no ``ipv``) is the all-zeros vector.
-    entries = ipv.entries if ipv is not None else (0,) * (assoc + 1)
+    entries = ipv.entries if ipv is not None else (0,) * (policy.assoc + 1)
     return ScalarStreamSimulator(
-        num_sets, assoc, entries, warmup, kernel=policy.kernel_mode
+        policy.num_sets, policy.assoc, entries, warmup,
+        kernel=policy.kernel_mode,
     ).feed(addresses, miss_indices)
 
 
-def _duel_engine(policy, addresses, num_sets, assoc, warmup, miss_indices):
+def _duel_engine(policy, addresses, warmup, miss_indices):
     return simulate_duel(
-        addresses, num_sets, assoc, [ipv.entries for ipv in policy.ipvs],
-        policy.selector, warmup, policy.kernel_mode, miss_indices,
+        addresses, policy.num_sets, policy.assoc,
+        [ipv.entries for ipv in policy.ipvs], policy.selector, warmup,
+        policy.kernel_mode, miss_indices,
     )
 
 
@@ -141,6 +145,8 @@ _ENGINES = {
     TreePLRUPolicy: _plru_engine,
     GIPPRPolicy: _plru_engine,
     DGIPPRPolicy: _duel_engine,
+    DRRIPPolicy: simulate_drrip,
+    PDPPolicy: simulate_pdp,
 }
 
 
@@ -206,15 +212,14 @@ def run_trace(
     (hits, evictions, writebacks, ... — more than :class:`RunResult`
     carries), which is what the trace-replay verification compares against.
 
-    Without ``tracer`` and ``stats_sink``, a policy whose exact type is
-    :class:`~repro.policies.lru.TrueLRUPolicy`,
-    :class:`~repro.policies.plru.TreePLRUPolicy`,
-    :class:`~repro.policies.plru.GIPPRPolicy` or
-    :class:`~repro.policies.plru.DGIPPRPolicy` runs on a whole-trace engine
-    of :mod:`repro.engine.scalar` with the same result.  The engine uses
-    the policy as a description: it does not advance the policy's per-set
-    state, but it does advance a DGIPPR policy's ``selector`` exactly as
-    the per-access run would.  Every other policy, and any run with a
+    Without ``tracer`` and ``stats_sink``, a policy whose exact type is in
+    ``_ENGINES`` (true LRU, tree PLRU, GIPPR, DGIPPR, DRRIP and PDP) runs
+    on a whole-trace engine with the same result: one of
+    :mod:`repro.engine.scalar`, or ``simulate_drrip``/``simulate_pdp``
+    next to the policy.  The engine uses the policy as a description: it
+    does not advance its per-set state, but leaves its global state (a
+    selector, the BRRIP fill count, PDP's PD and histogram) where the
+    per-access run would.  Every other policy, and any run with a
     ``tracer`` or ``stats_sink``, goes through
     :meth:`~repro.cache.cache.SetAssociativeCache.access` one access at a
     time (``stats_sink={}`` therefore forces that path).
@@ -235,10 +240,7 @@ def run_trace(
         engine = _ENGINES.get(type(policy))
     if engine is not None:
         accesses = n - warmup
-        misses = engine(
-            policy, trace.addresses, config.num_sets, config.assoc, warmup,
-            miss_indices,
-        )
+        misses = engine(policy, trace.addresses, warmup, miss_indices)
     else:
         stats = _per_access(
             policy, trace, config, warmup, miss_indices, tracer

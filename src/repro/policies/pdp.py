@@ -28,15 +28,16 @@ Mechanics
 
 The reuse-distance histogram is collected from a deterministic sample of
 sets, measured in set accesses — the unit PD is defined over.
+:func:`simulate_pdp` runs a whole PDP trace in one loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from .base import AccessContext, ReplacementPolicy
 
-__all__ = ["PDPPolicy", "compute_protecting_distance"]
+__all__ = ["PDPPolicy", "compute_protecting_distance", "simulate_pdp"]
 
 
 def compute_protecting_distance(
@@ -196,3 +197,75 @@ class PDPPolicy(ReplacementPolicy):
         # original design also spends ~10K NAND gates of microcontroller,
         # which has no bit equivalent and is noted in overhead reports.
         return 16 * (self.max_distance + 1) + 8
+
+
+def simulate_pdp(
+    policy: PDPPolicy,
+    addresses: Sequence[int],
+    warmup: int,
+    miss_indices: Optional[List[int]] = None,
+) -> int:
+    """Measured misses of a cold PDP cache over block ``addresses``.
+
+    One pass in access order makes the transitions of ``policy`` behind
+    ``SetAssociativeCache.access`` (``block_size=1``).  Misses at indices
+    ``>= warmup`` are counted, and appended to ``miss_indices`` if given.
+    Per-set state stays untouched; ``pd``, ``recompute_count`` and the
+    histogram end where the per-access run leaves them.
+    """
+    if hasattr(addresses, "tolist"):
+        addresses = addresses.tolist()
+    num_sets, assoc = policy.num_sets, policy.assoc
+    mask, max_distance = num_sets - 1, policy.max_distance
+    interval, misses = policy.recompute_interval, 0
+    samples = policy._samples_since_recompute
+    step, qpd, histogram = policy._step, policy._qpd, policy._histogram
+    sampled = policy._last_touch
+    samplers = [{} if s in sampled else None for s in range(num_sets)]
+    expiries = [[0] * assoc for _ in range(num_sets)]
+    epochs, decay_ticks, set_accesses = ([0] * num_sets for _ in range(3))
+    tag_to_way: List[dict] = [{} for _ in range(num_sets)]
+    way_to_tag = [[0] * assoc for _ in range(num_sets)]
+    for i, addr in enumerate(addresses):
+        # _tick_and_observe, which every access runs.
+        si = addr & mask
+        tick = decay_ticks[si] + 1
+        if tick >= step:
+            tick = 0
+            epochs[si] += 1
+        decay_ticks[si] = tick
+        sampler = samplers[si]
+        if sampler is not None:
+            now = set_accesses[si] = set_accesses[si] + 1  # read only here
+            last = sampler.get(addr)
+            if last is not None:
+                histogram[min(now - last, max_distance)] += 1
+            sampler[addr] = now
+            samples += 1
+            if samples >= interval:
+                policy._recompute()  # the PD choice stays in the policy
+                step, qpd = policy._step, policy._qpd
+                histogram, samples = policy._histogram, 0
+        epoch, ways = epochs[si], tag_to_way[si]
+        way = ways.get(addr)
+        if way is None:
+            if i >= warmup:
+                misses += 1
+                if miss_indices is not None:
+                    miss_indices.append(i)
+            tags = way_to_tag[si]
+            if len(ways) < assoc:
+                way = len(ways)
+            else:
+                expiry = expiries[si]
+                for way, value in enumerate(expiry):
+                    if value <= epoch:
+                        break  # the first unprotected line
+                else:
+                    way = expiry.index(max(expiry))  # the youngest
+                del ways[tags[way]]
+            tags[way] = addr
+            ways[addr] = way
+        expiries[si][way] = epoch + qpd
+    policy._samples_since_recompute = samples
+    return misses

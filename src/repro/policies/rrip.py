@@ -8,17 +8,18 @@ high-performance replacement scheme — 2 bits per block, which DGIPPR halves.
   on hit, evict a block with RRPV = max (aging all blocks until one exists).
 * BRRIP: like SRRIP but usually inserts at max ("distant"), inserting long
   only with probability 1/32.
-* DRRIP: set-duels SRRIP vs BRRIP leader sets with a 10-bit PSEL.
+* DRRIP: set-duels SRRIP vs BRRIP leader sets with a 10-bit PSEL;
+  :func:`simulate_drrip` runs a whole DRRIP trace in one loop.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
 from ..core.dueling import DuelSelector
 from .base import AccessContext, ReplacementPolicy
 
-__all__ = ["SRRIPPolicy", "BRRIPPolicy", "DRRIPPolicy"]
+__all__ = ["SRRIPPolicy", "BRRIPPolicy", "DRRIPPolicy", "simulate_drrip"]
 
 #: BRRIP inserts with "long" (max-1) RRPV once every 32 fills.
 BRRIP_LONG_INTERVAL = 32
@@ -126,6 +127,8 @@ class DRRIPPolicy(_RRIPBase):
         psel_bits: int = 10,
         seed: int = 0xD881,
     ):
+        if rrpv_bits > 8:  # simulate_drrip keeps RRPVs in a bytearray
+            raise ValueError("DRRIP RRPVs have at most 8 bits")
         super().__init__(num_sets, assoc, rrpv_bits)
         # Policy 0 = SRRIP, policy 1 = BRRIP.
         self.selector = DuelSelector(
@@ -149,3 +152,68 @@ class DRRIPPolicy(_RRIPBase):
 
     def global_state_bits(self) -> int:
         return self._psel_bits
+
+
+def simulate_drrip(
+    policy: DRRIPPolicy,
+    addresses: Sequence[int],
+    warmup: int,
+    miss_indices: Optional[List[int]] = None,
+) -> int:
+    """Measured misses of a cold DRRIP cache over block ``addresses``.
+
+    One pass in access order makes the transitions of ``policy`` behind
+    ``SetAssociativeCache.access`` (``block_size=1``).  Misses at indices
+    ``>= warmup`` are counted, and appended to ``miss_indices`` if given.
+    Per-set RRPVs stay untouched; ``policy.selector`` and ``_fill_count``
+    end where the per-access run leaves them.
+    """
+    if hasattr(addresses, "tolist"):
+        addresses = addresses.tolist()
+    num_sets, assoc, distant = policy.num_sets, policy.assoc, policy.max_rrpv
+    mask, long = num_sets - 1, distant - 1
+    # A set's RRPVs are one bytearray: ``find`` is a C scan, and aging
+    # every way by ``d`` is one ``translate`` through ``aging[d]``.
+    aging = [bytes(range(d, 256)) + bytes(d) for d in range(distant + 1)]
+    rrpvs = [bytearray([distant]) * assoc for _ in range(num_sets)]
+    tag_to_way: List[dict] = [{} for _ in range(num_sets)]
+    way_to_tag = [[0] * assoc for _ in range(num_sets)]
+    roles = [policy.selector.leader_policy(s) for s in range(num_sets)]
+    record, selected = policy.selector.record_miss, policy.selector.selected
+    pick, fill_count, misses = selected(), policy._fill_count, 0
+    for i, addr in enumerate(addresses):
+        si = addr & mask
+        ways = tag_to_way[si]
+        way = ways.get(addr)
+        if way is not None:
+            rrpvs[si][way] = 0  # hit priority
+            continue
+        if i >= warmup:
+            misses += 1
+            if miss_indices is not None:
+                miss_indices.append(i)
+        role = roles[si]
+        if role < 0:
+            role = pick  # PSEL moves only on leader misses
+        else:
+            record(si)  # on_miss, before this miss's fill
+            pick = selected()
+        rrpv, tags = rrpvs[si], way_to_tag[si]
+        if len(ways) < assoc:
+            way = len(ways)
+        else:
+            way = rrpv.find(distant)
+            if way < 0:  # aging stops at the first way of the highest RRPV
+                oldest = max(rrpv)
+                way = rrpv.find(oldest)
+                rrpvs[si] = rrpv = rrpv.translate(aging[distant - oldest])
+            del ways[tags[way]]
+        tags[way] = addr
+        ways[addr] = way
+        if role:  # BRRIP: distant, but long every 32nd fill
+            fill_count += 1
+        rrpv[way] = (
+            distant if role and fill_count % BRRIP_LONG_INTERVAL else long
+        )
+    policy._fill_count = fill_count
+    return misses

@@ -37,8 +37,9 @@ from ..core.vectors import (
     GIPLR_VECTOR,
     GIPPR_WI_VECTOR,
 )
+from ..eval.runner import _ENGINES
 from ..policies.base import ReplacementPolicy
-from ..policies.registry import make_policy, policy_names
+from ..policies.registry import POLICIES, make_policy, policy_names
 from .differential import (
     Divergence,
     check_belady_dominance,
@@ -82,11 +83,11 @@ _DOMINANCE_STREAMS = ("cyclic-over-capacity", "zipf-hot")
 #: Policies whose production path can run on the precompiled LUT kernels.
 _KERNEL_POLICIES = frozenset({"plru", "gippr", "dgippr"})
 
-#: Policies ``run_trace`` runs on a whole-trace engine.
-_ENGINE_POLICIES = frozenset({"lru", "plru", "gippr", "dgippr"})
+#: Policies ``run_trace`` runs on a whole-trace engine (its ``_ENGINES``).
+_ENGINE_POLICIES = frozenset(n for n, f in POLICIES.items() if f in _ENGINES)
 
 #: Cells of the engine check: the kernel cells, plus a 16-set cell where
-#: the 4-vector duel has follower sets (at 4 x 16 every set leads).
+#: the duels have follower sets (at 4 x 16 every set leads).
 _ENGINE_GEOMETRIES: Tuple[Tuple[int, int], ...] = (
     DEFAULT_GEOMETRIES[0], KERNEL_GEOMETRY, (16, 16),
 )

@@ -330,13 +330,13 @@ def check_engine_equality(
     per-access path.
 
     Runs ``accesses`` through :func:`repro.eval.runner.run_trace` twice on
-    fresh policies, with the first quarter as warmup: as is (LRU,
-    tree-PLRU, GIPPR and DGIPPR take an engine of
-    :mod:`repro.engine.scalar`) and with ``stats_sink={}``, which forces
+    fresh policies, with the first quarter as warmup: as is (a policy with
+    an engine takes it) and with ``stats_sink={}``, which forces
     :meth:`~repro.cache.cache.SetAssociativeCache.access`.  Compares
-    measured accesses, misses, instructions, miss positions and, for a
-    set-dueling policy, every selector counter.  Returns a mismatch
-    description or ``None``.
+    measured accesses, misses, instructions, miss positions and the
+    policy's global state: every selector counter of a set-dueling
+    policy, DRRIP's BRRIP fill count, and PDP's ``pd`` and
+    ``recompute_count``.  Returns a mismatch description or ``None``.
     """
     from ..eval.config import ExperimentConfig
     from ..eval.runner import run_trace
@@ -370,6 +370,11 @@ def check_engine_equality(
                 f"engine-vs-per-access selector mismatch: "
                 f"{got!r} != {want!r}"
             )
+    for name in ("_fill_count", "pd", "recompute_count"):
+        got = getattr(engine_policy, name, None)
+        want = getattr(reference_policy, name, None)
+        if got != want:
+            return f"engine-vs-per-access {name} mismatch: {got!r} != {want!r}"
     return None
 
 

@@ -1,10 +1,13 @@
 """Whole-trace engine cells of ``run_trace`` against the per-access path.
 
 ``run_trace`` runs LRU, tree-PLRU, GIPPR and DGIPPR cells on the engines
-of :mod:`repro.engine.scalar`; passing ``stats_sink={}`` forces the same
-cell through :meth:`SetAssociativeCache.access`, which is the reference
-here.  Every :class:`RunResult` field must match, and a DGIPPR policy's
-selector must end in the state the per-access run leaves it in.
+of :mod:`repro.engine.scalar`, and DRRIP and PDP cells on
+``simulate_drrip`` and ``simulate_pdp``; passing ``stats_sink={}`` forces
+the same cell through :meth:`SetAssociativeCache.access`, which is the
+reference here.  Every :class:`RunResult` field must match, and the
+policy's global state (a selector's counters, DRRIP's BRRIP fill count,
+PDP's protecting distance, recompute count and histogram) must end where
+the per-access run leaves it.
 """
 
 import random
@@ -21,8 +24,10 @@ from repro.eval.config import ExperimentConfig
 from repro.obs import Tracer
 from repro.policies import (
     DGIPPRPolicy,
+    DRRIPPolicy,
     GIPPRPolicy,
     IPVLRUPolicy,
+    PDPPolicy,
     TreePLRUPolicy,
     TrueLRUPolicy,
     make_policy,
@@ -58,11 +63,19 @@ def assert_same_cell(build, trace, config, collect=False):
     )
     for field in FIELDS:
         assert getattr(engine, field) == getattr(reference, field), field
-    if isinstance(engine_policy, DGIPPRPolicy):
+    if isinstance(engine_policy, (DGIPPRPolicy, DRRIPPolicy)):
         assert selector_state(engine_policy.selector) == selector_state(
             reference_policy.selector
         )
+    if isinstance(engine_policy, DGIPPRPolicy):
         assert engine_policy.active_ipv() == reference_policy.active_ipv()
+    if isinstance(engine_policy, DRRIPPolicy):
+        assert engine_policy._fill_count == reference_policy._fill_count
+    if isinstance(engine_policy, PDPPolicy):
+        for name in ("pd", "recompute_count", "_histogram"):
+            assert getattr(engine_policy, name) == getattr(
+                reference_policy, name
+            ), name
     return engine
 
 
@@ -77,7 +90,9 @@ def vectors(k, count):
 def cells(draw):
     num_sets = 1 << draw(st.integers(0, 6))
     k = 1 << draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(("lru", "plru", "gippr", "dgippr")))
+    kind = draw(st.sampled_from(
+        ("lru", "plru", "gippr", "dgippr", "drrip", "pdp")
+    ))
     kernel = draw(st.sampled_from(("walk", "auto")))
     if kind == "lru":
         build = lambda: TrueLRUPolicy(num_sets, k)  # noqa: E731
@@ -90,6 +105,22 @@ def cells(draw):
         build = lambda: GIPPRPolicy(  # noqa: E731
             num_sets, k, ipv=ipv, kernel=kernel
         )
+    elif kind == "drrip":
+        leaders = draw(st.sampled_from((None, 0, 1, 2)))
+        bits = draw(st.integers(1, 10))
+        rrpv_bits = draw(st.integers(1, 3))
+        build = lambda: DRRIPPolicy(  # noqa: E731
+            num_sets, k, rrpv_bits=rrpv_bits, leaders_per_policy=leaders,
+            psel_bits=bits,
+        )
+    elif kind == "pdp":
+        pdp_kwargs = dict(
+            counter_bits=draw(st.integers(2, 4)),
+            recompute_interval=draw(st.integers(1, 64)),
+            sampled_set_stride=draw(st.integers(1, 4)),
+            max_distance=draw(st.integers(1, 256)),
+        )
+        build = lambda: PDPPolicy(num_sets, k, **pdp_kwargs)  # noqa: E731
     else:
         count = draw(st.sampled_from((1, 2, 4, 8)))
         ipvs = [IPV(v) for v in draw(vectors(k, count))]
@@ -130,13 +161,16 @@ def cells(draw):
 
 
 @given(cell=cells())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 def test_engine_matches_per_access_path(cell):
     build, trace, config, collect = cell
     assert_same_cell(build, trace, config, collect)
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru", "gippr", "dgippr"])
+ENGINE_POLICIES = ["lru", "plru", "gippr", "dgippr", "drrip", "pdp"]
+
+
+@pytest.mark.parametrize("policy", ENGINE_POLICIES)
 @pytest.mark.parametrize(
     "bench, simpoint",
     [("429.mcf", 0), ("462.libquantum", 0), ("400.perlbench", 1),
@@ -155,7 +189,7 @@ def test_spec_cells_at_compare_shape(policy, bench, simpoint):
     assert result.accesses == len(trace) - int(len(trace) * 0.25)
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru", "gippr", "dgippr"])
+@pytest.mark.parametrize("policy", ENGINE_POLICIES)
 def test_empty_trace(policy):
     config = default_config(trace_length=1000)
     result = assert_same_cell(
@@ -193,6 +227,58 @@ def test_duel_follower_stream_switches_often(monkeypatch):
     assert steps[0] > 50
 
 
+def test_drrip_followers_flip_often():
+    """With a 1-bit PSEL the followers switch between SRRIP and BRRIP
+    insertion on most leader misses; the engine reads every switch."""
+    rng = random.Random(11)
+    addresses = [rng.randrange(8 * 16 * 2) for _ in range(6000)]
+    config = ExperimentConfig(
+        num_sets=8, assoc=16, warmup_fraction=0.25, apply_env_scale=False
+    )
+    picks = []  # per built policy, every pick its selector returned
+
+    def build():
+        policy = DRRIPPolicy(8, 16, leaders_per_policy=1, psel_bits=1)
+        selected, seen = policy.selector.selected, []
+        picks.append(seen)
+
+        def recording_selected():
+            seen.append(selected())
+            return seen[-1]
+
+        policy.selector.selected = recording_selected
+        return policy
+
+    assert_same_cell(build, Trace(addresses), config, collect=True)
+    engine_picks = picks[0]
+    flips = sum(a != b for a, b in zip(engine_picks, engine_picks[1:]))
+    assert flips > 100
+
+
+def test_pdp_recomputes_often():
+    """A short recompute interval moves the PD many times in one cell."""
+    rng = random.Random(13)
+    addresses = [
+        rng.randrange(16 * 4 * (3 if (i // 1500) % 2 else 1))
+        for i in range(6000)
+    ]
+    config = ExperimentConfig(
+        num_sets=16, assoc=4, warmup_fraction=0.25, apply_env_scale=False
+    )
+    policies = []
+
+    def build():
+        policy = PDPPolicy(
+            16, 4, recompute_interval=64, sampled_set_stride=2,
+            max_distance=64,
+        )
+        policies.append(policy)
+        return policy
+
+    assert_same_cell(build, Trace(addresses), config, collect=True)
+    assert policies[0].recompute_count >= 20
+
+
 class _AccessSpy:
     """Counts ``SetAssociativeCache.access`` calls."""
 
@@ -207,7 +293,7 @@ class _AccessSpy:
         monkeypatch.setattr(SetAssociativeCache, "access", spy)
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru", "gippr", "dgippr"])
+@pytest.mark.parametrize("policy", ENGINE_POLICIES)
 def test_tracer_and_stats_sink_take_the_per_access_path(policy, monkeypatch):
     config = default_config(trace_length=1000, warmup_fraction=0.25)
     trace = Trace([i % 2000 for i in range(1000)])
@@ -222,14 +308,20 @@ def test_tracer_and_stats_sink_take_the_per_access_path(policy, monkeypatch):
     assert tracer.events_emitted > 0
 
 
+class _DRRIPSubclass(DRRIPPolicy):
+    pass
+
+
 @pytest.mark.parametrize("build", [
-    lambda: make_policy("drrip", 64, 16),
-    lambda: make_policy("pdp", 64, 16),
     lambda: make_policy("giplr", 64, 16),
+    lambda: make_policy("srrip", 64, 16),
+    lambda: make_policy("brrip", 64, 16),
     # Engines dispatch on the exact type: neither TrueLRUPolicy's base
-    # class (even with the LRU vector) nor a DGIPPRPolicy subclass.
+    # class (even with the LRU vector) nor a DGIPPRPolicy or DRRIPPolicy
+    # subclass.
     lambda: IPVLRUPolicy(64, 16, lru_ipv(16)),
     lambda: BypassDGIPPRPolicy(64, 16),
+    lambda: _DRRIPSubclass(64, 16),
 ])
 def test_other_policies_stay_per_access(build, monkeypatch):
     config = default_config(trace_length=1000)

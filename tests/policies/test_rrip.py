@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.cache import SetAssociativeCache
 from repro.policies import (
     BRRIPPolicy,
@@ -152,3 +154,9 @@ class TestDRRIP:
         policy = DRRIPPolicy(4096, 16)
         assert policy.state_bits_per_set() == 32
         assert policy.global_state_bits() == 10
+
+    def test_rrpv_width_is_one_to_eight_bits(self):
+        # The whole-trace loop keeps a set's RRPVs in a bytearray.
+        assert DRRIPPolicy(4, 4, rrpv_bits=8).max_rrpv == 255
+        with pytest.raises(ValueError, match="at most 8 bits"):
+            DRRIPPolicy(4, 4, rrpv_bits=9)
