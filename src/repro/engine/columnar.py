@@ -30,9 +30,14 @@ preprocesses a trace once (shared by every lane that replays it):
 Ordering columns by depth makes the active sets of step ``j`` a
 contiguous *prefix* of the column axis, so the simulation kernel works on
 plain array slices — no per-step gather of the state arrays.  Warmup is
-handled with the original global access indices, which ride along in the
+handled with the original access indices, which ride along in the
 transposed layout.  Ragged tails (sets with fewer accesses than the
 deepest set, and a final short chunk) fall out of the prefix widths.
+
+Streams never interact either, so a *segmented* trace bins several side
+by side (stream ``t``'s set ``s`` is column ``t * num_sets + s``): a pass
+takes as many steps as its deepest column, not the sum of each stream's
+depth, and returns misses per lane and per stream.
 
 Set-dueling does not run here: its PSEL counter moves in global access
 order across sets, which this scheduling reorders.
@@ -253,14 +258,18 @@ class ColumnarTrace:
     long run and per-step widths collapse to 1.  Counters require the
     original per-access columns, so ``run(counters=True)`` rejects
     collapsed traces.
+
+    ``addresses`` may also be a list of streams to bin side by side (see
+    the module docstring); ``lengths`` then holds their access counts
+    (``None`` for one flat stream), and access indices stay local to each.
     """
 
     __slots__ = ("num_sets", "n", "batch_accesses", "chunks", "addr_dtype",
-                 "collapsed")
+                 "collapsed", "lengths", "columns")
 
     def __init__(
         self,
-        addresses: Sequence[int],
+        addresses: Sequence,
         num_sets: int,
         batch_accesses: Optional[int] = None,
         collapse_runs: bool = False,
@@ -273,12 +282,22 @@ class ColumnarTrace:
             batch_accesses = DEFAULT_BATCH_ACCESSES
         elif batch_accesses < 1:
             raise ValueError("batch_accesses must be positive")
+        self.lengths = stream_base = None
+        if (isinstance(addresses, (list, tuple)) and addresses
+                and hasattr(addresses[0], "__len__")):
+            self.lengths = tuple(len(s) for s in addresses)
+            # First access of each stream, in the concatenated order.
+            stream_base = np.cumsum((0,) + self.lengths)
+            addresses = np.concatenate(
+                [np.asarray(s, dtype=np.int64) for s in addresses]
+            )
         addrs = np.ascontiguousarray(addresses, dtype=np.int64)
         if addrs.ndim != 1:
             raise ValueError("addresses must be a flat sequence")
         if addrs.size and int(addrs.min()) < 0:
             raise ValueError("addresses must be non-negative")
         self.num_sets = num_sets
+        self.columns = num_sets * (len(self.lengths) if self.lengths else 1)
         self.n = int(addrs.size)
         self.batch_accesses = batch_accesses
         self.collapsed = bool(collapse_runs)
@@ -288,46 +307,54 @@ class ColumnarTrace:
             else np.int64
         )
         self.chunks: List[_Chunk] = []
-        mask = num_sets - 1
         for base in range(0, self.n, batch_accesses):
             chunk = addrs[base:base + batch_accesses]
-            self.chunks.append(self._transpose(chunk, base, mask))
+            self.chunks.append(self._transpose(chunk, base, stream_base))
 
-    def _transpose(self, chunk, base: int, mask: int) -> _Chunk:
+    def _transpose(self, chunk, base: int, stream_base) -> _Chunk:
         m = chunk.size
-        si = chunk & mask
+        si = chunk & (self.num_sets - 1)
+        if stream_base is not None:
+            stream = np.searchsorted(
+                stream_base, np.arange(base, base + m), side="right"
+            ) - 1
+            si += stream * self.num_sets
         # Stable argsort picks radix for small int dtypes: an order of
         # magnitude faster than sorting the int64 set indices directly.
-        sort_key = (
-            si.astype(np.uint16) if self.num_sets <= (1 << 16) else si
-        )
-        order = np.argsort(sort_key, kind="stable")
+        if self.columns <= (1 << 16):
+            si = si.astype(np.uint16)
+        order = np.argsort(si, kind="stable")
         sorted_si = si[order]
         addr_sorted = chunk[order]
         gidx_sorted = base + order
+        if stream_base is not None:
+            gidx_sorted -= stream_base[sorted_si // self.num_sets]
         rep = None
         if self.collapsed and m:
-            # Runs are consecutive equal addresses in set-major order.
-            # Equal addresses imply equal sets, so address inequality
-            # alone delimits runs — set boundaries fall out for free.
+            # Runs are consecutive equal addresses in column-major order.
+            # In one stream equal addresses imply equal sets; across
+            # streams the same address may end one column and start the
+            # next, so there a column change ends a run too.
             new_run = np.empty(m, dtype=bool)
             new_run[0] = True
             np.not_equal(addr_sorted[1:], addr_sorted[:-1], out=new_run[1:])
+            if stream_base is not None:
+                new_run[1:] |= sorted_si[1:] != sorted_si[:-1]
             starts = np.flatnonzero(new_run)
             rep = np.diff(np.append(starts, m)).astype(np.int32)
             sorted_si = sorted_si[starts]
             addr_sorted = addr_sorted[starts]
             gidx_sorted = gidx_sorted[starts]
             m = int(starts.size)
-        counts = np.bincount(sorted_si, minlength=self.num_sets)
-        start = np.zeros(self.num_sets, dtype=np.int64)
+        counts = np.bincount(sorted_si, minlength=self.columns)
+        start = np.zeros(self.columns, dtype=np.int64)
         np.cumsum(counts[:-1], out=start[1:])
         rank = np.arange(m, dtype=np.int64) - start[sorted_si]
         # Columns ordered by descending depth: the sets active at step j
         # are then exactly the first `width[j]` columns.
         set_order = np.argsort(-counts, kind="stable")
-        col_of_set = np.empty(self.num_sets, dtype=np.int64)
-        col_of_set[set_order] = np.arange(self.num_sets, dtype=np.int64)
+        col_of_set = np.empty(self.columns, dtype=np.int64)
+        col_of_set[set_order] = np.arange(self.columns, dtype=np.int64)
         counts_desc = counts[set_order]
         max_depth = int(counts_desc[0]) if m else 0
         widths = np.searchsorted(
@@ -463,10 +490,13 @@ class BatchSimulator:
 
         ``trace`` is a :class:`ColumnarTrace` (reuse it across
         populations!) or a raw address sequence.  Returns the per-lane
-        measured miss counts as an ``int64`` array of shape ``(lanes,)``;
-        with ``collect_miss_indices`` a ``(misses, indices)`` tuple where
+        measured miss counts as an ``int64`` array of shape ``(lanes,)``,
+        or ``(lanes, streams)`` for a segmented trace; with
+        ``collect_miss_indices`` a ``(misses, indices)`` tuple where
         ``indices[lane]`` is the sorted list of measured-miss access
         indices (exactly what the scalar ``miss_indices`` output yields).
+        Miss indices and counters describe one stream, so a segmented
+        trace rejects both.
 
         ``counters=True`` additionally accumulates a
         :class:`BatchCounters` on ``self.counters`` (hits, misses,
@@ -487,6 +517,8 @@ class BatchSimulator:
             )
         if counters and depth_sample < 1:
             raise ValueError("depth_sample must be >= 1")
+        if (counters or collect_miss_indices) and trace.lengths is not None:
+            raise ValueError("miss indices and counters need one stream")
         if counters and trace.collapsed:
             raise ValueError(
                 "counters need per-access columns; build the trace with "
@@ -549,6 +581,8 @@ class BatchSimulator:
                     f"trace was binned for {trace.num_sets} sets, "
                     f"simulator has {self.num_sets}"
                 )
+        if trace.lengths is not None:
+            raise ValueError("a stream is fed one address stream")
         stream = self._stream
         with span("engine.columnar_feed", lanes=self.lanes,
                   accesses=trace.n):
@@ -596,11 +630,12 @@ class BatchSimulator:
         first_t = orbit_t[1::two_k].copy()
         row_base = t.row_base[:, None]
         decode = _hit_decoder(k)
+        C = trace.columns
         if state is None:
-            state = np.zeros((L, S), dtype=np.int64)
-            tags = np.full((L, S, k), -1, dtype=trace.addr_dtype)
-            nfill = np.zeros((L, S), dtype=np.int32)
-        misses = np.zeros(L, dtype=np.int64)
+            state = np.zeros((L, C), dtype=np.int64)
+            tags = np.full((L, C, k), -1, dtype=trace.addr_dtype)
+            nfill = np.zeros((L, C), dtype=np.int32)
+        col_misses = np.zeros((L, C), dtype=np.int64)
         lane_rows = np.arange(L)[:, None]
         miss_lanes: List = []
         miss_gidx: List = []
@@ -621,6 +656,7 @@ class BatchSimulator:
             st = state[:, cols]
             tg = tags.take(cols, axis=1)
             nf = nfill[:, cols]
+            cm = np.zeros((L, cols.size), dtype=np.int64)
             flat_base = (lane_rows * cols.size + np.arange(cols.size)) * k
             # Collapsed chunks with a pathologically deep tail (a couple
             # of interleaved hot keys in one set) cap the lockstep loop
@@ -707,24 +743,24 @@ class BatchSimulator:
                 stj[...] = new_state
                 nfj += cold
                 measured = miss & (gidx >= warmup)[None, :]
-                misses += np.count_nonzero(measured, axis=1)
+                cm[:, :w] += measured
                 if collect_miss_indices:
                     rows, cells = np.nonzero(measured)
                     if rows.size:
                         miss_lanes.append(rows)
                         miss_gidx.append(gidx[cells])
             if spill_widths is not None:
-                sp_misses, sp_rows, sp_gidx = self._spill_tail(
-                    chunk, depth_cap, spill_widths, st, tg, nf,
+                sp_rows, sp_gidx = self._spill_tail(
+                    chunk, depth_cap, spill_widths, st, tg, nf, cm,
                     warmup, collect_miss_indices,
                 )
-                misses += np.asarray(sp_misses, dtype=np.int64)
                 if sp_rows:
                     miss_lanes.append(np.asarray(sp_rows, dtype=np.int64))
                     miss_gidx.append(np.asarray(sp_gidx, dtype=np.int64))
             state[:, cols] = st
             tags[:, cols, :] = tg
             nfill[:, cols] = nf
+            col_misses[:, cols] += cm
             if counters:
                 # Per-set access counts without touching the address
                 # arrays: column c of this chunk is active on exactly the
@@ -750,6 +786,9 @@ class BatchSimulator:
                         sel.ravel(), minlength=L * k + 1
                     )
         self.final_state = state
+        misses = col_misses.reshape(L, -1, S).sum(axis=2)
+        if trace.lengths is None:
+            misses = misses[:, 0]
         if counters:
             self.counters = BatchCounters(
                 L, S, k, warmup, trace.n, set_accesses, miss_ls,
@@ -770,7 +809,7 @@ class BatchSimulator:
                 indices[lane] = gidx[bounds[lane]:bounds[lane + 1]].tolist()
         return misses, indices
 
-    def _spill_tail(self, chunk, depth_cap, widths, st, tg, nf,
+    def _spill_tail(self, chunk, depth_cap, widths, st, tg, nf, cm,
                     warmup, collect):
         """Finish pathologically deep columns with a per-access loop.
 
@@ -779,9 +818,9 @@ class BatchSimulator:
         This walks the surviving columns' remaining entries one access at
         a time against the same tables — the scalar mirror of the
         vectorized orbit transition, so results stay bit-identical.
-        Mutates the chunk-local ``st``, ``tg``, ``nf`` views in place;
-        returns per-lane measured-miss counts plus (lane, gidx) pairs when
-        ``collect`` is set.
+        Mutates the chunk-local ``st``, ``tg``, ``nf`` views in place and
+        adds each column's measured misses to ``cm``; returns the
+        (lane, gidx) pairs of those misses when ``collect`` is set.
         """
         t = self._tables
         k = self.assoc
@@ -789,7 +828,6 @@ class BatchSimulator:
         offsets = chunk.step_offsets
         victim, pos, shift = t.base.victim, t.base.pos, t.shift
         keep_w, bits_w = t.keep.tolist(), t.base.path_bits
-        lane_misses = [0] * self.lanes
         rows: List[int] = []
         gidxs: List[int] = []
         # One bulk tolist() of the whole tail keeps the inner loop on
@@ -843,8 +881,8 @@ class BatchSimulator:
                 st[lane, ci] = s
                 tg[lane, ci] = tag_list
                 nf[lane, ci] = nfv
-                lane_misses[lane] += missed
-        return lane_misses, rows, gidxs
+                cm[lane, ci] += missed
+        return rows, gidxs
 
     def positions(self, lane: int):
         """Recency positions ``[set, way]`` decoded from the final state

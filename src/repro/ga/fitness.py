@@ -112,6 +112,10 @@ _BASELINE_MEMO_LIMIT = 256
 #: num_sets sweep accumulate every layout it ever built.
 _COLUMNAR_MEMO_LIMIT = 32
 _COLUMNAR_MEMO_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+#: Widest lockstep pass of :meth:`FitnessEvaluator.evaluate_many`, in lanes
+#: x columns: wider passes gain little and widen every step's temporaries,
+#: so stacking workloads stops at 120 lanes over one 64-set trace.
+_PASS_LANE_COLUMNS = 120 * 64
 
 
 def clear_workload_memo() -> None:
@@ -127,12 +131,14 @@ def clear_workload_memo() -> None:
 def _shared_columnar_trace(key: tuple, addresses, num_sets: int):
     """Bounded LRU memo of :class:`~repro.engine.columnar.ColumnarTrace`.
 
-    Keyed by the trace *derivation* (benchmark, simpoint, length,
-    capacity, seed) plus ``num_sets`` — never by address-list identity,
-    so evaluators rebuilt across GA generations (or sweep points) reuse
-    layouts instead of growing one dict per instance without limit.
-    Layouts collapse runs, as serving's do: a run of repeats is one exact
-    O(1) orbit step, so a hot set's column takes far fewer lockstep steps.
+    ``addresses`` is one stream or a pass's streams, binned side by side.
+    Keyed by their trace *derivations* (benchmark and simpoint each, then
+    length, capacity, seed) plus ``num_sets`` — never by address-list
+    identity, so evaluators rebuilt across GA generations (or sweep
+    points) reuse layouts instead of growing one dict per instance
+    without limit.  Layouts collapse runs, as serving's do: a run of
+    repeats is one exact O(1) orbit step, so a hot set's column takes far
+    fewer lockstep steps.
     """
     trace = _COLUMNAR_MEMO.get(key)
     if trace is None:
@@ -518,19 +524,19 @@ class FitnessEvaluator:
             return False
         return columnar_supported(self.config.assoc)
 
-    def _columnar_trace(self, index: int, addresses: List[int]):
-        """The workload's step-transposed layout, via the bounded memo.
+    def _columnar_trace(self, indices: range):
+        """The segmented layout of workloads ``indices``, via the memo.
 
-        The layout is a pure function of the trace derivation and
+        The layout is a pure function of the trace derivations and
         geometry, so one build serves every generation's population —
         and, through the module-level LRU, every *evaluator* with the
-        same derivation (GA workers, sweep points).
+        same derivations (GA workers, sweep points).
         """
         cfg = self.config
-        name, simpoint = self._workload_keys[index]
-        key = (name, simpoint, cfg.trace_length, cfg.capacity_blocks,
-               cfg.seed, cfg.num_sets)
-        return _shared_columnar_trace(key, addresses, cfg.num_sets)
+        key = (tuple(self._workload_keys[i] for i in indices),
+               cfg.trace_length, cfg.capacity_blocks, cfg.seed, cfg.num_sets)
+        streams = [self._workloads[i][2] for i in indices]
+        return _shared_columnar_trace(key, streams, cfg.num_sets)
 
     def evaluate_many(self, ipvs: Sequence) -> List[float]:
         """Fitness of many IPVs, batched through the columnar engine.
@@ -538,9 +544,12 @@ class FitnessEvaluator:
         Bit-identical to ``[self.evaluate(ipv) for ipv in ipvs]`` — the
         per-lane miss counts match the scalar kernels exactly and the
         cycle accumulation runs in the same workload order with the same
-        float operations — but one engine pass per workload serves the
-        whole batch.  Falls back to that scalar loop whenever the batch
-        cannot go columnar (see :meth:`_columnar_batchable`).
+        float operations — but one :class:`BatchSimulator` serves the
+        whole batch, in passes over segmented traces that each stack as
+        many workloads as keep lanes x columns within
+        :data:`_PASS_LANE_COLUMNS` (every workload in one pass at a GA
+        generation's 24 lanes).  Falls back to that scalar loop whenever
+        the batch cannot go columnar (see :meth:`_columnar_batchable`).
         """
         batch = [
             tuple(ipv.entries if isinstance(ipv, IPV) else ipv)
@@ -561,15 +570,19 @@ class FitnessEvaluator:
         simulator = BatchSimulator(
             cfg.num_sets, cfg.assoc, batch, cfg.warmup_accesses
         )
-        cycles: List[Dict[str, float]] = [{} for _ in batch]
-        for index, (name, weight, addresses, instructions, _positions) in (
-            enumerate(self._workloads)
-        ):
-            trace = self._columnar_trace(index, addresses)
+        per_pass = max(1, _PASS_LANE_COLUMNS // (len(batch) * cfg.num_sets))
+        workloads = range(len(self._workloads))
+        by_workload = []
+        for first in workloads[::per_pass]:
+            trace = self._columnar_trace(workloads[first:first + per_pass])
             record_kernel_call("columnar")
-            misses = simulator.run(trace)
+            by_workload.extend(simulator.run(trace).T.tolist())
+        cycles: List[Dict[str, float]] = [{} for _ in batch]
+        for (name, weight, _, instructions, _), misses in zip(
+            self._workloads, by_workload
+        ):
             for lane, lane_cycles in enumerate(cycles):
-                value = self.timing.cycles(instructions, int(misses[lane]))
+                value = self.timing.cycles(instructions, misses[lane])
                 lane_cycles[name] = lane_cycles.get(name, 0.0) + weight * value
         results: List[float] = []
         for lane_cycles in cycles:

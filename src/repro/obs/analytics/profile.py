@@ -64,9 +64,12 @@ def _extract_addresses(trace) -> Tuple[Sequence[int], Optional[int]]:
 
     Accepts a raw sequence, a :class:`repro.trace.record.Trace`, or a
     :class:`repro.engine.columnar.ColumnarTrace` (whose step-transposed
-    chunks are scattered back into global access order).
+    chunks are scattered back into global access order, which needs one
+    stream with every access kept).
     """
     if hasattr(trace, "chunks") and hasattr(trace, "num_sets"):
+        if trace.collapsed or trace.lengths is not None:
+            raise ValueError("profile an uncollapsed single-stream trace")
         addrs = np.empty(trace.n, dtype=np.int64)
         for chunk in trace.chunks:
             addrs[chunk.gidx_by_step] = chunk.addr_by_step

@@ -46,6 +46,7 @@ from .differential import (
     check_columnar_equality,
     check_engine_equality,
     check_lut_walk_equality,
+    check_segmented_equality,
     diff_stream,
 )
 from .oracles import LRUStackOracle, OracleCache, PLRUPositionsOracle
@@ -91,6 +92,10 @@ _ENGINE_POLICIES = frozenset(n for n, f in POLICIES.items() if f in _ENGINES)
 _ENGINE_GEOMETRIES: Tuple[Tuple[int, int], ...] = (
     DEFAULT_GEOMETRIES[0], KERNEL_GEOMETRY, (16, 16),
 )
+
+#: PDP's recompute interval in the engine check: its default, 512
+#: sampled accesses, is never reached on the check's 512-access streams.
+_ENGINE_PDP_RECOMPUTE = 16
 
 #: Policies that may bypass (Belady dominance does not apply to them).
 _BYPASSING = frozenset({"bypass-dgippr"})
@@ -425,13 +430,24 @@ def verify_policy(
                 )
 
             # Columnar-engine identity on the same cells (reported into
-            # the same bucket, prefixed), for the single-IPV GIPPR family.
-            # Duels are checked by the engine check below.
+            # the same bucket, prefixed), for the single-IPV GIPPR family,
+            # then three streams of unequal length side by side: the first
+            # two touch set 0 only, and a run collapsed across their column
+            # change shows.  Duels are checked by the engine check below.
             if name in ("plru", "gippr"):
                 entries = kwargs.get("ipv") or [0] * (assoc + 1)
                 mismatch = check_columnar_equality(
                     num_sets, assoc, entries, accesses
                 )
+                if mismatch is None:
+                    hammer = generate_stream(
+                        "single-set-hammer", seeds[0], 200, num_sets, assoc
+                    )
+                    lanes = [entries, _stress_ipv_entries(assoc, 3), entries]
+                    mismatch = check_segmented_equality(
+                        num_sets, assoc, lanes,
+                        [hammer, hammer[::-1][:150], accesses], warmup=64,
+                    )
                 if mismatch is not None:
                     report.lut_walk_failures.append(
                         f"{num_sets}x{assoc}: columnar: {mismatch}"
@@ -442,6 +458,8 @@ def verify_policy(
     if name in _ENGINE_POLICIES and (not report.divergences or not fail_fast):
         for num_sets, assoc in _ENGINE_GEOMETRIES:
             kwargs = policy_kwargs(name, num_sets, assoc)
+            if name == "pdp":
+                kwargs["recompute_interval"] = _ENGINE_PDP_RECOMPUTE
             accesses = generate_stream(
                 "random-uniform", seeds[0], max(512, n_per_cell),
                 num_sets, assoc,

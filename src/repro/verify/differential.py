@@ -22,6 +22,8 @@ Run-level checks complete the battery:
   hits, evictions *and* final per-set state digests),
 * :func:`check_columnar_equality` — the columnar engine against the
   scalar kernels,
+* :func:`check_segmented_equality` — streams binned side by side in one
+  columnar trace against one run per stream,
 * :func:`check_engine_equality` — ``run_trace``'s whole-trace engine
   against its per-access path, and
 * :func:`check_belady_dominance` — Belady's MIN never misses more than a
@@ -43,6 +45,7 @@ __all__ = [
     "diff_stream",
     "check_lut_walk_equality",
     "check_columnar_equality",
+    "check_segmented_equality",
     "check_engine_equality",
     "check_belady_dominance",
 ]
@@ -207,6 +210,18 @@ def _state_digest(policy: ReplacementPolicy) -> Optional[tuple]:
     )
 
 
+def _mismatch(got, want) -> str:
+    """``got != want`` as text; for two lists, where they part: the first
+    differing index, both values there and both lengths."""
+    if not isinstance(got, list):
+        return f"{got!r} != {want!r}"
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    a, b = (v[i] if i < len(v) else "end" for v in (got, want))
+    return (f"first difference at [{i}]: {a!r} != {b!r} "
+            f"(lengths {len(got)} and {len(want)})")
+
+
 def check_lut_walk_equality(
     policy_factory: Callable[..., ReplacementPolicy],
     accesses: Sequence[int],
@@ -279,11 +294,9 @@ def check_columnar_equality(
             ("miss_indices", results[mode][1], results["walk"][1]),
         ):
             if got != want:
-                if field == "miss_indices":
-                    got, want = len(got), len(want)  # keep the message short
                 return (
                     f"columnar {mode}-vs-walk {field} mismatch: "
-                    f"{got!r} != {want!r}"
+                    f"{_mismatch(got, want)}"
                 )
     # Final recency positions: engine state vs the production cache.
     from ..core.ipv import IPV
@@ -307,6 +320,43 @@ def check_columnar_equality(
                 f"columnar final positions mismatch in set {s}: "
                 f"{got} != {want}"
             )
+    return None
+
+
+def check_segmented_equality(
+    num_sets: int,
+    assoc: int,
+    lanes: Sequence[Sequence[int]],
+    streams: Sequence[Sequence[int]],
+    warmup: int = 0,
+) -> Optional[str]:
+    """Streams binned side by side against one columnar run per stream.
+
+    Runs the IPV ``lanes`` over ``streams`` as one segmented
+    :class:`~repro.engine.columnar.ColumnarTrace`, with and without run
+    collapsing, and compares each stream's misses per lane and the final
+    PLRU state of its sets (which fixes every recency position) with an
+    uncollapsed run over that stream alone.  Returns a mismatch or None.
+    """
+    from ..engine import columnar
+
+    if not columnar.columnar_supported(assoc):
+        return None
+    simulator = columnar.BatchSimulator(num_sets, assoc, lanes, warmup)
+    alone = [(simulator.run(stream).tolist(), simulator.final_state.tolist())
+             for stream in streams]
+    for collapse in (False, True):
+        misses = simulator.run(columnar.ColumnarTrace(
+            list(streams), num_sets, collapse_runs=collapse
+        ))
+        for t, want in enumerate(alone):
+            sets = slice(t * num_sets, (t + 1) * num_sets)
+            got = (misses[:, t].tolist(),
+                   simulator.final_state[:, sets].tolist())
+            for field, a, b in zip(("misses", "final state"), got, want):
+                if a != b:
+                    return (f"segmented (collapse_runs={collapse}) stream "
+                            f"{t} {field}: {_mismatch(a, b)}")
     return None
 
 
@@ -355,11 +405,9 @@ def check_engine_equality(
     for field in ("accesses", "misses", "instructions", "miss_positions"):
         got, want = getattr(engine, field), getattr(reference, field)
         if got != want:
-            if field == "miss_positions":
-                got, want = len(got), len(want)  # keep the message short
             return (
                 f"engine-vs-per-access {field} mismatch: "
-                f"{got!r} != {want!r}"
+                f"{_mismatch(got, want)}"
             )
     selector = getattr(engine_policy, "selector", None)
     if selector is not None:

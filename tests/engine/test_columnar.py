@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import SetAssociativeCache
 from repro.core.ipv import IPV, lip_ipv, lru_ipv
@@ -205,6 +207,112 @@ class TestMultiLane:
             )
             assert int(misses[i]) == walk
             assert indices[i] == walk_idx
+
+
+def segment_streams(lengths, num_sets, assoc, seed):
+    """Streams over one shared footprint, each with its own pair of hot
+    keys: runs to collapse, interleaved keys, and equal addresses in
+    different streams (and so in different columns)."""
+    rng = random.Random(seed)
+    footprint = 3 * num_sets * assoc
+    streams = []
+    for n in lengths:
+        hot = [rng.randrange(footprint) for _ in range(2)]
+        streams.append([
+            rng.choice(hot) if rng.random() < 0.6 else rng.randrange(footprint)
+            for _ in range(n)
+        ])
+    return streams
+
+
+def assert_matches_one_run_per_stream(simulator, trace, streams):
+    """Per-lane, per-stream misses and final positions of one segmented
+    run equal a run over each stream alone."""
+    misses = simulator.run(trace)
+    assert misses.shape == (simulator.lanes, len(streams))
+    positions = [simulator.positions(lane) for lane in range(simulator.lanes)]
+    S = simulator.num_sets
+    for t, stream in enumerate(streams):
+        assert misses[:, t].tolist() == simulator.run(stream).tolist()
+        for lane in range(simulator.lanes):
+            assert (positions[lane][t * S:(t + 1) * S]
+                    == simulator.positions(lane)).all()
+
+
+class TestSegmented:
+    """Several streams binned side by side in one ColumnarTrace."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        lengths=st.lists(st.integers(0, 300), min_size=1, max_size=6,
+                         unique=True),
+        assoc=st.sampled_from([2, 4, 8, 16]),
+        num_sets=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+        collapse=st.booleans(),
+        warmup_share=st.floats(0.0, 1.0),
+        batch=st.sampled_from([None, 97, 256]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_run_per_stream(self, lengths, assoc, num_sets,
+                                        picks, collapse, warmup_share,
+                                        batch, seed):
+        streams = segment_streams(lengths, num_sets, assoc, seed)
+        pool = [stress_ipv(assoc, salt) for salt in range(4)]
+        lanes = [pool[p] for p in picks]  # duplicates included
+        warmup = int(warmup_share * max(lengths))
+        simulator = BatchSimulator(num_sets, assoc, lanes, warmup)
+        trace = ColumnarTrace(streams, num_sets, batch, collapse_runs=collapse)
+        assert trace.lengths == tuple(lengths)
+        assert trace.columns == num_sets * len(streams)
+        assert_matches_one_run_per_stream(simulator, trace, streams)
+
+    def test_runs_end_where_the_column_changes(self):
+        """One set: stream 0's column ends in address 7 and stream 1's
+        starts with it.  Merged into one run, stream 1 would lose its
+        cold miss on 7."""
+        streams = [[5, 6, 7, 7], [7, 7, 8]]
+        simulator = BatchSimulator(1, 2, [(0, 0, 1), (1, 1, 0)])
+        trace = ColumnarTrace(streams, 1, collapse_runs=True)
+        assert sum(c.addr_by_step.size for c in trace.chunks) == 5
+        assert simulator.run(trace).tolist() == [[3, 2], [3, 2]]
+        assert_matches_one_run_per_stream(simulator, trace, streams)
+
+    def test_interleaved_hot_keys_spill(self, monkeypatch):
+        """Two hot keys alternating in one set keep that column deep
+        after collapsing, so a segmented run takes the scalar spill."""
+        spilled = []
+        spill_tail = BatchSimulator._spill_tail
+
+        def spy(self, *args, **kwargs):
+            spilled.append(self.lanes)
+            return spill_tail(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "_spill_tail", spy)
+        rng = random.Random(5)
+        streams = []
+        for n in (3000, 1700, 2400):
+            hot = [64 * rng.randrange(1, 9) + 5 for _ in range(2)]
+            streams.append([
+                hot[i % 2] if rng.random() < 0.7 else rng.randrange(2560)
+                for i in range(n)
+            ])
+        lanes = [stress_ipv(4, salt) for salt in range(3)]
+        simulator = BatchSimulator(64, 4, lanes, warmup=400)
+        trace = ColumnarTrace(streams, 64, collapse_runs=True)
+        simulator.run(trace)
+        assert spilled == [3]
+        assert_matches_one_run_per_stream(simulator, trace, streams)
+
+    def test_rejects_miss_indices_counters_and_feed(self):
+        trace = ColumnarTrace([[1, 2], [3]], 4)
+        simulator = BatchSimulator(4, 2, [(0, 0, 1)])
+        for kwargs in ({"collect_miss_indices": True}, {"counters": True}):
+            with pytest.raises(ValueError, match="need one stream"):
+                simulator.run(trace, **kwargs)
+        for streams in (trace, [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="one address stream"):
+                simulator.feed(streams)
 
 
 def compare_rows(k, lanes, dtype, seed):

@@ -274,6 +274,39 @@ class TestColumnarKernel:
         assert batched == [walk.evaluate(ipv) for ipv in population]
         assert spilled_lanes and set(spilled_lanes) == {24}
 
+    def test_ga_generation_is_one_pass(self, monkeypatch):
+        """ga-plru's shape (its four benchmarks, five simpoints, 10 000
+        accesses, 64 sets): a 24-lane generation stacks every workload
+        into one segmented trace, so one BatchSimulator makes one run."""
+        from repro.engine.columnar import BatchSimulator
+
+        built, runs = [], []
+        init, run = BatchSimulator.__init__, BatchSimulator.run
+
+        def count_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def count_run(self, trace, *args, **kwargs):
+            runs.append(trace.lengths)
+            return run(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "__init__", count_init)
+        monkeypatch.setattr(BatchSimulator, "run", count_run)
+        evaluator = FitnessEvaluator(
+            ["429.mcf", "462.libquantum", "471.omnetpp", "483.xalancbmk"],
+            config=default_config(trace_length=10_000, seed=1),
+        )
+        rng = random.Random(24)
+        population = [lru_ipv(16), GIPPR_WI_VECTOR, lru_ipv(16)]
+        while len(population) < 24:
+            population.append(IPV([rng.randrange(16) for _ in range(17)]))
+        batched = evaluator.evaluate_many(population)
+        assert len(built) == 1
+        assert runs == [tuple(len(w[2]) for w in evaluator._workloads)]
+        assert len(runs[0]) == 5
+        assert batched == [evaluator.evaluate(ipv) for ipv in population]
+
     def test_evaluate_many_auto_batches_only_large(self, config):
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="auto"
@@ -395,7 +428,7 @@ class TestColumnarMemo:
             assert parsed[(name, ())] == pytest.approx(stats[field])
 
     def test_evaluators_share_trace_by_derivation(self):
-        from repro.ga.fitness import columnar_memo_stats
+        from repro.ga.fitness import _COLUMNAR_MEMO, columnar_memo_stats
 
         config = default_config(trace_length=600)
         population = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
@@ -405,14 +438,18 @@ class TestColumnarMemo:
         )
         first.evaluate_many(population)
         after_first = columnar_memo_stats()
-        workloads = len(first._workload_keys)  # one trace per simpoint
-        assert after_first["size"] == workloads
+        # Four lanes stack every simpoint into one pass: one layout,
+        # keyed by the group's derivations.
+        assert len(first._workload_keys) > 1
+        assert after_first["size"] == 1
+        (key,) = _COLUMNAR_MEMO
+        assert key[0] == tuple(first._workload_keys)
         # A rebuilt evaluator with the same derivation reuses the layouts.
         second = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="columnar"
         )
         second.evaluate_many(population)
         after_second = columnar_memo_stats()
-        assert after_second["size"] == workloads
+        assert after_second["size"] == 1
         assert after_second["misses"] == after_first["misses"]
         assert after_second["hits"] > after_first["hits"]

@@ -157,6 +157,17 @@ class TestEdgeCasesAndValidation:
 
 
 class TestColumnarTraceInput:
+    def test_rejects_layouts_without_every_access(self):
+        """A collapsed trace keeps one entry per run and a segmented one
+        keeps indices local to each stream: neither scatters back."""
+        from repro.engine.columnar import ColumnarTrace
+
+        addresses = mixed_stream(1_500, 200, seed=13)
+        for trace in (ColumnarTrace(addresses, 8, collapse_runs=True),
+                      ColumnarTrace([addresses, addresses[:700]], 8)):
+            with pytest.raises(ValueError, match="uncollapsed single"):
+                profile_trace(trace)
+
     def test_columnar_trace_infers_sets_and_matches(self):
         from repro.engine.columnar import ColumnarTrace
 

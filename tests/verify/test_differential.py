@@ -19,8 +19,10 @@ from repro.verify.conformance import (
 )
 from repro.verify.differential import (
     check_belady_dominance,
+    check_columnar_equality,
     check_engine_equality,
     check_lut_walk_equality,
+    check_segmented_equality,
     diff_stream,
 )
 from repro.verify.shrink import (
@@ -238,6 +240,96 @@ class TestRunLevelChecks:
         )
         assert mismatch is not None and "engine-vs-per-access" in mismatch
 
+    def test_engine_mismatch_names_where_the_paths_split(self, monkeypatch):
+        """Same miss count, one miss moved one access later: the report
+        names that list index, both values there and both lengths."""
+        from repro.eval import runner
+        from repro.policies.lru import TrueLRUPolicy
+
+        engine = runner._ENGINES[TrueLRUPolicy]
+        moved = []
+
+        def shifted(policy, addresses, warmup, miss_indices):
+            misses = engine(policy, addresses, warmup, miss_indices)
+            taken = set(miss_indices)
+            j = next(j for j, i in enumerate(miss_indices)
+                     if i + 1 not in taken and i + 1 < len(addresses))
+            moved.append((j, len(miss_indices)))
+            miss_indices[j] += 1
+            return misses
+
+        monkeypatch.setitem(runner._ENGINES, TrueLRUPolicy, shifted)
+        accesses = generate_stream("random-uniform", 0, 1500, 8, 4)
+        mismatch = check_engine_equality(
+            lambda: build_policy("lru", 8, 4), accesses
+        )
+        (j, n), = moved
+        # Miss positions are instruction counts, not access indices.
+        assert mismatch.startswith(
+            f"engine-vs-per-access miss_positions mismatch: "
+            f"first difference at [{j}]: "
+        )
+        assert mismatch.endswith(f"(lengths {n} and {n})")
+
+    def test_columnar_mismatch_names_where_the_paths_split(
+        self, monkeypatch
+    ):
+        from repro.ga import fitness
+
+        columnar = fitness.simulate_misses_plru_columnar
+        moved = []
+
+        def shifted(addresses, *args):
+            misses = columnar(addresses, *args)
+            miss_indices = args[-1]
+            taken = set(miss_indices)
+            j = next(j for j, i in enumerate(miss_indices)
+                     if i + 1 not in taken and i + 1 < len(addresses))
+            moved.append((j, miss_indices[j]))
+            miss_indices[j] += 1
+            return misses
+
+        monkeypatch.setattr(fitness, "simulate_misses_plru_columnar", shifted)
+        accesses = generate_stream("random-uniform", 0, 800, 8, 4)
+        mismatch = check_columnar_equality(8, 4, [0] * 5, accesses)
+        (j, index), = moved
+        assert mismatch.startswith(
+            "columnar columnar-vs-walk miss_indices mismatch"
+        )
+        assert f"first difference at [{j}]: {index + 1} != {index}" in (
+            mismatch
+        )
+
+    @pytest.mark.parametrize("geometry", [(8, 4), (4, 16), (1, 8)])
+    def test_segmented_identity(self, geometry):
+        num_sets, assoc = geometry
+        streams = [
+            generate_stream(name, seed, n, num_sets, assoc)
+            for name, seed, n in (("zipf-hot", 1, 700),
+                                  ("random-uniform", 2, 300),
+                                  ("single-set-hammer", 3, 450))
+        ]
+        lanes = [[0] * (assoc + 1), [assoc - 1] * (assoc + 1)]
+        assert check_segmented_equality(
+            num_sets, assoc, lanes, streams, warmup=100
+        ) is None
+
+    def test_segmented_check_catches_a_layout_bug(self, monkeypatch):
+        """Streams binned into the first stream's columns are caught."""
+        from repro.engine.columnar import ColumnarTrace
+
+        transpose = ColumnarTrace._transpose
+        monkeypatch.setattr(
+            ColumnarTrace, "_transpose",
+            lambda self, chunk, base, _starts: transpose(
+                self, chunk, base, None
+            ),
+        )
+        streams = [generate_stream("random-uniform", seed, n, 8, 4)
+                   for seed, n in ((1, 300), (2, 200))]
+        mismatch = check_segmented_equality(8, 4, [[0] * 5], streams)
+        assert mismatch is not None and "stream" in mismatch
+
     @pytest.mark.parametrize("name", ["lru", "plru", "srrip", "random"])
     def test_belady_dominates(self, name):
         num_sets, assoc = GEOMETRY
@@ -249,6 +341,30 @@ class TestRunLevelChecks:
 
 
 class TestVerifyPolicy:
+    def test_engine_check_recomputes_pdp(self, monkeypatch):
+        """Every pdp cell of the engine check reaches the PD recompute,
+        so a stale PD after a recompute cannot pass the gate."""
+        from repro.eval import runner
+        from repro.policies.pdp import PDPPolicy
+        from repro.verify.conformance import _ENGINE_GEOMETRIES
+
+        recomputes = {}
+        run_trace = runner.run_trace
+
+        def spy(policy, trace, config, *args, **kwargs):
+            result = run_trace(policy, trace, config, *args, **kwargs)
+            if type(policy) is PDPPolicy and "stats_sink" not in kwargs:
+                cell = (policy.num_sets, policy.assoc)
+                recomputes[cell] = policy.recompute_count
+            return result
+
+        monkeypatch.setattr(runner, "run_trace", spy)
+        # make conformance's budget (`repro verify --quick`).
+        report = verify_policy("pdp", fuzz_budget=6000, check_every=16)
+        assert report.ok, report.summary()
+        assert set(recomputes) == set(_ENGINE_GEOMETRIES)
+        assert all(count > 0 for count in recomputes.values()), recomputes
+
     def test_clean_policy_reports_ok(self):
         report = verify_policy("plru", fuzz_budget=1200)
         assert report.ok
