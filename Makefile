@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving smoke-slo trend-check figures report wn-vectors examples clean
+.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving trend-check figures report wn-vectors examples clean
 
 # Targets that run pytest / the library directly need the src layout on the
 # import path; the smoke scripts insert it themselves but inherit it too.
@@ -107,18 +107,11 @@ smoke-surrogate:
 # Serving-scenario check: sharded front-end miss counts are bit-identical
 # across shard counts and engines to a single-cache scalar reference, the
 # run_serving report/manifest/status schema holds, seed=None derivation
-# is deterministic, and a bounded ingest queue sheds load visibly.
+# is deterministic, a bounded ingest queue sheds load visibly, and
+# attaching the latency-histogram telemetry stays within the 5%
+# drain-loop overhead budget without changing a miss count.
 smoke-serving:
 	$(PYTHON) scripts/smoke_serving.py
-
-# Serving SLO-telemetry check: a mid-run scrape of the OpenMetrics
-# endpoint returns parseable text with per-shard p99 and windowed
-# hit-rate gauges, drift detection fires on an injected hot-set flip and
-# stays quiet on a stationary stream, attaching telemetry stays within
-# the 5% drain-loop overhead budget, and `repro serve --slo-strict`
-# exits non-zero on a violated SLO.
-smoke-slo:
-	$(PYTHON) scripts/smoke_slo.py
 
 figures:
 	$(PYTHON) scripts/export_results.py --outdir results

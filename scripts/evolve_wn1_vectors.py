@@ -11,7 +11,10 @@ hold-out-k scheme and uses k=1 on a cluster):
   paper's exact setting; 29x more GA work.
 
 Each training set yields 1-, 2- and 4-vector IPV sets, plus one
-workload-inclusive (WI) set trained on everything.  Results land in
+workload-inclusive (WI) set trained on everything.  Each GA task's seed
+derives from the digest of its label and vector count
+(:mod:`repro.workloads.seeding`), so reruns write identical files; the
+seeds are recorded in the output's ``ga`` block.  Results land in
 ``src/repro/data/wn1_vectors.json`` where
 :func:`repro.core.vectors.load_wn1_vectors` and the honest-WN1 bench pick
 them up.
@@ -30,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.eval.config import default_config  # noqa: E402
 from repro.eval.crossval import evolve_duel_vectors  # noqa: E402
 from repro.workloads import benchmark_names  # noqa: E402
+from repro.workloads.seeding import derive_seed, spec_digest  # noqa: E402
 
 OUTPUT = os.path.join(
     os.path.dirname(__file__), "..", "src", "repro", "data", "wn1_vectors.json"
@@ -37,9 +41,15 @@ OUTPUT = os.path.join(
 VECTOR_COUNTS = (1, 2, 4)
 
 
+def task_seed(label, num_vectors):
+    """The GA seed of one task, the same in every interpreter."""
+    return derive_seed(spec_digest({"label": label, "vectors": num_vectors}))
+
+
 def _task(args):
     """One GA job: evolve ``num_vectors`` IPVs on an explicit training set."""
-    label, training, num_vectors, trace_length, population, generations = args
+    (label, training, num_vectors, trace_length, population, generations,
+     seed) = args
     config = default_config(trace_length=trace_length)
     vectors = evolve_duel_vectors(
         training,
@@ -47,7 +57,7 @@ def _task(args):
         config=config,
         population_size=population,
         generations=generations,
-        seed=(hash((label, num_vectors)) & 0xFFFF),
+        seed=seed,
     )
     return label, num_vectors, [list(v.entries) for v in vectors]
 
@@ -94,7 +104,7 @@ def main():
 
     tasks = [
         (label, training, n, args.trace_length, args.population,
-         args.generations)
+         args.generations, task_seed(label, n))
         for label, training in jobs
         for n in VECTOR_COUNTS
     ]
@@ -124,6 +134,10 @@ def main():
             "population": args.population,
             "generations": args.generations,
             "folds": args.folds,
+            "seeds": {
+                label: {str(n): task_seed(label, n) for n in VECTOR_COUNTS}
+                for label, _ in jobs
+            },
         },
         "vectors": results,
     }

@@ -15,7 +15,11 @@ end to end:
 3. determinism: two streams from one spec are identical, and
    ``seed=None`` derives the same seed in-process both times;
 4. backpressure is bounded and visible: a tiny ingest queue sheds load
-   into ``shed_accesses`` instead of growing without bound.
+   into ``shed_accesses`` instead of growing without bound;
+5. overhead: attaching telemetry costs <= 5 % on the serving drain loop
+   (paired process_time ratios, min over rounds — the
+   ``measure_counters_overhead`` discipline), and leaves miss counts
+   unchanged.
 
 Exits non-zero on any failure.
 """
@@ -32,6 +36,7 @@ from repro.engine.scalar import ScalarStreamSimulator  # noqa: E402
 from repro.core.ipv import lru_ipv  # noqa: E402
 from repro.serve.frontend import ShardedFrontend  # noqa: E402
 from repro.serve.service import run_serving  # noqa: E402
+from repro.serve.telemetry import ServeTelemetry  # noqa: E402
 from repro.serve.workload import (  # noqa: E402
     ServingSpec,
     ServingStream,
@@ -49,7 +54,7 @@ REPORT_FIELDS = (
     "ipv", "num_sets", "assoc", "shards", "engine",
     "accesses", "misses", "miss_rate", "wall_sec",
     "throughput_accesses_per_sec", "shed_accesses", "shed_ratio",
-    "retired_keys", "shards_detail", "totals", "telemetry", "slo",
+    "retired_keys", "shards_detail", "totals", "telemetry",
 )
 
 
@@ -112,7 +117,7 @@ def check_report_schema():
             payload = json.load(handle)
         missing = [f for f in REPORT_FIELDS if f not in payload]
         assert not missing, f"report missing fields: {missing}"
-        assert payload["schema"] == "repro-serving-report/3"
+        assert payload["schema"] == "repro-serving-report/4"
         assert payload["accesses"] == spec.accesses
         assert payload["misses"] == report.misses
         assert payload["seed_derived"] is True
@@ -166,12 +171,46 @@ def check_backpressure():
     print(f"  backpressure   queue stayed bounded, shed {shed} accesses")
 
 
+def check_overhead():
+    # Paired process_time ratios over identical drain work, min over
+    # rounds (the measure_counters_overhead discipline): telemetry
+    # attached vs telemetry=None on the same chunk sequence.
+    spec = ServingSpec(keys=1 << 12, alpha=1.2, accesses=200_000, seed=23)
+    chunks = list(ServingStream(spec).chunks(1 << 14))
+    rounds = 5
+    best = float("inf")
+    misses = set()
+    for _ in range(rounds):
+        plain = ShardedFrontend(NUM_SETS, ASSOC, ENTRIES, shards=2)
+        t0 = time.process_time()
+        m_plain = sum(plain.process(c) for c in chunks)
+        plain_sec = time.process_time() - t0
+
+        telem = ServeTelemetry(2)
+        wired = ShardedFrontend(NUM_SETS, ASSOC, ENTRIES, shards=2,
+                                telemetry=telem)
+        t0 = time.process_time()
+        m_wired = sum(wired.process(c) for c in chunks)
+        wired_sec = time.process_time() - t0
+
+        misses.update((m_plain, m_wired))
+        if plain_sec > 0:
+            best = min(best, wired_sec / plain_sec)
+    assert len(misses) == 1, f"telemetry changed miss counts: {misses}"
+    assert best <= 1.05, (
+        f"telemetry overhead {best:.3f}x exceeds the 1.05x budget"
+    )
+    print(f"  overhead       {best:.3f}x with telemetry attached "
+          f"(budget 1.05x), misses bit-identical")
+
+
 def main():
     t0 = time.perf_counter()
     check_bit_identity()
     check_report_schema()
     check_determinism()
     check_backpressure()
+    check_overhead()
     print(f"serving smoke OK in {time.perf_counter() - t0:.1f}s")
     return 0
 

@@ -349,42 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-telemetry", action="store_true",
-        help="disable the serving telemetry layer (latency histograms, "
-             "windows, drift detection, SLO evaluation)",
+        help="disable the serving telemetry layer (per-shard batch and "
+             "amortized per-access latency histograms)",
     )
-    serve.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="telemetry window size in offered accesses "
-             "(default: 65536)",
-    )
-    serve.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve the metrics registry as an OpenMetrics scrape "
-             "endpoint on this port for the run's duration (0 = pick "
-             "an ephemeral port, published in the status file)",
-    )
-    serve.add_argument(
-        "--events", default=None, metavar="PATH",
-        help="write drift / slo_violation trace events to this JSONL",
-    )
-    serve.add_argument(
-        "--slo-p99-ms", type=float, default=None, metavar="MS",
-        help="SLO: windowed p99 amortized per-access latency target, "
-             "in milliseconds",
-    )
-    serve.add_argument(
-        "--slo-min-hit-rate", type=float, default=None, metavar="FRAC",
-        help="SLO: minimum per-window hit rate in [0, 1]",
-    )
-    serve.add_argument(
-        "--slo-max-shed", type=float, default=None, metavar="FRAC",
-        help="SLO: maximum per-window shed fraction in [0, 1]",
-    )
-    serve.add_argument(
-        "--slo-strict", action="store_true",
-        help="exit nonzero if any SLO objective is violated",
-    )
-
     obs = sub.add_parser(
         "obs", help="inspect repro.obs artifacts (JSONL traces, metrics)"
     )
@@ -423,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="live serving dashboard over a serve run-status.json",
         description="Like `repro obs watch`, but renders the serving "
                     "telemetry section a `repro serve` run publishes: "
-                    "latency percentiles, the last closed windows, "
-                    "per-shard p99/queue depth, drift flags and SLO "
-                    "burn rates.",
+                    "amortized per-access latency percentiles and "
+                    "per-shard p99/queue depth.",
     )
     obs_top.add_argument(
         "status", nargs="?", default=None, metavar="PATH",
@@ -435,29 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="refresh interval in seconds (default 1.0)")
     obs_top.add_argument("--once", action="store_true",
                          help="render one snapshot and exit")
-
-    obs_serve_metrics = obs_sub.add_parser(
-        "serve-metrics",
-        help="serve a metrics snapshot as an OpenMetrics scrape endpoint",
-        description="Rebuild a registry from a JSON snapshot (the "
-                    "to_json() form written by --metrics-json / "
-                    "`repro trace --metrics-out x.json`) and serve it "
-                    "over HTTP at /metrics until interrupted.",
-    )
-    obs_serve_metrics.add_argument(
-        "snapshot", help="registry snapshot JSON file"
-    )
-    obs_serve_metrics.add_argument(
-        "--host", default="127.0.0.1", help="bind host (default 127.0.0.1)"
-    )
-    obs_serve_metrics.add_argument(
-        "--port", type=int, default=0,
-        help="bind port (default 0 = ephemeral, printed on startup)",
-    )
-    obs_serve_metrics.add_argument(
-        "--duration", type=float, default=None, metavar="SEC",
-        help="serve for this many seconds then exit (default: until ^C)",
-    )
 
     obs_trend = obs_sub.add_parser(
         "trend", help="kernel perf history: record, show, regression-check",
@@ -871,29 +814,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _build_slo_spec(args):
-    """SLOSpec from the --slo-* flags, or None when none are set."""
-    if (args.slo_p99_ms is None and args.slo_min_hit_rate is None
-            and args.slo_max_shed is None):
-        return None
-    from .obs.slo import SLOSpec
-
-    return SLOSpec(
-        latency_target=(
-            args.slo_p99_ms / 1e3 if args.slo_p99_ms is not None else None
-        ),
-        min_hit_rate=args.slo_min_hit_rate,
-        max_shed_ratio=args.slo_max_shed,
-    )
-
-
 def _cmd_serve(args) -> int:
-    from .serve import (
-        DEFAULT_WINDOW_ACCESSES,
-        ServingSpec,
-        auto_flash_phases,
-        run_serving,
-    )
+    from .serve import ServingSpec, auto_flash_phases, run_serving
 
     if "," in args.policy:
         policy = [int(e) for e in args.policy.split(",")]
@@ -907,42 +829,22 @@ def _cmd_serve(args) -> int:
         churn_per_million=args.churn,
         phases=auto_flash_phases(args.accesses, args.phases),
         seed=args.seed,
-        slo=_build_slo_spec(args),
     )
     if args.seed is None:
         print(f"seed: {spec.resolved_seed()} "
               f"(derived from spec digest {spec.digest()[:12]})")
-    telemetry = not args.no_telemetry
-    if args.slo_strict and (not telemetry or spec.slo is None):
-        print("--slo-strict needs telemetry and at least one --slo-* "
-              "objective", file=sys.stderr)
-        return 2
-    tracer = None
-    if args.events and telemetry:
-        from .obs import JSONLSink, Tracer
-
-        tracer = Tracer(sink=JSONLSink(args.events))
-    try:
-        report = run_serving(
-            spec,
-            args.sets,
-            args.assoc,
-            policy=policy,
-            shards=args.shards,
-            engine=args.engine,
-            chunk_accesses=args.chunk,
-            status_path=args.status,
-            report_path=args.report,
-            telemetry=telemetry,
-            window_accesses=(
-                args.window if args.window else DEFAULT_WINDOW_ACCESSES
-            ),
-            metrics_port=args.metrics_port if telemetry else None,
-            tracer=tracer,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
+    report = run_serving(
+        spec,
+        args.sets,
+        args.assoc,
+        policy=policy,
+        shards=args.shards,
+        engine=args.engine,
+        chunk_accesses=args.chunk,
+        status_path=args.status,
+        report_path=args.report,
+        telemetry=not args.no_telemetry,
+    )
     print(
         f"{report.policy} @ {args.sets}x{args.assoc}, "
         f"{report.shards} shard(s), engine {report.engine}"
@@ -965,32 +867,8 @@ def _cmd_serve(args) -> int:
         ]
         if parts:
             print("amortized latency/access: " + "  ".join(parts))
-        drift_events = report.telemetry.get("drift_events", [])
-        print(
-            f"windows {report.telemetry.get('windows_closed', 0)}; "
-            f"drift events {len(drift_events)}"
-            + (
-                " (" + ", ".join(sorted({
-                    e.get("series", "?") for e in drift_events
-                })) + ")"
-                if drift_events else ""
-            )
-        )
-    if report.slo_summary is not None:
-        verdict = "OK" if report.slo_ok else "VIOLATED"
-        violations = report.slo_summary.get("violations", [])
-        print(f"slo: {verdict}"
-              + (f" ({len(violations)} violation(s): "
-                 + ", ".join(sorted({
-                     v.get("objective", "?") for v in violations
-                 })) + ")"
-                 if violations else ""))
-    if args.events:
-        print(f"telemetry events written to {args.events}")
     if args.report:
         print(f"report written to {args.report}")
-    if args.slo_strict and not report.slo_ok:
-        return 1
     return 0
 
 
@@ -1047,9 +925,6 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "top":
         return _cmd_obs_watch(args, top=True)
 
-    if args.obs_command == "serve-metrics":
-        return _cmd_obs_serve_metrics(args)
-
     if args.obs_command == "trend":
         return _cmd_obs_trend(args)
 
@@ -1073,29 +948,6 @@ def _cmd_obs_watch(args, top: bool = False) -> int:
         iterations=1 if args.once else None,
         render=render_top if top else None,
     )
-
-
-def _cmd_obs_serve_metrics(args) -> int:
-    import json
-    import time as _time
-
-    from .obs.export_http import MetricsServer
-    from .obs.metrics import registry_from_json
-
-    with open(args.snapshot) as handle:
-        payload = json.load(handle)
-    registry = registry_from_json(payload)
-    with MetricsServer(registry, host=args.host, port=args.port) as server:
-        print(f"serving {len(registry)} instrument(s) at {server.url}")
-        try:
-            if args.duration is not None:
-                _time.sleep(args.duration)
-            else:
-                while True:
-                    _time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-    return 0
 
 
 def _cmd_obs_analyze(args) -> int:

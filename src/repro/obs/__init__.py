@@ -14,7 +14,10 @@ zero-overhead when disabled:
   buffer, JSONL file) with optional per-set and per-interval sampling.
 * :mod:`repro.obs.metrics` — a process-wide-capable metrics registry
   (counters, gauges, histograms) with Prometheus-text and JSON exporters;
-  :class:`repro.eval.parallel.RunnerMetrics` is built on top of it.
+  :class:`repro.eval.parallel.RunnerMetrics` is built on top of it.  It
+  also holds :class:`~repro.obs.metrics.HdrHistogram`, the log-bucketed
+  latency histogram with exact, mergeable counts that ``repro serve``
+  records per shard batch and per access.
 * :mod:`repro.obs.provenance` — run manifests (config hash, policy kwargs,
   seed, code digest, git revision, host, wall time) written next to cached
   results and generated reports, so any number in a figure can be traced
@@ -31,14 +34,6 @@ zero-overhead when disabled:
   progress, throughput, ETA, worker liveness) rendered by ``repro obs
   watch`` (and ``repro obs top`` for serving runs); the final state
   survives completion for post-mortems.
-* :mod:`repro.obs.slo` — HDR-style log-bucketed latency histograms
-  (exact, mergeable counts) and multi-window burn-rate SLO evaluation.
-* :mod:`repro.obs.windows` — sliding offered-load windows over
-  hit rate / throughput / shed / queue depth, with EWMA + CUSUM drift
-  detection against the run's own warm baseline.
-* :mod:`repro.obs.export_http` — a stdlib ``http.server`` OpenMetrics
-  scrape endpoint over any metrics registry (``repro serve
-  --metrics-port``, ``repro obs serve-metrics``).
 * :mod:`repro.obs.trend` — append-only ``BENCH_history.jsonl`` perf
   history keyed by git revision, with a regression comparator behind
   ``repro obs trend --check``.
@@ -68,22 +63,16 @@ from .events import (
     event_from_dict,
     validate_event_dict,
 )
-from .export_http import (
-    OPENMETRICS_CONTENT_TYPE,
-    MetricsServer,
-    openmetrics_text,
-)
 from .logconfig import configure_logging
 from .metrics import (
     Counter,
     Gauge,
+    HdrHistogram,
     Histogram,
     MetricsRegistry,
     parse_prometheus,
-    registry_from_json,
 )
 from .overhead import disabled_overhead_ratio
-from .slo import HdrHistogram, SLOEvaluator, SLOSpec
 from .provenance import (
     build_manifest,
     config_hash,
@@ -116,7 +105,6 @@ from .status import (
     watch,
 )
 from .tracer import Tracer, registry_from_events, replay_counts
-from .windows import DriftDetector, SlidingWindows
 from .trend import (
     compare_entries,
     latest_deltas,
@@ -149,14 +137,6 @@ __all__ = [
     "render_status",
     "render_top",
     "watch",
-    "DriftDetector",
-    "SlidingWindows",
-    "HdrHistogram",
-    "SLOEvaluator",
-    "SLOSpec",
-    "MetricsServer",
-    "OPENMETRICS_CONTENT_TYPE",
-    "openmetrics_text",
     "compare_entries",
     "latest_deltas",
     "record_bench_kernels",
@@ -169,10 +149,10 @@ __all__ = [
     "configure_logging",
     "Counter",
     "Gauge",
+    "HdrHistogram",
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus",
-    "registry_from_json",
     "disabled_overhead_ratio",
     "build_manifest",
     "config_hash",

@@ -32,17 +32,6 @@ index so a reader can reassemble the per-access story.  The kinds:
     A sampled saturating-counter value (every ``psel_every`` accesses).
     ``label`` names the counter (``psel``, ``pair01``, ``pair23``,
     ``meta``), ``value`` is the raw signed value.
-``drift``
-    The serving-path drift detector flagged a sustained change in a
-    windowed series against the run's warm baseline.  ``label`` names
-    the series (``hit_rate``, ``throughput``), ``value`` is the
-    triggering window's value (float allowed), ``access`` the offered
-    load at the window's end.
-``slo_violation``
-    A serving SLO objective newly entered multi-window burn.  ``label``
-    names the objective (``latency``, ``hit_rate``, ``shed_ratio``),
-    ``value`` the offending measurement (float allowed), ``access`` the
-    offered load at the window's end.
 
 Events serialize to compact JSON objects with ``None`` fields omitted;
 :data:`EVENT_SCHEMA` documents required/optional fields per kind and
@@ -71,8 +60,6 @@ EVENT_KINDS = (
     "bypass",
     "duel_flip",
     "psel_sample",
-    "drift",
-    "slo_violation",
 )
 
 #: Required / optional integer fields per event kind.  ``kind`` and
@@ -92,18 +79,12 @@ EVENT_SCHEMA = {
         "bypass": {"required": ("set",), "optional": ("block",)},
         "duel_flip": {"required": ("set", "policy", "value"), "optional": ()},
         "psel_sample": {"required": ("label", "value"), "optional": ()},
-        "drift": {"required": ("label", "value"), "optional": ()},
-        "slo_violation": {"required": ("label", "value"), "optional": ()},
     },
 }
 
 _INT_FIELDS = frozenset(
     {"access", "set", "way", "block", "pos_before", "pos_after", "policy", "value"}
 )
-
-#: Kinds whose ``value`` is a measurement (hit rate, seconds) rather
-#: than a hardware index — floats are legal there, and only there.
-_FLOAT_VALUE_KINDS = frozenset({"drift", "slo_violation"})
 
 
 class TraceEvent:
@@ -219,12 +200,6 @@ def validate_event_dict(payload: dict) -> None:
         if field == "label":
             if not isinstance(value, str):
                 raise ValueError(f"{kind} event field 'label' must be a string")
-        elif field == "value" and kind in _FLOAT_VALUE_KINDS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(
-                    f"{kind} event field 'value' must be a number, "
-                    f"got {value!r}"
-                )
         elif field in _INT_FIELDS:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(

@@ -7,6 +7,8 @@ Prometheus text exposition format or JSON.  The parallel experiment
 runner's :class:`repro.eval.parallel.RunnerMetrics` and the event
 :class:`~repro.obs.tracer.Tracer` both feed instruments from one of these
 registries, so every layer of the stack reports through the same pipe.
+Next to the fixed-bucket :class:`Histogram` sits :class:`HdrHistogram`,
+the log-bucketed latency histogram behind the serving percentiles.
 
 Instrument names must match ``[a-zA-Z_:][a-zA-Z0-9_:]*`` (the Prometheus
 rule); label values are arbitrary strings.
@@ -23,10 +25,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "Counter",
     "Gauge",
+    "DEFAULT_QUANTILES",
+    "HdrHistogram",
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus",
-    "registry_from_json",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -241,6 +244,214 @@ class Histogram:
         }
 
 
+#: The quantiles every latency surface (report, status, gauges) exposes.
+DEFAULT_QUANTILES = (0.5, 0.9, 0.99, 0.999)
+
+
+class HdrHistogram:
+    """Log-bucketed latency histogram with exact, mergeable counts.
+
+    ``unit`` is the quantization step in the caller's value scale
+    (default ``1e-9``: nanosecond resolution for values in seconds);
+    ``sub_bits`` fixes the per-octave sub-bucket precision.  ``record``
+    accepts a ``weight`` so pre-aggregated costs (one engine batch =
+    thousands of accesses at one amortized per-access latency) flush in
+    without a Python-level loop, mirroring
+    :meth:`repro.obs.metrics.Histogram.observe`.
+
+    Thread-safe: ``record``/``merge`` hold a per-instrument lock (see
+    :class:`repro.obs.metrics.Counter` for why the GIL is not enough).
+    """
+
+    __slots__ = ("unit", "sub_bits", "counts", "count", "sum",
+                 "min_value", "max_value", "_lock")
+
+    def __init__(self, unit: float = 1e-9, sub_bits: int = 5):
+        if not unit > 0:
+            raise ValueError(f"unit must be positive, got {unit}")
+        if not 1 <= sub_bits <= 16:
+            raise ValueError(f"sub_bits must be in [1, 16], got {sub_bits}")
+        self.unit = float(unit)
+        self.sub_bits = int(sub_bits)
+        self.counts: Dict[int, int] = {}
+        self.count = 0
+        self.sum = 0.0
+        self.min_value: Optional[float] = None
+        self.max_value: Optional[float] = None
+        self._lock = threading.Lock()
+
+    # -- indexing ------------------------------------------------------
+    def _index_of(self, units: int) -> int:
+        sub = 1 << self.sub_bits
+        if units < sub:
+            return units
+        exp = units.bit_length() - 1          # 2**exp <= units
+        shift = exp - self.sub_bits
+        return ((shift + 1) << self.sub_bits) + ((units >> shift) - sub)
+
+    def bucket_bounds(self, index: int) -> Tuple[float, float]:
+        """``[lo, hi)`` value range of bucket ``index`` (caller scale)."""
+        if index < 0:
+            raise ValueError(f"bucket index must be >= 0, got {index}")
+        sub = 1 << self.sub_bits
+        if index < sub:
+            return index * self.unit, (index + 1) * self.unit
+        shift = (index >> self.sub_bits) - 1
+        lo = (sub + (index & (sub - 1))) << shift
+        return lo * self.unit, (lo + (1 << shift)) * self.unit
+
+    @property
+    def relative_error(self) -> float:
+        """Worst-case relative quantization error of any recorded value."""
+        return 2.0 ** -self.sub_bits
+
+    # -- recording -----------------------------------------------------
+    def record(self, value: float, weight: int = 1) -> None:
+        """Record ``value`` (``weight`` times at once, like ``observe``)."""
+        if value != value:
+            raise ValueError("cannot record NaN")
+        if value < 0:
+            raise ValueError(f"latency values must be >= 0, got {value}")
+        if not weight >= 0:  # catches negatives and NaN weights alike
+            raise ValueError(f"record weight must be >= 0, got {weight}")
+        if weight == 0:
+            return
+        index = self._index_of(int(value / self.unit))
+        with self._lock:
+            self.counts[index] = self.counts.get(index, 0) + weight
+            self.count += weight
+            self.sum += value * weight
+            if self.min_value is None or value < self.min_value:
+                self.min_value = value
+            if self.max_value is None or value > self.max_value:
+                self.max_value = value
+
+    # -- quantiles -----------------------------------------------------
+    def quantile(self, q: float) -> Optional[float]:
+        """Nearest-rank quantile over the exact bucket counts.
+
+        Returns the upper edge of the bucket holding rank
+        ``ceil(q * count)`` — the HDR "highest equivalent value"
+        convention — clamped to the exactly-tracked observed min/max, so
+        ``quantile(0.0)``/``quantile(1.0)`` are exact.  ``None`` when
+        empty.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        with self._lock:
+            if self.count == 0:
+                return None
+            if q == 0.0:
+                return self.min_value
+            rank = max(1, math.ceil(q * self.count))
+            cumulative = 0
+            for index in sorted(self.counts):
+                cumulative += self.counts[index]
+                if cumulative >= rank:
+                    _, hi = self.bucket_bounds(index)
+                    value = hi - self.unit  # highest representable in bucket
+                    return min(max(value, self.min_value), self.max_value)
+        raise AssertionError("bucket counts inconsistent with count")
+
+    def percentiles(
+        self, qs: Sequence[float] = DEFAULT_QUANTILES
+    ) -> Dict[str, Optional[float]]:
+        """``{"p50": ..., "p99": ...}`` for the given quantiles."""
+        out = {}
+        for q in qs:
+            label = f"p{q * 100:g}".replace(".", "_")
+            out[label] = self.quantile(q)
+        return out
+
+    @property
+    def mean(self) -> Optional[float]:
+        return self.sum / self.count if self.count else None
+
+    # -- merging -------------------------------------------------------
+    def merge(self, other: "HdrHistogram") -> None:
+        """Add ``other``'s exact counts into this histogram."""
+        self.merge_raw(
+            other.counts, other.count, other.sum,
+            min_value=other.min_value, max_value=other.max_value,
+            unit=other.unit, sub_bits=other.sub_bits,
+        )
+
+    def merge_raw(
+        self,
+        counts: Dict[int, int],
+        count: int,
+        total: float,
+        min_value: Optional[float] = None,
+        max_value: Optional[float] = None,
+        unit: Optional[float] = None,
+        sub_bits: Optional[int] = None,
+    ) -> None:
+        """Cross-shard / cross-process merge of raw bucket counts.
+
+        Pass the source's ``unit``/``sub_bits`` so layout disagreement
+        raises instead of silently mis-binning (the
+        ``Histogram.merge_raw`` contract).
+        """
+        if unit is not None and float(unit) != self.unit:
+            raise ValueError(f"hdr merge: unit {unit} != {self.unit}")
+        if sub_bits is not None and int(sub_bits) != self.sub_bits:
+            raise ValueError(
+                f"hdr merge: sub_bits {sub_bits} != {self.sub_bits}"
+            )
+        with self._lock:
+            for index, n in counts.items():
+                index = int(index)
+                if index < 0:
+                    raise ValueError(f"hdr merge: bad bucket index {index}")
+                self.counts[index] = self.counts.get(index, 0) + int(n)
+            self.count += int(count)
+            self.sum += float(total)
+            for bound, better in ((min_value, min), (max_value, max)):
+                if bound is None:
+                    continue
+                current = self.min_value if better is min else self.max_value
+                merged = bound if current is None else better(current, bound)
+                if better is min:
+                    self.min_value = merged
+                else:
+                    self.max_value = merged
+
+    # -- serialization -------------------------------------------------
+    def to_dict(self) -> dict:
+        """JSON-ready snapshot (counts keyed by stringified index)."""
+        return {
+            "schema": "repro-hdr/1",
+            "unit": self.unit,
+            "sub_bits": self.sub_bits,
+            "counts": {str(k): v for k, v in self.counts.items()},
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min_value,
+            "max": self.max_value,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "HdrHistogram":
+        if payload.get("schema") != "repro-hdr/1":
+            raise ValueError(
+                f"not an hdr snapshot: schema={payload.get('schema')!r}"
+            )
+        hist = cls(unit=payload["unit"], sub_bits=payload["sub_bits"])
+        hist.merge_raw(
+            {int(k): int(v) for k, v in payload["counts"].items()},
+            payload["count"], payload["sum"],
+            min_value=payload.get("min"), max_value=payload.get("max"),
+        )
+        return hist
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"HdrHistogram(count={self.count}, "
+                f"buckets={len(self.counts)}, max={self.max_value})")
+
+
 class MetricsRegistry:
     """A named collection of instruments.
 
@@ -362,41 +573,6 @@ class MetricsRegistry:
 
     def dump_json(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-def registry_from_json(payload: dict) -> MetricsRegistry:
-    """Rebuild a registry from a ``to_json()`` snapshot.
-
-    The round-trip partner of :meth:`MetricsRegistry.to_json`: metric
-    names in the snapshot are already fully qualified, so the rebuilt
-    registry uses an empty namespace.  This is what lets
-    ``repro obs serve-metrics`` expose any dumped snapshot over the
-    scrape endpoint.
-    """
-    registry = MetricsRegistry()
-    for name, entry in sorted(payload.items()):
-        kind = entry.get("type")
-        help_text = entry.get("help", "")
-        for series in entry.get("series", ()):
-            labels = series.get("labels") or None
-            value = series.get("value")
-            if kind == "counter":
-                registry.counter(name, help_text, labels).inc(int(value))
-            elif kind == "gauge":
-                registry.gauge(name, help_text, labels).set(value)
-            elif kind == "histogram":
-                hist = registry.histogram(
-                    name, value["bounds"], help_text, labels
-                )
-                hist.merge_raw(
-                    value["bucket_counts"], value["count"], value["sum"],
-                    bounds=value["bounds"],
-                )
-            else:
-                raise ValueError(
-                    f"metric {name!r}: unknown instrument type {kind!r}"
-                )
-    return registry
 
 
 def _fmt(value: float) -> str:

@@ -219,16 +219,6 @@ def render_status(status: dict, now: Optional[float] = None) -> str:
     return "\n".join(lines)
 
 
-def _fmt_rate(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}M/s"
-    if value >= 1e3:
-        return f"{value / 1e3:.1f}k/s"
-    return f"{value:.1f}/s"
-
-
 def _fmt_latency(seconds: Optional[float]) -> str:
     if seconds is None:
         return "-"
@@ -242,7 +232,7 @@ def _fmt_latency(seconds: Optional[float]) -> str:
 
 
 def render_top(status: dict, now: Optional[float] = None) -> str:
-    """Serving dashboard view: windows, percentiles, shards, drift, SLO.
+    """Serving dashboard view: latency percentiles and per-shard rows.
 
     The ``repro obs top`` backend.  Renders the ``serving`` section a
     telemetry-enabled ``repro serve`` publishes into ``run-status.json``;
@@ -264,17 +254,6 @@ def render_top(status: dict, now: Optional[float] = None) -> str:
             )
             + " (amortized/access)"
         )
-    windows = serving.get("windows") or []
-    for window in windows[-4:]:
-        hit_rate = window.get("hit_rate")
-        shed_ratio = window.get("shed_ratio")
-        hit = f"{hit_rate:.1%}" if hit_rate is not None else "-"
-        shed = f"{shed_ratio:.1%}" if shed_ratio is not None else "-"
-        lines.append(
-            f"  window    #{window.get('index', '?')}  hit {hit}  "
-            f"tp {_fmt_rate(window.get('throughput'))}  shed {shed}  "
-            f"q {window.get('queue_depth', 0)}"
-        )
     shards = serving.get("shards") or []
     if shards:
         parts = []
@@ -285,35 +264,6 @@ def render_top(status: dict, now: Optional[float] = None) -> str:
                 f"q{shard.get('queue_depth', 0)}"
             )
         lines.append("  shards    " + " | ".join(parts))
-    drift = serving.get("drift") or {}
-    events = drift.get("events") or []
-    if events:
-        last = events[-1]
-        lines.append(
-            f"  drift     {len(events)} event(s); last: "
-            f"{last.get('series', '?')} {last.get('direction', '?')} "
-            f"@window {last.get('window_index', '?')}"
-        )
-    else:
-        lines.append("  drift     none")
-    slo = serving.get("slo")
-    if isinstance(slo, dict):
-        burn = slo.get("burn_rates") or {}
-        parts = []
-        for objective in sorted(burn):
-            rates = burn[objective]
-            parts.append(
-                f"{objective} {rates.get('short', 0.0):.2f}/"
-                f"{rates.get('long', 0.0):.2f}"
-            )
-        verdict = "OK" if slo.get("ok", True) else "VIOLATED"
-        lines.append(
-            "  slo       " + (" | ".join(parts) if parts else "-")
-            + f"  [{verdict}]"
-        )
-    port = serving.get("metrics_port")
-    if port:
-        lines.append(f"  scrape    http://127.0.0.1:{port}/metrics")
     return "\n".join(lines)
 
 

@@ -211,27 +211,6 @@ class Tracer:
                     labels={"counter": name},
                 ).set(normalized())
 
-    def drift(self, access: int, series: str, value: float) -> None:
-        """Emit a serving-path drift event (see :mod:`repro.obs.windows`)."""
-        self._count("drift")
-        self._write(TraceEvent("drift", access, label=series, value=value))
-        self.registry.counter(
-            "repro_drift_events_total", "Windowed-series drift detections",
-            labels={"series": series},
-        ).inc()
-
-    def slo_violation(self, access: int, objective: str,
-                      value: float) -> None:
-        """Emit an SLO burn-rate violation (see :mod:`repro.obs.slo`)."""
-        self._count("slo_violation")
-        self._write(TraceEvent(
-            "slo_violation", access, label=objective, value=value,
-        ))
-        self.registry.counter(
-            "repro_slo_violations_total", "SLO burn-rate violations",
-            labels={"objective": objective},
-        ).inc()
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         self.sink.close()
@@ -284,18 +263,6 @@ def registry_from_events(
                 "Latest sampled saturating-counter value",
                 labels={"counter": event.label or "psel"},
             ).set(event.value)
-        elif event.kind == "drift":
-            registry.counter(
-                "repro_drift_events_total",
-                "Windowed-series drift detections",
-                labels={"series": event.label or ""},
-            ).inc()
-        elif event.kind == "slo_violation":
-            registry.counter(
-                "repro_slo_violations_total",
-                "SLO burn-rate violations",
-                labels={"objective": event.label or ""},
-            ).inc()
     return registry
 
 
@@ -317,8 +284,6 @@ def replay_counts(events: Iterable[TraceEvent]) -> Dict[str, int]:
         "promotions": 0,
         "duel_flips": 0,
         "psel_samples": 0,
-        "drifts": 0,
-        "slo_violations": 0,
     }
     plural = {
         "hit": "hits",
@@ -329,8 +294,6 @@ def replay_counts(events: Iterable[TraceEvent]) -> Dict[str, int]:
         "promotion": "promotions",
         "duel_flip": "duel_flips",
         "psel_sample": "psel_samples",
-        "drift": "drifts",
-        "slo_violation": "slo_violations",
     }
     for event in events:
         key = plural.get(event.kind)

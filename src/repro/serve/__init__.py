@@ -10,7 +10,7 @@ and backs the ``repro serve`` CLI.
 
 from .frontend import ShardedFrontend, ShardResult
 from .service import ServingReport, run_serving
-from .telemetry import DEFAULT_WINDOW_ACCESSES, ServeTelemetry
+from .telemetry import ServeTelemetry
 from .workload import (
     GEN_BLOCK,
     FlashPhase,
@@ -21,7 +21,6 @@ from .workload import (
 )
 
 __all__ = [
-    "DEFAULT_WINDOW_ACCESSES",
     "GEN_BLOCK",
     "FlashPhase",
     "ServeTelemetry",

@@ -10,6 +10,10 @@ through a :class:`~repro.serve.frontend.ShardedFrontend`:
   throughput/progress/ETA (``repro obs watch`` renders it);
 * ``repro_serve_*`` gauges land in a
   :class:`~repro.obs.metrics.MetricsRegistry`;
+* a :class:`~repro.serve.telemetry.ServeTelemetry` (on by default)
+  records per-shard batch latency and amortized per-access latency into
+  HDR histograms, published to the status file, the registry and the
+  report;
 * a provenance manifest (spec digest + resolved seed — derived seeds
   are *recorded*, per the workloads seeding contract) is written next
   to the report when a report path is given.
@@ -24,11 +28,10 @@ from typing import Optional, Sequence, Tuple, Union
 from ..core.ipv import lip_ipv, lru_ipv, mru_pessimistic_ipv
 from ..core.plru import is_power_of_two
 from ..obs.metrics import MetricsRegistry
-from ..obs.slo import SLOSpec
 from ..obs.spans import span
 from ..obs.status import StatusPublisher
 from .frontend import ShardedFrontend
-from .telemetry import DEFAULT_WINDOW_ACCESSES, ServeTelemetry
+from .telemetry import ServeTelemetry
 from .workload import ServingSpec, ServingStream
 
 __all__ = [
@@ -75,7 +78,7 @@ class ServingReport:
     def __init__(self, spec, policy, entries, num_sets, assoc, shards,
                  engine, accesses, misses, wall_sec, shed,
                  retired, shard_snapshots, totals_snapshot,
-                 telemetry=None, slo_summary=None):
+                 telemetry=None):
         self.spec = spec
         self.policy = policy
         self.entries = entries
@@ -91,7 +94,6 @@ class ServingReport:
         self.shard_snapshots = shard_snapshots
         self.totals_snapshot = totals_snapshot
         self.telemetry = telemetry        # report_section() dict or None
-        self.slo_summary = slo_summary    # SLOEvaluator.summary() or None
 
     @property
     def miss_rate(self) -> float:
@@ -104,13 +106,6 @@ class ServingReport:
         return self.shed / offered if offered else 0.0
 
     @property
-    def slo_ok(self) -> bool:
-        """False only when an SLO was evaluated and violated."""
-        if self.slo_summary is None:
-            return True
-        return bool(self.slo_summary.get("ok", True))
-
-    @property
     def throughput(self) -> float:
         """Sustained accesses/sec over the whole run."""
         return self.accesses / self.wall_sec if self.wall_sec > 0 else 0.0
@@ -118,8 +113,9 @@ class ServingReport:
     def to_dict(self) -> dict:
         return {
             # /2 adds shed_ratio + the telemetry and slo blocks; /3
-            # drops the stream backend.
-            "schema": "repro-serving-report/3",
+            # drops the stream backend; /4 drops the slo block and the
+            # telemetry block's windows and drift events.
+            "schema": "repro-serving-report/4",
             "spec": self.spec.digest_payload(),
             "spec_digest": self.spec.digest(),
             "seed": self.spec.resolved_seed(),
@@ -141,13 +137,12 @@ class ServingReport:
             "shards_detail": self.shard_snapshots,
             "totals": self.totals_snapshot,
             "telemetry": self.telemetry,
-            "slo": self.slo_summary,
         }
 
 
 def _publish_run_gauges(registry, done, misses, rate, shards,
                         shed, retired) -> None:
-    """Run-level gauges, refreshed per chunk so mid-run scrapes are live."""
+    """Run-level gauges, set once at the end of the run."""
     registry.gauge(
         "throughput_accesses_per_sec",
         "Sustained serving throughput over the whole run",
@@ -178,10 +173,6 @@ def run_serving(
     registry: Optional[MetricsRegistry] = None,
     report_path: Optional[Union[str, Path]] = None,
     telemetry: bool = True,
-    window_accesses: int = DEFAULT_WINDOW_ACCESSES,
-    slo: Optional[SLOSpec] = None,
-    metrics_port: Optional[int] = None,
-    tracer=None,
 ) -> ServingReport:
     """Drive ``spec``'s stream through a sharded front-end; report.
 
@@ -191,25 +182,16 @@ def run_serving(
 
     ``telemetry=True`` (the default) attaches a
     :class:`~repro.serve.telemetry.ServeTelemetry`: per-shard HDR batch
-    latency, sliding windows, drift detection and — when ``slo`` (or
-    ``spec.slo``) is given — burn-rate SLO evaluation, all surfaced
-    through the registry, the status file's ``serving`` section, the
-    ``tracer`` (``drift``/``slo_violation`` events) and the final
-    report.  ``metrics_port`` (0 = ephemeral) additionally serves the
-    registry as an OpenMetrics scrape endpoint for the duration of the
-    run; the bound port is published in ``run-status.json``.
+    latency and amortized per-access latency, surfaced through the
+    registry, the status file's ``serving`` section and the final
+    report.
     """
     if not is_power_of_two(num_sets) or not is_power_of_two(assoc):
         raise ValueError(
             f"geometry must be powers of two, got {num_sets}x{assoc}"
         )
     name, entries = resolve_policy_entries(policy, assoc)
-    slo = slo if slo is not None else spec.slo
-    telem = (
-        ServeTelemetry(shards, window_accesses=window_accesses,
-                       slo=slo, tracer=tracer)
-        if telemetry else None
-    )
+    telem = ServeTelemetry(shards) if telemetry else None
     frontend = ShardedFrontend(
         num_sets, assoc, entries, shards=shards, engine=engine,
         telemetry=telem,
@@ -220,96 +202,68 @@ def run_serving(
     )
     if registry is None:
         registry = MetricsRegistry("repro_serve")
-    server = None
-    if metrics_port is not None:
-        from ..obs.export_http import MetricsServer
-
-        server = MetricsServer(registry, port=metrics_port)
     total = spec.accesses
     done = 0
     misses = 0
     start = time.monotonic()
-    try:
-        with span("serve.run", accesses=total, shards=shards,
-                  policy=name, engine=frontend.engine):
-            if publisher:
-                publisher.update(
-                    force=True, phase="serving", accesses_total=total,
-                    accesses_done=0, policy=name, shards=shards,
-                    engine=frontend.engine,
-                    metrics_port=server.port if server else None,
-                )
-            chunks = stream.chunks(chunk_accesses)
-            while True:
-                with span("serve.generate"):
-                    chunk = next(chunks, None)
-                if chunk is None:
-                    break
-                with span("serve.simulate", accesses=len(chunk)):
-                    misses += frontend.process(chunk)
-                done += len(chunk)
-                elapsed = time.monotonic() - start
-                rate = done / elapsed if elapsed > 0 else 0.0
-                if telem is not None:
-                    _publish_run_gauges(
-                        registry, done, misses, rate, shards,
-                        frontend.shed_accesses, stream.retired,
-                    )
-                    telem.publish(registry)
-                if publisher:
-                    fields = dict(
-                        phase="serving",
-                        accesses_done=done,
-                        accesses_total=total,
-                        throughput=rate,
-                        miss_rate=misses / done if done else 0.0,
-                        eta_sec=(total - done) / rate if rate else None,
-                    )
-                    if telem is not None:
-                        serving = telem.snapshot()
-                        serving["metrics_port"] = (
-                            server.port if server else None
-                        )
-                        fields["serving"] = serving
-                    publisher.update(**fields)
-        wall = time.monotonic() - start
-        if telem is not None:
-            telem.finalize()
-        totals = frontend.totals()
-        report = ServingReport(
-            spec, name, entries, num_sets, assoc, shards, frontend.engine,
-            done, misses, wall, frontend.shed_accesses,
-            stream.retired,
-            [r.snapshot() for r in frontend.shard_results()],
-            totals.snapshot(),
-            telemetry=telem.report_section() if telem is not None else None,
-            slo_summary=(
-                telem.slo.summary()
-                if telem is not None and telem.slo is not None else None
-            ),
-        )
-        rate = report.throughput
-        _publish_run_gauges(registry, done, misses, rate, shards,
-                            frontend.shed_accesses, stream.retired)
-        if telem is not None:
-            telem.publish(registry)
-            registry.gauge(
-                "shed_ratio_total",
-                "Shed fraction of offered load over the whole run",
-            ).set(report.shed_ratio)
+    with span("serve.run", accesses=total, shards=shards,
+              policy=name, engine=frontend.engine):
         if publisher:
-            fields = dict(
-                phase="done", accesses_done=done, accesses_total=total,
-                throughput=rate, miss_rate=report.miss_rate, wall_sec=wall,
+            publisher.update(
+                force=True, phase="serving", accesses_total=total,
+                accesses_done=0, policy=name, shards=shards,
+                engine=frontend.engine,
             )
-            if telem is not None:
-                serving = telem.snapshot()
-                serving["metrics_port"] = server.port if server else None
-                fields["serving"] = serving
-            publisher.finalize(**fields)
-    finally:
-        if server is not None:
-            server.close()
+        chunks = stream.chunks(chunk_accesses)
+        while True:
+            with span("serve.generate"):
+                chunk = next(chunks, None)
+            if chunk is None:
+                break
+            with span("serve.simulate", accesses=len(chunk)):
+                misses += frontend.process(chunk)
+            done += len(chunk)
+            elapsed = time.monotonic() - start
+            rate = done / elapsed if elapsed > 0 else 0.0
+            if publisher:
+                fields = dict(
+                    phase="serving",
+                    accesses_done=done,
+                    accesses_total=total,
+                    throughput=rate,
+                    miss_rate=misses / done if done else 0.0,
+                    eta_sec=(total - done) / rate if rate else None,
+                )
+                if telem is not None:
+                    fields["serving"] = telem.snapshot()
+                publisher.update(**fields)
+    wall = time.monotonic() - start
+    totals = frontend.totals()
+    report = ServingReport(
+        spec, name, entries, num_sets, assoc, shards, frontend.engine,
+        done, misses, wall, frontend.shed_accesses,
+        stream.retired,
+        [r.snapshot() for r in frontend.shard_results()],
+        totals.snapshot(),
+        telemetry=telem.report_section() if telem is not None else None,
+    )
+    rate = report.throughput
+    _publish_run_gauges(registry, done, misses, rate, shards,
+                        frontend.shed_accesses, stream.retired)
+    if telem is not None:
+        telem.publish(registry)
+        registry.gauge(
+            "shed_ratio_total",
+            "Shed fraction of offered load over the whole run",
+        ).set(report.shed_ratio)
+    if publisher:
+        fields = dict(
+            phase="done", accesses_done=done, accesses_total=total,
+            throughput=rate, miss_rate=report.miss_rate, wall_sec=wall,
+        )
+        if telem is not None:
+            fields["serving"] = telem.snapshot()
+        publisher.finalize(**fields)
     if report_path is not None:
         import json
 

@@ -1,173 +1,91 @@
-"""Serving-path telemetry: latency, windows, drift and SLO in one hub.
+"""Serving-path telemetry: batch and per-access latency histograms.
 
 A :class:`ServeTelemetry` hangs off the :class:`~repro.serve.frontend.
 ShardedFrontend` drain loop and is fed exactly once per engine *batch*
-(thousands of accesses) plus once per shed decision — never per access,
-which is how the whole layer fits the ≤5 % disabled-overhead budget
-(``make smoke-slo`` measures it; disabled means ``telemetry=None`` and
-the front-end pays one ``is not None`` test per drained batch).
+(thousands of accesses), never per access, which is how the layer fits
+the ≤5 % overhead budget (``make smoke-serving`` measures it; disabled
+means ``telemetry=None`` and the front-end pays one ``is not None``
+test per drained batch).
 
 Per batch it records:
 
 * the shard's **batch latency** into a per-shard
-  :class:`~repro.obs.slo.HdrHistogram` (exact counts, mergeable — the
+  :class:`~repro.obs.metrics.HdrHistogram` (exact counts, mergeable — the
   cross-shard merge is bit-identical to a single-shard recording, which
   the tests pin);
 * the **amortized per-access cost** (batch wall / batch size) into a
-  run-wide histogram, weighted by batch size, plus a per-window slice
-  that resets at every window boundary so SLO latency is judged on the
-  window, not the run;
-* the batch's accesses/hits/shed/queue-depth into
-  :class:`~repro.obs.windows.SlidingWindows`; every window that closes
-  flows through the :class:`~repro.obs.windows.DriftDetector` and the
-  optional :class:`~repro.obs.slo.SLOEvaluator`, and any resulting
-  ``drift`` / ``slo_violation`` events go out through the attached
-  :class:`~repro.obs.tracer.Tracer` (when given).
+  run-wide histogram, weighted by batch size.
 
 ``snapshot()`` is what ``run_serving`` publishes into
 ``run-status.json`` (the ``repro obs top`` payload); ``publish()``
-updates the scrape-endpoint gauges; ``report_section()`` is the final
-JSON report's ``telemetry`` block.
+updates the latency gauges in the run's metrics registry;
+``report_section()`` is the final JSON report's ``telemetry`` block.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..obs.slo import DEFAULT_QUANTILES, HdrHistogram, SLOEvaluator, SLOSpec
-from ..obs.windows import DriftDetector, SlidingWindows
+from ..obs.metrics import DEFAULT_QUANTILES, HdrHistogram
 
-__all__ = ["DEFAULT_WINDOW_ACCESSES", "ServeTelemetry"]
-
-#: Default window size in offered accesses (64Ki: a handful of windows
-#: per second at serving throughput, plenty for burn-rate horizons).
-DEFAULT_WINDOW_ACCESSES = 1 << 16
+__all__ = ["ServeTelemetry"]
 
 
 class ServeTelemetry:
-    """Latency histograms + sliding windows + drift + SLO for one run."""
+    """Per-shard batch latency and amortized per-access latency."""
 
-    def __init__(
-        self,
-        shards: int,
-        window_accesses: int = DEFAULT_WINDOW_ACCESSES,
-        slo: Optional[SLOSpec] = None,
-        tracer=None,
-        drift_series: Optional[dict] = None,
-        warmup_windows: int = 5,
-        max_windows: int = 64,
-        unit: float = 1e-9,
-        sub_bits: int = 5,
-    ):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
-        self.tracer = tracer
         self.batch_latency: List[HdrHistogram] = [
-            HdrHistogram(unit=unit, sub_bits=sub_bits) for _ in range(shards)
+            HdrHistogram() for _ in range(shards)
         ]
-        self.access_latency = HdrHistogram(unit=unit, sub_bits=sub_bits)
-        self._unit = unit
-        self._sub_bits = sub_bits
-        self._window_latency = HdrHistogram(unit=unit, sub_bits=sub_bits)
-        self.windows = SlidingWindows(window_accesses, max_windows=max_windows)
-        self.drift = DriftDetector(
-            series=drift_series, warmup_windows=warmup_windows
-        )
-        self.slo: Optional[SLOEvaluator] = (
-            SLOEvaluator(slo) if slo is not None and slo.enabled else None
-        )
-        self.batches = 0
+        self.access_latency = HdrHistogram()
         self.shard_batches = [0] * shards
         self.shard_queue_depth = [0] * shards
-        self.window_latencies: List[Optional[float]] = []
 
     # ------------------------------------------------------------------
-    # Hot-side entry points (once per batch / shed, never per access).
+    # Hot-side entry points (once per batch, never per access).
     # ------------------------------------------------------------------
-    def record_batch(self, shard: int, accesses: int, misses: int,
-                     wall_sec: float, queue_depth: int = 0) -> None:
-        """Fold one drained engine batch into every surface."""
+    def record_batch(self, shard: int, accesses: int, wall_sec: float,
+                     queue_depth: int = 0) -> None:
+        """Fold one drained engine batch into both histograms."""
         if accesses <= 0:
             return
-        self.batches += 1
         self.shard_batches[shard] += 1
         self.shard_queue_depth[shard] = queue_depth
         self.batch_latency[shard].record(wall_sec)
-        per_access = wall_sec / accesses
-        self.access_latency.record(per_access, weight=accesses)
-        self._window_latency.record(per_access, weight=accesses)
-        closed = self.windows.record(
-            accesses, accesses - misses,
-            queue_depth=sum(self.shard_queue_depth), wall_sec=wall_sec,
-        )
-        for window in closed:
-            self._on_window(window)
+        self.access_latency.record(wall_sec / accesses, weight=accesses)
 
     def record_shed(self, shed: int) -> None:
-        """Account accesses dropped by backpressure (no latency cost)."""
-        if shed <= 0:
-            return
-        for window in self.windows.record(0, 0, shed=shed):
-            self._on_window(window)
+        """Does nothing: a shed batch has no latency to record.
+
+        Nothing in ``repro`` calls it.  It stays only because
+        ``perfbench/layers.py`` wraps it by name; it goes together with
+        the front-end's shed path.
+        """
 
     def finalize(self) -> None:
-        """Close the partial trailing window at end of run."""
-        window = self.windows.flush()
-        if window is not None:
-            self._on_window(window)
+        """Does nothing: the histograms need no end-of-run flush.
 
-    # ------------------------------------------------------------------
-    def _on_window(self, window: dict) -> None:
-        """Run a freshly closed window through drift + SLO, emit events.
-
-        The per-window latency slice is batch-granular: a batch that
-        straddles the window boundary lands wholly in the earlier
-        window's slice, a one-batch skew that cannot matter at thousands
-        of accesses per batch.
+        Nothing in ``repro`` calls it.  It stays only because
+        ``perfbench/layers.py`` wraps it by name.
         """
-        quantile = (self.slo.spec.latency_quantile if self.slo is not None
-                    else 0.99)
-        latency = self._window_latency.quantile(quantile)
-        self._window_latency = HdrHistogram(
-            unit=self._unit, sub_bits=self._sub_bits
-        )
-        window["latency"] = latency
-        self.window_latencies.append(latency)
-        del self.window_latencies[:-self.windows.max_windows]
-        end = int(window.get("end_access") or 0)
-        for event in self.drift.observe(window):
-            if self.tracer is not None:
-                self.tracer.drift(end, event["series"], event["value"])
-        if self.slo is not None:
-            violation = self.slo.observe_window(window, latency)
-            if violation is not None and self.tracer is not None:
-                value = violation.get("value")
-                self.tracer.slo_violation(
-                    end, violation["objective"],
-                    0.0 if value is None else float(value),
-                )
 
     # ------------------------------------------------------------------
     # Read-side surfaces.
     # ------------------------------------------------------------------
     def merged_batch_latency(self) -> HdrHistogram:
         """All shards' batch-latency histograms merged (exact counts)."""
-        merged = HdrHistogram(unit=self._unit, sub_bits=self._sub_bits)
+        merged = HdrHistogram()
         for hist in self.batch_latency:
             merged.merge(hist)
         return merged
 
-    def last_window(self) -> Optional[dict]:
-        closed = self.windows.closed
-        return closed[-1] if closed else None
-
-    def snapshot(self, last_windows: int = 6) -> dict:
+    def snapshot(self) -> dict:
         """The ``serving`` section of ``run-status.json``."""
         return {
-            "window_accesses": self.windows.window_accesses,
-            "windows_closed": self.windows.windows_closed,
-            "windows": [dict(w) for w in self.windows.closed[-last_windows:]],
             "latency": self.access_latency.percentiles(),
             "shards": [
                 {
@@ -178,19 +96,13 @@ class ServeTelemetry:
                 }
                 for s in range(self.shards)
             ],
-            "drift": {
-                "events": [dict(e) for e in self.drift.events[-8:]],
-                "state": self.drift.state(),
-            },
-            "slo": self.slo.summary() if self.slo is not None else None,
         }
 
     def publish(self, registry) -> None:
-        """Refresh the scrape-endpoint gauges from the current state.
+        """Set the latency and queue gauges from the current state.
 
-        Called once per serving chunk, so a mid-run ``curl`` of
-        ``/metrics`` sees live per-shard p99 latency, windowed hit rate
-        and throughput, the shed ratio, and drift/violation totals.
+        ``run_serving`` calls it once at the end of the run, next to the
+        run-level ``repro_serve_*`` gauges.
         """
         for s in range(self.shards):
             hist = self.batch_latency[s]
@@ -214,40 +126,11 @@ class ServeTelemetry:
                     "Amortized per-access latency quantiles",
                     labels={"quantile": f"{q:g}"},
                 ).set(value)
-        window = self.last_window()
-        if window is not None:
-            if window["hit_rate"] is not None:
-                registry.gauge(
-                    "window_hit_rate",
-                    "Hit rate over the last closed window",
-                ).set(window["hit_rate"])
-            if window["throughput"] is not None:
-                registry.gauge(
-                    "window_throughput_accesses_per_sec",
-                    "Serviced accesses/sec over the last closed window",
-                ).set(window["throughput"])
-            registry.gauge(
-                "shed_ratio",
-                "Shed fraction of offered load, last closed window",
-            ).set(window["shed_ratio"] or 0.0)
-        registry.gauge(
-            "windows_closed", "Telemetry windows closed so far",
-        ).set(self.windows.windows_closed)
-        registry.gauge(
-            "drift_events", "Drift detections so far",
-        ).set(len(self.drift.events))
-        if self.slo is not None:
-            registry.gauge(
-                "slo_violations", "SLO burn-rate violations so far",
-            ).set(len(self.slo.violations))
 
     def report_section(self) -> dict:
         """The final JSON report's ``telemetry`` block."""
         merged = self.merged_batch_latency()
         return {
-            "window_accesses": self.windows.window_accesses,
-            "windows_closed": self.windows.windows_closed,
-            "windows": [dict(w) for w in self.windows.closed],
             "latency": self.access_latency.percentiles(),
             "latency_histogram": self.access_latency.to_dict(),
             "batch_latency": merged.percentiles(),
@@ -259,6 +142,4 @@ class ServeTelemetry:
                 }
                 for s in range(self.shards)
             ],
-            "drift_events": [dict(e) for e in self.drift.events],
-            "slo": self.slo.summary() if self.slo is not None else None,
         }

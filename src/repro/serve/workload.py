@@ -44,7 +44,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.slo import SLOSpec
 from ..workloads.seeding import derive_seed, spec_digest
 
 __all__ = [
@@ -187,13 +186,6 @@ class ServingSpec:
     ``seed=None`` never touches global random state: the effective seed
     is derived from the spec digest (:func:`resolved_seed`) and recorded
     in the provenance manifest via :meth:`manifest_extra`.
-
-    ``slo`` is an *operational overlay* — an
-    :class:`~repro.obs.slo.SLOSpec` (or its dict form) the serving
-    driver evaluates over the run's windowed telemetry.  It never
-    shapes the generated stream, so it is deliberately **excluded from
-    the digest payload**: attaching or changing an SLO must not change
-    the derived seed or the golden serving corpus.
     """
 
     keys: int = 1 << 14            # live key slots per tenant
@@ -203,7 +195,6 @@ class ServingSpec:
     churn_per_million: int = 0     # slot retirements per 1M accesses
     phases: Tuple[FlashPhase, ...] = field(default_factory=tuple)
     seed: Optional[int] = None
-    slo: Optional[SLOSpec] = None
 
     def __post_init__(self):
         if self.keys < 1:
@@ -230,11 +221,8 @@ class ServingSpec:
                 for p in self.phases
             ),
         )
-        if self.slo is not None and not isinstance(self.slo, SLOSpec):
-            object.__setattr__(self, "slo", SLOSpec.from_dict(self.slo))
 
     def digest_payload(self) -> dict:
-        # NOTE: ``slo`` is intentionally absent — see the class docstring.
         return {
             "kind": "serving-spec",
             "keys": self.keys,
@@ -264,15 +252,12 @@ class ServingSpec:
 
     def manifest_extra(self) -> dict:
         """Provenance-manifest fields describing this spec exactly."""
-        out = {
+        return {
             "serving_spec": self.digest_payload(),
             "serving_spec_digest": self.digest(),
             "serving_seed": self.resolved_seed(),
             "serving_seed_derived": self.seed is None,
         }
-        if self.slo is not None:
-            out["serving_slo"] = self.slo.to_dict()
-        return out
 
 
 class ServingStream:

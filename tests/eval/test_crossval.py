@@ -1,5 +1,10 @@
 """Tests for the WN1/WI evolution methodology (scaled down)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.eval import default_config
@@ -60,3 +65,34 @@ class TestEvolution:
         assert set(result) == set(BENCHES[:2])
         for vectors in result.values():
             assert len(vectors) == 1
+
+
+class TestVectorScript:
+    """``scripts/evolve_wn1_vectors.py`` writes the same file in every
+    interpreter: its task seeds must not depend on Python's salted
+    ``hash``."""
+
+    def _run(self, output, hash_seed):
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        subprocess.run(
+            [sys.executable,
+             os.path.join(repo, "scripts", "evolve_wn1_vectors.py"),
+             "--quick", "--workers", "1", "--population", "4",
+             "--generations", "1", "--trace-length", "1000",
+             "--output", str(output)],
+            env=env, capture_output=True, text=True, timeout=300,
+            check=True,
+        )
+        return output.read_bytes()
+
+    def test_runs_under_different_hash_seeds_write_identical_files(
+        self, tmp_path
+    ):
+        first = self._run(tmp_path / "a.json", 1)
+        second = self._run(tmp_path / "b.json", 2)
+        assert first == second
+        seeds = json.loads(first)["ga"]["seeds"]
+        assert set(seeds) == {"WI", "fold0", "fold1"}
+        assert all(set(per) == {"1", "2", "4"} for per in seeds.values())

@@ -70,35 +70,23 @@ class TestSchema:
 
 
 class TestTelemetryKinds:
-    """``drift`` / ``slo_violation`` carry a float value, unlike the
-    replacement-policy kinds, whose ``value`` stays integer-only."""
-
-    def test_drift_with_float_value_passes(self):
-        validate_event_dict(
-            {"kind": "drift", "access": 65536, "label": "hit_rate",
-             "value": 0.4375}
-        )
-
-    def test_slo_violation_with_int_value_passes(self):
-        validate_event_dict(
-            {"kind": "slo_violation", "access": 1000, "label": "latency",
-             "value": 1}
-        )
+    """``psel_sample`` is the one kind that carries a ``label``; like
+    every other kind, its ``value`` is integer-only."""
 
     def test_requires_label_and_value(self):
         with pytest.raises(ValueError, match="value"):
             validate_event_dict(
-                {"kind": "drift", "access": 1, "label": "hit_rate"}
+                {"kind": "psel_sample", "access": 1, "label": "psel"}
             )
         with pytest.raises(ValueError, match="label"):
             validate_event_dict(
-                {"kind": "slo_violation", "access": 1, "value": 0.5}
+                {"kind": "psel_sample", "access": 1, "value": 3}
             )
 
     def test_bool_value_rejected(self):
         with pytest.raises(ValueError):
             validate_event_dict(
-                {"kind": "drift", "access": 1, "label": "hit_rate",
+                {"kind": "psel_sample", "access": 1, "label": "psel",
                  "value": True}
             )
 
@@ -109,9 +97,12 @@ class TestTelemetryKinds:
                  "label": "psel", "value": 0.5}
             )
 
-    def test_round_trip(self):
-        event = TraceEvent("drift", 4096, label="throughput",
-                           value=123456.78)
-        again = event_from_dict(event.to_dict())
-        assert again == event
-        assert again.value == pytest.approx(123456.78)
+    def test_serving_kinds_are_not_event_kinds(self):
+        # Serving telemetry records latency histograms, not events.
+        for kind in ("drift", "slo_violation"):
+            assert kind not in EVENT_KINDS
+            with pytest.raises(ValueError, match="unknown event kind"):
+                validate_event_dict(
+                    {"kind": kind, "access": 1, "label": "hit_rate",
+                     "value": 1}
+                )

@@ -1,10 +1,16 @@
-"""Metrics registry: instruments, exporters, round-trips."""
+"""Metrics registry: instruments, exporters, round-trips.
+
+HdrHistogram: indexing invariants, bounded quantization error,
+lossless cross-shard merge, serde round-trip.
+"""
 
 import math
+import random
 
 import pytest
 
 from repro.obs import MetricsRegistry, parse_prometheus
+from repro.obs.metrics import DEFAULT_QUANTILES, HdrHistogram
 
 
 class TestInstruments:
@@ -149,34 +155,6 @@ class TestHistogramQuantile:
         assert hist.quantile(1.0) == pytest.approx(2.0)
 
 
-class TestRegistryFromJson:
-    def test_round_trips_every_instrument_kind(self):
-        registry = MetricsRegistry("repro")
-        registry.counter("jobs_total", "jobs").inc(5)
-        registry.gauge("wall_seconds", "wall").set(2.5)
-        registry.counter("events_total", labels={"kind": "hit"}).inc(7)
-        hist = registry.histogram("job_seconds", bounds=[0.1, 1.0])
-        hist.observe(0.05)
-        hist.observe(5.0)
-
-        from repro.obs.metrics import registry_from_json
-
-        rebuilt = registry_from_json(registry.to_json())
-        assert rebuilt.to_json() == registry.to_json()
-        # Exposition order may differ (rebuild sorts by name); the
-        # parsed series must match exactly.
-        assert parse_prometheus(rebuilt.to_prometheus()) == \
-            parse_prometheus(registry.to_prometheus())
-
-    def test_rejects_unknown_instrument_type(self):
-        from repro.obs.metrics import registry_from_json
-
-        with pytest.raises(ValueError, match="unknown instrument"):
-            registry_from_json(
-                {"x": {"type": "summary", "series": [{"value": 1}]}}
-            )
-
-
 class TestExporters:
     def _populated(self):
         registry = MetricsRegistry()
@@ -299,3 +277,146 @@ class TestThreadSafety:
             t.join()
         assert len({id(c) for c in seen}) == 1
         assert registry.counter("repro_shared_total").value == self.THREADS
+
+
+class TestHdrIndexing:
+    def test_small_values_are_exact(self):
+        h = HdrHistogram(unit=1.0, sub_bits=5)
+        for units in range(32):
+            lo, hi = h.bucket_bounds(h._index_of(units))
+            assert lo == units and hi == units + 1
+
+    def test_index_is_monotone_and_covers(self):
+        h = HdrHistogram(unit=1.0, sub_bits=3)
+        prev = -1
+        for units in range(4096):
+            index = h._index_of(units)
+            assert index >= prev
+            lo, hi = h.bucket_bounds(index)
+            assert lo <= units < hi
+            prev = index
+
+    def test_relative_error_bound(self):
+        # Below 2**sub_bits buckets are exact-to-the-unit; the relative
+        # bound kicks in for the log-bucketed octaves above.
+        h = HdrHistogram(unit=1.0, sub_bits=5)
+        for units in (32, 100, 1023, 65537, 10**9):
+            lo, hi = h.bucket_bounds(h._index_of(units))
+            assert (hi - lo) / lo <= h.relative_error + 1e-12
+
+    def test_bucket_bounds_rejects_negative(self):
+        with pytest.raises(ValueError, match="bucket index"):
+            HdrHistogram().bucket_bounds(-1)
+
+
+class TestHdrRecording:
+    def test_rejects_bad_values(self):
+        h = HdrHistogram()
+        with pytest.raises(ValueError, match="NaN"):
+            h.record(float("nan"))
+        with pytest.raises(ValueError, match=">= 0"):
+            h.record(-1e-9)
+        with pytest.raises(ValueError, match="weight"):
+            h.record(1e-6, weight=-1)
+
+    def test_zero_weight_is_noop(self):
+        h = HdrHistogram()
+        h.record(1e-3, weight=0)
+        assert len(h) == 0
+        assert h.quantile(0.5) is None
+        assert h.mean is None
+
+    def test_weighted_record(self):
+        h = HdrHistogram(unit=1.0, sub_bits=5)
+        h.record(10, weight=1000)
+        assert h.count == 1000
+        assert h.sum == pytest.approx(10_000)
+        assert h.quantile(0.5) == 10
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="unit"):
+            HdrHistogram(unit=0)
+        with pytest.raises(ValueError, match="sub_bits"):
+            HdrHistogram(sub_bits=0)
+
+
+class TestHdrQuantiles:
+    def test_extremes_are_exact(self):
+        h = HdrHistogram(unit=1e-9)
+        values = [3e-6, 1e-4, 7.5e-3, 42e-6]
+        for v in values:
+            h.record(v)
+        assert h.quantile(0.0) == pytest.approx(min(values))
+        assert h.quantile(1.0) == pytest.approx(max(values))
+
+    def test_quantile_error_within_bound(self):
+        rng = random.Random(7)
+        h = HdrHistogram(unit=1e-9, sub_bits=5)
+        samples = sorted(rng.lognormvariate(-9, 1.0) for _ in range(5000))
+        for v in samples:
+            h.record(v)
+        for q in DEFAULT_QUANTILES:
+            exact = samples[min(len(samples) - 1,
+                                max(0, math.ceil(q * len(samples)) - 1))]
+            got = h.quantile(q)
+            assert abs(got - exact) / exact <= h.relative_error + 1e-9
+
+    def test_quantile_range_validated(self):
+        with pytest.raises(ValueError, match="quantile"):
+            HdrHistogram().quantile(1.5)
+
+    def test_percentile_labels(self):
+        h = HdrHistogram(unit=1.0)
+        h.record(5)
+        pcts = h.percentiles()
+        assert set(pcts) == {"p50", "p90", "p99", "p99_9"}
+        assert pcts["p50"] == 5
+
+
+class TestHdrMerge:
+    def test_cross_shard_merge_is_bit_exact(self):
+        # Recording everything into one histogram vs sharding the same
+        # stream across two and merging must give identical raw counts.
+        rng = random.Random(11)
+        single = HdrHistogram(unit=1e-9)
+        shards = [HdrHistogram(unit=1e-9) for _ in range(2)]
+        for i in range(4000):
+            v = rng.expovariate(1e4)
+            single.record(v)
+            shards[i % 2].record(v)
+        merged = HdrHistogram(unit=1e-9)
+        for shard in shards:
+            merged.merge(shard)
+        assert merged.counts == single.counts
+        assert merged.count == single.count
+        assert merged.sum == pytest.approx(single.sum)
+        assert merged.min_value == single.min_value
+        assert merged.max_value == single.max_value
+        for q in DEFAULT_QUANTILES:
+            assert merged.quantile(q) == single.quantile(q)
+
+    def test_layout_mismatch_raises(self):
+        a = HdrHistogram(unit=1e-9, sub_bits=5)
+        with pytest.raises(ValueError, match="unit"):
+            a.merge(HdrHistogram(unit=1e-6, sub_bits=5))
+        with pytest.raises(ValueError, match="sub_bits"):
+            a.merge(HdrHistogram(unit=1e-9, sub_bits=6))
+
+    def test_merge_rejects_negative_index(self):
+        a = HdrHistogram()
+        with pytest.raises(ValueError, match="bucket index"):
+            a.merge_raw({-3: 1}, 1, 0.0)
+
+    def test_serde_round_trip(self):
+        h = HdrHistogram(unit=1e-9)
+        for v in (1e-6, 3e-5, 2e-3):
+            h.record(v, weight=7)
+        clone = HdrHistogram.from_dict(h.to_dict())
+        assert clone.counts == h.counts
+        assert clone.count == h.count
+        assert clone.min_value == h.min_value
+        assert clone.max_value == h.max_value
+
+    def test_from_dict_rejects_other_schemas(self):
+        with pytest.raises(ValueError, match="schema"):
+            HdrHistogram.from_dict({"schema": "bogus/9"})

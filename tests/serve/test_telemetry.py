@@ -1,26 +1,21 @@
 """Unit tests for :mod:`repro.serve.telemetry`.
 
-ServeTelemetry is the hub tying HDR histograms, sliding windows, drift
-and SLO evaluation to the front-end drain loop; these tests drive it
-directly with synthetic batches so every surface (snapshot, publish,
-report_section, tracer events) is checked without a full serving run.
+ServeTelemetry ties two kinds of HDR histogram (per-shard batch latency,
+amortized per-access latency) to the front-end drain loop; these tests
+drive it directly with synthetic batches so every surface (snapshot,
+publish, report_section) is checked without a full serving run.
 """
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import ListSink
-from repro.obs.slo import HdrHistogram, SLOSpec
-from repro.obs.tracer import Tracer
+from repro.obs.metrics import HdrHistogram, MetricsRegistry
 from repro.serve.frontend import ShardedFrontend
-from repro.serve.telemetry import DEFAULT_WINDOW_ACCESSES, ServeTelemetry
+from repro.serve.telemetry import ServeTelemetry
 
 
-def feed(telem, batches, shard=0, accesses=1000, hit_rate=0.8,
-         wall=1e-3):
+def feed(telem, batches, shard=0, accesses=1000, wall=1e-3):
     for _ in range(batches):
-        telem.record_batch(shard, accesses,
-                           accesses - int(accesses * hit_rate), wall)
+        telem.record_batch(shard, accesses, wall)
 
 
 class TestRecordBatch:
@@ -30,15 +25,14 @@ class TestRecordBatch:
 
     def test_empty_batch_is_noop(self):
         telem = ServeTelemetry(1)
-        telem.record_batch(0, 0, 0, 1e-3)
-        assert telem.batches == 0
+        telem.record_batch(0, 0, 1e-3)
+        assert telem.shard_batches == [0]
         assert len(telem.access_latency) == 0
 
     def test_batch_feeds_every_surface(self):
-        telem = ServeTelemetry(2, window_accesses=1000)
-        telem.record_batch(0, 600, 120, 6e-4, queue_depth=3)
-        telem.record_batch(1, 400, 100, 4e-4, queue_depth=1)
-        assert telem.batches == 2
+        telem = ServeTelemetry(2)
+        telem.record_batch(0, 600, 6e-4, queue_depth=3)
+        telem.record_batch(1, 400, 4e-4, queue_depth=1)
         assert telem.shard_batches == [1, 1]
         assert telem.shard_queue_depth == [3, 1]
         # batch latency goes to the owning shard's histogram
@@ -47,23 +41,16 @@ class TestRecordBatch:
         # amortized latency is weighted by batch size
         assert len(telem.access_latency) == 1000
         assert telem.access_latency.mean == pytest.approx(1e-6, rel=1e-3)
-        # the 1000-access window closed with combined counts
-        assert telem.windows.windows_closed == 1
-        window = telem.last_window()
-        assert window["accesses"] == 1000
-        assert window["hits"] == 780
-        assert window["queue_depth"] == 4
-        assert window["latency"] is not None
 
     def test_cross_shard_merge_bit_exact_vs_single_shard(self):
         # The same batch stream recorded through 4 shards and merged
         # must equal a single-shard recording, bucket for bucket.
-        multi = ServeTelemetry(4, window_accesses=1 << 20)
-        single = ServeTelemetry(1, window_accesses=1 << 20)
+        multi = ServeTelemetry(4)
+        single = ServeTelemetry(1)
         walls = [(i % 17 + 1) * 3.7e-5 for i in range(200)]
         for i, wall in enumerate(walls):
-            multi.record_batch(i % 4, 500, 100, wall)
-            single.record_batch(0, 500, 100, wall)
+            multi.record_batch(i % 4, 500, wall)
+            single.record_batch(0, 500, wall)
         merged = multi.merged_batch_latency()
         alone = single.batch_latency[0]
         assert merged.counts == alone.counts
@@ -72,122 +59,53 @@ class TestRecordBatch:
         assert merged.max_value == alone.max_value
         assert multi.access_latency.counts == single.access_latency.counts
 
-    def test_shed_closes_windows_without_latency(self):
-        telem = ServeTelemetry(1, window_accesses=100)
-        telem.record_shed(250)
-        assert telem.windows.windows_closed == 2
-        window = telem.last_window()
-        assert window["shed_ratio"] == 1.0
-        assert window["accesses"] == 0
-        assert len(telem.access_latency) == 0
-
-    def test_finalize_flushes_partial_window(self):
-        telem = ServeTelemetry(1, window_accesses=1000)
-        telem.record_batch(0, 300, 60, 3e-4)
-        assert telem.windows.windows_closed == 0
-        telem.finalize()
-        assert telem.windows.windows_closed == 1
-        assert telem.last_window()["accesses"] == 300
-
-
-class TestEventsThroughTracer:
-    def test_drift_event_emitted(self):
-        sink = ListSink()
-        telem = ServeTelemetry(1, window_accesses=100,
-                               tracer=Tracer(sink=sink),
-                               warmup_windows=2)
-        feed(telem, 2, accesses=100, hit_rate=0.9)
-        feed(telem, 6, accesses=100, hit_rate=0.2)
-        kinds = [e.kind for e in sink.events]
-        assert "drift" in kinds
-        event = next(e for e in sink.events if e.kind == "drift")
-        assert event.label == "hit_rate"
-        assert event.value == pytest.approx(0.2)
-
-    def test_slo_violation_event_emitted(self):
-        sink = ListSink()
-        slo = SLOSpec(min_hit_rate=0.95, short_windows=2, long_windows=4,
-                      budget=0.1)
-        telem = ServeTelemetry(1, window_accesses=100, slo=slo,
-                               tracer=Tracer(sink=sink))
-        feed(telem, 4, accesses=100, hit_rate=0.5)
-        events = [e for e in sink.events if e.kind == "slo_violation"]
-        assert len(events) == 1
-        assert events[0].label == "hit_rate"
-        assert events[0].value == pytest.approx(0.5)
-
-    def test_disabled_slo_spec_is_dropped(self):
-        telem = ServeTelemetry(1, slo=SLOSpec())
-        assert telem.slo is None
-
-    def test_window_latency_slice_resets(self):
-        # SLO latency must be judged per window: a slow first window
-        # must not poison the second window's quantile.
-        slo = SLOSpec(latency_target=1e-5, short_windows=1,
-                      long_windows=2, budget=0.5)
-        telem = ServeTelemetry(1, window_accesses=100, slo=slo)
-        telem.record_batch(0, 100, 20, 1e-2)    # 1e-4 s/access: bad
-        telem.record_batch(0, 100, 20, 1e-7)    # 1e-9 s/access: good
-        lats = telem.window_latencies
-        assert len(lats) == 2
-        assert lats[0] > slo.latency_target
-        assert lats[1] < slo.latency_target
-
 
 class TestReadSurfaces:
     def test_snapshot_shape(self):
-        telem = ServeTelemetry(2, window_accesses=500)
+        telem = ServeTelemetry(2)
         feed(telem, 4, shard=0, accesses=500)
         feed(telem, 2, shard=1, accesses=500)
-        snap = telem.snapshot(last_windows=3)
-        assert snap["window_accesses"] == 500
-        assert snap["windows_closed"] == 6
-        assert len(snap["windows"]) == 3
+        snap = telem.snapshot()
+        assert set(snap) == {"latency", "shards"}
         assert set(snap["latency"]) == {"p50", "p90", "p99", "p99_9"}
         assert [s["shard"] for s in snap["shards"]] == [0, 1]
         assert snap["shards"][0]["batches"] == 4
         assert snap["shards"][0]["p99"] > 0
-        assert snap["drift"]["events"] == []
-        assert snap["slo"] is None
 
     def test_publish_gauges(self):
         registry = MetricsRegistry("repro_serve")
-        slo = SLOSpec(min_hit_rate=0.99, short_windows=2, long_windows=4)
-        telem = ServeTelemetry(2, window_accesses=500, slo=slo)
-        feed(telem, 4, shard=0, accesses=500, hit_rate=0.5)
-        feed(telem, 2, shard=1, accesses=500, hit_rate=0.5)
+        telem = ServeTelemetry(2)
+        feed(telem, 4, shard=0, accesses=500)
+        feed(telem, 2, shard=1, accesses=500)
         telem.publish(registry)
-        values = {
-            name: instrument.as_json()
-            for name, _, instrument in registry.instruments()
+        names = {name for name, _, _ in registry.instruments()}
+        assert names == {
+            "repro_serve_shard_latency_seconds",
+            "repro_serve_shard_queue_depth",
+            "repro_serve_access_latency_seconds",
         }
-        assert values["repro_serve_windows_closed"] == 6
-        assert values["repro_serve_window_hit_rate"] == pytest.approx(0.5)
-        assert values["repro_serve_shed_ratio"] == 0.0
-        assert values["repro_serve_slo_violations"] >= 1
         text = registry.to_prometheus()
         assert 'shard_latency_seconds{quantile="0.99",shard="0"}' in text
         assert 'shard_queue_depth{shard="1"}' in text
         assert 'access_latency_seconds{quantile="0.999"}' in text
 
     def test_report_section_shape(self):
-        telem = ServeTelemetry(2, window_accesses=500)
+        telem = ServeTelemetry(2)
         feed(telem, 3, shard=0, accesses=500)
         section = telem.report_section()
-        assert section["windows_closed"] == 3
-        assert len(section["windows"]) == 3
+        assert set(section) == {
+            "latency", "latency_histogram", "batch_latency", "shards",
+        }
         assert section["latency_histogram"]["schema"] == "repro-hdr/1"
         hist = HdrHistogram.from_dict(section["latency_histogram"])
         assert hist.count == 1500
         assert section["batch_latency"]["p50"] > 0
         assert section["shards"][1]["batches"] == 0
-        assert section["drift_events"] == []
-        assert section["slo"] is None
 
 
 class TestFrontendIntegration:
     def test_frontend_feeds_telemetry_per_batch(self):
-        telem = ServeTelemetry(2, window_accesses=1 << 20)
+        telem = ServeTelemetry(2)
         plain = ShardedFrontend(32, 4, (0, 1, 2, 3, 0), shards=2)
         wired = ShardedFrontend(32, 4, (0, 1, 2, 3, 0), shards=2,
                                 telemetry=telem)
@@ -195,23 +113,5 @@ class TestFrontendIntegration:
         want = plain.process(batch)
         got = wired.process(batch)
         assert got == want                      # bit-identical misses
-        assert telem.batches >= 2               # one per shard sub-batch
+        assert telem.shard_batches == [1, 1]    # one per shard sub-batch
         assert len(telem.access_latency) == 4096
-        telem.finalize()
-        window = telem.last_window()
-        assert window["accesses"] == 4096
-        assert window["hits"] == 4096 - want
-
-    def test_frontend_shed_reaches_telemetry(self):
-        telem = ServeTelemetry(2, window_accesses=1 << 20)
-        frontend = ShardedFrontend(32, 4, (0, 1, 2, 3, 0), shards=2,
-                                   max_queue_batches=1, telemetry=telem)
-        batch = list(range(32 * 4))
-        for _ in range(6):
-            frontend.ingest(batch)
-        assert frontend.shed_accesses > 0
-        telem.finalize()
-        assert telem.last_window()["shed"] == frontend.shed_accesses
-
-    def test_default_window_size_export(self):
-        assert DEFAULT_WINDOW_ACCESSES == 1 << 16

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -213,3 +215,51 @@ class TestObsAnalyze:
                 "--benchmark", "429.mcf", "--simpoint", "99",
                 "--length", "500",
             ])
+
+
+class TestServe:
+    ARGS = ["serve", "--keys", "512", "--accesses", "20000",
+            "--sets", "64", "--assoc", "8"]
+
+    def test_small_run_writes_report_and_final_status(self, tmp_path,
+                                                      capsys):
+        from repro.obs.status import read_status
+        from repro.serve import ServingSpec, run_serving
+
+        report_path = tmp_path / "serving.json"
+        status_path = tmp_path / "status.json"
+        code = main(self.ARGS + ["--report", str(report_path),
+                                 "--status", str(status_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "amortized latency/access:" in out
+        payload = json.loads(report_path.read_text())
+        assert payload["schema"] == "repro-serving-report/4"
+        assert "slo" not in payload
+        direct = run_serving(ServingSpec(keys=512, accesses=20000), 64, 8)
+        assert payload["misses"] == direct.misses
+        status = read_status(status_path)
+        assert status["final"] is True
+        assert status["phase"] == "done"
+        assert status["accesses_done"] == 20000
+
+    @pytest.mark.parametrize("flag", [
+        ["--window", "4096"],
+        ["--metrics-port", "0"],
+        ["--events", "drift.jsonl"],
+        ["--slo-p99-ms", "1"],
+        ["--slo-min-hit-rate", "0.5"],
+        ["--slo-max-shed", "0.1"],
+        ["--slo-strict"],
+    ])
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_obs_serve_metrics_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "serve-metrics", "snapshot.json"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -152,6 +152,40 @@ class TestEnvironmentVariables:
         assert not stale, f"documented but read by no code: {stale}"
 
 
+class TestDocumentedFlags:
+    """Every ``--flag`` the docs name is an option some script defines."""
+
+    CODE_DIRS = ("src", "scripts", "benchmarks", "examples", "perfbench")
+    # Flags of the tools the docs drive, not of this repository.
+    TOOL_FLAGS = {"--benchmark-only", "--no-build-isolation"}
+    # A trailing ``*`` (``--x-*``) names a family of flags by its prefix.
+    FLAG = re.compile(r"(?<![\w-])--[a-z0-9][a-z0-9-]*\*?")
+
+    def _defined(self):
+        # A flag counts as defined where it appears as a string literal.
+        literal = re.compile(r"""["'](--[a-z0-9][a-z0-9-]*)["']""")
+        seen = set()
+        for source in _python_sources(self.CODE_DIRS):
+            seen.update(literal.findall(source))
+        return seen
+
+    def test_documented_flags_are_defined(self):
+        found = {}
+        for doc in _doc_files():
+            for flag in self.FLAG.findall(_read(doc)):
+                found.setdefault(flag, doc)
+        assert found, "the docs no longer name any flag"
+        defined = self._defined() | self.TOOL_FLAGS
+        stale = {
+            flag: doc for flag, doc in found.items()
+            if not (
+                any(d.startswith(flag[:-1]) for d in defined)
+                if flag.endswith("*") else flag in defined
+            )
+        }
+        assert not stale, f"documented but defined nowhere: {stale}"
+
+
 class TestCodeNames:
     """Every class or function name the docs put in backticks exists."""
 
