@@ -70,7 +70,7 @@ def main():
     parser.add_argument("--generations", type=int, default=2)
     parser.add_argument(
         "--folds", type=int, default=2,
-        help="cross-validation folds (0 = full leave-one-out WN1)",
+        help="cross-validation folds, >= 2 (0 = full leave-one-out WN1)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -78,6 +78,8 @@ def main():
     )
     parser.add_argument("--output", default=OUTPUT)
     args = parser.parse_args()
+    if args.folds < 0 or args.folds == 1:
+        parser.error(f"--folds must be 0 or >= 2, got {args.folds}")
 
     benches = benchmark_names()
     if args.quick:
@@ -88,7 +90,7 @@ def main():
     # held-out benchmark.
     jobs = [("WI", benches)]
     bench_to_label = {}
-    if args.folds and args.folds >= 2:
+    if args.folds:
         for fold in range(args.folds):
             members = benches[fold :: args.folds]
             training = [b for b in benches if b not in members]
@@ -123,10 +125,10 @@ def main():
     for bench, label in bench_to_label.items():
         results[bench] = by_label[label]
 
+    scheme = f"{args.folds}-fold" if args.folds else "leave-one-out"
     payload = {
         "methodology": (
-            "WNk cross-validation per Section 4.4 "
-            f"({args.folds or 1}-fold; folds=0 means leave-one-out); "
+            f"WNk cross-validation per Section 4.4 ({scheme}); "
             "'WI' trained on all"
         ),
         "ga": {

@@ -17,15 +17,15 @@ end to end:
 4. backpressure is bounded and visible: a tiny ingest queue sheds load
    into ``shed_accesses`` instead of growing without bound;
 5. overhead: attaching telemetry costs <= 5 % on the serving drain loop
-   (paired process_time ratios, min over rounds — the
-   ``measure_counters_overhead`` discipline), and leaves miss counts
-   unchanged.
+   (the median of 20 paired process_time ratios, with the side that runs
+   first alternating per round), and leaves miss counts unchanged.
 
 Exits non-zero on any failure.
 """
 
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -117,7 +117,7 @@ def check_report_schema():
             payload = json.load(handle)
         missing = [f for f in REPORT_FIELDS if f not in payload]
         assert not missing, f"report missing fields: {missing}"
-        assert payload["schema"] == "repro-serving-report/4"
+        assert payload["schema"] == "repro-serving-report/5"
         assert payload["accesses"] == spec.accesses
         assert payload["misses"] == report.misses
         assert payload["seed_derived"] is True
@@ -172,36 +172,38 @@ def check_backpressure():
 
 
 def check_overhead():
-    # Paired process_time ratios over identical drain work, min over
-    # rounds (the measure_counters_overhead discipline): telemetry
-    # attached vs telemetry=None on the same chunk sequence.
+    # Telemetry attached vs telemetry=None on the same chunk sequence, one
+    # pair per round.  The side that runs first alternates, so the second
+    # slot's head start cancels out, and the gate takes the median paired
+    # ratio, which half the rounds must meet: a lucky round or two cannot.
+    # (The ratio of each side's fastest round swung from 0.89 to 1.36 on
+    # identical work on a 2-vCPU guest; this median stayed within 2 %.)
     spec = ServingSpec(keys=1 << 12, alpha=1.2, accesses=200_000, seed=23)
     chunks = list(ServingStream(spec).chunks(1 << 14))
-    rounds = 5
-    best = float("inf")
+    rounds = 20
+    ratios = []
     misses = set()
-    for _ in range(rounds):
-        plain = ShardedFrontend(NUM_SETS, ASSOC, ENTRIES, shards=2)
-        t0 = time.process_time()
-        m_plain = sum(plain.process(c) for c in chunks)
-        plain_sec = time.process_time() - t0
 
-        telem = ServeTelemetry(2)
-        wired = ShardedFrontend(NUM_SETS, ASSOC, ENTRIES, shards=2,
-                                telemetry=telem)
+    def timed(side):
+        telemetry = ServeTelemetry(2) if side == "wired" else None
+        frontend = ShardedFrontend(NUM_SETS, ASSOC, ENTRIES, shards=2,
+                                   telemetry=telemetry)
         t0 = time.process_time()
-        m_wired = sum(wired.process(c) for c in chunks)
-        wired_sec = time.process_time() - t0
+        misses.add(sum(frontend.process(c) for c in chunks))
+        return time.process_time() - t0
 
-        misses.update((m_plain, m_wired))
-        if plain_sec > 0:
-            best = min(best, wired_sec / plain_sec)
+    for r in range(rounds):
+        order = ("plain", "wired") if r % 2 == 0 else ("wired", "plain")
+        sec = {side: timed(side) for side in order}
+        ratios.append(sec["wired"] / max(sec["plain"], 1e-9))
     assert len(misses) == 1, f"telemetry changed miss counts: {misses}"
-    assert best <= 1.05, (
-        f"telemetry overhead {best:.3f}x exceeds the 1.05x budget"
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.05, (
+        f"telemetry overhead {ratio:.3f}x exceeds the 1.05x budget"
     )
-    print(f"  overhead       {best:.3f}x with telemetry attached "
-          f"(budget 1.05x), misses bit-identical")
+    print(f"  overhead       {ratio:.3f}x with telemetry attached (median "
+          f"of {rounds} alternating pairs, budget 1.05x), misses "
+          f"bit-identical")
 
 
 def main():

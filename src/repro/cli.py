@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--status", default=None, metavar="PATH",
-        help="publish live run status JSON here (repro obs watch / "
-             "repro obs top)",
+        help="publish live run status JSON here, latency and shard rows "
+             "included (watch with `repro obs watch`)",
     )
     serve.add_argument(
         "--report", default=None, metavar="PATH",
@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "watch", help="live terminal view of a run-status.json",
         description="Render a runner's atomically published run-status.json "
                     "as a refreshing terminal view.  Works from any shell "
-                    "(the runner and the watcher only share the file).  "
+                    "(the runner and the watcher only share the file); a "
+                    "`repro serve` status adds latency and shard rows.  "
                     "Exits 0 once the run publishes its final status.",
     )
     obs_watch.add_argument(
@@ -385,22 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="refresh interval in seconds (default 1.0)")
     obs_watch.add_argument("--once", action="store_true",
                            help="render one snapshot and exit")
-
-    obs_top = obs_sub.add_parser(
-        "top", help="live serving dashboard over a serve run-status.json",
-        description="Like `repro obs watch`, but renders the serving "
-                    "telemetry section a `repro serve` run publishes: "
-                    "amortized per-access latency percentiles and "
-                    "per-shard p99/queue depth.",
-    )
-    obs_top.add_argument(
-        "status", nargs="?", default=None, metavar="PATH",
-        help="status file (default: $REPRO_STATUS_PATH)",
-    )
-    obs_top.add_argument("--interval", type=float, default=1.0,
-                         help="refresh interval in seconds (default 1.0)")
-    obs_top.add_argument("--once", action="store_true",
-                         help="render one snapshot and exit")
 
     obs_trend = obs_sub.add_parser(
         "trend", help="kernel perf history: record, show, regression-check",
@@ -922,9 +907,6 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "watch":
         return _cmd_obs_watch(args)
 
-    if args.obs_command == "top":
-        return _cmd_obs_watch(args, top=True)
-
     if args.obs_command == "trend":
         return _cmd_obs_trend(args)
 
@@ -934,8 +916,8 @@ def _cmd_obs(args) -> int:
     raise AssertionError(f"unhandled obs command {args.obs_command}")
 
 
-def _cmd_obs_watch(args, top: bool = False) -> int:
-    from .obs.status import default_status_path, render_top, watch
+def _cmd_obs_watch(args) -> int:
+    from .obs.status import default_status_path, watch
 
     path = args.status or default_status_path()
     if not path:
@@ -946,7 +928,6 @@ def _cmd_obs_watch(args, top: bool = False) -> int:
         path,
         interval=args.interval,
         iterations=1 if args.once else None,
-        render=render_top if top else None,
     )
 
 

@@ -84,36 +84,13 @@ def _init_worker(spec: dict, spool_dir: Optional[str] = None) -> None:
         atexit.register(_worker_final_publish)
 
 
-def _worker_evaluate(entries: Tuple[int, ...]) -> float:
-    telemetry = _WORKER_TELEMETRY
-    if telemetry is None:
-        return _WORKER_EVALUATOR.evaluate(entries)
-    writer, registry, recorder, last_hb = telemetry
-    now = time.monotonic()
-    if now - last_hb >= _HEARTBEAT_INTERVAL_SEC:
-        telemetry[3] = now
-        writer.heartbeat()
-    started = time.perf_counter()
-    with span("ga.worker_evaluate"):
-        fitness = _WORKER_EVALUATOR.evaluate(entries)
-    registry.counter(
-        "repro_ga_worker_evaluations_total",
-        "IPV fitness evaluations performed in GA worker processes",
-    ).inc()
-    registry.gauge(
-        "repro_ga_worker_evaluate_seconds_total",
-        "Wall seconds spent evaluating fitness in GA worker processes",
-    ).inc(time.perf_counter() - started)
-    writer.publish(registry=registry, recorder=recorder, force=False)
-    return fitness
+def _worker_evaluate(chunk: Tuple[Tuple[int, ...], ...]) -> List[float]:
+    """Score one contiguous sub-population with ``evaluate_many``.
 
-
-def _worker_evaluate_many(chunk: Tuple[Tuple[int, ...], ...]) -> List[float]:
-    """Batched twin of :func:`_worker_evaluate` for the columnar engine.
-
-    One worker receives a contiguous sub-population and amortizes the
-    columnar trace pass across all of its lanes; results stay in chunk
-    order so the caller's flatten preserves submission order.
+    ``evaluate_many`` picks the engine for the batch (the columnar
+    lockstep pass or the per-IPV loop), so one worker amortizes a trace
+    pass over all of its lanes; results stay in chunk order so the
+    caller's flatten preserves submission order.
     """
     telemetry = _WORKER_TELEMETRY
     if telemetry is None:
@@ -124,7 +101,7 @@ def _worker_evaluate_many(chunk: Tuple[Tuple[int, ...], ...]) -> List[float]:
         telemetry[3] = now
         writer.heartbeat()
     started = time.perf_counter()
-    with span("ga.worker_evaluate_many", lanes=len(chunk)):
+    with span("ga.worker_evaluate", lanes=len(chunk)):
         fitnesses = _WORKER_EVALUATOR.evaluate_many(chunk)
     registry.counter(
         "repro_ga_worker_evaluations_total",
@@ -205,26 +182,16 @@ class PopulationEvaluator:
         batch = [tuple(ind) for ind in individuals]
         self.evaluations += len(batch)
         if self._pool is None:
-            # evaluate_many batches through the columnar engine when the
-            # evaluator is eligible and falls back to the per-IPV scalar
-            # loop otherwise — bit-identical either way.
             return self.evaluator.evaluate_many(batch)
-        if self.evaluator.kernel == "columnar":
-            # Columnar workers want big lane counts, not small chunks:
-            # split the population into one contiguous slice per worker so
-            # each pays for one engine pass over the (memoized) traces.
-            chunks = self._columnar_chunks(batch)
-            with span("ga.evaluate_batch", batch=len(batch),
-                      workers=self.workers, columnar=True):
-                parts = self._pool.map(_worker_evaluate_many, chunks,
-                                       chunksize=1)
-            return [fitness for part in parts for fitness in part]
-        chunksize = max(1, len(batch) // (4 * self.workers))
+        # One contiguous slice per worker: each worker's evaluate_many
+        # picks the engine and pays for one pass over the memoized traces.
         with span("ga.evaluate_batch", batch=len(batch),
                   workers=self.workers):
-            return self._pool.map(_worker_evaluate, batch, chunksize=chunksize)
+            parts = self._pool.map(_worker_evaluate, self._chunks(batch),
+                                   chunksize=1)
+        return [fitness for part in parts for fitness in part]
 
-    def _columnar_chunks(
+    def _chunks(
         self, batch: List[Tuple[int, ...]]
     ) -> List[Tuple[Tuple[int, ...], ...]]:
         """Split ``batch`` into ≤``workers`` contiguous, near-even slices."""

@@ -14,10 +14,10 @@ zero-overhead when disabled:
   buffer, JSONL file) with optional per-set and per-interval sampling.
 * :mod:`repro.obs.metrics` — a process-wide-capable metrics registry
   (counters, gauges, histograms) with Prometheus-text and JSON exporters;
-  :class:`repro.eval.parallel.RunnerMetrics` is built on top of it.  It
-  also holds :class:`~repro.obs.metrics.HdrHistogram`, the log-bucketed
-  latency histogram with exact, mergeable counts that ``repro serve``
-  records per shard batch and per access.
+  :class:`repro.eval.parallel.RunnerMetrics` is built on top of it.  Its
+  one :class:`~repro.obs.metrics.Histogram` keeps exact, mergeable counts
+  in fixed ``le`` buckets (registry histograms) or log-linear buckets
+  (the latencies ``repro serve`` records per shard batch and per access).
 * :mod:`repro.obs.provenance` — run manifests (config hash, policy kwargs,
   seed, code digest, git revision, host, wall time) written next to cached
   results and generated reports, so any number in a figure can be traced
@@ -31,9 +31,9 @@ zero-overhead when disabled:
   that the parent merges into one registry/trace; a watchdog flags
   stalled workers.
 * :mod:`repro.obs.status` — live ``run-status.json`` publishing (phase,
-  progress, throughput, ETA, worker liveness) rendered by ``repro obs
-  watch`` (and ``repro obs top`` for serving runs); the final state
-  survives completion for post-mortems.
+  progress, throughput, ETA, worker liveness, and a serving run's
+  latency and shard rows) rendered by ``repro obs watch``; the final
+  state survives completion for post-mortems.
 * :mod:`repro.obs.trend` — append-only ``BENCH_history.jsonl`` perf
   history keyed by git revision, with a regression comparator behind
   ``repro obs trend --check``.
@@ -67,7 +67,6 @@ from .logconfig import configure_logging
 from .metrics import (
     Counter,
     Gauge,
-    HdrHistogram,
     Histogram,
     MetricsRegistry,
     parse_prometheus,
@@ -101,7 +100,6 @@ from .status import (
     StatusPublisher,
     read_status,
     render_status,
-    render_top,
     watch,
 )
 from .tracer import Tracer, registry_from_events, replay_counts
@@ -135,7 +133,6 @@ __all__ = [
     "StatusPublisher",
     "read_status",
     "render_status",
-    "render_top",
     "watch",
     "compare_entries",
     "latest_deltas",
@@ -149,7 +146,6 @@ __all__ = [
     "configure_logging",
     "Counter",
     "Gauge",
-    "HdrHistogram",
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus",

@@ -7,8 +7,8 @@ Prometheus text exposition format or JSON.  The parallel experiment
 runner's :class:`repro.eval.parallel.RunnerMetrics` and the event
 :class:`~repro.obs.tracer.Tracer` both feed instruments from one of these
 registries, so every layer of the stack reports through the same pipe.
-Next to the fixed-bucket :class:`Histogram` sits :class:`HdrHistogram`,
-the log-bucketed latency histogram behind the serving percentiles.
+One :class:`Histogram` serves both the registry's fixed ``le`` buckets
+and the log-linear latency buckets behind the serving percentiles.
 
 Instrument names must match ``[a-zA-Z_:][a-zA-Z0-9_:]*`` (the Prometheus
 rule); label values are arbitrary strings.
@@ -20,13 +20,13 @@ import json
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "DEFAULT_QUANTILES",
-    "HdrHistogram",
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus",
@@ -103,176 +103,56 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Fixed-bucket histogram (Prometheus ``le`` semantics).
-
-    ``bounds`` are the inclusive upper bounds of the finite buckets; an
-    implicit ``+Inf`` bucket catches the rest.  ``bucket_counts[i]`` is the
-    *non-cumulative* count of observations in bucket ``i`` (the exporter
-    cumulates, as the exposition format requires).
-
-    Thread-safe: ``observe``/``merge_raw`` hold a per-instrument lock so
-    concurrent observations never lose counts (see :class:`Counter`).
-
-    ``retain`` keeps the first ``retain`` raw (value, weight) samples so
-    :meth:`quantile` can answer with exact nearest-rank values; once the
-    total count exceeds ``retain`` (or a cross-process ``merge_raw``
-    lands, which carries no samples) the raw list is dropped and
-    quantiles fall back to linear interpolation on the bucket bounds.
-    """
-
-    kind = "histogram"
-
-    __slots__ = ("bounds", "bucket_counts", "count", "sum", "_lock",
-                 "_raw", "_retain")
-
-    def __init__(self, bounds: Sequence[float], retain: int = 0):
-        bounds = sorted(float(b) for b in bounds)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bounds must be distinct")
-        if retain < 0:
-            raise ValueError(f"retain must be >= 0, got {retain}")
-        self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf overflow
-        self.count = 0
-        self.sum = 0.0
-        self._retain = int(retain)
-        self._raw: Optional[List[Tuple[float, int]]] = [] if retain else None
-        self._lock = threading.Lock()
-
-    def observe(self, value: float, weight: int = 1) -> None:
-        """Record ``value``; ``weight`` observes it ``weight`` times at once.
-
-        Weighted observation is how pre-aggregated counts (e.g. the
-        columnar engine's hit-depth arrays) flush into a histogram without
-        a Python-level loop per event.  NaN values and NaN/negative
-        weights are rejected loudly: silently binning NaN into ``+Inf``
-        (or subtracting counts) would corrupt every downstream
-        percentile.  ``weight=0`` is a no-op by design.
-        """
-        if value != value:
-            raise ValueError("cannot observe NaN")
-        if not weight >= 0:  # catches negatives and NaN weights alike
-            raise ValueError(f"observation weight must be >= 0, got {weight}")
-        if weight == 0:
-            return
-        with self._lock:
-            self.count += weight
-            self.sum += value * weight
-            if self._raw is not None:
-                if self.count > self._retain:
-                    self._raw = None
-                else:
-                    self._raw.append((value, weight))
-            # Linear scan: bucket lists here are tiny (positions, distances).
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += weight
-                    return
-            self.bucket_counts[-1] += weight
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile of the observed distribution.
-
-        Nearest-rank over the raw samples while they are retained (exact);
-        otherwise linear interpolation on the bucket bounds, the
-        ``histogram_quantile`` convention — observations in the overflow
-        bucket resolve to the highest finite bound.  ``None`` when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self.count == 0:
-                return None
-            if self._raw is not None:
-                rank = max(1, math.ceil(q * self.count))
-                cumulative = 0
-                for value, weight in sorted(self._raw):
-                    cumulative += weight
-                    if cumulative >= rank:
-                        return value
-                raise AssertionError("raw samples inconsistent with count")
-            target = q * self.count
-            cumulative = 0
-            for i, bucket in enumerate(self.bucket_counts[:-1]):
-                previous = cumulative
-                cumulative += bucket
-                if bucket and cumulative >= target:
-                    hi = self.bounds[i]
-                    lo = self.bounds[i - 1] if i else min(0.0, hi)
-                    return lo + (hi - lo) * ((target - previous) / bucket)
-            return self.bounds[-1]
-
-    def merge_raw(
-        self, bucket_counts: Sequence[int], count: int, total: float,
-        bounds: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Add another histogram's raw buckets (cross-process merge).
-
-        Used by :func:`repro.obs.shipping.merge_registry_payload` to sum a
-        worker's histogram snapshot into the parent's.  The bucket layout
-        must match — pass the source's ``bounds`` so disagreement raises
-        rather than mis-binning (equal bucket *counts* with different
-        bounds would otherwise merge silently).
-        """
-        if bounds is not None:
-            incoming = sorted(float(b) for b in bounds)
-            if incoming != self.bounds:
-                raise ValueError(
-                    f"histogram merge: bounds {incoming} != {self.bounds}"
-                )
-        if len(bucket_counts) != len(self.bucket_counts):
-            raise ValueError(
-                f"histogram merge: {len(bucket_counts)} buckets != "
-                f"{len(self.bucket_counts)}"
-            )
-        with self._lock:
-            self._raw = None  # merged counts carry no samples
-            for i, n in enumerate(bucket_counts):
-                self.bucket_counts[i] += int(n)
-            self.count += int(count)
-            self.sum += float(total)
-
-    def as_json(self):
-        return {
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-        }
-
-
 #: The quantiles every latency surface (report, status, gauges) exposes.
 DEFAULT_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 
-class HdrHistogram:
-    """Log-bucketed latency histogram with exact, mergeable counts.
+class Histogram:
+    """Exact, mergeable histogram: integer counts in sparse buckets.
 
-    ``unit`` is the quantization step in the caller's value scale
-    (default ``1e-9``: nanosecond resolution for values in seconds);
-    ``sub_bits`` fixes the per-octave sub-bucket precision.  ``record``
-    accepts a ``weight`` so pre-aggregated costs (one engine batch =
-    thousands of accesses at one amortized per-access latency) flush in
-    without a Python-level loop, mirroring
-    :meth:`repro.obs.metrics.Histogram.observe`.
+    Only the bucket layout varies, and it decides only which bucket a
+    value falls in and the highest value that bucket holds:
 
-    Thread-safe: ``record``/``merge`` hold a per-instrument lock (see
-    :class:`repro.obs.metrics.Counter` for why the GIL is not enough).
+    * ``Histogram(bounds)`` — fixed Prometheus ``le`` buckets: bucket
+      ``i`` holds values ``<= bounds[i]``, bucket ``len(bounds)`` is the
+      implicit ``+Inf`` overflow.  Every registry histogram is one.
+    * ``Histogram(unit=1e-9, sub_bits=5)`` (the default) — log-linear
+      HDR buckets for non-negative, latency-shaped values: exact to one
+      ``unit`` below ``2**sub_bits`` units, then ``2**sub_bits`` buckets
+      per octave, a relative error of at most ``2**-sub_bits``.
+
+    ``counts`` maps bucket index to count; ``count``, ``sum``,
+    ``min_value`` and ``max_value`` track the observations exactly.
+    Because counts are integers, merging per-shard histograms equals
+    recording every value into one.
+
+    Thread-safe: ``observe``/``merge`` hold a per-instrument lock (see
+    :class:`Counter` for why the GIL is not enough).
     """
 
-    __slots__ = ("unit", "sub_bits", "counts", "count", "sum",
+    kind = "histogram"
+
+    __slots__ = ("bounds", "unit", "sub_bits", "counts", "count", "sum",
                  "min_value", "max_value", "_lock")
 
-    def __init__(self, unit: float = 1e-9, sub_bits: int = 5):
-        if not unit > 0:
-            raise ValueError(f"unit must be positive, got {unit}")
-        if not 1 <= sub_bits <= 16:
-            raise ValueError(f"sub_bits must be in [1, 16], got {sub_bits}")
-        self.unit = float(unit)
-        self.sub_bits = int(sub_bits)
+    def __init__(self, bounds: Optional[Sequence[float]] = None,
+                 unit: float = 1e-9, sub_bits: int = 5):
+        if bounds is None:
+            if not unit > 0:
+                raise ValueError(f"unit must be positive, got {unit}")
+            if not 1 <= sub_bits <= 16:
+                raise ValueError(
+                    f"sub_bits must be in [1, 16], got {sub_bits}"
+                )
+            self.unit, self.sub_bits = float(unit), int(sub_bits)
+        else:
+            bounds = sorted(float(b) for b in bounds)
+            if not bounds:
+                raise ValueError("histogram needs at least one bucket bound")
+            if len(set(bounds)) != len(bounds):
+                raise ValueError("histogram bounds must be distinct")
+            self.unit = self.sub_bits = None
+        self.bounds = bounds
         self.counts: Dict[int, int] = {}
         self.count = 0
         self.sum = 0.0
@@ -280,43 +160,56 @@ class HdrHistogram:
         self.max_value: Optional[float] = None
         self._lock = threading.Lock()
 
-    # -- indexing ------------------------------------------------------
-    def _index_of(self, units: int) -> int:
+    @property
+    def layout(self) -> dict:
+        """``{"bounds": [...]}`` or ``{"unit": ..., "sub_bits": ...}``."""
+        if self.bounds is not None:
+            return {"bounds": list(self.bounds)}
+        return {"unit": self.unit, "sub_bits": self.sub_bits}
+
+    # -- layout: value -> bucket, bucket -> highest value ---------------
+    def _index_of(self, value: float) -> int:
+        if self.bounds is not None:
+            return bisect_left(self.bounds, value)
+        units = int(value / self.unit)
         sub = 1 << self.sub_bits
         if units < sub:
             return units
-        exp = units.bit_length() - 1          # 2**exp <= units
-        shift = exp - self.sub_bits
+        shift = units.bit_length() - 1 - self.sub_bits
         return ((shift + 1) << self.sub_bits) + ((units >> shift) - sub)
 
-    def bucket_bounds(self, index: int) -> Tuple[float, float]:
-        """``[lo, hi)`` value range of bucket ``index`` (caller scale)."""
-        if index < 0:
-            raise ValueError(f"bucket index must be >= 0, got {index}")
+    def _highest(self, index: int) -> float:
+        """The highest value bucket ``index`` holds."""
+        if self.bounds is not None:
+            return self.bounds[index] if index < len(self.bounds) else math.inf
         sub = 1 << self.sub_bits
         if index < sub:
-            return index * self.unit, (index + 1) * self.unit
+            return (index + 1) * self.unit - self.unit
         shift = (index >> self.sub_bits) - 1
         lo = (sub + (index & (sub - 1))) << shift
-        return lo * self.unit, (lo + (1 << shift)) * self.unit
+        return (lo + (1 << shift)) * self.unit - self.unit
 
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative quantization error of any recorded value."""
-        return 2.0 ** -self.sub_bits
+    # -- recording -------------------------------------------------------
+    def observe(self, value: float, weight: int = 1) -> None:
+        """Record ``value``; ``weight`` observes it ``weight`` times at once.
 
-    # -- recording -----------------------------------------------------
-    def record(self, value: float, weight: int = 1) -> None:
-        """Record ``value`` (``weight`` times at once, like ``observe``)."""
+        Weighted observation is how pre-aggregated counts (the columnar
+        engine's hit-depth arrays, one engine batch of thousands of
+        accesses at one amortized latency) flush in without a Python-level
+        loop per event.  NaN values, NaN/negative weights and negative
+        values in the log-linear layout are rejected loudly: binning them
+        anywhere would corrupt every downstream percentile.  ``weight=0``
+        is a no-op by design.
+        """
         if value != value:
-            raise ValueError("cannot record NaN")
-        if value < 0:
-            raise ValueError(f"latency values must be >= 0, got {value}")
+            raise ValueError("cannot observe NaN")
+        if value < 0 and self.bounds is None:
+            raise ValueError(f"log-linear values must be >= 0, got {value}")
         if not weight >= 0:  # catches negatives and NaN weights alike
-            raise ValueError(f"record weight must be >= 0, got {weight}")
+            raise ValueError(f"observation weight must be >= 0, got {weight}")
         if weight == 0:
             return
-        index = self._index_of(int(value / self.unit))
+        index = self._index_of(value)
         with self._lock:
             self.counts[index] = self.counts.get(index, 0) + weight
             self.count += weight
@@ -326,15 +219,31 @@ class HdrHistogram:
             if self.max_value is None or value > self.max_value:
                 self.max_value = value
 
-    # -- quantiles -----------------------------------------------------
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s exact counts; the layouts must be equal."""
+        if other.layout != self.layout:
+            raise ValueError(
+                f"histogram merge: layout {other.layout} != {self.layout}"
+            )
+        with self._lock:
+            for index, n in other.counts.items():
+                self.counts[index] = self.counts.get(index, 0) + n
+            self.count += other.count
+            self.sum += other.sum
+            if other.count:
+                if self.min_value is None or other.min_value < self.min_value:
+                    self.min_value = other.min_value
+                if self.max_value is None or other.max_value > self.max_value:
+                    self.max_value = other.max_value
+
+    # -- quantiles -------------------------------------------------------
     def quantile(self, q: float) -> Optional[float]:
         """Nearest-rank quantile over the exact bucket counts.
 
-        Returns the upper edge of the bucket holding rank
-        ``ceil(q * count)`` — the HDR "highest equivalent value"
-        convention — clamped to the exactly-tracked observed min/max, so
-        ``quantile(0.0)``/``quantile(1.0)`` are exact.  ``None`` when
-        empty.
+        Returns the highest value of the bucket holding rank
+        ``ceil(q * count)`` (the HDR "highest equivalent value"), clamped
+        to the observed min and max, so ``quantile(0.0)`` and
+        ``quantile(1.0)`` are exact.  ``None`` when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -348,8 +257,7 @@ class HdrHistogram:
             for index in sorted(self.counts):
                 cumulative += self.counts[index]
                 if cumulative >= rank:
-                    _, hi = self.bucket_bounds(index)
-                    value = hi - self.unit  # highest representable in bucket
+                    value = self._highest(index)
                     return min(max(value, self.min_value), self.max_value)
         raise AssertionError("bucket counts inconsistent with count")
 
@@ -357,99 +265,53 @@ class HdrHistogram:
         self, qs: Sequence[float] = DEFAULT_QUANTILES
     ) -> Dict[str, Optional[float]]:
         """``{"p50": ..., "p99": ...}`` for the given quantiles."""
-        out = {}
-        for q in qs:
-            label = f"p{q * 100:g}".replace(".", "_")
-            out[label] = self.quantile(q)
-        return out
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
-
-    # -- merging -------------------------------------------------------
-    def merge(self, other: "HdrHistogram") -> None:
-        """Add ``other``'s exact counts into this histogram."""
-        self.merge_raw(
-            other.counts, other.count, other.sum,
-            min_value=other.min_value, max_value=other.max_value,
-            unit=other.unit, sub_bits=other.sub_bits,
-        )
-
-    def merge_raw(
-        self,
-        counts: Dict[int, int],
-        count: int,
-        total: float,
-        min_value: Optional[float] = None,
-        max_value: Optional[float] = None,
-        unit: Optional[float] = None,
-        sub_bits: Optional[int] = None,
-    ) -> None:
-        """Cross-shard / cross-process merge of raw bucket counts.
-
-        Pass the source's ``unit``/``sub_bits`` so layout disagreement
-        raises instead of silently mis-binning (the
-        ``Histogram.merge_raw`` contract).
-        """
-        if unit is not None and float(unit) != self.unit:
-            raise ValueError(f"hdr merge: unit {unit} != {self.unit}")
-        if sub_bits is not None and int(sub_bits) != self.sub_bits:
-            raise ValueError(
-                f"hdr merge: sub_bits {sub_bits} != {self.sub_bits}"
-            )
-        with self._lock:
-            for index, n in counts.items():
-                index = int(index)
-                if index < 0:
-                    raise ValueError(f"hdr merge: bad bucket index {index}")
-                self.counts[index] = self.counts.get(index, 0) + int(n)
-            self.count += int(count)
-            self.sum += float(total)
-            for bound, better in ((min_value, min), (max_value, max)):
-                if bound is None:
-                    continue
-                current = self.min_value if better is min else self.max_value
-                merged = bound if current is None else better(current, bound)
-                if better is min:
-                    self.min_value = merged
-                else:
-                    self.max_value = merged
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot (counts keyed by stringified index)."""
         return {
-            "schema": "repro-hdr/1",
-            "unit": self.unit,
-            "sub_bits": self.sub_bits,
-            "counts": {str(k): v for k, v in self.counts.items()},
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min_value,
-            "max": self.max_value,
+            f"p{q * 100:g}".replace(".", "_"): self.quantile(q) for q in qs
         }
 
+    # -- JSON ------------------------------------------------------------
+    def as_json(self) -> dict:
+        """The layout plus counts keyed by stringified bucket index."""
+        with self._lock:
+            return {
+                **self.layout,
+                "counts": {str(i): n for i, n in sorted(self.counts.items())},
+                "count": self.count,
+                "sum": self.sum,
+                "min": self.min_value,
+                "max": self.max_value,
+            }
+
     @classmethod
-    def from_dict(cls, payload: dict) -> "HdrHistogram":
-        if payload.get("schema") != "repro-hdr/1":
-            raise ValueError(
-                f"not an hdr snapshot: schema={payload.get('schema')!r}"
-            )
-        hist = cls(unit=payload["unit"], sub_bits=payload["sub_bits"])
-        hist.merge_raw(
-            {int(k): int(v) for k, v in payload["counts"].items()},
-            payload["count"], payload["sum"],
-            min_value=payload.get("min"), max_value=payload.get("max"),
-        )
+    def from_json(cls, payload: dict) -> "Histogram":
+        """Rebuild an :meth:`as_json` snapshot, validating it as input.
+
+        Worker spool files and reports come from outside the process, so
+        a missing layout, an out-of-range bucket index or a negative count
+        raises instead of corrupting a merge.  ``count`` is re-derived
+        from the bucket counts.
+        """
+        if "bounds" in payload:
+            hist = cls(payload["bounds"])
+        elif "unit" in payload and "sub_bits" in payload:
+            hist = cls(unit=payload["unit"], sub_bits=payload["sub_bits"])
+        else:
+            raise ValueError("histogram JSON names no bucket layout")
+        top = len(hist.bounds) if hist.bounds is not None else math.inf
+        for key, n in payload["counts"].items():
+            index, n = int(key), int(n)
+            if not 0 <= index <= top:
+                raise ValueError(f"histogram JSON: bad bucket index {index}")
+            if n < 0:
+                raise ValueError(f"histogram JSON: negative count {n}")
+            if n:
+                hist.counts[index] = n
+        hist.count = sum(hist.counts.values())
+        if hist.count:
+            hist.sum = float(payload["sum"])
+            hist.min_value = float(payload["min"])
+            hist.max_value = float(payload["max"])
         return hist
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"HdrHistogram(count={self.count}, "
-                f"buckets={len(self.counts)}, max={self.max_value})")
 
 
 class MetricsRegistry:
@@ -507,10 +369,9 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, "gauge", name, help, labels)
 
     def histogram(self, name: str, bounds: Sequence[float], help: str = "",
-                  labels: Optional[Dict[str, str]] = None,
-                  retain: int = 0) -> Histogram:
+                  labels: Optional[Dict[str, str]] = None) -> Histogram:
         return self._get_or_create(
-            Histogram, "histogram", name, help, labels, bounds, retain
+            Histogram, "histogram", name, help, labels, bounds
         )
 
     # ------------------------------------------------------------------
@@ -538,10 +399,8 @@ class MetricsRegistry:
             for labels, instrument in entries:
                 if isinstance(instrument, Histogram):
                     cumulative = 0
-                    for bound, bucket in zip(
-                        instrument.bounds, instrument.bucket_counts
-                    ):
-                        cumulative += bucket
+                    for i, bound in enumerate(instrument.bounds):
+                        cumulative += instrument.counts.get(i, 0)
                         le = _render_labels(labels + (("le", _fmt(bound)),))
                         lines.append(f"{name}_bucket{le} {cumulative}")
                     le = _render_labels(labels + (("le", "+Inf"),))

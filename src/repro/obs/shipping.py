@@ -53,8 +53,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the spool payload layout changes.
-SPOOL_SCHEMA = "repro-spool/1"
+#: Bump when the spool payload layout changes (/2: histograms carry
+#: sparse ``counts`` plus ``min``/``max``).
+SPOOL_SCHEMA = "repro-spool/2"
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -228,8 +229,9 @@ def merge_registry_payload(
 ) -> int:
     """Fold one ``MetricsRegistry.to_json()`` snapshot into ``registry``.
 
-    Counters/gauges add their values; histograms add bucket counts,
-    totals and sums (bounds must match).  Returns the number of series
+    Counters/gauges add their values; histograms merge their
+    :meth:`~repro.obs.metrics.Histogram.as_json` form (bounds must match,
+    and a bad bucket index or count raises).  Returns the number of series
     merged.  Instrument names keep the worker's fully qualified name, so
     a namespaced parent registry merges flat worker names unchanged.
     """
@@ -245,13 +247,9 @@ def merge_registry_payload(
             elif kind == "gauge":
                 registry.gauge(name, help_text, labels).inc(float(value))
             elif kind == "histogram":
-                hist = registry.histogram(
+                registry.histogram(
                     name, value["bounds"], help_text, labels
-                )
-                hist.merge_raw(
-                    value["bucket_counts"], value["count"], value["sum"],
-                    bounds=value["bounds"],
-                )
+                ).merge(Histogram.from_json(value))
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
             merged += 1

@@ -33,7 +33,6 @@ __all__ = [
     "StatusPublisher",
     "read_status",
     "render_status",
-    "render_top",
     "watch",
 ]
 
@@ -216,6 +215,28 @@ def render_status(status: dict, now: Optional[float] = None) -> str:
         age = now - updated
         stale = "" if final or age < 15 else "  ** stale? **"
         lines.append(f"  updated   {_fmt_duration(age)} ago{stale}")
+    serving = status.get("serving")
+    if isinstance(serving, dict):
+        latency = serving.get("latency") or {}
+        if latency:
+            lines.append(
+                "  latency   "
+                + "  ".join(
+                    f"{q} {_fmt_latency(latency.get(q))}"
+                    for q in ("p50", "p90", "p99", "p99_9")
+                    if q in latency
+                )
+                + " (amortized/access)"
+            )
+        shards = serving.get("shards") or []
+        if shards:
+            parts = [
+                f"{shard.get('shard', '?')}: "
+                f"p99 {_fmt_latency(shard.get('p99'))} "
+                f"q{shard.get('queue_depth', 0)}"
+                for shard in shards
+            ]
+            lines.append("  shards    " + " | ".join(parts))
     return "\n".join(lines)
 
 
@@ -231,49 +252,12 @@ def _fmt_latency(seconds: Optional[float]) -> str:
     return f"{seconds:.3f}s"
 
 
-def render_top(status: dict, now: Optional[float] = None) -> str:
-    """Serving dashboard view: latency percentiles and per-shard rows.
-
-    The ``repro obs top`` backend.  Renders the ``serving`` section a
-    telemetry-enabled ``repro serve`` publishes into ``run-status.json``;
-    falls back to :func:`render_status` when the section is absent (so
-    pointing ``obs top`` at a GA or matrix run still shows something).
-    """
-    serving = status.get("serving")
-    if not isinstance(serving, dict):
-        return render_status(status, now=now)
-    lines = [render_status(status, now=now)]
-    latency = serving.get("latency") or {}
-    if latency:
-        lines.append(
-            "  latency   "
-            + "  ".join(
-                f"{q} {_fmt_latency(latency.get(q))}"
-                for q in ("p50", "p90", "p99", "p99_9")
-                if q in latency
-            )
-            + " (amortized/access)"
-        )
-    shards = serving.get("shards") or []
-    if shards:
-        parts = []
-        for shard in shards:
-            parts.append(
-                f"{shard.get('shard', '?')}: "
-                f"p99 {_fmt_latency(shard.get('p99'))} "
-                f"q{shard.get('queue_depth', 0)}"
-            )
-        lines.append("  shards    " + " | ".join(parts))
-    return "\n".join(lines)
-
-
 def watch(
     path: Union[str, Path],
     interval: float = 1.0,
     iterations: Optional[int] = None,
     stream=None,
     clear: bool = True,
-    render=None,
     max_interval: float = 5.0,
 ) -> int:
     """Refreshing terminal view of a status file; the CLI backend.
@@ -281,14 +265,12 @@ def watch(
     Tolerates a missing or torn snapshot mid-run: the last good snapshot
     stays on screen under a ``stale since …`` banner, and the poll
     interval backs off (doubling up to ``max_interval``) until the file
-    reads cleanly again.  ``render`` swaps the snapshot renderer
-    (:func:`render_top` for ``repro obs top``).
+    reads cleanly again.
 
     Returns 0 once the status goes ``final`` (or after ``iterations``
     refreshes), 1 if the file never became readable.
     """
     stream = stream if stream is not None else sys.stdout
-    render = render if render is not None else render_status
     last_good: Optional[dict] = None
     stale_since: Optional[float] = None
     delay = interval
@@ -301,7 +283,7 @@ def watch(
             delay = interval
             if clear and getattr(stream, "isatty", lambda: False)():
                 stream.write("\x1b[2J\x1b[H")
-            stream.write(render(status) + "\n")
+            stream.write(render_status(status) + "\n")
             stream.flush()
             if status.get("final"):
                 return 0
@@ -313,7 +295,7 @@ def watch(
             if clear and getattr(stream, "isatty", lambda: False)():
                 stream.write("\x1b[2J\x1b[H")
             if last_good is not None:
-                stream.write(render(last_good) + "\n")
+                stream.write(render_status(last_good) + "\n")
                 stream.write(
                     f"  ** status unreadable — stale since {clock} "
                     f"({_fmt_duration(now - stale_since)} ago); "

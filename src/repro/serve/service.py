@@ -12,8 +12,8 @@ through a :class:`~repro.serve.frontend.ShardedFrontend`:
   :class:`~repro.obs.metrics.MetricsRegistry`;
 * a :class:`~repro.serve.telemetry.ServeTelemetry` (on by default)
   records per-shard batch latency and amortized per-access latency into
-  HDR histograms, published to the status file, the registry and the
-  report;
+  log-linear histograms, published to the status file, the registry and
+  the report;
 * a provenance manifest (spec digest + resolved seed — derived seeds
   are *recorded*, per the workloads seeding contract) is written next
   to the report when a report path is given.
@@ -114,8 +114,9 @@ class ServingReport:
         return {
             # /2 adds shed_ratio + the telemetry and slo blocks; /3
             # drops the stream backend; /4 drops the slo block and the
-            # telemetry block's windows and drift events.
-            "schema": "repro-serving-report/4",
+            # telemetry block's windows and drift events; /5 writes
+            # latency_histogram as Histogram.as_json() (no schema tag).
+            "schema": "repro-serving-report/5",
             "spec": self.spec.digest_payload(),
             "spec_digest": self.spec.digest(),
             "seed": self.spec.resolved_seed(),

@@ -9,24 +9,25 @@ test per drained batch).
 
 Per batch it records:
 
-* the shard's **batch latency** into a per-shard
-  :class:`~repro.obs.metrics.HdrHistogram` (exact counts, mergeable — the
+* the shard's **batch latency** into a per-shard log-linear
+  :class:`~repro.obs.metrics.Histogram` (exact counts, mergeable — the
   cross-shard merge is bit-identical to a single-shard recording, which
   the tests pin);
 * the **amortized per-access cost** (batch wall / batch size) into a
   run-wide histogram, weighted by batch size.
 
 ``snapshot()`` is what ``run_serving`` publishes into
-``run-status.json`` (the ``repro obs top`` payload); ``publish()``
-updates the latency gauges in the run's metrics registry;
-``report_section()`` is the final JSON report's ``telemetry`` block.
+``run-status.json`` (``repro obs watch`` renders it as the latency and
+shards rows); ``publish()`` updates the latency gauges in the run's
+metrics registry; ``report_section()`` is the final JSON report's
+``telemetry`` block.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..obs.metrics import DEFAULT_QUANTILES, HdrHistogram
+from ..obs.metrics import DEFAULT_QUANTILES, Histogram
 
 __all__ = ["ServeTelemetry"]
 
@@ -38,10 +39,10 @@ class ServeTelemetry:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
-        self.batch_latency: List[HdrHistogram] = [
-            HdrHistogram() for _ in range(shards)
+        self.batch_latency: List[Histogram] = [
+            Histogram() for _ in range(shards)
         ]
-        self.access_latency = HdrHistogram()
+        self.access_latency = Histogram()
         self.shard_batches = [0] * shards
         self.shard_queue_depth = [0] * shards
 
@@ -55,8 +56,8 @@ class ServeTelemetry:
             return
         self.shard_batches[shard] += 1
         self.shard_queue_depth[shard] = queue_depth
-        self.batch_latency[shard].record(wall_sec)
-        self.access_latency.record(wall_sec / accesses, weight=accesses)
+        self.batch_latency[shard].observe(wall_sec)
+        self.access_latency.observe(wall_sec / accesses, weight=accesses)
 
     def record_shed(self, shed: int) -> None:
         """Does nothing: a shed batch has no latency to record.
@@ -76,9 +77,9 @@ class ServeTelemetry:
     # ------------------------------------------------------------------
     # Read-side surfaces.
     # ------------------------------------------------------------------
-    def merged_batch_latency(self) -> HdrHistogram:
+    def merged_batch_latency(self) -> Histogram:
         """All shards' batch-latency histograms merged (exact counts)."""
-        merged = HdrHistogram()
+        merged = Histogram()
         for hist in self.batch_latency:
             merged.merge(hist)
         return merged
@@ -132,7 +133,7 @@ class ServeTelemetry:
         merged = self.merged_batch_latency()
         return {
             "latency": self.access_latency.percentiles(),
-            "latency_histogram": self.access_latency.to_dict(),
+            "latency_histogram": self.access_latency.as_json(),
             "batch_latency": merged.percentiles(),
             "shards": [
                 {

@@ -72,19 +72,22 @@ class TestVectorScript:
     interpreter: its task seeds must not depend on Python's salted
     ``hash``."""
 
-    def _run(self, output, hash_seed):
+    def _script(self, output, hash_seed, *extra, check=True):
         repo = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-        subprocess.run(
+        return subprocess.run(
             [sys.executable,
              os.path.join(repo, "scripts", "evolve_wn1_vectors.py"),
              "--quick", "--workers", "1", "--population", "4",
              "--generations", "1", "--trace-length", "1000",
-             "--output", str(output)],
+             "--output", str(output), *extra],
             env=env, capture_output=True, text=True, timeout=300,
-            check=True,
+            check=check,
         )
+
+    def _run(self, output, hash_seed, *extra):
+        self._script(output, hash_seed, *extra)
         return output.read_bytes()
 
     def test_runs_under_different_hash_seeds_write_identical_files(
@@ -96,3 +99,20 @@ class TestVectorScript:
         seeds = json.loads(first)["ga"]["seeds"]
         assert set(seeds) == {"WI", "fold0", "fold1"}
         assert all(set(per) == {"1", "2", "4"} for per in seeds.values())
+
+    def test_folds_zero_is_labelled_leave_one_out(self, tmp_path):
+        payload = json.loads(
+            self._run(tmp_path / "loo.json", 1, "--folds", "0")
+        )
+        assert payload["ga"]["folds"] == 0
+        assert "(leave-one-out)" in payload["methodology"]
+        assert "fold;" not in payload["methodology"]
+        assert len(payload["ga"]["seeds"]) == 5  # WI + one per benchmark
+
+    @pytest.mark.parametrize("folds", ["1", "-1"])
+    def test_rejects_one_or_negative_folds(self, tmp_path, folds):
+        output = tmp_path / "never.json"
+        result = self._script(output, 1, "--folds", folds, check=False)
+        assert result.returncode == 2
+        assert "--folds must be 0 or >= 2" in result.stderr
+        assert not output.exists()

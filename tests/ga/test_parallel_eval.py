@@ -63,6 +63,38 @@ def test_population_evaluator_counts_and_close(evaluator):
     pop.close()  # idempotent
 
 
+def test_pool_maps_one_chunk_per_worker_for_default_kernel(
+    evaluator, monkeypatch
+):
+    # Every kernel, the default "auto" included, sends each batch as at
+    # most `workers` contiguous chunks, each scored by evaluate_many.
+    from repro.ga import parallel
+
+    class RecordingPool:
+        def __init__(self):
+            self.maps = []
+
+        def map(self, func, tasks, chunksize=1):
+            tasks = list(tasks)
+            self.maps.append((func, tasks))
+            return [func(task) for task in tasks]
+
+    assert evaluator.kernel == "auto"
+    monkeypatch.setattr(parallel, "_WORKER_EVALUATOR", evaluator)
+    individuals = some_individuals(evaluator.k, n=7)
+    pop = PopulationEvaluator(evaluator, workers=0)
+    pool = pop._pool = RecordingPool()
+    pop.workers = 2
+    fanned = pop.evaluate_all(individuals)
+    pop._pool = None
+    assert len(pool.maps) == 1
+    func, tasks = pool.maps[0]
+    assert func is parallel._worker_evaluate
+    assert len(tasks) <= 2
+    assert [entries for chunk in tasks for entries in chunk] == individuals
+    assert fanned == evaluator.evaluate_many(individuals)
+
+
 def test_spec_roundtrip_preserves_fitness(evaluator):
     rebuilt = FitnessEvaluator.from_spec(evaluator.spec())
     for entries in some_individuals(evaluator.k, n=3, seed=9):

@@ -111,7 +111,7 @@ def test_profiled_parallel_ga_emits_multiprocess_chrome_trace(tmp_path):
     assert result.best_fitness > 0
 
     # Spans from >=2 processes: the parent plus at least one worker (two
-    # workers in practice; the pool splits an 8-chunk map between them).
+    # workers in practice; each batch maps one chunk per worker).
     pids = recorder.pids()
     assert len(pids) >= 2
     assert recorder._pid in pids

@@ -1,16 +1,23 @@
 """Metrics registry: instruments, exporters, round-trips.
 
-HdrHistogram: indexing invariants, bounded quantization error,
-lossless cross-shard merge, serde round-trip.
+The one Histogram, in both bucket layouts: fixed ``le`` bounds (the
+registry's) and log-linear (``TestHdr*``: indexing invariants, bounded
+quantization error, lossless cross-shard merge, JSON round-trip).
 """
 
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
+from repro.eval.parallel import RunnerMetrics
 from repro.obs import MetricsRegistry, parse_prometheus
-from repro.obs.metrics import DEFAULT_QUANTILES, HdrHistogram
+from repro.obs.analytics import publish_batch_counters
+from repro.obs.events import TraceEvent
+from repro.obs.metrics import DEFAULT_QUANTILES, Histogram
+from repro.obs.tracer import registry_from_events
 
 
 class TestInstruments:
@@ -58,7 +65,7 @@ class TestInstruments:
         for value in (0, 1, 2, 3, 10):
             hist.observe(value)
         # buckets: <=1 gets 0 and 1; <=2 gets 2; <=4 gets 3; +Inf gets 10.
-        assert hist.bucket_counts == [2, 1, 1, 1]
+        assert hist.counts == {0: 2, 1: 1, 2: 1, 3: 1}
         assert hist.count == 5
         assert hist.sum == 16
 
@@ -73,7 +80,7 @@ class TestInstruments:
         hist = MetricsRegistry().histogram("h", bounds=[1, 2, 4])
         hist.observe(1, weight=3)
         hist.observe(3, weight=2)
-        assert hist.bucket_counts == [3, 0, 2, 0]
+        assert hist.counts == {0: 3, 2: 2}
         assert hist.count == 5
         assert hist.sum == 9
         # weight=0 is a no-op, not an error (empty bins flush cleanly).
@@ -91,68 +98,56 @@ class TestInstruments:
         with pytest.raises(ValueError):
             hist.observe(1, weight=weight)
 
-    def test_merge_raw_validates_bounds(self):
+    def test_merge_validates_bounds(self):
         hist = MetricsRegistry().histogram("h", bounds=[1, 2])
-        hist.merge_raw([1, 0, 0], 1, 0.5, bounds=[1, 2])
+        other = Histogram([1, 2])
+        other.observe(0.5)
+        hist.merge(other)
         assert hist.count == 1
         with pytest.raises(ValueError, match="bounds"):
-            hist.merge_raw([1, 0, 0], 1, 0.5, bounds=[1, 3])
+            hist.merge(Histogram([1, 3]))
+
+    def test_from_json_rejects_index_past_overflow(self):
+        payload = Histogram([1, 2]).as_json()
+        payload["counts"] = {"3": 1}  # buckets are 0, 1 and 2 (+Inf)
+        with pytest.raises(ValueError, match="bucket index"):
+            Histogram.from_json(payload)
 
 
 class TestHistogramQuantile:
-    def test_exact_on_retained_raw_samples(self):
-        hist = MetricsRegistry().histogram("h", bounds=[1, 10, 100],
-                                           retain=16)
-        for v in (5, 3, 9, 1, 7):
+    def test_nearest_rank_takes_the_bucket_bound(self):
+        hist = MetricsRegistry().histogram("h", bounds=[1, 10, 100])
+        for v in (5, 3, 9, 1, 7, 50):
             hist.observe(v)
-        assert hist.quantile(0.0) == 1
-        assert hist.quantile(0.5) == 5      # nearest-rank median, exact
-        assert hist.quantile(1.0) == 9
-        # exact even for values that share a bucket
-        assert hist.quantile(0.2) == 1
+        assert hist.quantile(0.0) == 1       # the observed min, exactly
+        assert hist.quantile(1 / 6) == 1     # rank 1: the <= 1 bucket
+        assert hist.quantile(0.5) == 10      # rank 3: the <= 10 bucket
+        assert hist.quantile(1.0) == 50      # <= 100, clamped to the max
 
-    def test_weighted_raw_samples(self):
-        hist = MetricsRegistry().histogram("h", bounds=[10], retain=100)
-        hist.observe(2, weight=9)
-        hist.observe(8, weight=1)
-        assert hist.quantile(0.9) == 2
-        assert hist.quantile(0.95) == 8
-
-    def test_interpolates_after_retention_drops(self):
-        hist = MetricsRegistry().histogram("h", bounds=[0, 10, 20],
-                                           retain=2)
-        for v in (2.0, 4.0, 6.0, 8.0):      # > retain: raw dropped
-            hist.observe(v)
-        # All four observations sit in the (0, 10] bucket: linear
-        # interpolation on its bounds, not an exact sample.
-        assert hist.quantile(0.5) == pytest.approx(5.0)
-        assert hist.quantile(1.0) == pytest.approx(10.0)
-
-    def test_overflow_bucket_resolves_to_highest_finite_bound(self):
+    def test_overflow_bucket_clamps_to_observed_max(self):
         hist = MetricsRegistry().histogram("h", bounds=[1, 2])
         hist.observe(100)
-        assert hist.quantile(0.99) == 2
+        assert hist.quantile(0.99) == 100
 
     def test_first_bucket_lower_bound(self):
         hist = MetricsRegistry().histogram("h", bounds=[4])
         hist.observe(2, weight=2)
-        # lo = min(0, 4) = 0: the median interpolates to the midpoint.
+        # Nothing below the first bound is assumed: the bucket's bound 4,
+        # clamped to the observed max.
         assert hist.quantile(0.5) == pytest.approx(2.0)
+
+    def test_negative_values_bin_in_fixed_layout(self):
+        hist = Histogram(range(-3, 4))
+        for v in (-5, -3, -1, 0, 2):
+            hist.observe(v)
+        assert hist.counts == {0: 2, 2: 1, 3: 1, 5: 1}
+        assert hist.quantile(0.4) == -3
 
     def test_empty_and_range_checks(self):
         hist = MetricsRegistry().histogram("h", bounds=[1])
         assert hist.quantile(0.5) is None
         with pytest.raises(ValueError, match="quantile"):
             hist.quantile(-0.1)
-
-    def test_merge_raw_drops_raw_samples(self):
-        hist = MetricsRegistry().histogram("h", bounds=[1, 2],
-                                           retain=100)
-        hist.observe(1.5)
-        hist.merge_raw([0, 1, 0], 1, 1.5)
-        # A merged-in snapshot has no raw samples: quantiles must fall
-        # back to interpolation rather than trust a partial raw list.
-        assert hist.quantile(1.0) == pytest.approx(2.0)
 
 
 class TestExporters:
@@ -201,7 +196,10 @@ class TestExporters:
         assert out["repro_jobs_total"]["type"] == "counter"
         assert out["repro_jobs_total"]["series"][0]["value"] == 3
         hist = out["repro_job_seconds"]["series"][0]["value"]
-        assert hist["count"] == 3
+        assert hist == {
+            "bounds": [0.1, 1.0], "counts": {"0": 1, "1": 1, "2": 1},
+            "count": 3, "sum": 5.55, "min": 0.05, "max": 5.0,
+        }
         series = out["repro_events_total"]["series"][0]
         assert series["labels"] == {"kind": "hit"}
 
@@ -279,95 +277,139 @@ class TestThreadSafety:
         assert registry.counter("repro_shared_total").value == self.THREADS
 
 
+class TestPinnedOutputs:
+    """Every registry histogram's Prometheus text, byte for byte."""
+
+    class FakeCounters:
+        lanes, accesses, assoc = 2, 5000, 4
+        depths = ([7, 0, 3, 12], [0, 5, 0, 1])
+
+        def totals(self, lane):
+            return {"hits": 10 + lane, "misses": 20, "evictions": 3,
+                    "cold_fills": 4, "measured_misses": 18}
+
+        def hit_depth_histogram(self, lane):
+            return self.depths[lane]
+
+    def test_registry_histograms_prometheus_text_is_unchanged(self):
+        # The tracer's two histograms, repro_eval_job_seconds and
+        # repro_engine_hit_depth, fed through their own code paths, with
+        # values below, on and past the bounds.
+        registry = MetricsRegistry()
+        events = [TraceEvent("insertion", i, pos_after=p)
+                  for i, p in enumerate([0, 3, 3, 15, 31, 40, -2, 7])]
+        events += [
+            TraceEvent("promotion", 100 + i, pos_before=b, pos_after=a)
+            for i, (b, a) in enumerate([(5, 0), (0, 5), (31, 0), (0, 31),
+                                        (40, 0), (0, 40), (2, 2), (9, 1)])
+        ]
+        registry_from_events(events, registry)
+        runner = RunnerMetrics(registry)
+        for seconds in (0.003, 0.005, 0.0051, 0.07, 0.5, 1.75, 29.9, 60.0,
+                        100.0):
+            runner.record_simulated(seconds)
+        publish_batch_counters(self.FakeCounters(), registry,
+                               lane_names=["a", "b"])
+        text = registry.to_prometheus()
+        assert 'repro_eval_job_seconds_sum 192.2331' in text
+        assert 'repro_promotion_distance_bucket{le="-31"} 2' in text
+        # SHA-256 of the whole text, pinned: any change to the bucketing
+        # or the exposition shows here.
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d899ee97f71261ec7c4cc84d6d781bd43a9ca1802482fe883f8b43aa7153e05b"
+        ), text
+
+
 class TestHdrIndexing:
     def test_small_values_are_exact(self):
-        h = HdrHistogram(unit=1.0, sub_bits=5)
+        h = Histogram(unit=1.0, sub_bits=5)
         for units in range(32):
-            lo, hi = h.bucket_bounds(h._index_of(units))
-            assert lo == units and hi == units + 1
+            assert h._index_of(units) == units
+            assert h._highest(units) == units
 
     def test_index_is_monotone_and_covers(self):
-        h = HdrHistogram(unit=1.0, sub_bits=3)
+        h = Histogram(unit=1.0, sub_bits=3)
         prev = -1
         for units in range(4096):
             index = h._index_of(units)
             assert index >= prev
-            lo, hi = h.bucket_bounds(index)
-            assert lo <= units < hi
+            # The bucket holds units, and the one below it does not.
+            assert units <= h._highest(index)
+            assert index == 0 or h._highest(index - 1) < units
             prev = index
 
     def test_relative_error_bound(self):
         # Below 2**sub_bits buckets are exact-to-the-unit; the relative
         # bound kicks in for the log-bucketed octaves above.
-        h = HdrHistogram(unit=1.0, sub_bits=5)
+        h = Histogram(unit=1.0, sub_bits=5)
         for units in (32, 100, 1023, 65537, 10**9):
-            lo, hi = h.bucket_bounds(h._index_of(units))
-            assert (hi - lo) / lo <= h.relative_error + 1e-12
-
-    def test_bucket_bounds_rejects_negative(self):
-        with pytest.raises(ValueError, match="bucket index"):
-            HdrHistogram().bucket_bounds(-1)
+            index = h._index_of(units)
+            lo, hi = h._highest(index - 1) + 1, h._highest(index) + 1
+            assert lo <= units < hi
+            assert (hi - lo) / lo <= 2.0 ** -h.sub_bits + 1e-12
 
 
 class TestHdrRecording:
     def test_rejects_bad_values(self):
-        h = HdrHistogram()
+        h = Histogram()
         with pytest.raises(ValueError, match="NaN"):
-            h.record(float("nan"))
+            h.observe(float("nan"))
         with pytest.raises(ValueError, match=">= 0"):
-            h.record(-1e-9)
+            h.observe(-1e-9)
         with pytest.raises(ValueError, match="weight"):
-            h.record(1e-6, weight=-1)
+            h.observe(1e-6, weight=-1)
 
     def test_zero_weight_is_noop(self):
-        h = HdrHistogram()
-        h.record(1e-3, weight=0)
-        assert len(h) == 0
+        h = Histogram()
+        h.observe(1e-3, weight=0)
+        assert h.count == 0
         assert h.quantile(0.5) is None
-        assert h.mean is None
+        assert h.min_value is None
 
     def test_weighted_record(self):
-        h = HdrHistogram(unit=1.0, sub_bits=5)
-        h.record(10, weight=1000)
+        h = Histogram(unit=1.0, sub_bits=5)
+        h.observe(10, weight=1000)
         assert h.count == 1000
         assert h.sum == pytest.approx(10_000)
         assert h.quantile(0.5) == 10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unit"):
-            HdrHistogram(unit=0)
+            Histogram(unit=0)
         with pytest.raises(ValueError, match="sub_bits"):
-            HdrHistogram(sub_bits=0)
+            Histogram(sub_bits=0)
+        with pytest.raises(ValueError, match="sub_bits"):
+            Histogram(sub_bits=17)
 
 
 class TestHdrQuantiles:
     def test_extremes_are_exact(self):
-        h = HdrHistogram(unit=1e-9)
+        h = Histogram(unit=1e-9)
         values = [3e-6, 1e-4, 7.5e-3, 42e-6]
         for v in values:
-            h.record(v)
+            h.observe(v)
         assert h.quantile(0.0) == pytest.approx(min(values))
         assert h.quantile(1.0) == pytest.approx(max(values))
 
     def test_quantile_error_within_bound(self):
         rng = random.Random(7)
-        h = HdrHistogram(unit=1e-9, sub_bits=5)
+        h = Histogram(unit=1e-9, sub_bits=5)
         samples = sorted(rng.lognormvariate(-9, 1.0) for _ in range(5000))
         for v in samples:
-            h.record(v)
+            h.observe(v)
         for q in DEFAULT_QUANTILES:
             exact = samples[min(len(samples) - 1,
                                 max(0, math.ceil(q * len(samples)) - 1))]
             got = h.quantile(q)
-            assert abs(got - exact) / exact <= h.relative_error + 1e-9
+            assert abs(got - exact) / exact <= 2.0 ** -h.sub_bits + 1e-9
 
     def test_quantile_range_validated(self):
         with pytest.raises(ValueError, match="quantile"):
-            HdrHistogram().quantile(1.5)
+            Histogram().quantile(1.5)
 
     def test_percentile_labels(self):
-        h = HdrHistogram(unit=1.0)
-        h.record(5)
+        h = Histogram(unit=1.0)
+        h.observe(5)
         pcts = h.percentiles()
         assert set(pcts) == {"p50", "p90", "p99", "p99_9"}
         assert pcts["p50"] == 5
@@ -378,13 +420,13 @@ class TestHdrMerge:
         # Recording everything into one histogram vs sharding the same
         # stream across two and merging must give identical raw counts.
         rng = random.Random(11)
-        single = HdrHistogram(unit=1e-9)
-        shards = [HdrHistogram(unit=1e-9) for _ in range(2)]
+        single = Histogram(unit=1e-9)
+        shards = [Histogram(unit=1e-9) for _ in range(2)]
         for i in range(4000):
             v = rng.expovariate(1e4)
-            single.record(v)
-            shards[i % 2].record(v)
-        merged = HdrHistogram(unit=1e-9)
+            single.observe(v)
+            shards[i % 2].observe(v)
+        merged = Histogram(unit=1e-9)
         for shard in shards:
             merged.merge(shard)
         assert merged.counts == single.counts
@@ -396,27 +438,45 @@ class TestHdrMerge:
             assert merged.quantile(q) == single.quantile(q)
 
     def test_layout_mismatch_raises(self):
-        a = HdrHistogram(unit=1e-9, sub_bits=5)
+        a = Histogram(unit=1e-9, sub_bits=5)
         with pytest.raises(ValueError, match="unit"):
-            a.merge(HdrHistogram(unit=1e-6, sub_bits=5))
+            a.merge(Histogram(unit=1e-6, sub_bits=5))
         with pytest.raises(ValueError, match="sub_bits"):
-            a.merge(HdrHistogram(unit=1e-9, sub_bits=6))
+            a.merge(Histogram(unit=1e-9, sub_bits=6))
+        with pytest.raises(ValueError, match="bounds"):
+            a.merge(Histogram([1e-9]))
 
     def test_merge_rejects_negative_index(self):
-        a = HdrHistogram()
+        payload = Histogram().as_json()
+        payload["counts"] = {"-3": 1}
         with pytest.raises(ValueError, match="bucket index"):
-            a.merge_raw({-3: 1}, 1, 0.0)
+            Histogram.from_json(payload)
+
+    def test_merge_rejects_negative_count(self):
+        payload = Histogram().as_json()
+        payload["counts"] = {"3": -1}
+        with pytest.raises(ValueError, match="negative count"):
+            Histogram.from_json(payload)
 
     def test_serde_round_trip(self):
-        h = HdrHistogram(unit=1e-9)
+        self.assert_round_trips(Histogram(unit=1e-9))
+
+    def test_serde_round_trip_fixed_layout(self):
+        self.assert_round_trips(Histogram([0.001, 1.0]))
+
+    @staticmethod
+    def assert_round_trips(h):
         for v in (1e-6, 3e-5, 2e-3):
-            h.record(v, weight=7)
-        clone = HdrHistogram.from_dict(h.to_dict())
+            h.observe(v, weight=7)
+        clone = Histogram.from_json(json.loads(json.dumps(h.as_json())))
+        assert clone.layout == h.layout
         assert clone.counts == h.counts
         assert clone.count == h.count
+        assert clone.sum == h.sum
         assert clone.min_value == h.min_value
         assert clone.max_value == h.max_value
+        assert clone.percentiles() == h.percentiles()
 
-    def test_from_dict_rejects_other_schemas(self):
-        with pytest.raises(ValueError, match="schema"):
-            HdrHistogram.from_dict({"schema": "bogus/9"})
+    def test_from_json_rejects_missing_layout(self):
+        with pytest.raises(ValueError, match="layout"):
+            Histogram.from_json({"counts": {}, "sum": 0.0})

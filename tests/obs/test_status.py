@@ -9,7 +9,6 @@ from repro.obs.status import (
     StatusPublisher,
     read_status,
     render_status,
-    render_top,
     watch,
 )
 
@@ -194,7 +193,7 @@ def test_watch_torn_file_never_healing_returns_one(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Serving dashboard renderer (the `repro obs top` backend).
+# A serving run's latency and shard rows.
 # ----------------------------------------------------------------------
 def serving_status(**overrides):
     status = {
@@ -220,8 +219,8 @@ def serving_status(**overrides):
     return status
 
 
-def test_render_top_shows_serving_dashboard():
-    text = render_top(serving_status(), now=102.0)
+def test_render_status_shows_serving_rows():
+    text = render_status(serving_status(), now=102.0)
     assert "p99 900ns" in text
     assert "0: p99 1.50ms q0 | 1: p99 1.20ms q2" in text
     rows = [line.split()[0] for line in text.splitlines()[1:]]
@@ -230,19 +229,17 @@ def test_render_top_shows_serving_dashboard():
         assert gone not in rows
 
 
-def test_render_top_falls_back_without_serving_section():
-    status = {
-        "schema": STATUS_SCHEMA, "kind": "ga", "run_id": "ga-1",
-        "phase": "evolve", "final": False,
-        "started_at": 100.0, "updated_at": 101.0,
-    }
-    assert render_top(status, now=102.0) == render_status(status, now=102.0)
+def test_render_status_omits_serving_rows_without_section():
+    status = serving_status()
+    del status["serving"]
+    rows = [line.split()[0]
+            for line in render_status(status, now=102.0).splitlines()[1:]]
+    assert rows == ["elapsed", "updated"]
 
 
-def test_watch_with_render_top(tmp_path):
+def test_watch_renders_serving_rows(tmp_path):
     pub = _publisher(tmp_path, min_interval=0.0, kind="serve")
     pub.finalize(phase="done", serving=serving_status()["serving"])
     out = io.StringIO()
-    assert watch(pub.path, interval=0.0, iterations=1, stream=out,
-                 render=render_top) == 0
+    assert watch(pub.path, interval=0.0, iterations=1, stream=out) == 0
     assert "shards    0:" in out.getvalue()

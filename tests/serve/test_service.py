@@ -77,7 +77,7 @@ class TestRunServing:
     def test_report_dict_schema(self):
         report = run_serving(SPEC, NUM_SETS, ASSOC, shards=2)
         payload = report.to_dict()
-        assert payload["schema"] == "repro-serving-report/4"
+        assert payload["schema"] == "repro-serving-report/5"
         assert "backend" not in payload
         assert "slo" not in payload
         assert payload["spec_digest"] == SPEC.digest()
@@ -192,7 +192,7 @@ class TestServingTelemetry:
             "latency", "latency_histogram", "batch_latency", "shards",
         }
         assert telem["latency"]["p99"] > 0
-        assert telem["latency_histogram"]["schema"] == "repro-hdr/1"
+        assert telem["latency_histogram"]["sub_bits"] == 5
         assert telem["latency_histogram"]["count"] == SPEC.accesses
         assert len(telem["shards"]) == 2
         # Five chunks, each split into one sub-batch per shard.

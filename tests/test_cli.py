@@ -234,7 +234,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert "amortized latency/access:" in out
         payload = json.loads(report_path.read_text())
-        assert payload["schema"] == "repro-serving-report/4"
+        assert payload["schema"] == "repro-serving-report/5"
         assert "slo" not in payload
         direct = run_serving(ServingSpec(keys=512, accesses=20000), 64, 8)
         assert payload["misses"] == direct.misses
@@ -261,5 +261,12 @@ class TestServe:
     def test_obs_serve_metrics_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["obs", "serve-metrics", "snapshot.json"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_obs_top_is_not_a_subcommand(self, capsys):
+        # `repro obs watch` renders a serving run's rows itself.
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "top", "--once", "status.json"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err

@@ -4,6 +4,7 @@ DESIGN.md promises a bench per experiment and EXPERIMENTS.md reports them;
 these tests keep those promises honest as the code evolves.
 """
 
+import argparse
 import builtins
 import os
 import re
@@ -231,3 +232,47 @@ class TestCodeNames:
         }
         assert not stale, f"documented but defined nowhere: {stale}"
 
+
+class TestDocumentedCommands:
+    """Every ``repro`` command the docs show names a real subcommand."""
+
+    # A command in a backticked span, or a line of a fenced block (an
+    # optional ``$ `` prompt first).  Prose ("a repro committed to") and
+    # ``from repro import`` sit outside both, or do not start the line.
+    FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.S)
+
+    def _commands(self):
+        found = {}
+        for doc in _doc_files():
+            text = _read(doc)
+            lines = re.findall(r"`([^`\n]+)`", self.FENCE.sub("", text))
+            for block in self.FENCE.findall(text):
+                lines += [re.sub(r"^\$\s+", "", line.strip())
+                          for line in block.splitlines()]
+            for line in lines:
+                if re.match(r"repro \S", line):
+                    found.setdefault(line, doc)
+        return found
+
+    @staticmethod
+    def _subcommands(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    def test_documented_commands_exist(self):
+        from repro.cli import build_parser
+
+        commands = self._commands()
+        assert commands, "the docs no longer show any repro command"
+        top = self._subcommands(build_parser())
+        obs = self._subcommands(top["obs"])
+        stale = {}
+        for command, doc in commands.items():
+            words = command.split()
+            if words[1] not in top:
+                stale[command] = doc
+            elif words[1] == "obs" and len(words) > 2 and words[2] not in obs:
+                stale[command] = doc
+        assert not stale, f"documented but no such subcommand: {stale}"
