@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving trend-check figures report wn-vectors examples clean
+.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-serving trend-check figures report wn-vectors examples clean
 
 # Targets that run pytest / the library directly need the src layout on the
 # import path; the smoke scripts insert it themselves but inherit it too.
@@ -94,15 +94,6 @@ smoke-kernels:
 # validate, and counters=True stays within its 5% overhead budget.
 smoke-analytics:
 	$(PYTHON) scripts/smoke_analytics.py
-
-# Surrogate prefilter check: the analytic IPV miss-rate model reaches
-# the Spearman-rho audit floor on its native LRU substrate, kept
-# survivors carry bit-identical simulated fitness, the cross-generation
-# memo serves repeated batches with zero simulator calls, a prefiltered
-# GA run recovers the unfiltered best, and scoring a 20k population
-# takes seconds.
-smoke-surrogate:
-	$(PYTHON) scripts/smoke_surrogate.py
 
 # Serving-scenario check: sharded front-end miss counts are bit-identical
 # across shard counts and engines to a single-cache scalar reference, the

@@ -187,113 +187,6 @@ def measure_population_batch(
     }
 
 
-def measure_population_surrogate(
-    trace_length: int = 6_000,
-    population: int = 1_500,
-    keep: float = 0.05,
-    audit: int = 32,
-) -> dict:
-    """Analytic-prefilter economics at population scale.
-
-    Times one generation-sized batch three ways: pure surrogate scoring
-    (the O(1)-per-candidate closed form), full simulation of everybody,
-    and the prefiltered path (surrogate ranks, only ``keep`` of the
-    batch plus the audit sample is simulated).  Asserts the kept
-    survivors' fitness is bit-identical to the full-simulation floats —
-    the prefilter only ever decides *who* gets simulated.
-
-    Two fidelity numbers come back: ``audit_rho`` is the prefilter's own
-    control-sample rho against the deployment (tree-PLRU) substrate —
-    the number the in-run safety net watches — and ``audit_rho_lru`` is
-    the same sample correlated against the ``substrate="lru"`` simulator,
-    the recency-stack space the model actually approximates (its honest
-    fidelity ceiling; the gap between the two is the PLRU-vs-stack
-    substrate gap, not model error).
-    """
-    from repro.eval import default_config
-    from repro.ga.parallel import PopulationEvaluator
-    from repro.ga.surrogate import (
-        FitnessMemo,
-        SurrogateModel,
-        SurrogatePrefilter,
-        spearman_rho,
-    )
-
-    benchmarks = ["429.mcf", "462.libquantum"]
-    evaluator = FitnessEvaluator(
-        benchmarks=benchmarks,
-        config=default_config(trace_length=trace_length),
-    )
-    t0 = time.perf_counter()
-    model = SurrogateModel.from_evaluator(evaluator, cache_dir=None)
-    feature_sec = time.perf_counter() - t0
-
-    k = evaluator.k
-    rng = random.Random(11)
-    candidates = [
-        tuple(rng.randrange(k) for _ in range(k + 1))
-        for _ in range(population)
-    ]
-
-    t0 = time.perf_counter()
-    model.score_population(candidates)
-    score_sec = time.perf_counter() - t0
-
-    with PopulationEvaluator(evaluator) as pop_eval:
-        prefilter = SurrogatePrefilter(
-            model, keep=keep, audit=audit, seed=3
-        )
-        memo = FitnessMemo()
-        t0 = time.perf_counter()
-        kept = prefilter.evaluate_batch(pop_eval, memo, candidates)
-        prefiltered_sec = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        full = dict(zip(candidates, pop_eval.evaluate_all(candidates)))
-        simulate_all_sec = time.perf_counter() - t0
-
-    mismatched = [
-        entries for fitness, entries in kept if full[entries] != fitness
-    ]
-    if mismatched:
-        raise AssertionError(
-            f"prefiltered fitness diverges from full simulation on "
-            f"{len(mismatched)} candidates: {mismatched[:3]}"
-        )
-
-    # Native-space fidelity: the same control-sample size against the
-    # recency-stack simulator the model approximates.
-    lru_eval = FitnessEvaluator(
-        benchmarks=benchmarks,
-        config=default_config(trace_length=trace_length),
-        substrate="lru",
-    )
-    sample_rng = random.Random(7)
-    sample = [
-        tuple(sample_rng.randrange(k) for _ in range(k + 1))
-        for _ in range(max(audit, 32))
-    ]
-    audit_rho_lru = spearman_rho(
-        model.score_population(sample), lru_eval.evaluate_many(sample)
-    )
-    return {
-        "benchmarks": benchmarks,
-        "trace_length": trace_length,
-        "population": population,
-        "keep": keep,
-        "audit": audit,
-        "feature_sec": feature_sec,
-        "score_sec": score_sec,
-        "surrogate_score_per_sec": population / score_sec,
-        "simulated": len(kept),
-        "simulate_all_sec": simulate_all_sec,
-        "prefiltered_sec": prefiltered_sec,
-        "generation_speedup": simulate_all_sec / prefiltered_sec,
-        "audit_rho": prefilter.rho,
-        "audit_rho_lru": audit_rho_lru,
-    }
-
-
 def measure_analytics_profile(
     accesses: int = DEFAULT_ACCESSES,
     oracle_accesses: int = 60_000,
@@ -458,24 +351,6 @@ if pytest is not None:
         # The vectorized pass must beat the OrderedDict stack walk.
         assert row["speedup_vs_oracle"] > 1.0
 
-    def test_kernel_population_surrogate(benchmark):
-        row = benchmark.pedantic(
-            measure_population_surrogate,
-            kwargs={
-                "trace_length": max(2_000, int(4_000 * _scale())),
-                "population": max(120, int(600 * _scale())),
-            },
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["generation_speedup"] = row["generation_speedup"]
-        benchmark.extra_info["surrogate_score_per_sec"] = row[
-            "surrogate_score_per_sec"
-        ]
-        # Skipping ~90% of the simulations must beat simulating everyone
-        # (measure_population_surrogate already asserts bit-identity of
-        # the survivors' fitness).
-        assert row["generation_speedup"] > 1.0
-
     def test_kernel_ga_generation(benchmark):
         # Note: each *new* k=16 vector pays a ~20 ms table compile, so the
         # LUT only wins once traces are long enough to amortize it (the
@@ -510,10 +385,6 @@ def collect(accesses: int, ga_trace_length: int) -> dict:
         "kernels": kernel_provenance(),
         "population_batch": measure_population_batch(accesses=accesses),
         "analytics_profile": measure_analytics_profile(accesses=accesses),
-        "population_surrogate": measure_population_surrogate(
-            trace_length=ga_trace_length,
-            population=max(200, int(1_500 * _scale())),
-        ),
     }
 
 
@@ -582,20 +453,6 @@ def main(argv=None) -> int:
             f" | columnar {pop['columnar_sec']:.2f}s"
             f" | {pop['speedup']:.1f}x"
             f" | {pop['lane_accesses_per_sec']:,.0f} lane-acc/s"
-        )
-    sur = results.get("population_surrogate")
-    if sur is not None:
-        rho = ("n/a" if sur["audit_rho"] is None
-               else f"{sur['audit_rho']:+.3f}")
-        rho_lru = ("n/a" if sur.get("audit_rho_lru") is None
-                   else f"{sur['audit_rho_lru']:+.3f}")
-        print(
-            f"  surrogate x{sur['population']} candidates:"
-            f" score {sur['surrogate_score_per_sec']:,.0f} cand/s"
-            f" | simulate-all {sur['simulate_all_sec']:.2f}s"
-            f" | prefiltered {sur['prefiltered_sec']:.2f}s"
-            f" | {sur['generation_speedup']:.1f}x"
-            f" | audit rho {rho} (vs lru substrate {rho_lru})"
         )
     prof = results.get("analytics_profile")
     if prof is not None:

@@ -137,29 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
              "distribution, diversity, eval throughput) here; render it "
              "with `repro obs analyze --convergence PATH`",
     )
-    evolve.add_argument(
-        "--surrogate", action="store_true",
-        help="rank each batch with the analytic miss-rate surrogate and "
-             "simulate only the promising fraction (plus a random "
-             "control sample whose surrogate-vs-simulated Spearman rho "
-             "rides on the live status) — the enabler for paper-scale "
-             "populations like --population 20000",
-    )
-    evolve.add_argument(
-        "--surrogate-keep", type=float, default=0.1, metavar="FRAC",
-        help="fraction of each batch the surrogate keeps for simulation "
-             "(default 0.1)",
-    )
-    evolve.add_argument(
-        "--surrogate-audit", type=int, default=32, metavar="N",
-        help="random control-sample size simulated per batch to audit "
-             "surrogate rank fidelity (default 32)",
-    )
-    evolve.add_argument(
-        "--surrogate-rho-floor", type=float, default=0.5, metavar="RHO",
-        help="deactivate the prefilter (and simulate everything) if an "
-             "audit Spearman rho falls below this (default 0.5)",
-    )
 
     sub.add_parser("overhead", help="Section 3.6 storage-overhead table")
 
@@ -532,10 +509,6 @@ def _cmd_evolve(args) -> int:
             workers=args.workers,
             status_path=args.status_json,
             convergence_path=args.convergence_json,
-            surrogate=args.surrogate,
-            surrogate_keep=args.surrogate_keep,
-            surrogate_audit=args.surrogate_audit,
-            surrogate_rho_floor=args.surrogate_rho_floor,
             on_generation=lambda g, f: logger.info(
                 "generation %d: best fitness %.4f", g, f
             ),
@@ -546,15 +519,6 @@ def _cmd_evolve(args) -> int:
         logger.info("folded stacks written to %s", args.profile_folded)
     print(transition_text(result.best))
     print(f"fitness (mean speedup over LRU): {result.best_fitness:.4f}")
-    if result.surrogate is not None:
-        s = result.surrogate
-        rho = "n/a" if s["rho"] is None else f"{s['rho']:+.3f}"
-        state = "active" if s["active"] else "DEACTIVATED (rho floor)"
-        print(
-            f"surrogate: {state}; scored {s['scored']}, simulated "
-            f"{s['simulated']}, culled {s['skipped']} "
-            f"({s['audits']} audits, last rho {rho})"
-        )
     if result.memo is not None and result.memo["hits"]:
         print(
             f"fitness memo: {result.memo['hits']} duplicate evaluations "

@@ -8,17 +8,8 @@ from .fitness import (
 )
 from .genetic import GAResult, crossover, evolve_ipv, mutate
 from .hillclimb import HillClimbResult, hill_climb
-from .parallel import PopulationEvaluator
+from .parallel import FitnessMemo, PopulationEvaluator
 from .random_search import random_search
-from .surrogate import (
-    FitnessMemo,
-    SurrogateModel,
-    SurrogatePrefilter,
-    WorkloadFeatures,
-    features_for_trace,
-    spearman_rho,
-    trace_digest,
-)
 from .systematic import derive_ipv, derive_ipv_for_benchmarks
 
 __all__ = [
@@ -35,12 +26,6 @@ __all__ = [
     "hill_climb",
     "random_search",
     "FitnessMemo",
-    "SurrogateModel",
-    "SurrogatePrefilter",
-    "WorkloadFeatures",
-    "features_for_trace",
-    "spearman_rho",
-    "trace_digest",
     "derive_ipv",
     "derive_ipv_for_benchmarks",
 ]

@@ -24,8 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from ..core.ipv import IPV
 from ..obs.spans import span
 from .fitness import FitnessEvaluator
-from .parallel import PopulationEvaluator
-from .surrogate import FitnessMemo, SurrogatePrefilter
+from .parallel import FitnessMemo, PopulationEvaluator
 
 __all__ = ["GAResult", "evolve_ipv", "crossover", "mutate"]
 
@@ -43,7 +42,6 @@ class GAResult:
         history: List[float],
         evaluations: int,
         convergence: Optional[List[dict]] = None,
-        surrogate: Optional[dict] = None,
         memo: Optional[dict] = None,
     ):
         self.best = best
@@ -53,9 +51,7 @@ class GAResult:
         #: Per-generation convergence records (best/median/p90, diversity,
         #: eval throughput) — see :mod:`repro.obs.analytics.convergence`.
         self.convergence = convergence if convergence is not None else []
-        #: :meth:`SurrogatePrefilter.stats` snapshot (``None`` when the
-        #: run was unfiltered) and :meth:`FitnessMemo.stats` snapshot.
-        self.surrogate = surrogate
+        #: :meth:`FitnessMemo.stats` snapshot.
         self.memo = memo
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -115,12 +111,7 @@ def evolve_ipv(
     telemetry: Union[None, bool, str, Path] = None,
     status_path: Union[None, str, Path] = None,
     convergence_path: Union[None, str, Path] = None,
-    surrogate: Union[None, bool, SurrogatePrefilter] = None,
-    surrogate_keep: float = 0.1,
-    surrogate_audit: int = 32,
-    surrogate_rho_floor: float = 0.5,
     memo: Optional[FitnessMemo] = None,
-    feature_cache: Union[None, bool, str, Path] = True,
 ) -> GAResult:
     """Evolve an IPV against ``evaluator``.
 
@@ -142,18 +133,6 @@ def evolve_ipv(
     share one memo across several searches (e.g. GA then hill climb).
     The memoized values are the exact simulator floats, so results stay
     bit-identical to a memo-less run.
-
-    ``surrogate`` enables the analytic prefilter (``True`` builds a
-    :class:`SurrogatePrefilter` from the evaluator with ``surrogate_keep``
-    / ``surrogate_audit`` / ``surrogate_rho_floor``; pass a prefilter
-    instance for full control): each batch is ranked by the closed-form
-    miss-rate model and only the top ``surrogate_keep`` fraction plus a
-    random control sample is simulated.  The control sample's
-    surrogate-vs-simulated Spearman rho rides on the live status; if it
-    falls below the floor the prefilter deactivates itself and the rest
-    of the run simulates everything.  Candidates that survive the filter
-    carry bit-identical simulated fitness — the surrogate only decides
-    *who* gets simulated, never what their fitness is.
 
     Every run computes per-generation convergence records (fitness
     best/median/p90, population diversity, eval throughput — see
@@ -178,23 +157,9 @@ def evolve_ipv(
         evaluator, workers=workers, telemetry=telemetry
     )
     fitness_memo = memo if memo is not None else FitnessMemo()
-    prefilter: Optional[SurrogatePrefilter]
-    if isinstance(surrogate, SurrogatePrefilter):
-        prefilter = surrogate
-    elif surrogate:
-        prefilter = SurrogatePrefilter.from_evaluator(
-            evaluator, keep=surrogate_keep, audit=surrogate_audit,
-            rho_floor=surrogate_rho_floor, seed=seed,
-            cache_dir=feature_cache,
-        )
-    else:
-        prefilter = None
 
     def score_batch(batch: List[Tuple[int, ...]]):
-        """(fitness, entries) pairs for the simulated subset of ``batch``
-        (the whole batch when no prefilter is active)."""
-        if prefilter is not None:
-            return prefilter.evaluate_batch(pop_eval, fitness_memo, batch)
+        """(fitness, entries) pairs for ``batch``, in input order."""
         return list(zip(
             fitness_memo.evaluate_all(pop_eval, batch), batch
         ))
@@ -260,16 +225,6 @@ def evolve_ipv(
                         conv_log.append(record)
                     gen_span.set(best_fitness=scored[0][0])
                 if status is not None:
-                    extra = {}
-                    if prefilter is not None:
-                        pstats = prefilter.stats()
-                        extra = {
-                            "surrogate_scored": pstats["scored"],
-                            "surrogate_simulated": pstats["simulated"],
-                            "surrogate_skipped": pstats["skipped"],
-                            "surrogate_active": pstats["active"],
-                            "surrogate_rho": pstats["rho"],
-                        }
                     status.update(
                         phase=f"generation {generation + 1}/{generations}",
                         jobs_done=generation + 1,
@@ -281,7 +236,6 @@ def evolve_ipv(
                         fitness_p90=record["p90"],
                         unique_fraction=record["unique_fraction"],
                         eval_per_sec=record["eval_per_sec"],
-                        **extra,
                     )
                 if on_generation is not None:
                     on_generation(generation, scored[0][0])
@@ -290,20 +244,10 @@ def evolve_ipv(
 
     best_fitness, best_entries = scored[0]
     if status is not None:
-        final_extra = {}
-        if prefilter is not None:
-            pstats = prefilter.stats()
-            final_extra = {
-                "surrogate_scored": pstats["scored"],
-                "surrogate_simulated": pstats["simulated"],
-                "surrogate_skipped": pstats["skipped"],
-                "surrogate_active": pstats["active"],
-                "surrogate_rho": pstats["rho"],
-            }
         status.finalize(
             phase="done", jobs_done=len(history), jobs_total=generations,
             best_fitness=best_fitness, evaluations=evaluations,
-            memo_hits=fitness_memo.hits, **final_extra,
+            memo_hits=fitness_memo.hits,
         )
     return GAResult(
         IPV(best_entries, name=f"evolved-s{seed}"),
@@ -311,6 +255,5 @@ def evolve_ipv(
         history,
         evaluations,
         convergence=convergence,
-        surrogate=prefilter.stats() if prefilter is not None else None,
         memo=fitness_memo.stats(),
     )

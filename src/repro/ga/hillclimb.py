@@ -7,7 +7,7 @@ values entry-by-entry and keeps strict improvements until a full pass makes
 no progress.
 
 Every candidate batch is routed through a cross-run
-:class:`~repro.ga.surrogate.FitnessMemo` keyed by the canonical IPV
+:class:`~repro.ga.parallel.FitnessMemo` keyed by the canonical IPV
 tuple.  This fixes a long-standing inefficiency: the exact
 first-improvement replay re-visits every entry on every pass, and before
 the memo a variant whose fitness was already computed in pass 1 was
@@ -15,18 +15,16 @@ re-*simulated* in pass 2 whenever the current vector had not changed at
 that entry.  The memo returns the exact float the simulator produced, so
 the refinement trail is bit-identical to the unmemoized walk — only the
 redundant simulations disappear (asserted by a call-counting regression
-test in ``tests/ga/test_surrogate.py``).
+test in ``tests/ga/test_search.py``).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ipv import IPV
 from .fitness import FitnessEvaluator
-from .parallel import PopulationEvaluator
-from .surrogate import FitnessMemo, SurrogatePrefilter
+from .parallel import FitnessMemo, PopulationEvaluator
 
 __all__ = ["HillClimbResult", "hill_climb"]
 
@@ -42,17 +40,14 @@ class HillClimbResult:
         steps: List[Tuple[int, int, float]],
         evaluations: int,
         memo: Optional[dict] = None,
-        surrogate: Optional[dict] = None,
     ):
         self.best = best
         self.best_fitness = best_fitness
         self.start_fitness = start_fitness
         self.steps = steps  # (entry index, new value, fitness after)
         self.evaluations = evaluations
-        #: :meth:`FitnessMemo.stats` / :meth:`SurrogatePrefilter.stats`
-        #: snapshots for the climb (``surrogate`` is None when unfiltered).
+        #: :meth:`FitnessMemo.stats` snapshot for the climb.
         self.memo = memo
-        self.surrogate = surrogate
 
     @property
     def improvement(self) -> float:
@@ -72,9 +67,6 @@ def hill_climb(
     max_passes: int = 2,
     workers: int = 0,
     memo: Optional[FitnessMemo] = None,
-    surrogate: Union[None, bool, SurrogatePrefilter] = None,
-    surrogate_keep: float = 0.25,
-    feature_cache: Union[None, bool, str, Path] = True,
 ) -> HillClimbResult:
     """First-improvement hill climbing over single-entry changes.
 
@@ -92,30 +84,12 @@ def hill_climb(
     ``memo`` shares a cross-run fitness memo (e.g. with the GA whose
     winner is being refined); ``None`` creates a private one — either
     way, variants revisited across passes are never re-simulated.
-
-    ``surrogate`` enables analytic prefiltering of each entry's batch:
-    only the top ``surrogate_keep`` fraction by surrogate rank (at least
-    one candidate) is simulated, the rest are treated as non-improving.
-    This makes the climb *approximate* — the exact-replay guarantee above
-    holds only for unfiltered climbs — in exchange for an
-    O(``surrogate_keep``) simulation bill, the right trade at paper-scale
-    ``k`` and candidate sets.
     """
     k = evaluator.k
     values = list(candidate_values) if candidate_values is not None else list(range(k))
     current = list(start.entries)
     pop_eval = PopulationEvaluator(evaluator, workers=workers)
     fitness_memo = memo if memo is not None else FitnessMemo()
-    prefilter: Optional[SurrogatePrefilter]
-    if isinstance(surrogate, SurrogatePrefilter):
-        prefilter = surrogate
-    elif surrogate:
-        prefilter = SurrogatePrefilter.from_evaluator(
-            evaluator, keep=surrogate_keep, audit=0, min_keep=1,
-            cache_dir=feature_cache,
-        )
-    else:
-        prefilter = None
     try:
         current_fitness = fitness_memo.evaluate_all(
             pop_eval, [tuple(current)]
@@ -137,31 +111,14 @@ def hill_climb(
                     variant = list(current)
                     variant[index] = value
                     variants.append(tuple(variant))
-                if prefilter is not None:
-                    pairs = prefilter.evaluate_batch(
-                        pop_eval, fitness_memo, variants
-                    )
-                    fitness_by_variant = {
-                        entries: fitness for fitness, entries in pairs
-                    }
-                    for value, variant in zip(batch, variants):
-                        if variant in fitness_by_variant:
-                            score_of[value] = fitness_by_variant[variant]
-                else:
-                    for value, fitness in zip(
-                        batch,
-                        fitness_memo.evaluate_all(pop_eval, variants),
-                    ):
-                        score_of[value] = fitness
-                # Replay the sequential first-improvement scan exactly
-                # (culled candidates are absent and treated as
-                # non-improving under the surrogate).
+                score_of.update(zip(
+                    batch, fitness_memo.evaluate_all(pop_eval, variants)
+                ))
+                # Replay the sequential first-improvement scan exactly.
                 for value in values:
                     if value == original:
                         continue
-                    fitness = score_of.get(value)
-                    if fitness is None:
-                        continue
+                    fitness = score_of[value]
                     evaluations += 1
                     if fitness > current_fitness:
                         current_fitness = fitness
@@ -180,5 +137,4 @@ def hill_climb(
         steps,
         evaluations,
         memo=fitness_memo.stats(),
-        surrogate=prefilter.stats() if prefilter is not None else None,
     )

@@ -16,6 +16,12 @@ pool following the PR-1 runner's discipline (:mod:`repro.eval.parallel`):
 * Results are returned in submission order (``pool.map``), so the caller's
   selection logic is order-stable and ``seed ⇒ output`` determinism holds
   for any worker count.
+
+:class:`FitnessMemo` sits in front of the evaluator: every search routes
+its batches through one, so a canonical IPV tuple is simulated at most
+once per run — across generations, hill-climbing passes and duplicate
+genomes alike — and every result is the exact float the simulator
+produced.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ import os
 import shutil
 import tempfile
 import time
+from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder, current_recorder, install_recorder, span
 from .fitness import FitnessEvaluator
 
-__all__ = ["PopulationEvaluator"]
+__all__ = ["FitnessMemo", "PopulationEvaluator"]
 
 _WORKER_EVALUATOR: Optional[FitnessEvaluator] = None
 
@@ -255,3 +262,80 @@ class PopulationEvaluator:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = f"{self.workers} workers" if self._pool else "serial"
         return f"PopulationEvaluator({mode}, {self.evaluations} evaluations)"
+
+
+class FitnessMemo:
+    """Bounded LRU of simulated fitness keyed by canonical IPV tuple.
+
+    Stores the exact float the simulator returned, so routing a batch
+    through the memo is bit-identical to re-simulating it.  One memo
+    serves a whole search run: GA generations, hill-climbing passes and
+    duplicate genomes all share it.
+    """
+
+    def __init__(self, limit: int = 1 << 20):
+        if limit < 1:
+            raise ValueError("limit must be positive")
+        self.limit = int(limit)
+        self._memo: "OrderedDict[Tuple[int, ...], float]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def get(self, entries: Tuple[int, ...]) -> Optional[float]:
+        value = self._memo.get(entries)
+        if value is not None:
+            self._memo.move_to_end(entries)
+        return value
+
+    def put(self, entries: Tuple[int, ...], fitness: float) -> None:
+        self._memo[entries] = fitness
+        while len(self._memo) > self.limit:
+            self._memo.popitem(last=False)
+
+    def evaluate_all(
+        self, pop_eval, individuals: Sequence[Sequence[int]]
+    ) -> List[float]:
+        """``pop_eval.evaluate_all`` with memoization and in-batch dedup.
+
+        Only tuples never simulated before reach the evaluator; results
+        come back in input order and duplicate inputs (within the batch
+        or across calls) receive the identical cached float.  Fresh
+        results are read from the batch's own scores, not the memo, so a
+        batch with more new tuples than ``limit`` still returns them all.
+        """
+        batch = [tuple(ind) for ind in individuals]
+        results: List[Optional[float]] = [None] * len(batch)
+        fresh: List[Tuple[int, ...]] = []
+        fresh_pos: Dict[Tuple[int, ...], int] = {}
+        for i, entries in enumerate(batch):
+            cached = self.get(entries)
+            if cached is not None:
+                self.hits += 1
+                results[i] = cached
+            elif entries in fresh_pos:
+                self.hits += 1  # in-batch duplicate: one simulation serves all
+            else:
+                self.misses += 1
+                fresh_pos[entries] = len(fresh)
+                fresh.append(entries)
+        if fresh:
+            scores = pop_eval.evaluate_all(fresh)
+            for entries, score in zip(fresh, scores):
+                self.put(entries, score)
+            for i, entries in enumerate(batch):
+                if results[i] is None:
+                    results[i] = scores[fresh_pos[entries]]
+        return results  # type: ignore[return-value]
+
+    def stats(self) -> dict:
+        lookups = self.hits + self.misses
+        return {
+            "size": len(self._memo),
+            "limit": self.limit,
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / lookups if lookups else 0.0,
+        }

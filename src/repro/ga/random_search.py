@@ -9,13 +9,11 @@ configurable sample counts.
 from __future__ import annotations
 
 import random
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..core.ipv import IPV
 from .fitness import FitnessEvaluator
-from .parallel import PopulationEvaluator
-from .surrogate import FitnessMemo, SurrogatePrefilter
+from .parallel import FitnessMemo, PopulationEvaluator
 
 __all__ = ["random_search"]
 
@@ -26,11 +24,6 @@ def random_search(
     seed: int = 0,
     workers: int = 0,
     memo: Optional[FitnessMemo] = None,
-    surrogate: Union[None, bool, SurrogatePrefilter] = None,
-    surrogate_keep: float = 0.1,
-    surrogate_audit: int = 32,
-    surrogate_rho_floor: float = 0.5,
-    feature_cache: Union[None, bool, str, Path] = True,
 ) -> List[Tuple[float, IPV]]:
     """Evaluate ``samples`` random IPVs; return (fitness, ipv) ascending.
 
@@ -40,13 +33,6 @@ def random_search(
     ``memo`` shares a cross-run :class:`FitnessMemo` so duplicate draws
     (likely at small k) and candidates seen by an earlier search are not
     re-simulated; the returned fitness floats are bit-identical either way.
-
-    ``surrogate`` enables the analytic prefilter: only the analytically
-    top ``surrogate_keep`` fraction plus the random audit sample is
-    simulated and *returned* — the result list is then shorter than
-    ``samples`` by design (the paper's Figure 1 tail is exactly the
-    region the prefilter keeps).  The default keeps the exhaustive
-    paper-faithful behaviour.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -56,35 +42,11 @@ def random_search(
         tuple(rng.randrange(k) for _ in range(k + 1)) for _ in range(samples)
     ]
     fitness_memo = memo if memo is not None else FitnessMemo()
-    prefilter: Optional[SurrogatePrefilter]
-    if isinstance(surrogate, SurrogatePrefilter):
-        prefilter = surrogate
-    elif surrogate:
-        prefilter = SurrogatePrefilter.from_evaluator(
-            evaluator, keep=surrogate_keep, audit=surrogate_audit,
-            rho_floor=surrogate_rho_floor, seed=seed,
-            cache_dir=feature_cache,
-        )
-    else:
-        prefilter = None
     with PopulationEvaluator(evaluator, workers=workers) as pop_eval:
-        if prefilter is not None:
-            pairs = prefilter.evaluate_batch(
-                pop_eval, fitness_memo, candidates
-            )
-            fitness_by_entries = {
-                entries: fitness for fitness, entries in pairs
-            }
-            results = [
-                (fitness_by_entries[entries], IPV(entries, name=f"rand{i}"))
-                for i, entries in enumerate(candidates)
-                if entries in fitness_by_entries
-            ]
-        else:
-            scores = fitness_memo.evaluate_all(pop_eval, candidates)
-            results = [
-                (score, IPV(entries, name=f"rand{i}"))
-                for i, (score, entries) in enumerate(zip(scores, candidates))
-            ]
+        scores = fitness_memo.evaluate_all(pop_eval, candidates)
+    results = [
+        (score, IPV(entries, name=f"rand{i}"))
+        for i, (score, entries) in enumerate(zip(scores, candidates))
+    ]
     results.sort(key=lambda p: p[0])
     return results

@@ -23,7 +23,8 @@ directory**:
   warning (log + counter) instead of letting the run hang silently.
 
 Unreadable spool files (torn JSON from a worker killed mid-``os.replace``
-on exotic filesystems, stray ``.tmp`` files, schema mismatches) are
+on exotic filesystems, stray ``.tmp`` files, schema mismatches) and
+snapshots whose metrics or spans fail :func:`merge_spool`'s checks are
 counted in ``SpoolState.corrupt`` and skipped — a crashed worker must
 never take the parent's telemetry down with it.
 """
@@ -38,8 +39,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .metrics import Histogram, MetricsRegistry
-from .spans import SpanRecorder
+from .metrics import Histogram, MetricsRegistry, _freeze_labels
+from .spans import SPAN_SCHEMA, SpanRecorder
 
 __all__ = [
     "SPOOL_SCHEMA",
@@ -224,36 +225,72 @@ def read_spool(spool_dir: Union[str, Path]) -> SpoolState:
     return state
 
 
+def _decode_registry_payload(
+    registry: MetricsRegistry, payload: dict
+) -> List[tuple]:
+    """Every series of one snapshot as ``(kind, name, help, labels, value)``.
+
+    Checks the whole payload against ``registry`` without changing it:
+    an unknown type, a negative counter, a malformed histogram, a name
+    registered as another kind, or a histogram whose layout differs from
+    the instrument it would merge into raises before anything is merged.
+    """
+    present = {(name, labels): instrument
+               for name, labels, instrument in registry.instruments()}
+    kinds = {name: instrument.kind for (name, _), instrument in present.items()}
+    decoded = []
+    for name, entry in payload.items():
+        kind = entry.get("type")
+        if kind not in ("counter", "gauge", "histogram"):
+            raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
+        full = registry._full_name(name)
+        if kinds.setdefault(full, kind) != kind:
+            raise ValueError(f"metric {full!r} already registered as {kinds[full]}")
+        for series in entry.get("series", ()):
+            labels = dict(series.get("labels") or {})
+            value = series.get("value")
+            if kind == "counter":
+                value = int(value)
+                if value < 0:
+                    raise ValueError(f"counter {name!r}: negative value {value}")
+            elif kind == "gauge":
+                value = float(value)
+            else:
+                value = Histogram.from_json(value)
+                if value.bounds is None:
+                    raise ValueError(f"histogram {name!r} has no bounds")
+                key = (full, _freeze_labels(labels))
+                layout = present.setdefault(key, value).layout
+                if layout != value.layout:
+                    raise ValueError(
+                        f"histogram {name!r}: layout {value.layout} != {layout}"
+                    )
+            decoded.append((kind, name, entry.get("help", ""), labels or None,
+                            value))
+    return decoded
+
+
 def merge_registry_payload(
     registry: MetricsRegistry, payload: dict
 ) -> int:
     """Fold one ``MetricsRegistry.to_json()`` snapshot into ``registry``.
 
     Counters/gauges add their values; histograms merge their
-    :meth:`~repro.obs.metrics.Histogram.as_json` form (bounds must match,
-    and a bad bucket index or count raises).  Returns the number of series
-    merged.  Instrument names keep the worker's fully qualified name, so
-    a namespaced parent registry merges flat worker names unchanged.
+    :meth:`~repro.obs.metrics.Histogram.as_json` form.  The whole payload
+    is decoded and checked first, so a malformed one raises and leaves
+    ``registry`` untouched.  Returns the number of series merged.
+    Instrument names keep the worker's fully qualified name, so a
+    namespaced parent registry merges flat worker names unchanged.
     """
-    merged = 0
-    for name, entry in payload.items():
-        kind = entry.get("type")
-        help_text = entry.get("help", "")
-        for series in entry.get("series", ()):
-            labels = dict(series.get("labels") or {}) or None
-            value = series.get("value")
-            if kind == "counter":
-                registry.counter(name, help_text, labels).inc(int(value))
-            elif kind == "gauge":
-                registry.gauge(name, help_text, labels).inc(float(value))
-            elif kind == "histogram":
-                registry.histogram(
-                    name, value["bounds"], help_text, labels
-                ).merge(Histogram.from_json(value))
-            else:
-                raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
-            merged += 1
-    return merged
+    decoded = _decode_registry_payload(registry, payload)
+    for kind, name, help_text, labels, value in decoded:
+        if kind == "counter":
+            registry.counter(name, help_text, labels).inc(value)
+        elif kind == "gauge":
+            registry.gauge(name, help_text, labels).inc(value)
+        else:
+            registry.histogram(name, value.bounds, help_text, labels).merge(value)
+    return len(decoded)
 
 
 def merge_spool(
@@ -264,15 +301,26 @@ def merge_spool(
     """Read a spool and merge every snapshot into ``registry``/``recorder``.
 
     Safe to call once per run: snapshots are cumulative per worker, so a
-    single merge of each worker's latest file yields exact totals.
+    single merge of each worker's latest file yields exact totals.  A
+    snapshot whose span schema is foreign or whose metrics payload fails
+    :func:`merge_registry_payload`'s checks merges nothing: it is dropped
+    from ``state.snapshots`` and counted in ``state.corrupt``.
     """
     state = read_spool(spool_dir)
-    for snapshot in state.snapshots.values():
-        metrics = snapshot.get("metrics")
-        if registry is not None and metrics:
-            merge_registry_payload(registry, metrics)
-        spans = snapshot.get("spans")
-        if recorder is not None and spans:
+    for worker, snapshot in list(state.snapshots.items()):
+        metrics = snapshot.get("metrics") if registry is not None else None
+        spans = snapshot.get("spans") if recorder is not None else None
+        try:
+            if spans and spans.get("schema") != SPAN_SCHEMA:
+                raise ValueError(f"span schema {spans.get('schema')!r}")
+            if metrics:
+                merge_registry_payload(registry, metrics)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            logger.warning("skipping worker %s snapshot: %s", worker, exc)
+            del state.snapshots[worker]
+            state.corrupt += 1
+            continue
+        if spans:
             state.merged_records += recorder.merge_payload(spans)
     return state
 

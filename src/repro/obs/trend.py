@@ -140,12 +140,6 @@ def flatten_bench_kernels(bench: dict) -> Dict[str, float]:
                   "speedup_vs_oracle"):
         if field in prof:
             metrics[f"analytics.{field}"] = float(prof[field])
-    sur = bench.get("population_surrogate") or {}
-    for field in ("surrogate_score_per_sec", "feature_sec",
-                  "simulate_all_sec", "prefiltered_sec",
-                  "generation_speedup", "audit_rho", "audit_rho_lru"):
-        if sur.get(field) is not None:
-            metrics[f"population_surrogate.{field}"] = float(sur[field])
     return metrics
 
 

@@ -1,4 +1,4 @@
-"""Tests for the GA, random search and hill climbing."""
+"""Tests for the GA, random search, hill climbing and the fitness memo."""
 
 import random
 
@@ -8,6 +8,7 @@ from repro.core.ipv import IPV, lru_ipv
 from repro.eval.config import default_config
 from repro.ga import (
     FitnessEvaluator,
+    FitnessMemo,
     GAResult,
     crossover,
     evolve_ipv,
@@ -162,3 +163,106 @@ class TestHillClimb:
         for index, value, fitness in result.steps:
             assert 0 <= index <= 16
             assert value == 15
+
+
+# ----------------------------------------------------------------------
+# Memo.
+# ----------------------------------------------------------------------
+class _CountingPopEval:
+    """Stands in for PopulationEvaluator with a deterministic fitness."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate_all(self, batch):
+        self.calls += len(batch)
+        return [float(sum(entries)) for entries in batch]
+
+
+class TestFitnessMemo:
+    def test_dedup_and_accounting(self):
+        memo = FitnessMemo()
+        pop_eval = _CountingPopEval()
+        batch = [(0, 1, 2, 3, 0), (1, 1, 1, 1, 1), (0, 1, 2, 3, 0)]
+        first = memo.evaluate_all(pop_eval, batch)
+        assert pop_eval.calls == 2  # in-batch duplicate deduplicated
+        assert first[0] == first[2] == 6.0
+        assert memo.misses == 2 and memo.hits == 1
+        second = memo.evaluate_all(pop_eval, batch)
+        assert pop_eval.calls == 2  # fully served from the memo
+        assert second == first
+        stats = memo.stats()
+        assert stats["hits"] == 4 and stats["misses"] == 2
+        assert stats["size"] == 2
+
+    def test_bounded_eviction(self):
+        memo = FitnessMemo(limit=2)
+        pop_eval = _CountingPopEval()
+        memo.evaluate_all(pop_eval, [(0, 0, 0, 0, 0)])
+        memo.evaluate_all(pop_eval, [(1, 1, 1, 1, 1)])
+        memo.evaluate_all(pop_eval, [(2, 2, 2, 2, 2)])
+        assert len(memo) == 2
+        assert memo.get((0, 0, 0, 0, 0)) is None  # oldest evicted
+
+    def test_batch_larger_than_limit(self):
+        """More fresh tuples than ``limit`` in one batch: the later puts
+        evict the earlier ones, and every result is still returned."""
+        memo = FitnessMemo(limit=2)
+        pop_eval = _CountingPopEval()
+        a, b, c = (0, 0, 0, 0, 1), (0, 0, 0, 0, 2), (0, 0, 0, 0, 3)
+        assert memo.evaluate_all(pop_eval, [a, b, c, a]) == [1.0, 2.0, 3.0, 1.0]
+        assert pop_eval.calls == 3
+        assert memo.misses == 3 and memo.hits == 1
+        assert len(memo) == 2
+        assert memo.get(a) is None  # evicted inside the batch
+
+
+# ----------------------------------------------------------------------
+# Hill-climb memo routing (regression: revisits must not re-simulate).
+# ----------------------------------------------------------------------
+class _StubEvaluator:
+    """Minimal FitnessEvaluator twin with a deterministic closed form."""
+
+    def __init__(self, k=4):
+        self.k = k
+        self.calls = 0
+
+    def _fitness(self, entries):
+        # Smooth, single-optimum landscape so the climb terminates fast.
+        return -float(sum((e - 1) ** 2 for e in entries))
+
+    def evaluate_many(self, ipvs):
+        batch = [tuple(ind) for ind in ipvs]
+        self.calls += len(batch)
+        return [self._fitness(entries) for entries in batch]
+
+    def evaluate(self, ipv):
+        return self.evaluate_many([ipv])[0]
+
+
+class TestHillClimbMemo:
+    def test_revisited_variants_not_resimulated(self):
+        stub = _StubEvaluator(k=4)
+        result = hill_climb(
+            stub, IPV([3, 3, 3, 3, 3]), max_passes=3, workers=0
+        )
+        assert tuple(result.best.entries) == (1, 1, 1, 1, 1)
+        # Every simulator call corresponds to a distinct tuple: the memo
+        # absorbed all cross-pass revisits.
+        assert stub.calls == result.memo["misses"]
+        assert result.memo["hits"] > 0
+        # The converged final pass revisits (k+1)*(k-1) variants and must
+        # be free; the naive bill is one simulation per scan visit.
+        assert stub.calls < result.evaluations
+
+    def test_shared_memo_carries_across_runs(self):
+        stub = _StubEvaluator(k=4)
+        memo = FitnessMemo()
+        hill_climb(stub, IPV([3, 3, 3, 3, 3]), max_passes=2, workers=0,
+                   memo=memo)
+        calls_after_first = stub.calls
+        result = hill_climb(stub, IPV([3, 3, 3, 3, 3]), max_passes=2,
+                            workers=0, memo=memo)
+        # Identical second climb: the shared memo serves every variant.
+        assert stub.calls == calls_after_first
+        assert tuple(result.best.entries) == (1, 1, 1, 1, 1)

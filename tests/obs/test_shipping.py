@@ -92,6 +92,62 @@ def test_torn_and_alien_files_counted_not_fatal(tmp_path):
     assert parent.counter("repro_worker_jobs_total").value == 2
 
 
+def _job_histogram(payload):
+    return payload["metrics"]["repro_job_seconds"]["series"][0]["value"]
+
+
+def _malformed_snapshot(tmp_path, worker, mutate):
+    """Spool a good snapshot for ``worker``, then apply ``mutate`` to it."""
+    SpoolWriter(tmp_path, worker_id=worker).publish(
+        registry=_registry_with(jobs=5), recorder=SpanRecorder(), jobs_done=5
+    )
+    path = tmp_path / f"worker-{worker}.json"
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: _job_histogram(p)["counts"].update({"-1": 1}),
+    lambda p: _job_histogram(p).update(bounds=[1.0, 2.0, 3.0]),
+    lambda p: p["spans"].update(schema="repro-spans/0"),
+], ids=["bucket-index-minus-one", "bounds-mismatch", "foreign-span-schema"])
+def test_bad_snapshot_skipped_parent_untouched(tmp_path, mutate):
+    """A readable but bad snapshot merges none of its series or spans.
+
+    The counter and gauge come before the histogram in the payload, and
+    metrics merge before spans, so a merge that checked series by series
+    would leave them half merged.
+    """
+    _malformed_snapshot(tmp_path, "w1", mutate)
+    parent = _registry_with(jobs=3)
+    before = parent.to_json()
+    recorder = SpanRecorder(process_label="parent")
+
+    state = merge_spool(tmp_path, registry=parent, recorder=recorder)
+
+    assert state.corrupt == 1
+    assert "w1" not in state.snapshots
+    assert parent.to_json() == before
+    assert recorder.records == []
+
+
+def test_bad_snapshot_does_not_block_good_workers(tmp_path):
+    SpoolWriter(tmp_path, worker_id="good").publish(
+        registry=_registry_with(jobs=2), jobs_done=2
+    )
+    _malformed_snapshot(
+        tmp_path, "bad",
+        lambda p: _job_histogram(p)["counts"].update({"-1": 1}),
+    )
+    parent = MetricsRegistry()
+    state = merge_spool(tmp_path, registry=parent)
+    assert state.corrupt == 1
+    assert sorted(state.snapshots) == ["good"]
+    assert parent.counter("repro_worker_jobs_total").value == 2
+    assert parent.histogram("repro_job_seconds", (1.0, 2.0)).count == 2
+
+
 # ----------------------------------------------------------------------
 # Merge arithmetic: parent totals == sum of worker deltas.
 # ----------------------------------------------------------------------

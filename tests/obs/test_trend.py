@@ -237,30 +237,6 @@ def test_flatten_and_record_bench_kernels(tmp_path):
     assert len(read_history(history)) == 1
 
 
-def test_flatten_population_surrogate_block():
-    bench = {
-        "population_surrogate": {
-            "surrogate_score_per_sec": 12000.0,
-            "feature_sec": 0.02,
-            "simulate_all_sec": 18.0,
-            "prefiltered_sec": 4.0,
-            "generation_speedup": 4.5,
-            "audit_rho": None,  # degenerate audit sample: must be dropped
-        },
-    }
-    metrics = flatten_bench_kernels(bench)
-    assert metrics == {
-        "population_surrogate.surrogate_score_per_sec": 12000.0,
-        "population_surrogate.feature_sec": 0.02,
-        "population_surrogate.simulate_all_sec": 18.0,
-        "population_surrogate.prefiltered_sec": 4.0,
-        "population_surrogate.generation_speedup": 4.5,
-    }
-    # Direction convention: speedups regress down, wall times regress up.
-    assert not lower_is_better("population_surrogate.generation_speedup")
-    assert lower_is_better("population_surrogate.simulate_all_sec")
-
-
 def test_record_bench_kernels_rejects_empty_payload(tmp_path):
     bench_path = tmp_path / "empty.json"
     bench_path.write_text("{}")

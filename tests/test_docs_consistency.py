@@ -234,14 +234,14 @@ class TestCodeNames:
 
 
 class TestDocumentedCommands:
-    """Every ``repro`` command the docs show names a real subcommand."""
+    """Every ``repro`` command and ``make`` target the docs show exists."""
 
     # A command in a backticked span, or a line of a fenced block (an
     # optional ``$ `` prompt first).  Prose ("a repro committed to") and
     # ``from repro import`` sit outside both, or do not start the line.
     FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.S)
 
-    def _commands(self):
+    def _commands(self, program="repro"):
         found = {}
         for doc in _doc_files():
             text = _read(doc)
@@ -250,7 +250,7 @@ class TestDocumentedCommands:
                 lines += [re.sub(r"^\$\s+", "", line.strip())
                           for line in block.splitlines()]
             for line in lines:
-                if re.match(r"repro \S", line):
+                if re.match(rf"{program} \S", line):
                     found.setdefault(line, doc)
         return found
 
@@ -276,3 +276,14 @@ class TestDocumentedCommands:
             elif words[1] == "obs" and len(words) > 2 and words[2] not in obs:
                 stale[command] = doc
         assert not stale, f"documented but no such subcommand: {stale}"
+
+    def test_documented_make_targets_exist(self):
+        commands = self._commands("make")
+        assert commands, "the docs no longer show any make target"
+        targets = set(re.findall(r"^([\w-]+):", _read("Makefile"), re.M))
+        stale = {}
+        for command, doc in commands.items():
+            # ``make a b  # comment``: every word before the comment.
+            if not set(command.split("#")[0].split()[1:]) <= targets:
+                stale[command] = doc
+        assert not stale, f"documented but no such make target: {stale}"
