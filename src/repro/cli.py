@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "as a refreshing terminal view.  Works from any shell "
                     "(the runner and the watcher only share the file); a "
                     "`repro serve` status adds latency and shard rows.  "
-                    "Exits 0 once the run publishes its final status.",
+                    "Exits 0 once the run publishes its final status, 1 "
+                    "if that status is failed.",
     )
     obs_watch.add_argument(
         "status", nargs="?", default=None, metavar="PATH",

@@ -40,18 +40,17 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import statistics
 import sys
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder, current_recorder, install_recorder, span
-from ..policies.registry import make_policy
+from ..obs.spans import current_recorder, profiled, span
+from ..policies.registry import make_policy, policy_factory
 from ..workloads.spec import SPEC_BENCHMARKS, SpecBenchmark, benchmark_names
 from .config import ExperimentConfig, default_config
 from .runner import BenchmarkResult, RunResult, run_trace
@@ -64,6 +63,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "RunnerMetrics",
+    "Watchdog",
     "cache_key",
     "code_version",
     "default_cache_dir",
@@ -514,6 +514,117 @@ def _fmt_eta(seconds: float) -> str:
 
 
 # ----------------------------------------------------------------------
+# Worker liveness (parallel runs only).
+# ----------------------------------------------------------------------
+#: A pool worker's row in the shared liveness array: its pid, then the
+#: wall-clock start and end of its latest job.
+_LIVENESS_FIELDS = 3
+
+#: ``(liveness array, row offset)`` in a pool worker.  A pool never has
+#: more processes than the array has rows, so every worker claims one.
+_WORKER_ROW: Optional[tuple] = None
+
+
+def _claim_liveness_row(liveness) -> None:
+    """Pool initializer: claim the first free row of ``liveness``."""
+    global _WORKER_ROW
+    with liveness.get_lock():
+        for offset in range(0, len(liveness), _LIVENESS_FIELDS):
+            if not liveness[offset]:
+                liveness[offset] = os.getpid()
+                _WORKER_ROW = (liveness, offset)
+                return
+
+
+class Watchdog:
+    """Flags workers whose heartbeat is older than N× the median job time.
+
+    ``check`` is cheap and idempotent: a worker is warned about once per
+    stall (log + ``repro_shipping_stalled_workers_total`` counter) and
+    un-flagged if its heartbeat recovers, so a slow-but-alive worker that
+    catches up stops being reported.
+    """
+
+    def __init__(
+        self,
+        factor: float = 10.0,
+        floor_sec: float = 5.0,
+        registry: Optional[MetricsRegistry] = None,
+    ):
+        if factor <= 0 or floor_sec <= 0:
+            raise ValueError("watchdog factor and floor must be positive")
+        self.factor = factor
+        self.floor_sec = floor_sec
+        self.flagged: Dict[str, float] = {}
+        self._stalls = None
+        if registry is not None:
+            self._stalls = registry.counter(
+                "repro_shipping_stalled_workers_total",
+                "Workers flagged by the heartbeat watchdog",
+            )
+
+    def threshold(self, median_job_sec: float) -> float:
+        return max(self.floor_sec, self.factor * max(0.0, median_job_sec))
+
+    def check(
+        self,
+        heartbeats: Dict[str, float],
+        median_job_sec: float,
+        now: Optional[float] = None,
+    ) -> List[str]:
+        """Return the workers that just *became* stalled (new flags only)."""
+        now = time.time() if now is None else now
+        limit = self.threshold(median_job_sec)
+        newly: List[str] = []
+        for worker, last_seen in heartbeats.items():
+            age = now - last_seen
+            if age > limit:
+                if worker not in self.flagged:
+                    self.flagged[worker] = last_seen
+                    newly.append(worker)
+                    if self._stalls is not None:
+                        self._stalls.inc()
+                    logger.warning(
+                        "worker %s stalled: no heartbeat for %.1fs "
+                        "(threshold %.1fs = max(%.1f, %.1fx median job %.2fs))",
+                        worker, age, limit, self.floor_sec, self.factor,
+                        median_job_sec,
+                    )
+            elif worker in self.flagged:
+                del self.flagged[worker]
+                logger.info("worker %s recovered (heartbeat %.1fs ago)",
+                            worker, age)
+        return newly
+
+
+def _worker_rows(
+    liveness, watchdog: Watchdog, median_job_sec: float,
+    now: Optional[float] = None,
+) -> Dict[str, dict]:
+    """Run ``watchdog`` over ``liveness``; the status ``workers`` rows.
+
+    A worker is last seen at the later of its latest job's start and end,
+    so one stuck inside a job — its first included — ages from that
+    job's start.  Workers that have not started a job are not listed.
+    """
+    now = time.time() if now is None else now
+    last_seen = {}
+    for offset in range(0, len(liveness), _LIVENESS_FIELDS):
+        pid, started, ended = liveness[offset:offset + _LIVENESS_FIELDS]
+        if started:
+            last_seen[f"w{int(pid)}"] = max(started, ended)
+    watchdog.check(last_seen, median_job_sec, now=now)
+    return {
+        worker: {
+            "alive": worker not in watchdog.flagged,
+            "stalled": worker in watchdog.flagged,
+            "last_seen_sec": round(max(0.0, now - seen), 1),
+        }
+        for worker, seen in last_seen.items()
+    }
+
+
+# ----------------------------------------------------------------------
 # Job execution (shared by the serial path and the worker processes).
 # ----------------------------------------------------------------------
 def _config_fields(config: ExperimentConfig) -> dict:
@@ -536,13 +647,8 @@ def _config_fields(config: ExperimentConfig) -> dict:
 _TRACE_MEMO: Dict[tuple, object] = {}
 _TRACE_MEMO_LIMIT = 32
 
-#: Traces regenerated in this process (worker-side count shipped to the
-#: parent through the telemetry spool — it used to die with the worker).
-_TRACE_REGENS = 0
-
 
 def _simpoint_trace(bench_name: str, simpoint: int, config: ExperimentConfig):
-    global _TRACE_REGENS
     key = (
         bench_name,
         simpoint,
@@ -558,33 +664,10 @@ def _simpoint_trace(bench_name: str, simpoint: int, config: ExperimentConfig):
                 simpoint, config.trace_length, config.capacity_blocks,
                 seed=config.seed,
             )
-        _TRACE_REGENS += 1
         while len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
             _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
         _TRACE_MEMO[key] = trace
     return trace
-
-
-#: Per-process worker telemetry: (SpoolWriter, MetricsRegistry, SpanRecorder,
-#: jobs done).  Created lazily on the first spooled job a worker runs and
-#: reused for its lifetime; the snapshot file it publishes is cumulative,
-#: so the parent merges exactly once per worker.
-_WORKER_TELEMETRY: Optional[list] = None
-
-
-def _worker_telemetry(spool_dir: str):
-    global _WORKER_TELEMETRY
-    if (
-        _WORKER_TELEMETRY is not None
-        and str(_WORKER_TELEMETRY[0].root) == str(spool_dir)
-    ):
-        return _WORKER_TELEMETRY
-    from ..obs.shipping import SpoolWriter
-
-    recorder = SpanRecorder(process_label=f"matrix-worker-{os.getpid()}")
-    install_recorder(recorder)
-    _WORKER_TELEMETRY = [SpoolWriter(spool_dir), MetricsRegistry(), recorder, 0]
-    return _WORKER_TELEMETRY
 
 
 def _execute_job(payload: tuple) -> Tuple[int, dict, float]:
@@ -592,16 +675,10 @@ def _execute_job(payload: tuple) -> Tuple[int, dict, float]:
 
     Returns ``(job index, RunResult payload, wall seconds)``.  Traces are
     regenerated from the config seed — never unpickled — so results match
-    the serial path bit for bit.  When the parent provided a telemetry
-    spool directory, the worker heartbeats at job start and publishes its
-    cumulative metrics/span snapshot after every job (atomic replace, so
-    a crash mid-run leaves the last complete snapshot for the merge).
+    the serial path bit for bit.
     """
     (index, bench_name, simpoint, policy_name, policy_kwargs, fields,
-     collect, spool_dir) = payload
-    telemetry = _worker_telemetry(spool_dir) if spool_dir else None
-    if telemetry is not None:
-        telemetry[0].heartbeat(job=index)
+     collect) = payload
     started = time.perf_counter()
     config = ExperimentConfig(apply_env_scale=False, **fields)
     with span("job.simulate", benchmark=bench_name, policy=policy_name,
@@ -612,27 +689,26 @@ def _execute_job(payload: tuple) -> Tuple[int, dict, float]:
         )
         result = run_trace(policy, trace, config, collect_miss_positions=collect)
     seconds = time.perf_counter() - started
-    if telemetry is not None:
-        writer, registry, recorder, _ = telemetry
-        telemetry[3] += 1
-        registry.counter(
-            "repro_worker_jobs_total", "Jobs simulated in worker processes"
-        ).inc()
-        registry.gauge(
-            "repro_worker_sim_seconds_total",
-            "Simulation wall seconds spent in worker processes",
-        ).inc(seconds)
-        registry.gauge(
-            "repro_worker_trace_regens",
-            "Traces regenerated (memo misses) in worker processes",
-        ).set(_TRACE_REGENS)
-        from ..kernels import publish_kernel_metrics
-
-        publish_kernel_metrics(registry)
-        writer.publish(
-            registry=registry, recorder=recorder, jobs_done=telemetry[3]
-        )
     return index, _result_to_dict(result), seconds
+
+
+def _pooled_job(
+    payload: tuple, profile: bool
+) -> Tuple[int, dict, float, Optional[dict]]:
+    """:func:`_execute_job` in a pool worker, plus the job's spans.
+
+    Stamps the worker's liveness row at the job's start and end.  With
+    ``profile`` set (the parent has a span recorder installed) the job
+    records into a fresh recorder whose
+    :meth:`~repro.obs.spans.SpanRecorder.payload` comes back last in the
+    tuple; otherwise that element is None.
+    """
+    liveness, offset = _WORKER_ROW
+    liveness[offset + 1] = time.time()
+    with profiled() if profile else nullcontext() as recorder:
+        result = _execute_job(payload)
+    liveness[offset + 2] = time.time()
+    return result + (recorder.payload() if recorder is not None else None,)
 
 
 def _job_manifest(job: "_Job", config: ExperimentConfig, seconds: float) -> dict:
@@ -713,24 +789,17 @@ class ParallelRunner:
     progress:
         ``True``/``False`` to force progress lines on stderr; ``None``
         (default) enables them only when stderr is a TTY.
-    telemetry:
-        Cross-process telemetry spool (only meaningful for parallel runs).
-        ``None``/``True`` — enabled, spooled through a private temp
-        directory that is merged and removed at the end of each matrix;
-        ``False`` — disabled; a path — enabled, spooled under that
-        directory (one retained ``run-*`` subdirectory per matrix, exposed
-        as :attr:`last_spool_dir` so tests and post-mortems can inspect
-        the raw worker snapshots).  After each run the workers' metrics
-        are folded into :attr:`metrics` and their spans into the
-        currently installed :class:`~repro.obs.spans.SpanRecorder` (if
-        any); the scan summary lands in :attr:`last_spool_state`.
     status_path:
         Where to publish the live ``run-status.json``
         (:class:`repro.obs.status.StatusPublisher`).  ``None`` falls back
-        to ``$REPRO_STATUS_PATH``; unset means no status file.
-    watchdog_factor:
-        A worker is flagged as stalled when its heartbeat is older than
-        ``watchdog_factor`` x the median job time (floored at 5 s).
+        to ``$REPRO_STATUS_PATH``; unset means no status file.  A parallel
+        run's status carries a ``workers`` row per pool worker, checked
+        by a :class:`Watchdog` at 10x the median job time (floored at
+        5 s).
+
+    While a span recorder is installed, each pooled job returns the spans
+    it recorded with its result, and they are merged into that recorder
+    as results arrive.
     """
 
     def __init__(
@@ -738,9 +807,7 @@ class ParallelRunner:
         workers: int = 1,
         cache: Union[None, bool, str, Path] = None,
         progress: Optional[bool] = None,
-        telemetry: Union[None, bool, str, Path] = None,
         status_path: Union[None, str, Path] = None,
-        watchdog_factor: float = 10.0,
     ):
         self.workers = int(workers or 0)
         cache_dir = resolve_cache_dir(cache)
@@ -749,16 +816,7 @@ class ParallelRunner:
             progress = bool(getattr(sys.stderr, "isatty", lambda: False)())
         self.progress = _Progress(progress)
         self.metrics = RunnerMetrics()
-        self.telemetry = telemetry
         self.status_path = status_path
-        self.watchdog_factor = watchdog_factor
-        #: Spool directory of the most recent parallel run (None if the
-        #: run was serial, telemetry was off, or the temp spool was
-        #: cleaned up because ``telemetry`` did not name a directory).
-        self.last_spool_dir: Optional[Path] = None
-        #: :class:`repro.obs.shipping.SpoolState` of the last merge.
-        self.last_spool_state = None
-        self._spool_seq = 0
 
     # ------------------------------------------------------------------
     def _status_publisher(self):
@@ -771,23 +829,6 @@ class ParallelRunner:
         if not path:
             return None
         return StatusPublisher(path, kind="matrix")
-
-    def _make_spool(self, parallel: bool) -> Tuple[Optional[Path], bool]:
-        """(spool directory, parent-owns-and-removes-it) for one run.
-
-        Explicit telemetry directories get a fresh ``run-*`` subdirectory
-        per matrix so a reused runner never re-merges a previous run's
-        cumulative snapshots.
-        """
-        if not parallel or self.telemetry is False:
-            return None, False
-        if self.telemetry is None or self.telemetry is True:
-            return Path(tempfile.mkdtemp(prefix="repro-spool-")), True
-        self._spool_seq += 1
-        base = Path(self.telemetry).expanduser()
-        run_dir = base / f"run-{os.getpid()}-{self._spool_seq:03d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        return run_dir, False
 
     # ------------------------------------------------------------------
     def run_matrix(
@@ -812,6 +853,8 @@ class ParallelRunner:
         for name in bench_names:
             if name not in SPEC_BENCHMARKS:
                 raise ValueError(f"unknown benchmark {name!r}")
+        for _, policy, _ in specs:
+            policy_factory(policy)  # make_policy's ValueError, before any work
 
         jobs: List[_Job] = []
         for bench_name in bench_names:
@@ -898,13 +941,27 @@ class ParallelRunner:
         config: ExperimentConfig,
         collect_miss_positions: bool,
     ) -> Dict[int, RunResult]:
+        status = self._status_publisher()
+        try:
+            return self._run_jobs(jobs, config, collect_miss_positions, status)
+        except BaseException as exc:
+            if status is not None:
+                status.fail(exc)
+            raise
+
+    def _run_jobs(
+        self,
+        jobs: Sequence[_Job],
+        config: ExperimentConfig,
+        collect_miss_positions: bool,
+        status,
+    ) -> Dict[int, RunResult]:
         metrics = self.metrics
         metrics.add_jobs(len(jobs))
         base_wall = metrics.wall_time
         started = time.monotonic()
         results: Dict[int, RunResult] = {}
 
-        status = self._status_publisher()
         if status is not None:
             status.update(
                 force=True, phase="cache-probe",
@@ -935,12 +992,10 @@ class ParallelRunner:
         )
 
         parallel = self.workers > 1 and len(pending) > 1
-        spool_dir, owned_spool = self._make_spool(parallel)
         fields = _config_fields(config)
         payloads = [
             (j.index, j.bench, j.simpoint, j.policy, j.kwargs, fields,
-             collect_miss_positions,
-             str(spool_dir) if spool_dir is not None else None)
+             collect_miss_positions)
             for j in pending
         ]
         by_index = {j.index: j for j in pending}
@@ -976,72 +1031,45 @@ class ParallelRunner:
         if parallel:
             import multiprocessing
 
-            from ..obs.shipping import Watchdog, read_spool
-
             context = multiprocessing.get_context("spawn")
             max_workers = min(self.workers, len(pending))
-            watchdog = Watchdog(
-                factor=self.watchdog_factor, registry=metrics.registry
-            )
-            last_scan = 0.0
+            liveness = context.Array("d", _LIVENESS_FIELDS * max_workers)
+            watchdog = Watchdog(registry=metrics.registry)
+            recorder = current_recorder()
             with span("matrix.simulate", jobs=len(pending),
                       workers=max_workers):
                 with ProcessPoolExecutor(
-                    max_workers=max_workers, mp_context=context
+                    max_workers=max_workers, mp_context=context,
+                    initializer=_claim_liveness_row, initargs=(liveness,),
                 ) as pool:
-                    futures = {pool.submit(_execute_job, p) for p in payloads}
+                    futures = {
+                        pool.submit(_pooled_job, p, recorder is not None)
+                        for p in payloads
+                    }
                     while futures:
                         done, futures = wait(
                             futures, timeout=0.5,
                             return_when=FIRST_COMPLETED,
                         )
                         for future in done:
-                            index, payload, seconds = future.result()
+                            index, payload, seconds, spans = future.result()
+                            if spans is not None:
+                                recorder.merge_payload(spans)
                             _record(index, _result_from_dict(payload), seconds)
-                        # Liveness tick: heartbeat scan + watchdog + status,
-                        # even when no job completed this round.
-                        workers_field = None
-                        now = time.monotonic()
-                        if spool_dir is not None and now - last_scan >= 1.0:
-                            last_scan = now
-                            state = read_spool(spool_dir)
-                            watchdog.check(
-                                state.heartbeats, metrics.median_job_seconds
-                            )
-                            wall_now = time.time()
-                            workers_field = {
-                                worker: {
-                                    "alive": worker not in watchdog.flagged,
-                                    "stalled": worker in watchdog.flagged,
-                                    "last_seen_sec": round(
-                                        max(0.0, wall_now - ts), 1
-                                    ),
-                                }
-                                for worker, ts in state.heartbeats.items()
-                            }
+                        # Liveness tick: watchdog + status, even when no job
+                        # completed this round.
                         metrics.wall_time = (
                             base_wall + (time.monotonic() - started)
                         )
-                        _publish_status(workers_field)
+                        _publish_status(_worker_rows(
+                            liveness, watchdog, metrics.median_job_seconds
+                        ))
         else:
             with span("matrix.simulate", jobs=len(pending), workers=1):
                 for payload in payloads:
                     index, result_dict, seconds = _execute_job(payload)
                     _record(index, _result_from_dict(result_dict), seconds)
                     _publish_status()
-
-        if spool_dir is not None:
-            from ..obs.shipping import merge_spool
-
-            self.last_spool_state = merge_spool(
-                spool_dir, registry=metrics.registry,
-                recorder=current_recorder(),
-            )
-            if owned_spool:
-                shutil.rmtree(spool_dir, ignore_errors=True)
-                self.last_spool_dir = None
-            else:
-                self.last_spool_dir = spool_dir
 
         metrics.wall_time = base_wall + (time.monotonic() - started)
         self.progress.update(metrics, final=True)
@@ -1067,7 +1095,6 @@ def run_matrix(
     cache: Union[None, bool, str, Path] = None,
     progress: Optional[bool] = None,
     collect_miss_positions: bool = False,
-    telemetry: Union[None, bool, str, Path] = None,
     status_path: Union[None, str, Path] = None,
 ) -> MatrixResult:
     """One-shot convenience wrapper around :class:`ParallelRunner`.
@@ -1075,11 +1102,11 @@ def run_matrix(
     ``policies`` accepts :class:`repro.eval.experiments.PolicySpec`
     instances, ``(label, policy_name[, kwargs])`` tuples, or bare policy
     names.  See :class:`ParallelRunner` for ``workers`` / ``cache`` /
-    ``progress`` / ``telemetry`` / ``status_path`` semantics.
+    ``progress`` / ``status_path`` semantics.
     """
     runner = ParallelRunner(
         workers=workers, cache=cache, progress=progress,
-        telemetry=telemetry, status_path=status_path,
+        status_path=status_path,
     )
     return runner.run_matrix(
         policies,

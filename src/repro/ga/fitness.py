@@ -52,8 +52,6 @@ __all__ = [
     "simulate_misses_plru_ipv",
     "FitnessEvaluator",
     "clear_workload_memo",
-    "columnar_memo_stats",
-    "publish_columnar_memo_gauges",
 ]
 
 
@@ -111,7 +109,6 @@ _BASELINE_MEMO_LIMIT = 256
 #: covers a 29-benchmark matrix at one geometry without letting a
 #: num_sets sweep accumulate every layout it ever built.
 _COLUMNAR_MEMO_LIMIT = 32
-_COLUMNAR_MEMO_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 #: Widest lockstep pass of :meth:`FitnessEvaluator.evaluate_many`, in lanes
 #: x columns: wider passes gain little and widen every step's temporaries,
 #: so stacking workloads stops at 120 lanes over one 64-set trace.
@@ -124,8 +121,6 @@ def clear_workload_memo() -> None:
     _POSITIONS_MEMO.clear()
     _BASELINE_MEMO.clear()
     _COLUMNAR_MEMO.clear()
-    for key in _COLUMNAR_MEMO_STATS:
-        _COLUMNAR_MEMO_STATS[key] = 0
 
 
 def _shared_columnar_trace(key: tuple, addresses, num_sets: int):
@@ -142,51 +137,13 @@ def _shared_columnar_trace(key: tuple, addresses, num_sets: int):
     """
     trace = _COLUMNAR_MEMO.get(key)
     if trace is None:
-        _COLUMNAR_MEMO_STATS["misses"] += 1
         trace = ColumnarTrace(addresses, num_sets, collapse_runs=True)
         _COLUMNAR_MEMO[key] = trace
         while len(_COLUMNAR_MEMO) > _COLUMNAR_MEMO_LIMIT:
             _COLUMNAR_MEMO.popitem(last=False)
-            _COLUMNAR_MEMO_STATS["evictions"] += 1
     else:
-        _COLUMNAR_MEMO_STATS["hits"] += 1
         _COLUMNAR_MEMO.move_to_end(key)
     return trace
-
-
-def columnar_memo_stats() -> dict:
-    """Snapshot of the ColumnarTrace memo: size, limit, hit/miss/evict."""
-    lookups = _COLUMNAR_MEMO_STATS["hits"] + _COLUMNAR_MEMO_STATS["misses"]
-    return {
-        "size": len(_COLUMNAR_MEMO),
-        "limit": _COLUMNAR_MEMO_LIMIT,
-        "hits": _COLUMNAR_MEMO_STATS["hits"],
-        "misses": _COLUMNAR_MEMO_STATS["misses"],
-        "evictions": _COLUMNAR_MEMO_STATS["evictions"],
-        "hit_rate": (
-            _COLUMNAR_MEMO_STATS["hits"] / lookups if lookups else 0.0
-        ),
-    }
-
-
-def publish_columnar_memo_gauges(registry) -> None:
-    """Export the memo stats as ``repro_columnar_memo_*`` gauges.
-
-    Gauges are *set* from the snapshot (idempotent republish), matching
-    :func:`repro.kernels.tables.publish_kernel_gauges`.
-    """
-    stats = columnar_memo_stats()
-    for field, help_text in (
-        ("size", "ColumnarTrace memo entries resident"),
-        ("limit", "ColumnarTrace memo LRU bound"),
-        ("hits", "ColumnarTrace memo lookup hits"),
-        ("misses", "ColumnarTrace memo lookup misses"),
-        ("evictions", "ColumnarTrace memo LRU evictions"),
-        ("hit_rate", "ColumnarTrace memo hit rate"),
-    ):
-        registry.gauge(
-            f"repro_columnar_memo_{field}", help_text
-        ).set(stats[field])
 
 
 def _memo_get(memo: OrderedDict, key, limit: int, build):

@@ -108,7 +108,6 @@ def evolve_ipv(
     workers: int = 0,
     seeds: Optional[Sequence[IPV]] = None,
     on_generation: Optional[Callable[[int, float], None]] = None,
-    telemetry: Union[None, bool, str, Path] = None,
     status_path: Union[None, str, Path] = None,
     convergence_path: Union[None, str, Path] = None,
     memo: Optional[FitnessMemo] = None,
@@ -119,13 +118,13 @@ def evolve_ipv(
     echoing the paper's 20 000 -> 4 000 schedule.  ``seeds`` inject known
     vectors (the paper seeds its pgapack stage with earlier GA winners).
 
-    ``telemetry`` is forwarded to :class:`PopulationEvaluator` (worker
-    metrics/span spooling for parallel runs).  ``status_path`` publishes a
-    live ``run-status.json`` per generation (``None`` falls back to
-    ``$REPRO_STATUS_PATH``; unset disables it); the final record carries
-    the best fitness and survives the run.  The whole search is wrapped in
-    ``ga.run`` / ``ga.generation`` / ``ga.breed`` / ``ga.evaluate`` spans
-    when a recorder is installed (no-ops otherwise).
+    ``status_path`` publishes a live ``run-status.json`` per generation
+    (``None`` falls back to ``$REPRO_STATUS_PATH``; unset disables it);
+    the final record carries the best fitness, or ``phase: "failed"`` and
+    the error if the search raised, and survives the run.  The whole
+    search is wrapped in ``ga.run`` / ``ga.generation`` / ``ga.breed`` /
+    ``ga.evaluate`` spans when a recorder is installed (no-ops
+    otherwise); with ``workers > 1`` the workers' spans join them.
 
     Every batch is routed through a cross-generation :class:`FitnessMemo`
     keyed by the canonical IPV tuple, so duplicate genomes — common once
@@ -153,9 +152,7 @@ def evolve_ipv(
         population.append(tuple(rng.randrange(k) for _ in range(length)))
 
     status = _status_publisher(status_path)
-    pop_eval = PopulationEvaluator(
-        evaluator, workers=workers, telemetry=telemetry
-    )
+    pop_eval = PopulationEvaluator(evaluator, workers=workers)
     fitness_memo = memo if memo is not None else FitnessMemo()
 
     def score_batch(batch: List[Tuple[int, ...]]):
@@ -239,6 +236,10 @@ def evolve_ipv(
                     )
                 if on_generation is not None:
                     on_generation(generation, scored[0][0])
+    except BaseException as exc:
+        if status is not None:
+            status.fail(exc)
+        raise
     finally:
         pop_eval.close()
 

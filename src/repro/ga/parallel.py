@@ -26,100 +26,44 @@ produced.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
-import os
-import shutil
-import tempfile
-import time
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import nullcontext
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder, current_recorder, install_recorder, span
+from ..obs.spans import current_recorder, profiled, span
 from .fitness import FitnessEvaluator
 
 __all__ = ["FitnessMemo", "PopulationEvaluator"]
 
 _WORKER_EVALUATOR: Optional[FitnessEvaluator] = None
 
-#: GA worker telemetry: [SpoolWriter, MetricsRegistry, SpanRecorder,
-#: last-heartbeat-monotonic].  None when the pool was started without a
-#: spool directory.
-_WORKER_TELEMETRY: Optional[list] = None
 
-#: Heartbeats are throttled worker-side: IPV evaluations can be orders of
-#: magnitude quicker than matrix jobs, and one atomic file replace per
-#: evaluation would turn the spool into an I/O hot spot.
-_HEARTBEAT_INTERVAL_SEC = 0.5
-
-
-def _worker_final_publish() -> None:  # pragma: no cover - runs at exit
-    """atexit hook: flush the worker's final cumulative snapshot.
-
-    Per-evaluation publishes are throttled, so without this the tail of a
-    worker's metrics (everything since the last throttled write) would be
-    lost when ``Pool.close()``/``join()`` lets the process exit.
-    """
-    telemetry = _WORKER_TELEMETRY
-    if telemetry is None:
-        return
-    writer, registry, recorder, _ = telemetry
-    try:
-        writer.publish(registry=registry, recorder=recorder, force=True)
-    except Exception:
-        pass
-
-
-def _init_worker(spec: dict, spool_dir: Optional[str] = None) -> None:
+def _init_worker(spec: dict) -> None:
     """Pool initializer: rebuild the evaluator once per worker process."""
-    global _WORKER_EVALUATOR, _WORKER_TELEMETRY
+    global _WORKER_EVALUATOR
     _WORKER_EVALUATOR = FitnessEvaluator.from_spec(spec)
-    if spool_dir:
-        from ..obs.shipping import SpoolWriter
-
-        recorder = SpanRecorder(process_label=f"ga-worker-{os.getpid()}")
-        install_recorder(recorder)
-        _WORKER_TELEMETRY = [
-            SpoolWriter(spool_dir, min_interval=_HEARTBEAT_INTERVAL_SEC),
-            MetricsRegistry(),
-            recorder,
-            0.0,
-        ]
-        _WORKER_TELEMETRY[0].heartbeat()
-        atexit.register(_worker_final_publish)
 
 
-def _worker_evaluate(chunk: Tuple[Tuple[int, ...], ...]) -> List[float]:
+def _worker_evaluate(
+    chunk: Tuple[Tuple[int, ...], ...], profile: bool = False
+) -> Tuple[List[float], Optional[dict]]:
     """Score one contiguous sub-population with ``evaluate_many``.
 
     ``evaluate_many`` picks the engine for the batch (the columnar
     lockstep pass or the per-IPV loop), so one worker amortizes a trace
     pass over all of its lanes; results stay in chunk order so the
-    caller's flatten preserves submission order.
+    caller's flatten preserves submission order.  With ``profile`` set
+    (the parent has a span recorder installed) the chunk records into a
+    fresh recorder and returns its
+    :meth:`~repro.obs.spans.SpanRecorder.payload` next to the fitnesses;
+    otherwise the second element is None.
     """
-    telemetry = _WORKER_TELEMETRY
-    if telemetry is None:
-        return _WORKER_EVALUATOR.evaluate_many(chunk)
-    writer, registry, recorder, last_hb = telemetry
-    now = time.monotonic()
-    if now - last_hb >= _HEARTBEAT_INTERVAL_SEC:
-        telemetry[3] = now
-        writer.heartbeat()
-    started = time.perf_counter()
-    with span("ga.worker_evaluate", lanes=len(chunk)):
-        fitnesses = _WORKER_EVALUATOR.evaluate_many(chunk)
-    registry.counter(
-        "repro_ga_worker_evaluations_total",
-        "IPV fitness evaluations performed in GA worker processes",
-    ).inc(len(chunk))
-    registry.gauge(
-        "repro_ga_worker_evaluate_seconds_total",
-        "Wall seconds spent evaluating fitness in GA worker processes",
-    ).inc(time.perf_counter() - started)
-    writer.publish(registry=registry, recorder=recorder, force=False)
-    return fitnesses
+    with profiled() if profile else nullcontext() as recorder:
+        with span("ga.worker_evaluate", lanes=len(chunk)):
+            fitnesses = _WORKER_EVALUATOR.evaluate_many(chunk)
+    return fitnesses, recorder.payload() if recorder is not None else None
 
 
 class PopulationEvaluator:
@@ -130,57 +74,27 @@ class PopulationEvaluator:
     evaluator:
         The fitness evaluator.  ``workers <= 1`` evaluates in-process with
         it; ``workers > 1`` ships its :meth:`~FitnessEvaluator.spec` to a
-        persistent worker pool (one evaluator rebuild per worker, reused
-        across every batch until :meth:`close`).
+        persistent spawn-context worker pool (one evaluator rebuild per
+        worker, reused across every batch until :meth:`close`).
     workers:
         Worker process count.  ``0``/``1`` — serial reference path.
-    mp_context:
-        ``multiprocessing`` start method; ``"spawn"`` (default) matches the
-        PR-1 runner and works everywhere fork is unsafe.
-    telemetry:
-        Cross-process telemetry spool (parallel pools only).
-        ``None``/``True`` — workers spool metrics/spans through a private
-        temp directory that :meth:`close` merges and removes; ``False`` —
-        off; a path — spool under that directory and keep it
-        (:attr:`last_spool_dir`).  After :meth:`close`, worker metrics are
-        summed into :attr:`worker_metrics` and worker spans merged into
-        the installed :class:`~repro.obs.spans.SpanRecorder` (if any);
-        the scan summary is :attr:`last_spool_state`.
+
+    While a span recorder is installed, each worker chunk returns the
+    spans it recorded with its fitnesses, and they are merged into that
+    recorder as the batch comes back.
     """
 
-    def __init__(
-        self,
-        evaluator: FitnessEvaluator,
-        workers: int = 0,
-        mp_context: str = "spawn",
-        telemetry: Union[None, bool, str, Path] = None,
-    ):
+    def __init__(self, evaluator: FitnessEvaluator, workers: int = 0):
         self.evaluator = evaluator
         self.workers = int(workers or 0)
         self.evaluations = 0
         self._pool = None
-        #: Summed worker-side instruments, populated by :meth:`close`.
-        self.worker_metrics = MetricsRegistry()
-        self.last_spool_state = None
-        self.last_spool_dir: Optional[Path] = None
-        self._spool_dir: Optional[Path] = None
-        self._owned_spool = False
         if self.workers > 1:
-            if telemetry is None or telemetry is True:
-                self._spool_dir = Path(tempfile.mkdtemp(prefix="repro-ga-spool-"))
-                self._owned_spool = True
-            elif telemetry is not False:
-                base = Path(telemetry).expanduser()
-                self._spool_dir = base / f"ga-{os.getpid()}-{id(self):x}"
-                self._spool_dir.mkdir(parents=True, exist_ok=True)
-            context = multiprocessing.get_context(mp_context)
+            context = multiprocessing.get_context("spawn")
             self._pool = context.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(
-                    evaluator.spec(),
-                    str(self._spool_dir) if self._spool_dir else None,
-                ),
+                initargs=(evaluator.spec(),),
             )
 
     # ------------------------------------------------------------------
@@ -192,11 +106,18 @@ class PopulationEvaluator:
             return self.evaluator.evaluate_many(batch)
         # One contiguous slice per worker: each worker's evaluate_many
         # picks the engine and pays for one pass over the memoized traces.
+        recorder = current_recorder()
+        work = (_worker_evaluate if recorder is None
+                else partial(_worker_evaluate, profile=True))
         with span("ga.evaluate_batch", batch=len(batch),
                   workers=self.workers):
-            parts = self._pool.map(_worker_evaluate, self._chunks(batch),
-                                   chunksize=1)
-        return [fitness for part in parts for fitness in part]
+            parts = self._pool.map(work, self._chunks(batch), chunksize=1)
+        fitnesses: List[float] = []
+        for part, spans in parts:
+            fitnesses.extend(part)
+            if spans is not None:
+                recorder.merge_payload(spans)
+        return fitnesses
 
     def _chunks(
         self, batch: List[Tuple[int, ...]]
@@ -219,39 +140,12 @@ class PopulationEvaluator:
         return self.evaluator.evaluate(tuple(individual))
 
     # ------------------------------------------------------------------
-    def heartbeats(self) -> dict:
-        """Latest worker heartbeat timestamps (live watchdog input)."""
-        if self._spool_dir is None:
-            return {}
-        from ..obs.shipping import read_spool
-
-        return dict(read_spool(self._spool_dir).heartbeats)
-
     def close(self) -> None:
-        """Shut the worker pool down and merge its telemetry (idempotent).
-
-        ``Pool.join`` waits for the workers to exit, and each worker's
-        ``atexit`` hook force-publishes its final cumulative snapshot on
-        the way out — so the merge below sees complete totals even though
-        per-evaluation publishes are throttled.
-        """
+        """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        if self._spool_dir is not None:
-            from ..obs.shipping import merge_spool
-
-            self.last_spool_state = merge_spool(
-                self._spool_dir, registry=self.worker_metrics,
-                recorder=current_recorder(),
-            )
-            if self._owned_spool:
-                shutil.rmtree(self._spool_dir, ignore_errors=True)
-                self.last_spool_dir = None
-            else:
-                self.last_spool_dir = self._spool_dir
-            self._spool_dir = None
 
     def __enter__(self) -> "PopulationEvaluator":
         return self

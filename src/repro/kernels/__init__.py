@@ -23,7 +23,6 @@ from .tables import (
     kernel_cache_info,
     kernel_counters,
     kernel_provenance,
-    publish_kernel_metrics,
     record_kernel_call,
     reset_kernel_counters,
     resolve_kernel,
@@ -40,7 +39,6 @@ __all__ = [
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
-    "publish_kernel_metrics",
     "record_kernel_call",
     "reset_kernel_counters",
     "resolve_kernel",

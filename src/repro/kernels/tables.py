@@ -63,7 +63,6 @@ __all__ = [
     "kernel_counters",
     "kernel_provenance",
     "promotion_orbit",
-    "publish_kernel_metrics",
     "record_kernel_call",
     "reset_kernel_counters",
     "resolve_kernel",
@@ -458,36 +457,3 @@ def kernel_provenance() -> Dict[str, object]:
             else "unused"
         ),
     }
-
-
-def publish_kernel_metrics(registry) -> None:
-    """Copy the kernel counters into a :class:`repro.obs.MetricsRegistry`.
-
-    Counter names follow the runner's ``repro_*`` convention so kernel
-    activity exports through the same Prometheus/JSON pipe as everything
-    else.  Idempotent: values are *set* from the snapshot, so publishing
-    twice does not double-count (gauges are used for that reason).
-    """
-    counters = kernel_counters()
-    registry.gauge(
-        "repro_kernel_compiles", "Transition-table sets compiled"
-    ).set(counters["compiles"])
-    registry.gauge(
-        "repro_kernel_compile_seconds", "Cumulative table compile time"
-    ).set(counters["compile_seconds"])
-    registry.gauge(
-        "repro_kernel_cache_hits", "Compile-cache hits"
-    ).set(counters["cache_hits"])
-    registry.gauge(
-        "repro_kernel_cache_misses", "Compile-cache misses"
-    ).set(counters["cache_misses"])
-    registry.gauge(
-        "repro_kernel_lut_calls", "Simulations dispatched to the LUT kernel"
-    ).set(counters["lut_calls"])
-    registry.gauge(
-        "repro_kernel_walk_calls", "Simulations on the bit-walk reference"
-    ).set(counters["walk_calls"])
-    registry.gauge(
-        "repro_kernel_columnar_calls",
-        "Simulations dispatched to the columnar batch engine",
-    ).set(counters["columnar_calls"])

@@ -25,11 +25,8 @@ zero-overhead when disabled:
 * :mod:`repro.obs.spans` — hierarchical span profiling (``with
   span("ga.generation", gen=i):``) exporting Chrome trace-event JSON and
   folded-stack flamegraph text; a no-op singleton when no recorder is
-  installed.
-* :mod:`repro.obs.shipping` — cross-process telemetry: workers spool
-  metrics deltas, span trees and heartbeats to atomic per-worker files
-  that the parent merges into one registry/trace; a watchdog flags
-  stalled workers.
+  installed.  Pool workers of a profiled run return their spans with
+  their results, and the parent merges them into one timeline.
 * :mod:`repro.obs.status` — live ``run-status.json`` publishing (phase,
   progress, throughput, ETA, worker liveness, and a serving run's
   latency and shard rows) rendered by ``repro obs watch``; the final
@@ -79,13 +76,6 @@ from .provenance import (
     manifest_path_for,
     write_manifest,
 )
-from .shipping import (
-    SpoolWriter,
-    Watchdog,
-    merge_registry_payload,
-    merge_spool,
-    read_spool,
-)
 from .sinks import JSONLSink, ListSink, RingBufferSink, SamplingFilter, read_jsonl
 from .spans import (
     SpanRecorder,
@@ -125,11 +115,6 @@ __all__ = [
     "span",
     "uninstall_recorder",
     "validate_chrome_trace",
-    "SpoolWriter",
-    "Watchdog",
-    "merge_registry_payload",
-    "merge_spool",
-    "read_spool",
     "StatusPublisher",
     "read_status",
     "render_status",

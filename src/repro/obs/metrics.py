@@ -286,10 +286,10 @@ class Histogram:
     def from_json(cls, payload: dict) -> "Histogram":
         """Rebuild an :meth:`as_json` snapshot, validating it as input.
 
-        Worker spool files and reports come from outside the process, so
-        a missing layout, an out-of-range bucket index or a negative count
-        raises instead of corrupting a merge.  ``count`` is re-derived
-        from the bucket counts.
+        Reports (a serving report's ``latency_histogram``) come from
+        outside the process, so a missing layout, an out-of-range bucket
+        index or a negative count raises instead of corrupting a merge.
+        ``count`` is re-derived from the bucket counts.
         """
         if "bounds" in payload:
             hist = cls(payload["bounds"])

@@ -22,9 +22,9 @@ Design rules, in order of importance:
    duration (tagged ``error=<ExcType>``), and the thread's stack is
    always popped — a crashing generation cannot wedge the profiler.
 4. **Mergeable across processes.**  A record is a plain JSON-ready dict
-   carrying its pid/tid, so worker-side recorders ship their span trees
-   through :mod:`repro.obs.shipping` spool files and the parent merges
-   them into one timeline.
+   carrying its pid/tid, so a pool worker returns the spans of a job or
+   batch next to its result (:meth:`SpanRecorder.payload`) and the parent
+   merges them into one timeline (:meth:`SpanRecorder.merge_payload`).
 
 Exports: Chrome trace-event JSON (open in ``chrome://tracing`` or
 Perfetto) and folded-stack text (pipe into ``flamegraph.pl`` or any
@@ -197,9 +197,8 @@ class SpanRecorder:
 
     Records are plain dicts (JSON-ready), appended under a lock, so any
     number of threads can close spans concurrently.  ``merge_payload``
-    folds in records shipped from other processes
-    (:mod:`repro.obs.shipping`), preserving their pid/tid so the Chrome
-    trace shows one lane per process.
+    folds in records returned by worker processes, preserving their
+    pid/tid so the Chrome trace shows one lane per process.
     """
 
     def __init__(self, process_label: Optional[str] = None):
@@ -246,10 +245,10 @@ class SpanRecorder:
             )
 
     # ------------------------------------------------------------------
-    # Cross-process shipping.
+    # Cross-process merging.
     # ------------------------------------------------------------------
     def payload(self) -> dict:
-        """JSON-ready snapshot for spool shipping (see ``merge_payload``)."""
+        """Picklable snapshot a worker returns (see ``merge_payload``)."""
         with self._lock:
             return {
                 "schema": SPAN_SCHEMA,

@@ -99,6 +99,11 @@ class StatusPublisher:
         self._state["finished_at"] = time.time()
         return self._write()
 
+    def fail(self, exc: BaseException) -> bool:
+        """Finalize a run that raised: ``phase: "failed"`` plus its text."""
+        return self.finalize(phase="failed",
+                             error=f"{type(exc).__name__}: {exc}")
+
     # ------------------------------------------------------------------
     def _write(self) -> bool:
         self._state["updated_at"] = time.time()
@@ -166,6 +171,9 @@ def render_status(status: dict, now: Optional[float] = None) -> str:
         f"{status.get('kind', 'run')} {status.get('run_id', '?')} "
         f"[{state}]  phase: {status.get('phase', '?')}"
     )
+    error = status.get("error")
+    if error:
+        lines.append(f"  error     {error}")
     started = status.get("started_at")
     if started:
         end = status.get("finished_at", now)
@@ -268,7 +276,8 @@ def watch(
     reads cleanly again.
 
     Returns 0 once the status goes ``final`` (or after ``iterations``
-    refreshes), 1 if the file never became readable.
+    refreshes), 1 if the file never became readable or the run's final
+    phase is ``failed``.
     """
     stream = stream if stream is not None else sys.stdout
     last_good: Optional[dict] = None
@@ -286,7 +295,7 @@ def watch(
             stream.write(render_status(status) + "\n")
             stream.flush()
             if status.get("final"):
-                return 0
+                return 1 if status.get("phase") == "failed" else 0
         else:
             now = time.time()
             if stale_since is None:

@@ -26,7 +26,7 @@ from .sdbp import SDBPPolicy
 from .ship import SHiPPolicy
 from .simple import FIFOPolicy, RandomPolicy
 
-__all__ = ["POLICIES", "make_policy", "policy_names"]
+__all__ = ["POLICIES", "make_policy", "policy_factory", "policy_names"]
 
 POLICIES: Dict[str, Callable[..., ReplacementPolicy]] = {
     "lru": TrueLRUPolicy,
@@ -54,16 +54,20 @@ POLICIES: Dict[str, Callable[..., ReplacementPolicy]] = {
 }
 
 
+def policy_factory(name: str) -> Callable[..., ReplacementPolicy]:
+    """The constructor registered as ``name``; ``ValueError`` if none is."""
+    try:
+        return POLICIES[name]
+    except KeyError:
+        known = ", ".join(sorted(POLICIES))
+        raise ValueError(f"unknown policy {name!r}; known: {known}") from None
+
+
 def make_policy(
     name: str, num_sets: int, assoc: int, **kwargs
 ) -> ReplacementPolicy:
     """Instantiate a registered policy by name."""
-    try:
-        factory = POLICIES[name]
-    except KeyError:
-        known = ", ".join(sorted(POLICIES))
-        raise ValueError(f"unknown policy {name!r}; known: {known}") from None
-    return factory(num_sets, assoc, **kwargs)
+    return policy_factory(name)(num_sets, assoc, **kwargs)
 
 
 def policy_names() -> List[str]:

@@ -186,6 +186,9 @@ def run_serving(
     latency and amortized per-access latency, surfaced through the
     registry, the status file's ``serving`` section and the final
     report.
+
+    A run that raises finalizes its status file as ``phase: "failed"``
+    with the error before the exception propagates.
     """
     if not is_power_of_two(num_sets) or not is_power_of_two(assoc):
         raise ValueError(
@@ -207,64 +210,69 @@ def run_serving(
     done = 0
     misses = 0
     start = time.monotonic()
-    with span("serve.run", accesses=total, shards=shards,
-              policy=name, engine=frontend.engine):
-        if publisher:
-            publisher.update(
-                force=True, phase="serving", accesses_total=total,
-                accesses_done=0, policy=name, shards=shards,
-                engine=frontend.engine,
-            )
-        chunks = stream.chunks(chunk_accesses)
-        while True:
-            with span("serve.generate"):
-                chunk = next(chunks, None)
-            if chunk is None:
-                break
-            with span("serve.simulate", accesses=len(chunk)):
-                misses += frontend.process(chunk)
-            done += len(chunk)
-            elapsed = time.monotonic() - start
-            rate = done / elapsed if elapsed > 0 else 0.0
+    try:
+        with span("serve.run", accesses=total, shards=shards,
+                  policy=name, engine=frontend.engine):
             if publisher:
-                fields = dict(
-                    phase="serving",
-                    accesses_done=done,
-                    accesses_total=total,
-                    throughput=rate,
-                    miss_rate=misses / done if done else 0.0,
-                    eta_sec=(total - done) / rate if rate else None,
+                publisher.update(
+                    force=True, phase="serving", accesses_total=total,
+                    accesses_done=0, policy=name, shards=shards,
+                    engine=frontend.engine,
                 )
-                if telem is not None:
-                    fields["serving"] = telem.snapshot()
-                publisher.update(**fields)
-    wall = time.monotonic() - start
-    totals = frontend.totals()
-    report = ServingReport(
-        spec, name, entries, num_sets, assoc, shards, frontend.engine,
-        done, misses, wall, frontend.shed_accesses,
-        stream.retired,
-        [r.snapshot() for r in frontend.shard_results()],
-        totals.snapshot(),
-        telemetry=telem.report_section() if telem is not None else None,
-    )
-    rate = report.throughput
-    _publish_run_gauges(registry, done, misses, rate, shards,
-                        frontend.shed_accesses, stream.retired)
-    if telem is not None:
-        telem.publish(registry)
-        registry.gauge(
-            "shed_ratio_total",
-            "Shed fraction of offered load over the whole run",
-        ).set(report.shed_ratio)
-    if publisher:
-        fields = dict(
-            phase="done", accesses_done=done, accesses_total=total,
-            throughput=rate, miss_rate=report.miss_rate, wall_sec=wall,
+            chunks = stream.chunks(chunk_accesses)
+            while True:
+                with span("serve.generate"):
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    break
+                with span("serve.simulate", accesses=len(chunk)):
+                    misses += frontend.process(chunk)
+                done += len(chunk)
+                elapsed = time.monotonic() - start
+                rate = done / elapsed if elapsed > 0 else 0.0
+                if publisher:
+                    fields = dict(
+                        phase="serving",
+                        accesses_done=done,
+                        accesses_total=total,
+                        throughput=rate,
+                        miss_rate=misses / done if done else 0.0,
+                        eta_sec=(total - done) / rate if rate else None,
+                    )
+                    if telem is not None:
+                        fields["serving"] = telem.snapshot()
+                    publisher.update(**fields)
+        wall = time.monotonic() - start
+        totals = frontend.totals()
+        report = ServingReport(
+            spec, name, entries, num_sets, assoc, shards, frontend.engine,
+            done, misses, wall, frontend.shed_accesses,
+            stream.retired,
+            [r.snapshot() for r in frontend.shard_results()],
+            totals.snapshot(),
+            telemetry=telem.report_section() if telem is not None else None,
         )
+        rate = report.throughput
+        _publish_run_gauges(registry, done, misses, rate, shards,
+                            frontend.shed_accesses, stream.retired)
         if telem is not None:
-            fields["serving"] = telem.snapshot()
-        publisher.finalize(**fields)
+            telem.publish(registry)
+            registry.gauge(
+                "shed_ratio_total",
+                "Shed fraction of offered load over the whole run",
+            ).set(report.shed_ratio)
+        if publisher:
+            fields = dict(
+                phase="done", accesses_done=done, accesses_total=total,
+                throughput=rate, miss_rate=report.miss_rate, wall_sec=wall,
+            )
+            if telem is not None:
+                fields["serving"] = telem.snapshot()
+            publisher.finalize(**fields)
+    except BaseException as exc:
+        if publisher:
+            publisher.fail(exc)
+        raise
     if report_path is not None:
         import json
 

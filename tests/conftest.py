@@ -22,10 +22,15 @@ off and binds a handler to the stderr of the moment — under pytest, a
 captured stream that is closed once that test ends.  Without the restore,
 a later test's ``caplog`` check on a ``repro.*`` logger sees nothing and
 logging writes to the closed stream.
+
+The ``fresh_tmpdir`` fixture gives a test an empty ``TMPDIR`` that
+spawned worker processes inherit, so it can check that a run leaves no
+files behind.
 """
 
 import logging
 import os
+import tempfile
 
 import pytest
 
@@ -51,3 +56,13 @@ def _restore_repro_logger():
     saved = (list(logger.handlers), logger.level, logger.propagate)
     yield
     logger.handlers, logger.level, logger.propagate = saved
+
+
+@pytest.fixture
+def fresh_tmpdir(tmp_path, monkeypatch):
+    """An empty directory as ``TMPDIR`` for this process and its spawns."""
+    fresh = tmp_path / "tmpdir"
+    fresh.mkdir()
+    monkeypatch.setenv("TMPDIR", str(fresh))  # spawned workers read this
+    monkeypatch.setattr(tempfile, "tempdir", None)  # this process re-reads it
+    return fresh

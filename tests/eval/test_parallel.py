@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -12,12 +13,17 @@ from repro.eval.parallel import (
     CACHE_SCHEMA,
     ParallelRunner,
     ResultCache,
+    Watchdog,
+    _worker_rows,
     cache_key,
     code_version,
     resolve_cache_dir,
     run_matrix,
 )
 from repro.eval.runner import RunResult, run_benchmark
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import profiled
+from repro.obs.status import read_status
 from repro.timing import LinearCPIModel
 from repro.workloads import get_benchmark
 
@@ -291,3 +297,117 @@ class TestMetrics:
             ["lru"], config=QUICK, benchmarks=BENCHES[:1], progress=False,
         )
         assert not math.isnan(matrix.get("lru", BENCHES[0]).mpki)
+
+    def test_unknown_policy_rejected_before_any_work(self, tmp_path):
+        status_path = tmp_path / "run-status.json"
+        with pytest.raises(ValueError, match="unknown policy 'nope'; known: "):
+            run_matrix(
+                [("X", "nope")], config=QUICK, benchmarks=BENCHES[:1],
+                workers=2, progress=False, status_path=status_path,
+            )
+        assert not status_path.exists()
+
+
+#: A job that raises inside the run: the policy exists, its kwargs do not.
+FAILING = [("X", "lru", {"bogus": 1})]
+
+
+class TestFailedRuns:
+    def test_failed_matrix_finalizes_status(self, tmp_path):
+        status_path = tmp_path / "run-status.json"
+        with pytest.raises(TypeError):
+            run_matrix(
+                FAILING, config=QUICK, benchmarks=BENCHES[:1],
+                progress=False, status_path=status_path,
+            )
+        status = read_status(status_path)
+        assert status["final"] is True
+        assert status["phase"] == "failed"
+        assert status["error"].startswith("TypeError: ")
+        assert "bogus" in status["error"]
+
+    def test_parallel_matrices_leave_nothing_in_tmpdir(self, fresh_tmpdir):
+        run_matrix(
+            POLICIES, config=QUICK, benchmarks=BENCHES[:1],
+            workers=2, progress=False,
+        )
+        with pytest.raises(TypeError):
+            run_matrix(
+                FAILING, config=QUICK, benchmarks=BENCHES[:1],
+                workers=2, progress=False,
+            )
+        assert list(fresh_tmpdir.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# Worker liveness and the watchdog.
+# ----------------------------------------------------------------------
+def test_watchdog_threshold_has_floor():
+    dog = Watchdog(factor=10.0, floor_sec=5.0)
+    assert dog.threshold(0.0) == 5.0  # no jobs yet: floor applies
+    assert dog.threshold(2.0) == 20.0
+
+
+def test_watchdog_flags_once_and_recovers():
+    registry = MetricsRegistry()
+    dog = Watchdog(factor=10.0, floor_sec=5.0, registry=registry)
+    now = 1000.0
+    beats = {"w0": now - 1.0, "w1": now - 30.0}
+
+    newly = dog.check(beats, median_job_sec=1.0, now=now)
+    assert newly == ["w1"]
+    assert set(dog.flagged) == {"w1"}
+
+    # Idempotent: still stalled, but not re-reported or re-counted.
+    assert dog.check(beats, median_job_sec=1.0, now=now + 1.0) == []
+    stalls = registry.counter("repro_shipping_stalled_workers_total")
+    assert stalls.value == 1
+
+    # Recovery unflags.
+    beats["w1"] = now + 2.0
+    assert dog.check(beats, median_job_sec=1.0, now=now + 3.0) == []
+    assert dog.flagged == {}
+
+    # A second genuine stall is a second event.
+    beats["w1"] = now - 100.0
+    assert dog.check(beats, median_job_sec=1.0, now=now + 4.0) == ["w1"]
+    assert stalls.value == 2
+
+
+def test_watchdog_rejects_nonpositive_parameters():
+    with pytest.raises(ValueError):
+        Watchdog(factor=0)
+    with pytest.raises(ValueError):
+        Watchdog(floor_sec=-1.0)
+
+
+def test_every_worker_claims_its_own_liveness_row(tmp_path):
+    """More workers than cores race for rows; none may share one."""
+    status_path = tmp_path / "run-status.json"
+    with profiled() as recorder:
+        run_matrix(
+            POLICIES, config=QUICK,
+            benchmarks=["429.mcf", "462.libquantum", "482.sphinx3"],
+            workers=4, progress=False, status_path=status_path,
+        )
+    pids = {s["pid"] for s in recorder.spans_named("job.simulate")}
+    assert set(read_status(status_path)["workers"]) == {
+        f"w{pid}" for pid in pids
+    }
+
+
+def test_worker_rows_flag_the_worker_stuck_in_a_job():
+    liveness = multiprocessing.get_context("spawn").Array("d", 9)
+    now = 1000.0
+    liveness[0:3] = [101, now - 2.0, now - 1.0]  # finished a job 1 s ago
+    liveness[3:6] = [202, now - 30.0, 0.0]  # stuck in its first job
+    liveness[6:9] = [303, 0.0, 0.0]  # claimed a row, no job yet
+    dog = Watchdog(factor=10.0, floor_sec=5.0)
+
+    rows = _worker_rows(liveness, dog, median_job_sec=1.0, now=now)
+
+    assert rows == {
+        "w101": {"alive": True, "stalled": False, "last_seen_sec": 1.0},
+        "w202": {"alive": False, "stalled": True, "last_seen_sec": 30.0},
+    }
+    assert set(dog.flagged) == {"w202"}

@@ -367,68 +367,36 @@ class TestColumnarMemo:
         return _shared_columnar_trace(key, list(addresses), num_sets)
 
     def test_hit_returns_same_object_and_counts(self):
-        from repro.ga.fitness import columnar_memo_stats
+        from repro.ga.fitness import _COLUMNAR_MEMO
 
         first = self._insert(("b", 0))
         second = self._insert(("b", 0))
         assert first is second
-        stats = columnar_memo_stats()
-        assert stats["size"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 0
-        assert stats["hit_rate"] == pytest.approx(0.5)
+        assert list(_COLUMNAR_MEMO) == [("b", 0)]
 
     def test_lru_eviction_at_limit(self):
-        from repro.ga.fitness import (
-            _COLUMNAR_MEMO,
-            _COLUMNAR_MEMO_LIMIT,
-            columnar_memo_stats,
-        )
+        from repro.ga.fitness import _COLUMNAR_MEMO, _COLUMNAR_MEMO_LIMIT
 
         for i in range(_COLUMNAR_MEMO_LIMIT):
             self._insert(("bench", i))
-        self._insert(("bench", 0))  # refresh the oldest entry
+        oldest = self._insert(("bench", 0))  # refresh the oldest entry
         self._insert(("bench", _COLUMNAR_MEMO_LIMIT))  # forces one evict
-        stats = columnar_memo_stats()
-        assert stats["size"] == _COLUMNAR_MEMO_LIMIT
-        assert stats["evictions"] == 1
+        assert len(_COLUMNAR_MEMO) == _COLUMNAR_MEMO_LIMIT
         # The refreshed key survived; the true LRU victim did not.
         assert ("bench", 0) in _COLUMNAR_MEMO
         assert ("bench", 1) not in _COLUMNAR_MEMO
+        assert self._insert(("bench", 0)) is oldest
 
     def test_clear_resets_memo_and_stats(self):
-        from repro.ga.fitness import clear_workload_memo, columnar_memo_stats
+        from repro.ga.fitness import _COLUMNAR_MEMO, clear_workload_memo
 
-        self._insert(("b", 0))
-        self._insert(("b", 0))
+        first = self._insert(("b", 0))
         clear_workload_memo()
-        stats = columnar_memo_stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
-        assert stats["hit_rate"] == 0.0
-
-    def test_publish_gauges_idempotent(self):
-        from repro.ga.fitness import (
-            columnar_memo_stats,
-            publish_columnar_memo_gauges,
-        )
-        from repro.obs.metrics import MetricsRegistry, parse_prometheus
-
-        self._insert(("b", 0))
-        self._insert(("b", 0))
-        registry = MetricsRegistry()
-        publish_columnar_memo_gauges(registry)
-        publish_columnar_memo_gauges(registry)  # set, not inc
-        parsed = parse_prometheus(registry.to_prometheus())
-        stats = columnar_memo_stats()
-        for field in ("size", "limit", "hits", "misses", "evictions",
-                      "hit_rate"):
-            name = f"repro_columnar_memo_{field}"
-            assert parsed[(name, ())] == pytest.approx(stats[field])
+        assert len(_COLUMNAR_MEMO) == 0
+        assert self._insert(("b", 0)) is not first  # rebuilt, not reused
 
     def test_evaluators_share_trace_by_derivation(self):
-        from repro.ga.fitness import _COLUMNAR_MEMO, columnar_memo_stats
+        from repro.ga.fitness import _COLUMNAR_MEMO
 
         config = default_config(trace_length=600)
         population = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
@@ -437,19 +405,16 @@ class TestColumnarMemo:
             ["429.mcf"], config=config, kernel="columnar"
         )
         first.evaluate_many(population)
-        after_first = columnar_memo_stats()
         # Four lanes stack every simpoint into one pass: one layout,
         # keyed by the group's derivations.
         assert len(first._workload_keys) > 1
-        assert after_first["size"] == 1
         (key,) = _COLUMNAR_MEMO
         assert key[0] == tuple(first._workload_keys)
+        layout = _COLUMNAR_MEMO[key]
         # A rebuilt evaluator with the same derivation reuses the layouts.
         second = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="columnar"
         )
         second.evaluate_many(population)
-        after_second = columnar_memo_stats()
-        assert after_second["size"] == 1
-        assert after_second["misses"] == after_first["misses"]
-        assert after_second["hits"] > after_first["hits"]
+        assert list(_COLUMNAR_MEMO) == [key]
+        assert _COLUMNAR_MEMO[key] is layout

@@ -18,6 +18,7 @@ from repro.ga import (
     random_search,
 )
 from repro.ga.fitness import _shared_workloads
+from repro.obs.status import read_status
 
 BENCHMARKS = ["429.mcf", "462.libquantum"]
 
@@ -93,6 +94,28 @@ def test_pool_maps_one_chunk_per_worker_for_default_kernel(
     assert len(tasks) <= 2
     assert [entries for chunk in tasks for entries in chunk] == individuals
     assert fanned == evaluator.evaluate_many(individuals)
+
+
+def test_parallel_search_leaves_nothing_in_tmpdir(evaluator, fresh_tmpdir):
+    evolve_ipv(evaluator, population_size=4, initial_population_size=4,
+               generations=1, seed=3, workers=2)
+    assert list(fresh_tmpdir.iterdir()) == []
+
+
+def test_failed_search_finalizes_status(evaluator, tmp_path):
+    status_path = tmp_path / "ga-status.json"
+
+    def stop(generation, best):
+        raise RuntimeError(f"stopped at generation {generation}")
+
+    with pytest.raises(RuntimeError):
+        evolve_ipv(evaluator, population_size=4, initial_population_size=4,
+                   generations=2, seed=3, on_generation=stop,
+                   status_path=status_path)
+    status = read_status(status_path)
+    assert status["final"] is True
+    assert status["phase"] == "failed"
+    assert status["error"] == "RuntimeError: stopped at generation 0"
 
 
 def test_spec_roundtrip_preserves_fitness(evaluator):

@@ -133,6 +133,20 @@ def test_watch_returns_zero_on_final_status(tmp_path):
     assert "[FINISHED]" in out.getvalue()
 
 
+def test_watch_returns_one_on_failed_final_status(tmp_path):
+    pub = _publisher(tmp_path)
+    pub.update(force=True, phase="simulate")
+    pub.fail(RuntimeError("worker died"))
+    status = read_status(pub.path)
+    assert status["final"] is True
+    assert status["phase"] == "failed"
+    assert status["error"] == "RuntimeError: worker died"
+    out = io.StringIO()
+    assert watch(pub.path, interval=0.0, iterations=3, stream=out) == 1
+    assert "[FINISHED]  phase: failed" in out.getvalue()
+    assert "error     RuntimeError: worker died" in out.getvalue()
+
+
 def test_watch_returns_one_when_file_never_appears(tmp_path):
     out = io.StringIO()
     rc = watch(tmp_path / "nope.json", interval=0.0, iterations=2, stream=out)

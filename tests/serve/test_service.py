@@ -116,6 +116,20 @@ class TestRunServing:
         assert status["accesses_total"] == SPEC.accesses
         assert status["throughput"] > 0
 
+    def test_failed_run_finalizes_status(self, tmp_path, monkeypatch):
+        def broken(self, chunk):
+            raise RuntimeError("shard lost")
+
+        monkeypatch.setattr(ShardedFrontend, "process", broken)
+        status_path = tmp_path / "serve.status.json"
+        with pytest.raises(RuntimeError):
+            run_serving(SPEC, NUM_SETS, ASSOC, status_path=status_path,
+                        chunk_accesses=4096)
+        status = read_status(status_path)
+        assert status["final"] is True
+        assert status["phase"] == "failed"
+        assert status["error"] == "RuntimeError: shard lost"
+
     def test_report_path_writes_json_and_manifest(self, tmp_path):
         report_path = tmp_path / "out" / "serving.json"
         report = run_serving(SPEC, NUM_SETS, ASSOC, shards=2,

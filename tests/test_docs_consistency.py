@@ -6,6 +6,7 @@ these tests keep those promises honest as the code evolves.
 
 import argparse
 import builtins
+import importlib
 import os
 import re
 
@@ -231,6 +232,40 @@ class TestCodeNames:
             if name not in defined and not hasattr(builtins, name)
         }
         assert not stale, f"documented but defined nowhere: {stale}"
+
+    # A whole backticked span that is a dotted path into the package, with
+    # an optional empty call: ``repro.obs.spans``, ``repro.kernels.x()``.
+    MODULE_PATH = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?")
+
+    @staticmethod
+    def _resolves(path):
+        """Whether ``path`` imports as a module or names an attribute."""
+        parts = path.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            for attr in parts[cut:]:
+                if not hasattr(target, attr):
+                    return False
+                target = getattr(target, attr)
+            return True
+        return False
+
+    def test_documented_module_paths_resolve(self):
+        found = {}
+        for doc in _doc_files():
+            for span in re.findall(r"`([^`\n]+)`", _read(doc)):
+                match = self.MODULE_PATH.fullmatch(span)
+                if match is not None:
+                    found.setdefault(match.group(1), doc)
+        assert found, "the docs no longer name any repro.<...> path"
+        stale = {
+            path: doc for path, doc in found.items()
+            if not self._resolves(path)
+        }
+        assert not stale, f"documented but does not resolve: {stale}"
 
 
 class TestDocumentedCommands:
