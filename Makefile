@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-serving trend-check figures report wn-vectors examples clean
+.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-serving figures report wn-vectors examples clean
 
 # Targets that run pytest / the library directly need the src layout on the
 # import path; the smoke scripts insert it themselves but inherit it too.
@@ -49,25 +49,24 @@ regen-goldens:
 
 # Transition-table kernel throughput: accesses/sec LUT vs bit-walk for
 # k in {4,8,16}, the columnar GA-population batch, plus GA-generation wall
-# time, written to BENCH_kernels.json
-# (with a provenance manifest sidecar) at the repository root.  Each run
-# also appends a perf-trend entry to BENCH_history.jsonl keyed by git
-# revision (`repro obs trend` inspects it; `--no-history` to skip).
+# time, written to BENCH_kernels.json (with a provenance manifest
+# sidecar) at the repository root.  It fails unless every path it times
+# matches its reference exactly (miss counts, the profiler's histograms,
+# the GA's evolved vector); no timing bar is asserted.  The script's
+# `--out PATH` writes the JSON elsewhere.
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernel_throughput.py
 
 # Streaming serving-scenario throughput: the sharded columnar front-end
 # on a churning flash-crowd Zipf stream vs the per-access scalar loop,
 # with a tracemalloc flat-memory pass and a {1,2,4} shard sweep, written
-# to BENCH_serving.json (manifest sidecar alongside) and appended to the
-# BENCH_history.jsonl perf trend as the `bench-serving` series.
+# to BENCH_serving.json (manifest sidecar alongside).  It fails unless
+# miss counts agree exactly: front-end and scalar stream against the
+# per-access loop on a sample, shard counts against each other, telemetry
+# on against off; no timing bar is asserted.  The script's `--out PATH`
+# writes the JSON elsewhere.
 bench-serving:
 	$(PYTHON) benchmarks/bench_serving.py
-
-# Soft perf-regression gate: compare the newest BENCH_history.jsonl entry
-# against its predecessor; non-zero exit past the threshold (15% default).
-trend-check:
-	$(PYTHON) -m repro.cli obs trend --check
 
 # Fast check that the parallel runner matches the serial path bit-for-bit
 # and that a warm cache rerun performs zero simulations.
@@ -90,8 +89,7 @@ smoke-kernels:
 # Cache-dynamics analytics check: the vectorized Mattson profiler is
 # bit-identical to the trace.analysis oracles (random + SPEC-archetype
 # streams), columnar engine counters reconcile exactly with scalar
-# CacheStats (batch and duel), the metrics/manifest/event flush surfaces
-# validate, and counters=True stays within its 5% overhead budget.
+# CacheStats, and counters=True stays within its 5% overhead budget.
 smoke-analytics:
 	$(PYTHON) scripts/smoke_analytics.py
 

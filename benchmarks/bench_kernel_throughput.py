@@ -405,16 +405,6 @@ def main(argv=None) -> int:
         default=max(2_000, int(6_000 * _scale())),
         help="fitness trace length for the GA timing",
     )
-    parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="perf-trend history file to append to (default: repo root "
-             "BENCH_history.jsonl or $REPRO_TREND_HISTORY); --no-history "
-             "disables recording",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the perf-trend history",
-    )
     args = parser.parse_args(argv)
 
     results = collect(args.accesses, args.ga_trace_length)
@@ -469,25 +459,6 @@ def main(argv=None) -> int:
         f" | {ga['speedup']:.2f}x | best {ga['best_entries']}"
     )
     print(f"wrote {out}")
-
-    if not args.no_history:
-        from repro.obs.trend import (
-            format_deltas,
-            latest_deltas,
-            record_bench_kernels,
-        )
-
-        history = args.history  # None -> default_history_path()
-        entry = record_bench_kernels(out, history)
-        from repro.obs.trend import default_history_path
-
-        history_path = history if history is not None else default_history_path()
-        print(f"trend: recorded {len(entry['metrics'])} metrics "
-              f"@ {entry['git_revision'][:12]} -> {history_path}")
-        summary = latest_deltas(history_path, source="bench-kernels")
-        if summary is not None:
-            print(f"trend: vs previous ({summary['prev_revision'][:12]}):")
-            print(format_deltas(summary["deltas"]))
     return 0
 
 

@@ -14,10 +14,7 @@ Runs two ways:
 
 * under pytest-benchmark as part of ``make bench`` (scaled down);
 * as a script (``make bench-serving``), writing ``BENCH_serving.json``
-  plus a provenance manifest sidecar at the repository root and
-  appending a ``bench-serving`` perf-trend row (the
-  ``serving_throughput_accesses_per_sec`` series) to
-  ``BENCH_history.jsonl`` — ``make trend-check`` guards it.
+  plus a provenance manifest sidecar at the repository root.
 
 ``REPRO_SCALE`` scales the stream length as in the other benches.
 """
@@ -296,26 +293,6 @@ def collect(accesses: int, sample: int = SAMPLE_ACCESSES,
     }
 
 
-def trend_metrics(results: dict) -> dict:
-    """Flatten a BENCH_serving.json payload into perf-trend metrics."""
-    return {
-        "serving_throughput_accesses_per_sec":
-            results["serving"]["accesses_per_sec"],
-        "serving_scalar_walk_accesses_per_sec":
-            results["scalar_baselines"]["walk_accesses_per_sec"],
-        "serving_speedup": results["speedup_vs_walk"],
-        "serving_heap_growth_bytes":
-            results["memory"]["heap_growth_bytes"],
-        "serving_telemetry_ratio":
-            results["telemetry"]["throughput_ratio"],
-        **{
-            f"serving_shard{row['shards']}_accesses_per_sec":
-                row["accesses_per_sec"]
-            for row in results.get("shard_sweep", ())
-        },
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -341,16 +318,6 @@ def main(argv=None) -> int:
         "--memory-accesses", type=int, default=0, metavar="N",
         help="stream length for the tracemalloc pass (default: same as "
              "--accesses)",
-    )
-    parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="perf-trend history file to append to (default: repo root "
-             "BENCH_history.jsonl or $REPRO_TREND_HISTORY); --no-history "
-             "disables recording",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the perf-trend history",
     )
     args = parser.parse_args(argv)
 
@@ -397,23 +364,6 @@ def main(argv=None) -> int:
           f"{telem['pairs']} pairs, "
           f"{'meets' if telem['meets_95pct'] else 'BELOW'} the 95% bar)")
     print(f"wrote {out}")
-
-    if not args.no_history:
-        from repro.obs.trend import default_history_path, record_entry
-
-        history = args.history or default_history_path()
-        entry = record_entry(
-            history,
-            trend_metrics(results),
-            source="bench-serving",
-            extra={
-                "accesses": serving["accesses"],
-                "shards": serving["shards"],
-                "engine": serving["engine"],
-            },
-        )
-        print(f"recorded {len(entry['metrics'])} metrics "
-              f"@ {entry['git_revision'][:12]} -> {history}")
     return 0
 
 

@@ -88,34 +88,6 @@ def _kernel_bench_summary():
     }
 
 
-def _trend_summary():
-    """Latest perf-trend deltas (``BENCH_history.jsonl``), or ``None``.
-
-    Embedded next to ``kernel_bench`` in the figure manifests: the
-    provenance record then answers not just "how fast were the kernels"
-    but "had they just regressed" when the figures were exported.
-    """
-    from repro.obs.trend import default_history_path, latest_deltas
-
-    try:
-        summary = latest_deltas(default_history_path(),
-                                source="bench-kernels")
-    except (OSError, ValueError):
-        return None
-    if summary is None:
-        return None
-    return {
-        "prev_revision": summary["prev_revision"],
-        "cur_revision": summary["cur_revision"],
-        "threshold": summary["threshold"],
-        "regressions": [d["metric"] for d in summary["regressions"]],
-        "deltas": {
-            d["metric"]: round(d["delta_frac"], 4)
-            for d in summary["deltas"]
-        },
-    }
-
-
 def export_figure(name, specs, metric, config, outdir, workers, cache=None):
     suite = run_suite(specs, config=config, workers=workers, cache=cache)
     print(f"[repro-eval] {name}: {suite.metrics.summary()}", file=sys.stderr)
@@ -140,8 +112,7 @@ def export_figure(name, specs, metric, config, outdir, workers, cache=None):
         config=config,
         extra={"figure": name, "metric": metric,
                "policies": [s.label for s in specs],
-               "kernel_bench": _kernel_bench_summary(),
-               "kernel_trend": _trend_summary()},
+               "kernel_bench": _kernel_bench_summary()},
     ))
     print(f"wrote {path} (+ manifest)")
 

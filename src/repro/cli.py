@@ -365,41 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_watch.add_argument("--once", action="store_true",
                            help="render one snapshot and exit")
 
-    obs_trend = obs_sub.add_parser(
-        "trend", help="kernel perf history: record, show, regression-check",
-        description="Inspect the append-only BENCH_history.jsonl perf "
-                    "history (one entry per `make bench-kernels`, keyed by "
-                    "git revision).  --record appends an entry from a "
-                    "BENCH_kernels.json; --check compares the newest entry "
-                    "against its predecessor and exits 1 on a regression "
-                    "past the threshold (a soft CI gate).",
-    )
-    obs_trend.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="history file (default: BENCH_history.jsonl at the repo root, "
-             "or $REPRO_TREND_HISTORY)",
-    )
-    obs_trend.add_argument(
-        "--record", default=None, metavar="BENCH_JSON",
-        help="append a trend entry from this BENCH_kernels.json first",
-    )
-    obs_trend.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if the newest entry regresses past the threshold",
-    )
-    obs_trend.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="regression threshold as a fraction (default 0.15)",
-    )
-    obs_trend.add_argument(
-        "--last", type=int, default=5, metavar="N",
-        help="with no --check: list the N newest entries (default 5)",
-    )
-    obs_trend.add_argument(
-        "--source", default=None, metavar="NAME",
-        help="only consider entries from this source (e.g. bench-kernels)",
-    )
-
     obs_analyze = obs_sub.add_parser(
         "analyze", help="miss-curve and GA-convergence analytics report",
         description="Profile a benchmark trace with the vectorized "
@@ -872,9 +837,6 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "watch":
         return _cmd_obs_watch(args)
 
-    if args.obs_command == "trend":
-        return _cmd_obs_trend(args)
-
     if args.obs_command == "analyze":
         return _cmd_obs_analyze(args)
 
@@ -946,63 +908,6 @@ def _cmd_obs_analyze(args) -> int:
         logger.info("report JSON written to %s", args.json)
     if args.csv:
         logger.info("figure CSV written to %s", args.csv)
-    return 0
-
-
-def _cmd_obs_trend(args) -> int:
-    import json
-
-    from .obs.trend import (
-        DEFAULT_THRESHOLD,
-        default_history_path,
-        format_deltas,
-        latest_deltas,
-        read_history,
-        record_bench_kernels,
-    )
-
-    history = args.history or default_history_path()
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    if args.record:
-        entry = record_bench_kernels(args.record, history)
-        print(f"recorded {len(entry['metrics'])} metrics "
-              f"@ {entry['git_revision'][:12]} -> {history}")
-
-    if args.check:
-        summary = latest_deltas(history, threshold=threshold,
-                                source=args.source)
-        if summary is None:
-            print(f"{history}: fewer than two entries, nothing to compare")
-            return 0
-        print(f"{summary['prev_revision'][:12]} -> "
-              f"{summary['cur_revision'][:12]} "
-              f"(threshold {summary['threshold']:.0%})")
-        print(format_deltas(summary["deltas"]))
-        if summary["regressions"]:
-            names = ", ".join(d["metric"] for d in summary["regressions"])
-            print(f"REGRESSION past {threshold:.0%}: {names}",
-                  file=sys.stderr)
-            return 1
-        print("no regressions")
-        return 0
-
-    entries = read_history(history, source=args.source)
-    if not entries:
-        print(f"{history}: no entries")
-        return 0
-    for entry in entries[-max(1, args.last):]:
-        metrics = entry.get("metrics", {})
-        print(f"{entry.get('recorded_at', '?')}  "
-              f"{entry.get('git_revision', 'unknown')[:12]}  "
-              f"{entry.get('source', '?')}  {len(metrics)} metrics")
-        for name in sorted(metrics):
-            print(f"    {name:<36} {metrics[name]:>14.4g}")
-    summary = latest_deltas(history, threshold=threshold, source=args.source)
-    if summary is not None:
-        print(f"\nvs previous ({summary['prev_revision'][:12]}):")
-        print(format_deltas(summary["deltas"]))
     return 0
 
 

@@ -48,7 +48,6 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.spans import current_recorder, profiled, span
 from ..policies.registry import make_policy, policy_factory
 from ..workloads.spec import SPEC_BENCHMARKS, SpecBenchmark, benchmark_names
@@ -232,15 +231,23 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunResult]:
+        """The cached result, or ``None`` for a miss.
+
+        An unreadable file, another schema, or an entry that is not an
+        object with a complete ``result`` all count as a miss.
+        """
         path = self._path(key)
         try:
             with open(path, "r") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA:
+        try:
+            if payload["schema"] != CACHE_SCHEMA:
+                return None
+            return _result_from_dict(payload["result"])
+        except (KeyError, TypeError):
             return None
-        return _result_from_dict(payload["result"])
 
     def put(
         self, key: str, result: RunResult, manifest: Optional[dict] = None
@@ -330,89 +337,28 @@ def _result_from_dict(payload: dict) -> RunResult:
 # ----------------------------------------------------------------------
 # Metrics and progress.
 # ----------------------------------------------------------------------
-#: Bucket bounds (seconds) for the per-job wall-time histogram.
-_JOB_SECONDS_BOUNDS = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0
-)
-
-
 class RunnerMetrics:
-    """Counters for one or more matrix runs (cumulative on a runner).
+    """Counters for one or more matrix runs (cumulative on a runner)."""
 
-    Built on the shared :class:`repro.obs.metrics.MetricsRegistry`: every
-    quantity lives in a named counter/gauge/histogram, so runner metrics
-    export as Prometheus text or JSON through the same pipe as trace
-    metrics.  The attribute API (``jobs_done``, ``cache_hit_rate``,
-    ``as_dict()``, ``summary()``) is unchanged from the pre-registry
-    implementation.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self._jobs_total = reg.counter(
-            "repro_eval_jobs_total", "Jobs submitted to the experiment runner"
-        )
-        self._jobs_done = reg.counter(
-            "repro_eval_jobs_done_total", "Jobs completed (cached or simulated)"
-        )
-        self._cache_hits = reg.counter(
-            "repro_eval_cache_hits_total", "Jobs satisfied by the result cache"
-        )
-        self._simulated = reg.counter(
-            "repro_eval_simulated_total", "Jobs that ran a fresh simulation"
-        )
-        self._wall = reg.gauge(
-            "repro_eval_wall_seconds", "Cumulative matrix wall time"
-        )
-        self._job_hist = reg.histogram(
-            "repro_eval_job_seconds", bounds=_JOB_SECONDS_BOUNDS,
-            help="Per-job simulation wall time",
-        )
+    def __init__(self):
+        self.jobs_total = 0
+        self.jobs_done = 0
+        self.cache_hits = 0
+        self.simulated = 0
+        self.wall_time = 0.0
         self.job_seconds: List[float] = []
 
-    # ------------------------------------------------------------------
-    # Mutation API (used by ParallelRunner).
-    # ------------------------------------------------------------------
     def add_jobs(self, count: int) -> None:
-        self._jobs_total.inc(count)
+        self.jobs_total += count
 
     def record_cache_hit(self) -> None:
-        self._jobs_done.inc()
-        self._cache_hits.inc()
+        self.jobs_done += 1
+        self.cache_hits += 1
 
     def record_simulated(self, seconds: float) -> None:
-        self._jobs_done.inc()
-        self._simulated.inc()
-        self._job_hist.observe(seconds)
+        self.jobs_done += 1
+        self.simulated += 1
         self.job_seconds.append(seconds)
-
-    # ------------------------------------------------------------------
-    # Read API (stable across the registry refactor).
-    # ------------------------------------------------------------------
-    @property
-    def jobs_total(self) -> int:
-        return self._jobs_total.value
-
-    @property
-    def jobs_done(self) -> int:
-        return self._jobs_done.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.value
-
-    @property
-    def simulated(self) -> int:
-        return self._simulated.value
-
-    @property
-    def wall_time(self) -> float:
-        return self._wall.value
-
-    @wall_time.setter
-    def wall_time(self, seconds: float) -> None:
-        self._wall.set(seconds)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -456,10 +402,6 @@ class RunnerMetrics:
             "wall_time_sec": self.wall_time,
             "job_seconds": list(self.job_seconds),
         }
-
-    def to_prometheus(self) -> str:
-        """Prometheus text export of the backing registry."""
-        return self.registry.to_prometheus()
 
     def summary(self) -> str:
         return (
@@ -540,28 +482,16 @@ class Watchdog:
     """Flags workers whose heartbeat is older than N× the median job time.
 
     ``check`` is cheap and idempotent: a worker is warned about once per
-    stall (log + ``repro_shipping_stalled_workers_total`` counter) and
-    un-flagged if its heartbeat recovers, so a slow-but-alive worker that
-    catches up stops being reported.
+    stall (one log line) and un-flagged if its heartbeat recovers, so a
+    slow-but-alive worker that catches up stops being reported.
     """
 
-    def __init__(
-        self,
-        factor: float = 10.0,
-        floor_sec: float = 5.0,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, factor: float = 10.0, floor_sec: float = 5.0):
         if factor <= 0 or floor_sec <= 0:
             raise ValueError("watchdog factor and floor must be positive")
         self.factor = factor
         self.floor_sec = floor_sec
         self.flagged: Dict[str, float] = {}
-        self._stalls = None
-        if registry is not None:
-            self._stalls = registry.counter(
-                "repro_shipping_stalled_workers_total",
-                "Workers flagged by the heartbeat watchdog",
-            )
 
     def threshold(self, median_job_sec: float) -> float:
         return max(self.floor_sec, self.factor * max(0.0, median_job_sec))
@@ -582,8 +512,6 @@ class Watchdog:
                 if worker not in self.flagged:
                     self.flagged[worker] = last_seen
                     newly.append(worker)
-                    if self._stalls is not None:
-                        self._stalls.inc()
                     logger.warning(
                         "worker %s stalled: no heartbeat for %.1fs "
                         "(threshold %.1fs = max(%.1f, %.1fx median job %.2fs))",
@@ -1034,7 +962,7 @@ class ParallelRunner:
             context = multiprocessing.get_context("spawn")
             max_workers = min(self.workers, len(pending))
             liveness = context.Array("d", _LIVENESS_FIELDS * max_workers)
-            watchdog = Watchdog(registry=metrics.registry)
+            watchdog = Watchdog()
             recorder = current_recorder()
             with span("matrix.simulate", jobs=len(pending),
                       workers=max_workers):

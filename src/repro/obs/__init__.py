@@ -12,12 +12,13 @@ zero-overhead when disabled:
   set-dueling flips and sampled PSEL values.  Events flow through a
   :class:`~repro.obs.tracer.Tracer` into pluggable sinks (in-memory ring
   buffer, JSONL file) with optional per-set and per-interval sampling.
-* :mod:`repro.obs.metrics` — a process-wide-capable metrics registry
-  (counters, gauges, histograms) with Prometheus-text and JSON exporters;
-  :class:`repro.eval.parallel.RunnerMetrics` is built on top of it.  Its
-  one :class:`~repro.obs.metrics.Histogram` keeps exact, mergeable counts
-  in fixed ``le`` buckets (registry histograms) or log-linear buckets
-  (the latencies ``repro serve`` records per shard batch and per access).
+* :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
+  histograms) with Prometheus-text and JSON exporters.  The tracer's is
+  the only one a command builds: ``repro trace --metrics-out`` writes it
+  live, ``repro obs metrics`` rebuilds it from the JSONL.  Its one
+  :class:`~repro.obs.metrics.Histogram` keeps exact, mergeable counts in
+  fixed ``le`` buckets (registry histograms) or log-linear buckets (the
+  latencies ``repro serve`` records per shard batch and per access).
 * :mod:`repro.obs.provenance` — run manifests (config hash, policy kwargs,
   seed, code digest, git revision, host, wall time) written next to cached
   results and generated reports, so any number in a figure can be traced
@@ -31,13 +32,10 @@ zero-overhead when disabled:
   progress, throughput, ETA, worker liveness, and a serving run's
   latency and shard rows) rendered by ``repro obs watch``; the final
   state survives completion for post-mortems.
-* :mod:`repro.obs.trend` — append-only ``BENCH_history.jsonl`` perf
-  history keyed by git revision, with a regression comparator behind
-  ``repro obs trend --check``.
 * :mod:`repro.obs.analytics` — cache-dynamics analytics: the vectorized
-  Mattson miss-curve/stack-distance profiler, columnar-engine counter
-  flushing, GA convergence telemetry, and the ``repro obs analyze``
-  report builder.
+  Mattson miss-curve/stack-distance profiler, the check that columnar
+  engine counters reconcile with a scalar run, GA convergence telemetry,
+  and the ``repro obs analyze`` report builder.
 
 The hot path (:meth:`repro.cache.cache.SetAssociativeCache.access`) pays a
 single ``is not None`` check when tracing is off; the budget is enforced by
@@ -50,7 +48,6 @@ from .analytics import (
     build_report,
     generation_stats,
     profile_trace,
-    publish_batch_counters,
     reconcile_with_stats,
 )
 from .events import (
@@ -93,12 +90,6 @@ from .status import (
     watch,
 )
 from .tracer import Tracer, registry_from_events, replay_counts
-from .trend import (
-    compare_entries,
-    latest_deltas,
-    record_bench_kernels,
-    record_entry,
-)
 
 __all__ = [
     "ConvergenceLog",
@@ -106,7 +97,6 @@ __all__ = [
     "build_report",
     "generation_stats",
     "profile_trace",
-    "publish_batch_counters",
     "reconcile_with_stats",
     "SpanRecorder",
     "current_recorder",
@@ -119,10 +109,6 @@ __all__ = [
     "read_status",
     "render_status",
     "watch",
-    "compare_entries",
-    "latest_deltas",
-    "record_bench_kernels",
-    "record_entry",
     "EVENT_KINDS",
     "EVENT_SCHEMA",
     "TraceEvent",

@@ -7,10 +7,9 @@ this package tells you *why* a result looks the way it does:
   full LRU miss curve MR(c), global and per-set stack-distance
   histograms, cold-miss/working-set stats.  Bit-consistent with the
   ``trace.analysis`` oracle, ≥20× faster at a million accesses.
-* :mod:`.counters` — flushes the columnar engine's
-  :class:`~repro.engine.columnar.BatchCounters` into the metrics
-  registry, provenance manifests, and a schema-valid sampled event
-  stream.
+* :mod:`.counters` — reconciles the columnar engine's
+  :class:`~repro.engine.columnar.BatchCounters` with a scalar
+  ``CacheStats`` run of the same stream.
 * :mod:`.convergence` — per-generation GA fitness/diversity/throughput
   records, persisted as an atomically rewritten JSON log.
 * :mod:`.report` — joins a profile and a convergence log into the
@@ -25,12 +24,7 @@ from .convergence import (
     read_convergence,
     render_convergence,
 )
-from .counters import (
-    counters_manifest_extra,
-    publish_batch_counters,
-    reconcile_with_stats,
-    sampled_miss_events,
-)
+from .counters import reconcile_with_stats
 from .profile import (
     DEFAULT_MAX_DISTANCE,
     DEFAULT_REUSE_MAX_DISTANCE,
@@ -57,18 +51,15 @@ __all__ = [
     "REPORT_SCHEMA",
     "build_report",
     "convergence_csv",
-    "counters_manifest_extra",
     "generation_stats",
     "miss_curve_csv",
     "per_set_reuse_histogram_fast",
     "profile_trace",
-    "publish_batch_counters",
     "read_convergence",
     "reconcile_with_stats",
     "render_convergence",
     "render_profile",
     "render_report",
-    "sampled_miss_events",
     "stack_distances",
     "write_report",
 ]

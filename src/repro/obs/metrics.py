@@ -3,12 +3,12 @@
 A deliberately small, stdlib-only re-implementation of the Prometheus
 client model: a :class:`MetricsRegistry` owns named instruments, each
 optionally distinguished by a frozen label set, and renders itself as
-Prometheus text exposition format or JSON.  The parallel experiment
-runner's :class:`repro.eval.parallel.RunnerMetrics` and the event
-:class:`~repro.obs.tracer.Tracer` both feed instruments from one of these
-registries, so every layer of the stack reports through the same pipe.
-One :class:`Histogram` serves both the registry's fixed ``le`` buckets
-and the log-linear latency buckets behind the serving percentiles.
+Prometheus text exposition format or JSON.  The event
+:class:`~repro.obs.tracer.Tracer` is the one producer in ``repro``: its
+registry is what ``repro trace --metrics-out`` and ``repro obs metrics``
+export.  One :class:`Histogram` serves both the registry's fixed ``le``
+buckets and the log-linear latency buckets behind the serving
+percentiles.
 
 Instrument names must match ``[a-zA-Z_:][a-zA-Z0-9_:]*`` (the Prometheus
 rule); label values are arbitrary strings.

@@ -14,7 +14,12 @@ Besides forwarding events to its sink, a tracer can feed a
 * ``repro_promotion_distance`` histogram of ``pos_before - pos_after``
   on promotions (negative = demotion);
 * ``repro_psel_value{counter=...}`` gauges of the latest sampled
-  saturating-counter values (plus ``repro_psel_normalized``).
+  saturating-counter values;
+* ``repro_duel_flips_total``, the follower policy changes.
+
+:func:`registry_from_events` rebuilds the same registry from the events
+alone, so ``repro obs metrics`` on an unsampled JSONL prints what
+``repro trace --metrics-out`` wrote.
 
 PSEL timelines are the stream of ``psel_sample`` events themselves; set
 ``psel_every=N`` to sample every N accesses.
@@ -203,13 +208,6 @@ class Tracer:
                 "repro_psel_value", "Latest sampled saturating-counter value",
                 labels={"counter": name},
             ).set(counter.value)
-            normalized = getattr(counter, "normalized", None)
-            if normalized is not None:
-                self.registry.gauge(
-                    "repro_psel_normalized",
-                    "Latest PSEL value scaled to [-1, 1]",
-                    labels={"counter": name},
-                ).set(normalized())
 
     # ------------------------------------------------------------------
     def close(self) -> None:

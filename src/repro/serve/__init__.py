@@ -4,8 +4,9 @@
 chunk-invariant Zipf/churn/flash-crowd access streams;
 :mod:`repro.serve.frontend` shards them by set index into persistent
 streaming simulators (columnar up to 16 ways, scalar above);
-:mod:`repro.serve.service` wires the two into the observability stack
-and backs the ``repro serve`` CLI.
+:mod:`repro.serve.service` wires the two to spans, the live status
+file, the latency histograms of :mod:`repro.serve.telemetry` and the
+JSON report, and backs the ``repro serve`` CLI.
 """
 
 from .frontend import ShardedFrontend, ShardResult

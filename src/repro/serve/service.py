@@ -8,12 +8,9 @@ through a :class:`~repro.serve.frontend.ShardedFrontend`:
   went;
 * :class:`~repro.obs.status.StatusPublisher` gets live
   throughput/progress/ETA (``repro obs watch`` renders it);
-* ``repro_serve_*`` gauges land in a
-  :class:`~repro.obs.metrics.MetricsRegistry`;
 * a :class:`~repro.serve.telemetry.ServeTelemetry` (on by default)
   records per-shard batch latency and amortized per-access latency into
-  log-linear histograms, published to the status file, the registry and
-  the report;
+  log-linear histograms, published to the status file and the report;
 * a provenance manifest (spec digest + resolved seed — derived seeds
   are *recorded*, per the workloads seeding contract) is written next
   to the report when a report path is given.
@@ -27,7 +24,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 from ..core.ipv import lip_ipv, lru_ipv, mru_pessimistic_ipv
 from ..core.plru import is_power_of_two
-from ..obs.metrics import MetricsRegistry
 from ..obs.spans import span
 from ..obs.status import StatusPublisher
 from .frontend import ShardedFrontend
@@ -141,27 +137,6 @@ class ServingReport:
         }
 
 
-def _publish_run_gauges(registry, done, misses, rate, shards,
-                        shed, retired) -> None:
-    """Run-level gauges, set once at the end of the run."""
-    registry.gauge(
-        "throughput_accesses_per_sec",
-        "Sustained serving throughput over the whole run",
-    ).set(rate)
-    registry.gauge("accesses", "Accesses served").set(done)
-    registry.gauge("misses", "Measured misses").set(misses)
-    registry.gauge(
-        "miss_rate", "Misses / accesses"
-    ).set(misses / done if done else 0.0)
-    registry.gauge("shards", "Set-shard count").set(shards)
-    registry.gauge(
-        "shed_accesses", "Accesses shed by backpressure"
-    ).set(shed)
-    registry.gauge(
-        "retired_keys", "Key slots churned out of the stream"
-    ).set(retired)
-
-
 def run_serving(
     spec: ServingSpec,
     num_sets: int,
@@ -171,7 +146,6 @@ def run_serving(
     engine: str = "auto",
     chunk_accesses: int = 1 << 16,
     status_path: Optional[Union[str, Path]] = None,
-    registry: Optional[MetricsRegistry] = None,
     report_path: Optional[Union[str, Path]] = None,
     telemetry: bool = True,
 ) -> ServingReport:
@@ -184,8 +158,7 @@ def run_serving(
     ``telemetry=True`` (the default) attaches a
     :class:`~repro.serve.telemetry.ServeTelemetry`: per-shard HDR batch
     latency and amortized per-access latency, surfaced through the
-    registry, the status file's ``serving`` section and the final
-    report.
+    status file's ``serving`` section and the final report.
 
     A run that raises finalizes its status file as ``phase: "failed"``
     with the error before the exception propagates.
@@ -204,8 +177,6 @@ def run_serving(
     publisher = (
         StatusPublisher(status_path, "serve") if status_path else None
     )
-    if registry is None:
-        registry = MetricsRegistry("repro_serve")
     total = spec.accesses
     done = 0
     misses = 0
@@ -253,14 +224,6 @@ def run_serving(
             telemetry=telem.report_section() if telem is not None else None,
         )
         rate = report.throughput
-        _publish_run_gauges(registry, done, misses, rate, shards,
-                            frontend.shed_accesses, stream.retired)
-        if telem is not None:
-            telem.publish(registry)
-            registry.gauge(
-                "shed_ratio_total",
-                "Shed fraction of offered load over the whole run",
-            ).set(report.shed_ratio)
         if publisher:
             fields = dict(
                 phase="done", accesses_done=done, accesses_total=total,

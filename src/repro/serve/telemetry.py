@@ -18,8 +18,7 @@ Per batch it records:
 
 ``snapshot()`` is what ``run_serving`` publishes into
 ``run-status.json`` (``repro obs watch`` renders it as the latency and
-shards rows); ``publish()`` updates the latency gauges in the run's
-metrics registry; ``report_section()`` is the final JSON report's
+shards rows); ``report_section()`` is the final JSON report's
 ``telemetry`` block.
 """
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..obs.metrics import DEFAULT_QUANTILES, Histogram
+from ..obs.metrics import Histogram
 
 __all__ = ["ServeTelemetry"]
 
@@ -74,6 +73,13 @@ class ServeTelemetry:
         ``perfbench/layers.py`` wraps it by name.
         """
 
+    def publish(self, registry) -> None:
+        """Does nothing: no serving run keeps a metrics registry.
+
+        Nothing in ``repro`` calls it.  It stays only because
+        ``perfbench/layers.py`` wraps it by name.
+        """
+
     # ------------------------------------------------------------------
     # Read-side surfaces.
     # ------------------------------------------------------------------
@@ -98,35 +104,6 @@ class ServeTelemetry:
                 for s in range(self.shards)
             ],
         }
-
-    def publish(self, registry) -> None:
-        """Set the latency and queue gauges from the current state.
-
-        ``run_serving`` calls it once at the end of the run, next to the
-        run-level ``repro_serve_*`` gauges.
-        """
-        for s in range(self.shards):
-            hist = self.batch_latency[s]
-            for q, label in ((0.5, "0.5"), (0.99, "0.99")):
-                value = hist.quantile(q)
-                if value is not None:
-                    registry.gauge(
-                        "shard_latency_seconds",
-                        "Per-shard engine batch latency quantiles",
-                        labels={"shard": str(s), "quantile": label},
-                    ).set(value)
-            registry.gauge(
-                "shard_queue_depth", "Pending sub-batches per shard",
-                labels={"shard": str(s)},
-            ).set(self.shard_queue_depth[s])
-        for q in DEFAULT_QUANTILES:
-            value = self.access_latency.quantile(q)
-            if value is not None:
-                registry.gauge(
-                    "access_latency_seconds",
-                    "Amortized per-access latency quantiles",
-                    labels={"quantile": f"{q:g}"},
-                ).set(value)
 
     def report_section(self) -> dict:
         """The final JSON report's ``telemetry`` block."""

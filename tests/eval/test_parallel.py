@@ -21,7 +21,6 @@ from repro.eval.parallel import (
     run_matrix,
 )
 from repro.eval.runner import RunResult, run_benchmark
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import profiled
 from repro.obs.status import read_status
 from repro.timing import LinearCPIModel
@@ -151,6 +150,22 @@ class TestCache:
         path = cache._path(key)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
+        assert cache.get(key) is None
+
+    @pytest.mark.parametrize("body", [
+        [],
+        {"schema": CACHE_SCHEMA},
+        {"schema": CACHE_SCHEMA, "result": {
+            "trace_name": "t", "accesses": 1, "misses": 0,
+            "instructions": 10, "miss_positions": None,
+        }},
+    ], ids=["list", "no-result", "no-policy-name"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, body):
+        cache = ResultCache(tmp_path)
+        key = "0a" + "0" * 62
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(body))
         assert cache.get(key) is None
 
     def test_len_and_clear(self, tmp_path):
@@ -348,30 +363,33 @@ def test_watchdog_threshold_has_floor():
     assert dog.threshold(2.0) == 20.0
 
 
-def test_watchdog_flags_once_and_recovers():
-    registry = MetricsRegistry()
-    dog = Watchdog(factor=10.0, floor_sec=5.0, registry=registry)
+def test_watchdog_flags_once_and_recovers(caplog):
+    dog = Watchdog(factor=10.0, floor_sec=5.0)
     now = 1000.0
     beats = {"w0": now - 1.0, "w1": now - 30.0}
 
-    newly = dog.check(beats, median_job_sec=1.0, now=now)
-    assert newly == ["w1"]
-    assert set(dog.flagged) == {"w1"}
+    def stall_warnings():
+        return [r for r in caplog.records
+                if r.levelname == "WARNING" and "stalled" in r.getMessage()]
 
-    # Idempotent: still stalled, but not re-reported or re-counted.
-    assert dog.check(beats, median_job_sec=1.0, now=now + 1.0) == []
-    stalls = registry.counter("repro_shipping_stalled_workers_total")
-    assert stalls.value == 1
+    with caplog.at_level("INFO", logger="repro.eval.parallel"):
+        newly = dog.check(beats, median_job_sec=1.0, now=now)
+        assert newly == ["w1"]
+        assert set(dog.flagged) == {"w1"}
 
-    # Recovery unflags.
-    beats["w1"] = now + 2.0
-    assert dog.check(beats, median_job_sec=1.0, now=now + 3.0) == []
-    assert dog.flagged == {}
+        # Idempotent: still stalled, but not re-reported or re-logged.
+        assert dog.check(beats, median_job_sec=1.0, now=now + 1.0) == []
+        assert len(stall_warnings()) == 1
 
-    # A second genuine stall is a second event.
-    beats["w1"] = now - 100.0
-    assert dog.check(beats, median_job_sec=1.0, now=now + 4.0) == ["w1"]
-    assert stalls.value == 2
+        # Recovery unflags.
+        beats["w1"] = now + 2.0
+        assert dog.check(beats, median_job_sec=1.0, now=now + 3.0) == []
+        assert dog.flagged == {}
+
+        # A second genuine stall is a second event.
+        beats["w1"] = now - 100.0
+        assert dog.check(beats, median_job_sec=1.0, now=now + 4.0) == ["w1"]
+        assert len(stall_warnings()) == 2
 
 
 def test_watchdog_rejects_nonpositive_parameters():

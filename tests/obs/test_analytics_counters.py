@@ -1,4 +1,4 @@
-"""Columnar-engine counters: reconciliation, flush surfaces, sampling."""
+"""Columnar-engine counters: totals, depth histogram, reconciliation."""
 
 import random
 
@@ -117,76 +117,3 @@ class TestBatchCounters:
             simulator.counters, 0, FakeStats(), raise_on_mismatch=False
         )
         assert problems and problems[0].startswith("accesses")
-
-
-class TestFlushSurfaces:
-    def test_publish_gauges_and_histogram(self, batch_run):
-        from repro.obs.analytics import publish_batch_counters
-        from repro.obs.metrics import MetricsRegistry, parse_prometheus
-
-        _, simulator, _, _ = batch_run
-        counters = simulator.counters
-        registry = MetricsRegistry()
-        publish_batch_counters(counters, registry, lane_names=["a", "b", "c"])
-        publish_batch_counters(counters, registry, lane_names=["a", "b", "c"])
-        parsed = parse_prometheus(registry.to_prometheus())
-        lane_a = (("engine", "batch"), ("lane", "a"))
-        totals = counters.totals(0)
-        # Republishing sets gauges, so totals must not have doubled.
-        assert parsed[("repro_engine_hits", lane_a)] == totals["hits"]
-        assert parsed[("repro_engine_misses", lane_a)] == totals["misses"]
-        assert parsed[("repro_engine_accesses", (("engine", "batch"),))] == (
-            counters.accesses
-        )
-
-    def test_publish_rejects_wrong_lane_count(self, batch_run):
-        from repro.obs.analytics import publish_batch_counters
-        from repro.obs.metrics import MetricsRegistry
-
-        _, simulator, _, _ = batch_run
-        with pytest.raises(ValueError, match="lane names"):
-            publish_batch_counters(
-                simulator.counters, MetricsRegistry(), lane_names=["x"]
-            )
-
-    def test_manifest_extra_is_json_safe(self, batch_run):
-        import json
-
-        from repro.obs.analytics.counters import counters_manifest_extra
-
-        _, simulator, _, _ = batch_run
-        extra = counters_manifest_extra(simulator.counters)
-        assert extra["schema"] == "repro-engine-counters/1"
-        assert len(extra["lanes"]) == 3
-        for entry in extra["lanes"]:
-            assert entry["hits"] + entry["misses"] == entry["accesses"]
-        json.dumps(extra)
-
-    def test_sampled_events_validate_and_locate(self, batch_run):
-        from repro.obs.analytics.counters import sampled_miss_events
-
-        stream, simulator, _, miss_indices = batch_run
-        events = sampled_miss_events(
-            stream, miss_indices[0], NUM_SETS, sample=8, policy=0
-        )
-        assert events
-        mask = NUM_SETS - 1
-        for event in events:
-            payload = event.to_dict()
-            assert payload["kind"] == "miss"
-            assert payload["block"] == stream[payload["access"]]
-            assert payload["set"] == payload["block"] & mask
-            assert payload["policy"] == 0
-
-    def test_sampled_events_limit_and_validation(self, batch_run):
-        from repro.obs.analytics.counters import sampled_miss_events
-
-        stream, _, _, miss_indices = batch_run
-        events = sampled_miss_events(
-            stream, miss_indices[0], NUM_SETS, sample=1, limit=5
-        )
-        assert len(events) == 5
-        with pytest.raises(ValueError):
-            sampled_miss_events(stream, [], NUM_SETS, sample=0)
-        with pytest.raises(ValueError):
-            sampled_miss_events(stream, [], 3, sample=1)

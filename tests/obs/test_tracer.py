@@ -135,13 +135,14 @@ class TestRegistry:
         ] == counts["insertions"]
 
     def test_registry_from_events_matches_live(self):
-        live = MetricsRegistry()
-        sink = ListSink()
-        _run("gippr", tracer=Tracer(sink=sink, registry=live))
-        rebuilt = registry_from_events(sink)
-        assert parse_prometheus(rebuilt.to_prometheus()) == (
-            parse_prometheus(live.to_prometheus())
-        )
+        # dgippr with psel_every adds the PSEL gauges and duel flips.
+        for policy, psel_every in (("gippr", 0), ("dgippr", 10)):
+            live = MetricsRegistry()
+            sink = ListSink()
+            _run(policy, tracer=Tracer(sink=sink, registry=live,
+                                       psel_every=psel_every))
+            rebuilt = registry_from_events(sink)
+            assert rebuilt.to_prometheus() == live.to_prometheus(), policy
 
     def test_psel_gauges_exported(self):
         registry = MetricsRegistry()

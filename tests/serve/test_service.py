@@ -1,8 +1,8 @@
 """Unit tests for ``run_serving``: report, obs wiring, provenance.
 
 One small spec drives the full path — generator, sharded front-end,
-status publisher, metrics gauges, JSON report and provenance manifest —
-and every surface is checked against the direct front-end numbers.
+status publisher, JSON report and provenance manifest — and every
+surface is checked against the direct front-end numbers.
 """
 
 import json
@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.core.ipv import lip_ipv, lru_ipv
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import manifest_path_for
 from repro.obs.status import read_status
 from repro.serve.frontend import ShardedFrontend
@@ -89,21 +88,6 @@ class TestRunServing:
         assert len(payload["shards_detail"]) == 2
         assert payload["totals"]["accesses"] == SPEC.accesses
         assert payload["retired_keys"] > 0
-
-    def test_gauges_land_in_registry(self):
-        registry = MetricsRegistry("repro_serve")
-        report = run_serving(SPEC, NUM_SETS, ASSOC, shards=2,
-                             registry=registry)
-        values = {
-            name: instrument.as_json()
-            for name, _, instrument in registry.instruments()
-        }
-        assert values["repro_serve_accesses"] == SPEC.accesses
-        assert values["repro_serve_misses"] == report.misses
-        assert values["repro_serve_shards"] == 2
-        assert values["repro_serve_shed_accesses"] == 0
-        assert values["repro_serve_retired_keys"] == report.retired
-        assert values["repro_serve_throughput_accesses_per_sec"] > 0
 
     def test_status_file_published_and_finalized(self, tmp_path):
         status_path = tmp_path / "serve.status.json"
@@ -214,19 +198,6 @@ class TestServingTelemetry:
         payload = report.to_dict()
         assert payload["telemetry"] is telem
         assert payload["shed_ratio"] == 0.0
-
-    def test_telemetry_gauges_published(self):
-        registry = MetricsRegistry("repro_serve")
-        run_serving(SPEC, NUM_SETS, ASSOC, shards=2, registry=registry)
-        values = {
-            name: instrument.as_json()
-            for name, _, instrument in registry.instruments()
-        }
-        assert values["repro_serve_shed_ratio_total"] == 0.0
-        assert not any("window" in name for name in values)
-        text = registry.to_prometheus()
-        assert 'repro_serve_shard_latency_seconds{' in text
-        assert 'repro_serve_access_latency_seconds{' in text
 
     def test_status_carries_serving_section(self, tmp_path):
         status_path = tmp_path / "status.json"

@@ -2,14 +2,13 @@
 
 ServeTelemetry ties two kinds of log-linear histogram (per-shard batch
 latency, amortized per-access latency) to the front-end drain loop; these
-tests drive it directly with synthetic batches so every surface
-(snapshot, publish, report_section) is checked without a full serving
-run.
+tests drive it directly with synthetic batches so both surfaces
+(snapshot, report_section) are checked without a full serving run.
 """
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.serve.frontend import ShardedFrontend
 from repro.serve.telemetry import ServeTelemetry
 
@@ -98,23 +97,6 @@ class TestReadSurfaces:
         assert [s["shard"] for s in snap["shards"]] == [0, 1]
         assert snap["shards"][0]["batches"] == 4
         assert snap["shards"][0]["p99"] > 0
-
-    def test_publish_gauges(self):
-        registry = MetricsRegistry("repro_serve")
-        telem = ServeTelemetry(2)
-        feed(telem, 4, shard=0, accesses=500)
-        feed(telem, 2, shard=1, accesses=500)
-        telem.publish(registry)
-        names = {name for name, _, _ in registry.instruments()}
-        assert names == {
-            "repro_serve_shard_latency_seconds",
-            "repro_serve_shard_queue_depth",
-            "repro_serve_access_latency_seconds",
-        }
-        text = registry.to_prometheus()
-        assert 'shard_latency_seconds{quantile="0.99",shard="0"}' in text
-        assert 'shard_queue_depth{shard="1"}' in text
-        assert 'access_latency_seconds{quantile="0.999"}' in text
 
     def test_report_section_shape(self):
         telem = ServeTelemetry(2)

@@ -270,3 +270,11 @@ class TestServe:
             main(["obs", "top", "--once", "status.json"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_obs_trend_is_not_a_subcommand(self, capsys):
+        # The perf-trend history is gone; perfbench's alternating pairs
+        # are the performance record.
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "trend"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

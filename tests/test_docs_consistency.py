@@ -124,14 +124,15 @@ class TestPaperVectorsDocumented:
         assert "10.1145/2540708.2540733" in citation
 
 
-class TestEnvironmentVariables:
-    """Every ``REPRO_*`` variable the docs name is read by the code."""
+class TestDocumentedEnvVars:
+    """Every ``REPRO_*`` variable the docs or the Makefile name is read by
+    the code, so a deleted variable's documentation fails here."""
 
     CODE_DIRS = ("src", "scripts", "benchmarks")
 
     def _documented(self):
         found = {}
-        for name in _doc_files():
+        for name in _doc_files() + ["Makefile"]:
             for var in re.findall(r"\bREPRO_[A-Z_]+\b", _read(name)):
                 found.setdefault(var, name)
         return found
