@@ -86,10 +86,8 @@ smoke-obs:
 smoke-kernels:
 	$(PYTHON) scripts/smoke_kernels.py
 
-# Cache-dynamics analytics check: the vectorized Mattson profiler is
-# bit-identical to the trace.analysis oracles (random + SPEC-archetype
-# streams), columnar engine counters reconcile exactly with scalar
-# CacheStats, and counters=True stays within its 5% overhead budget.
+# Profiler check: the vectorized Mattson profiler is bit-identical to the
+# trace.analysis oracles on a random stream and a SPEC-archetype stream.
 smoke-analytics:
 	$(PYTHON) scripts/smoke_analytics.py
 

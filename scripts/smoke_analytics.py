@@ -1,25 +1,15 @@
 #!/usr/bin/env python3
-"""Cache-dynamics analytics smoke check (``make smoke-analytics``).
+"""Profiler-against-oracle smoke check (``make smoke-analytics``).
 
-Exercises ``repro.obs.analytics`` end to end and asserts:
+Asserts that the vectorized Mattson profiler of ``repro.obs.analytics``
+is **bit-identical** to the pure-Python ``repro.trace.analysis`` oracles
+(global stack-distance histogram, per-set stack histograms and the PDP
+reuse histogram), and that its miss curve is sane (non-increasing,
+``misses(0) == accesses`` and ``misses(footprint) == cold misses``), on:
 
-1. the vectorized Mattson profiler is **bit-identical** to the
-   ``repro.trace.analysis`` oracles — global stack-distance histogram,
-   per-set stack histograms, and the PDP reuse histogram — on a
-   randomized mixed hit/miss stream, and its miss curve is sane
-   (monotone non-increasing, anchored at ``misses(0) == accesses`` and
-   ``misses(footprint) == cold misses``);
-2. the same bit-equality holds on a synthetic SPEC-archetype trace
-   (``462.libquantum``), i.e. on the streams experiments actually use;
-3. columnar :class:`BatchSimulator` counters **reconcile exactly** with
-   a scalar ``GIPPRPolicy`` + ``SetAssociativeCache`` run of every lane
-   (accesses/hits/misses/evictions via
-   :func:`repro.obs.analytics.reconcile_with_stats`), miss counts are
-   unchanged by enabling counters, and ``measured_misses`` carries the
-   warmup-filtered view;
-4. the **counters-enabled overhead budget** holds: ``counters=True``
-   costs at most 5 % over a plain columnar run (min-of-N interleaved
-   timing via :func:`repro.obs.overhead.measure_counters_overhead`).
+1. a randomized mixed hit/miss stream, and
+2. a synthetic SPEC-archetype trace (``462.libquantum``), i.e. on the
+   streams experiments actually use.
 
 Exits non-zero on any failure.
 """
@@ -36,8 +26,6 @@ from repro.trace.analysis import (  # noqa: E402
     stack_distance_histogram,
 )
 from repro.trace.record import Trace  # noqa: E402
-
-OVERHEAD_BUDGET = 1.05
 
 BENCHMARK = "462.libquantum"
 NUM_SETS = 16
@@ -91,81 +79,6 @@ def check_profile_matches_oracle(label, addresses, num_sets, max_distance=64):
     return profile
 
 
-def columnar_checks():
-    from repro.cache import SetAssociativeCache
-    from repro.core.ipv import IPV, lip_ipv, lru_ipv
-    from repro.engine.columnar import BatchSimulator
-    from repro.obs.analytics import reconcile_with_stats
-    from repro.policies import GIPPRPolicy
-
-    rng = random.Random(11)
-    stream = make_stream(8_000, NUM_SETS, ASSOC, seed=11)
-    lanes = [
-        tuple(lru_ipv(ASSOC).entries),
-        tuple(lip_ipv(ASSOC).entries),
-        tuple(rng.randrange(ASSOC) for _ in range(ASSOC + 1)),
-    ]
-
-    # 3. Batch counters reconcile with the scalar cache, lane by lane.
-    simulator = BatchSimulator(NUM_SETS, ASSOC, lanes)
-    plain = simulator.run(stream)
-    misses = simulator.run(stream, counters=True)
-    assert (plain == misses).all(), (
-        "enabling counters changed the simulated miss counts"
-    )
-    counters = simulator.counters
-    for lane, entries in enumerate(lanes):
-        policy = GIPPRPolicy(
-            NUM_SETS, ASSOC, ipv=IPV(list(entries), name=f"lane{lane}"),
-            kernel="walk",
-        )
-        cache = SetAssociativeCache(NUM_SETS, ASSOC, policy, block_size=1)
-        for address in stream:
-            cache.access(address)
-        reconcile_with_stats(counters, lane, cache.stats)
-        assert counters.totals(lane)["measured_misses"] == int(misses[lane])
-    print(f"batch counters OK       [{len(lanes)} lanes reconcile with "
-          "scalar CacheStats]")
-
-    # measured_misses is the warmup-filtered view; whole-stream totals
-    # must not move when warmup does.
-    warm = BatchSimulator(NUM_SETS, ASSOC, lanes, warmup=500)
-    warm_misses = warm.run(stream, counters=True)
-    warm_counters = warm.counters
-    for lane in range(len(lanes)):
-        assert (
-            warm_counters.totals(lane)["misses"]
-            == counters.totals(lane)["misses"]
-        ), "whole-stream miss total moved with warmup"
-        assert (
-            warm_counters.totals(lane)["measured_misses"]
-            == int(warm_misses[lane])
-        )
-    print("warmup view OK          [whole-stream totals invariant, "
-          "measured_misses filtered]")
-
-    # 4. Counters overhead budget.  The ratio's floor is the true cost;
-    # noisy-box spikes only ever push it up, so best-of-3 measurement
-    # batches gates on the floor without loosening the budget.
-    from repro.obs.overhead import measure_counters_overhead
-
-    best_ratio = float("inf")
-    for attempt in range(3):
-        _, _, ratio, misses_match = measure_counters_overhead(
-            accesses=150_000, repeats=7
-        )
-        assert misses_match, "counters run diverged from plain run"
-        best_ratio = min(best_ratio, ratio)
-        if best_ratio <= OVERHEAD_BUDGET:
-            break
-    assert best_ratio <= OVERHEAD_BUDGET, (
-        f"counters overhead {best_ratio:.3f}x exceeds "
-        f"{OVERHEAD_BUDGET:.2f}x budget"
-    )
-    print(f"overhead OK             [{best_ratio:.3f}x <= "
-          f"{OVERHEAD_BUDGET:.2f}x]")
-
-
 def main():
     # 1. Profiler vs oracle on a randomized mixed hit/miss stream.
     stream = make_stream(5_000, NUM_SETS, ASSOC, seed=5)
@@ -190,8 +103,6 @@ def main():
     )
     print(f"archetype OK            [{BENCHMARK}, footprint "
           f"{profile.footprint}, bit-identical to oracle]")
-
-    columnar_checks()
     print("smoke-analytics: all checks passed")
 
 

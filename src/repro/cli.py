@@ -546,7 +546,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_trace_stats(args) -> int:
-    from .trace import stack_distance_histogram
+    from .obs.analytics import profile_trace
 
     benchmark = get_benchmark(args.benchmark)
     config = default_config(trace_length=args.length)
@@ -556,18 +556,14 @@ def _cmd_trace_stats(args) -> int:
         benchmark.traces(config.trace_length, config.capacity_blocks),
         benchmark.weights(),
     ):
-        histogram = stack_distance_histogram(trace, max_distance=4096)
-        cold = histogram.get(-1, 0)
-        reuses = sum(c for d, c in histogram.items() if d >= 0)
+        profile = profile_trace(trace, max_distance=4096)
+        reuses = profile.accesses - profile.cold_misses
         print(f"  {trace.name} (weight {weight:.2f}): "
-              f"{len(trace):,} accesses, footprint {trace.footprint():,}, "
-              f"cold {cold / len(trace):.1%}")
+              f"{len(trace):,} accesses, footprint {profile.footprint:,}, "
+              f"cold {profile.cold_misses / len(trace):.1%}")
         if reuses:
-            total = 0
             for threshold in (64, 256, 1024, 4096):
-                mass = sum(
-                    c for d, c in histogram.items() if 0 <= d < threshold
-                )
+                mass = sum(profile.distance_counts[:threshold])
                 print(f"    reuse within stack distance {threshold:>5}: "
                       f"{mass / reuses:.1%}")
     return 0

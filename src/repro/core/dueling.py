@@ -62,18 +62,6 @@ class SaturatingCounter:
         if self.value > self.lo:
             self.value -= 1
 
-    def normalized(self) -> float:
-        """The counter value scaled into ``[-1.0, 1.0]``.
-
-        Exactly ``-1.0`` / ``+1.0`` at the saturation rails and ``0.0`` at
-        the neutral point, independent of the bit width — so PSEL
-        timelines from counters of different widths (the paper's 11-bit
-        vs. the 10-bit DIP convention) plot on one axis.
-        """
-        if self.value >= 0:
-            return self.value / self.hi if self.hi else 0.0
-        return -(self.value / self.lo)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SaturatingCounter(bits={self.bits}, value={self.value})"
 

@@ -1,9 +1,11 @@
 """Simulation engines for tree-PLRU IPV policies.
 
 :mod:`repro.engine.columnar` is the numpy-columnar batch simulator: all
-cache sets (and many IPV/config lanes) advance in lockstep over an access
-trace, with the per-access policy math served by the precompiled
-transition tables of :mod:`repro.kernels`.
+cache sets (and many IPV lanes) advance in lockstep over an access
+trace.  Every transition is a path write over the shared per-``k``
+tables of :func:`repro.kernels.tables.base_tables`, so a lane compiles
+nothing of its own, and a run returns miss counts (and, on request,
+miss indices).
 
 :mod:`repro.engine.scalar` holds the one scalar loop,
 :class:`ScalarStreamSimulator`: one lane fed in batches (a one-shot run

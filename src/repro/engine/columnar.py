@@ -13,7 +13,9 @@ tables of :func:`repro.kernels.tables.base_tables` (the memoized Figure
 tables of its own and every miss count produced here is bit-identical to
 the bit-walk in :class:`~repro.engine.scalar.ScalarStreamSimulator`; the
 differential/golden suites in ``tests/engine`` and ``tests/verify`` pin
-that.
+that.  A run returns measured miss counts and, on request, miss indices:
+the GA's fitness model needs one miss count per lane and workload, and
+serving one per lane and batch.
 
 Lockstep-over-sets scheduling
 -----------------------------
@@ -56,8 +58,6 @@ from ..kernels import tables as _tables
 
 __all__ = [
     "DEFAULT_BATCH_ACCESSES",
-    "DEFAULT_DEPTH_SAMPLE",
-    "BatchCounters",
     "BatchSimulator",
     "ColumnarTrace",
     "columnar_supported",
@@ -78,13 +78,6 @@ DEFAULT_BATCH_ACCESSES = 1 << 16
 #: ``population_scaling`` row: the crossover sits between 2 and 8 lanes
 #: on every host measured).
 DEFAULT_AUTO_MIN_LANES = 4
-
-#: Default hit-depth sampling stride for :class:`BatchCounters`: depths
-#: are decoded on every ``depth_sample``-th lockstep step (a systematic
-#: sample over per-set access ranks).  1 is exhaustive; the default keeps
-#: the counters-enabled overhead inside the ``make smoke-analytics``
-#: budget on the lockstep engine.
-DEFAULT_DEPTH_SAMPLE = 8
 
 #: Scalar-spill tuning for collapsed traces.  Run collapsing flattens
 #: single-hot-key columns, but a set where *two* hot keys interleave
@@ -136,64 +129,6 @@ def _hit_decoder(k: int):
         way = hit_way.take((x * mul) >> top)
         return is_hit, np.where(is_hit, way, miss_way)
     return decode
-
-
-class BatchCounters:
-    """Per-lane/per-set counters accumulated during one engine run.
-
-    All arrays are numpy ``int64``.  Counters cover the **entire**
-    stream — warmup included — so for a ``warmup=0`` run the per-lane
-    totals reconcile exactly with a scalar
-    :class:`~repro.cache.stats.CacheStats` over the same trace
-    (``fills == misses`` here: this engine never bypasses).
-    ``measured_misses`` repeats the simulator's warmup-filtered return
-    value so one object carries both views.
-
-    ``hit_depth[lane, d]`` counts hits whose pre-promotion recency
-    position was ``d``, sampled every ``depth_sample`` steps
-    (``depth_sample == 1`` means exhaustive, in which case each row sums
-    to the lane's hit count).
-    """
-
-    __slots__ = ("lanes", "num_sets", "assoc", "warmup", "accesses",
-                 "set_accesses", "hits", "misses", "evictions", "cold_fills",
-                 "hit_depth", "depth_sample", "measured_misses")
-
-    def __init__(self, lanes, num_sets, assoc, warmup, accesses,
-                 set_accesses, misses, cold_fills, hit_depth, depth_sample,
-                 measured_misses):
-        self.lanes = lanes
-        self.num_sets = num_sets
-        self.assoc = assoc
-        self.warmup = warmup
-        self.accesses = accesses
-        self.set_accesses = set_accesses
-        self.misses = misses
-        self.hits = set_accesses[None, :] - misses
-        self.cold_fills = cold_fills
-        self.evictions = misses - cold_fills
-        self.hit_depth = hit_depth
-        self.depth_sample = depth_sample
-        self.measured_misses = measured_misses
-
-    def totals(self, lane: int) -> Dict[str, int]:
-        """Whole-stream totals for one lane (CacheStats-comparable)."""
-        hits = int(self.hits[lane].sum())
-        misses = int(self.misses[lane].sum())
-        return {
-            "accesses": self.accesses,
-            "hits": hits,
-            "misses": misses,
-            "fills": misses,
-            "cold_fills": int(self.cold_fills[lane].sum()),
-            "evictions": int(self.evictions[lane].sum()),
-            "hit_rate": hits / self.accesses if self.accesses else 0.0,
-            "measured_misses": int(self.measured_misses[lane]),
-        }
-
-    def hit_depth_histogram(self, lane: int):
-        """Sampled pre-promotion recency-depth counts (length assoc)."""
-        return [int(c) for c in self.hit_depth[lane]]
 
 
 def columnar_supported(assoc: int) -> bool:
@@ -255,9 +190,11 @@ class ColumnarTrace:
     applies whole runs in O(1) — bit-identical misses, miss indices and
     final state.  This is the antidote to lockstep degeneration on
     Zipf-skewed streams, where a hot key turns its set's column into one
-    long run and per-step widths collapse to 1.  Counters require the
-    original per-access columns, so ``run(counters=True)`` rejects
-    collapsed traces.
+    long run and per-step widths collapse to 1.
+
+    The chunks are the simulator's working layout, not an exchange
+    format: code that needs the accesses themselves (the profiler, for
+    one) takes the raw address sequence.
 
     ``addresses`` may also be a list of streams to bin side by side (see
     the module docstring); ``lengths`` then holds their access counts
@@ -475,17 +412,9 @@ class BatchSimulator:
         self.warmup = warmup
         self.lanes = len(entries_list)
         self._tables = _LaneTables(assoc, entries_list)
-        #: :class:`BatchCounters` from the last ``run(counters=True)``.
-        self.counters: Optional[BatchCounters] = None
         self._stream: Optional[dict] = None
 
-    def run(
-        self,
-        trace,
-        collect_miss_indices: bool = False,
-        counters: bool = False,
-        depth_sample: int = DEFAULT_DEPTH_SAMPLE,
-    ):
+    def run(self, trace, collect_miss_indices: bool = False):
         """Replay ``trace`` through every lane from cold state.
 
         ``trace`` is a :class:`ColumnarTrace` (reuse it across
@@ -495,16 +424,8 @@ class BatchSimulator:
         ``collect_miss_indices`` a ``(misses, indices)`` tuple where
         ``indices[lane]`` is the sorted list of measured-miss access
         indices (exactly what the scalar ``miss_indices`` output yields).
-        Miss indices and counters describe one stream, so a segmented
-        trace rejects both.
-
-        ``counters=True`` additionally accumulates a
-        :class:`BatchCounters` on ``self.counters`` (hits, misses,
-        evictions and cold fills per lane and set, plus a hit-depth
-        histogram sampled every ``depth_sample`` steps).  The miss counts
-        and final state are bit-identical with or without counters; the
-        extra cost per step is one chunk-local accumulate and two list
-        appends of arrays the kernel computes anyway.
+        Miss indices describe one stream, so a segmented trace rejects
+        them.
         """
         from ..obs.spans import span
 
@@ -515,20 +436,11 @@ class BatchSimulator:
                 f"trace was binned for {trace.num_sets} sets, "
                 f"simulator has {self.num_sets}"
             )
-        if counters and depth_sample < 1:
-            raise ValueError("depth_sample must be >= 1")
-        if (counters or collect_miss_indices) and trace.lengths is not None:
-            raise ValueError("miss indices and counters need one stream")
-        if counters and trace.collapsed:
-            raise ValueError(
-                "counters need per-access columns; build the trace with "
-                "collapse_runs=False"
-            )
-        self.counters = None
+        if collect_miss_indices and trace.lengths is not None:
+            raise ValueError("miss indices need one stream")
         with span("engine.columnar_run", lanes=self.lanes,
-                  accesses=trace.n, counters=int(counters)):
-            return self._run(trace, collect_miss_indices, counters,
-                             depth_sample)
+                  accesses=trace.n):
+            return self._run(trace, collect_miss_indices)
 
     def begin_stream(self) -> "BatchSimulator":
         """Reset to cold state and open an incremental feed.
@@ -613,8 +525,6 @@ class BatchSimulator:
         return misses
 
     def _run(self, trace: ColumnarTrace, collect_miss_indices: bool,
-             counters: bool = False,
-             depth_sample: int = DEFAULT_DEPTH_SAMPLE,
              state=None, tags=None, nfill=None, index_offset: int = 0):
         L, S, k = self.lanes, self.num_sets, self.assoc
         t = self._tables
@@ -639,11 +549,6 @@ class BatchSimulator:
         lane_rows = np.arange(L)[:, None]
         miss_lanes: List = []
         miss_gidx: List = []
-        if counters:
-            set_accesses = np.zeros(S, dtype=np.int64)
-            miss_ls = np.zeros((L, S), dtype=np.int64)
-            depth_counts = np.zeros(L * k + 1, dtype=np.int64)
-            lane_k = (np.arange(L, dtype=np.int64) * k)[:, None]
         for chunk in trace.chunks:
             cols = chunk.cols
             offsets = chunk.step_offsets
@@ -663,7 +568,7 @@ class BatchSimulator:
             # at the first thin step and finish those columns scalar.
             depth_cap = chunk.max_depth
             spill_widths = None
-            if (rep_by_step is not None and not counters
+            if (rep_by_step is not None
                     and chunk.max_depth >= _SPILL_MIN_CAP + _SPILL_MIN_STEPS):
                 widths_all = np.diff(offsets)
                 thin = np.flatnonzero(
@@ -674,18 +579,6 @@ class BatchSimulator:
                         >= _SPILL_MIN_STEPS):
                     depth_cap = int(thin[0])
                     spill_widths = widths_all
-            if counters:
-                # Step-major miss buffer, one plane per lockstep step:
-                # a slice write per step plus one vectorized sum over
-                # the step axis at chunk end.  This beats a per-step
-                # `+=` scatter (a numpy call per step) and a ragged
-                # buffer + masked bincount (a fancy-index pass over
-                # every access) — both blow the 5 % overhead budget.
-                miss_buf = np.zeros(
-                    (L, chunk.max_depth, cols.size), dtype=bool
-                )
-                sw_frames: List = []
-                hit_frames: List = []
             # One segment-max pass replaces a per-step rep reduce.
             rep_max = None
             if rep_by_step is not None and depth_cap:
@@ -727,15 +620,6 @@ class BatchSimulator:
                 new_state = (
                     (stj & keep_t.take(way)) | bits_t.take(way * k + target)
                 )
-                if counters:
-                    miss_buf[:, j, :w] = miss
-                    if j % depth_sample == 0:
-                        # On a hit, way == hit_way, so `sw` already
-                        # indexes the pre-promotion (state, way) cell the
-                        # pos table decodes; misses are masked out of the
-                        # histogram at chunk end.
-                        sw_frames.append(sw)
-                        hit_frames.append(is_hit)
                 # Hits rewrite the resident tag with itself, so the tag
                 # scatter needs no mask at all: one flat put, whose
                 # [L, w] indices take `addr` cyclically, i.e. per column.
@@ -761,40 +645,10 @@ class BatchSimulator:
             tags[:, cols, :] = tg
             nfill[:, cols] = nf
             col_misses[:, cols] += cm
-            if counters:
-                # Per-set access counts without touching the address
-                # arrays: column c of this chunk is active on exactly the
-                # steps whose width exceeds c (widths are non-increasing).
-                widths = np.diff(offsets)
-                if widths.size:
-                    per_col = np.searchsorted(
-                        -widths, -np.arange(cols.size, dtype=np.int64),
-                        side="left",
-                    )
-                    set_accesses[cols] += per_col
-                if chunk.max_depth:
-                    miss_ls[:, cols] += miss_buf.sum(
-                        axis=1, dtype=np.int64
-                    )
-                if sw_frames:
-                    sw_all = np.concatenate(sw_frames, axis=1)
-                    hit_all = np.concatenate(hit_frames, axis=1)
-                    sel = np.where(
-                        hit_all, pos_t.take(sw_all) + lane_k, L * k
-                    )
-                    depth_counts += np.bincount(
-                        sel.ravel(), minlength=L * k + 1
-                    )
         self.final_state = state
         misses = col_misses.reshape(L, -1, S).sum(axis=2)
         if trace.lengths is None:
             misses = misses[:, 0]
-        if counters:
-            self.counters = BatchCounters(
-                L, S, k, warmup, trace.n, set_accesses, miss_ls,
-                nfill.astype(np.int64), depth_counts[:L * k].reshape(L, k),
-                depth_sample, misses.copy(),
-            )
         if not collect_miss_indices:
             return misses
         indices: List[List[int]] = [[] for _ in range(L)]

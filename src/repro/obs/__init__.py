@@ -33,8 +33,7 @@ zero-overhead when disabled:
   latency and shard rows) rendered by ``repro obs watch``; the final
   state survives completion for post-mortems.
 * :mod:`repro.obs.analytics` — cache-dynamics analytics: the vectorized
-  Mattson miss-curve/stack-distance profiler, the check that columnar
-  engine counters reconcile with a scalar run, GA convergence telemetry,
+  Mattson miss-curve/stack-distance profiler, GA convergence telemetry,
   and the ``repro obs analyze`` report builder.
 
 The hot path (:meth:`repro.cache.cache.SetAssociativeCache.access`) pays a
@@ -48,7 +47,6 @@ from .analytics import (
     build_report,
     generation_stats,
     profile_trace,
-    reconcile_with_stats,
 )
 from .events import (
     EVENT_KINDS,
@@ -97,7 +95,6 @@ __all__ = [
     "build_report",
     "generation_stats",
     "profile_trace",
-    "reconcile_with_stats",
     "SpanRecorder",
     "current_recorder",
     "install_recorder",

@@ -49,7 +49,6 @@ __all__ = [
     "MattsonProfile",
     "profile_trace",
     "stack_distances",
-    "per_set_reuse_histogram_fast",
 ]
 
 #: Default cap, matching ``trace.analysis.stack_distance_histogram``.
@@ -59,24 +58,11 @@ DEFAULT_MAX_DISTANCE = 4096
 DEFAULT_REUSE_MAX_DISTANCE = 256
 
 
-def _extract_addresses(trace) -> Tuple[Sequence[int], Optional[int]]:
-    """Addresses (and the binned set count, if the input carries one).
-
-    Accepts a raw sequence, a :class:`repro.trace.record.Trace`, or a
-    :class:`repro.engine.columnar.ColumnarTrace` (whose step-transposed
-    chunks are scattered back into global access order, which needs one
-    stream with every access kept).
-    """
-    if hasattr(trace, "chunks") and hasattr(trace, "num_sets"):
-        if trace.collapsed or trace.lengths is not None:
-            raise ValueError("profile an uncollapsed single-stream trace")
-        addrs = np.empty(trace.n, dtype=np.int64)
-        for chunk in trace.chunks:
-            addrs[chunk.gidx_by_step] = chunk.addr_by_step
-        return addrs, trace.num_sets
+def _addresses(trace) -> Sequence[int]:
+    """The addresses of a raw sequence or a :class:`repro.trace.Trace`."""
     if hasattr(trace, "address_list"):
-        return trace.address_list(), None
-    return trace, None
+        return trace.address_list()
+    return trace
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +161,7 @@ def _stack_distances(addrs):
 
 def stack_distances(trace) -> List[int]:
     """Exact (uncapped) LRU stack distance per access; -1 = first touch."""
-    addresses, _ = _extract_addresses(trace)
-    addrs = np.ascontiguousarray(addresses, dtype=np.int64)
+    addrs = np.ascontiguousarray(_addresses(trace), dtype=np.int64)
     dist, _ = _stack_distances(addrs)
     return dist.tolist()
 
@@ -456,42 +441,13 @@ def profile_trace(
 ) -> MattsonProfile:
     """Profile an access stream in one vectorized pass.
 
-    ``trace`` is a raw address sequence, a :class:`repro.trace.Trace`, or
-    a :class:`repro.engine.columnar.ColumnarTrace` (which contributes its
-    set binning when ``num_sets`` is not given).  ``num_sets=None`` skips
-    the per-set surfaces — the global pass is then roughly half the work.
+    ``trace`` is a raw address sequence or a :class:`repro.trace.Trace`.
+    ``num_sets=None`` skips the per-set surfaces — the global pass is
+    then roughly half the work.
     """
-    addresses, inferred = _extract_addresses(trace)
-    if num_sets is None:
-        num_sets = inferred
     _validate(max_distance, reuse_max_distance, num_sets)
-    addrs = np.ascontiguousarray(addresses, dtype=np.int64)
+    addrs = np.ascontiguousarray(_addresses(trace), dtype=np.int64)
     if addrs.ndim != 1:
         raise ValueError("addresses must be a flat sequence")
     return _profile(addrs, num_sets, max_distance, reuse_max_distance)
 
-
-def per_set_reuse_histogram_fast(
-    trace, num_sets: int, max_distance: int = DEFAULT_REUSE_MAX_DISTANCE
-) -> List[int]:
-    """Vectorized twin of ``trace.analysis.per_set_reuse_histogram``.
-
-    In set-major order the reuse delta of an access is simply the gap to
-    its previous occurrence, so this needs one stable argsort and one
-    bincount — no stack machinery at all.
-    """
-    if not is_power_of_two(num_sets):
-        raise ValueError("num_sets must be a power of two")
-    if max_distance < 1:
-        raise ValueError("max_distance must be positive")
-    addresses, _ = _extract_addresses(trace)
-    addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-    n = int(addrs.size)
-    if n == 0:
-        return [0] * (max_distance + 1)
-    order = np.argsort(addrs & (num_sets - 1), kind="stable")
-    prev = _previous_occurrence(addrs[order])
-    deltas = (np.arange(n, dtype=np.int64) - prev)[prev >= 0]
-    return np.bincount(
-        np.minimum(deltas, max_distance), minlength=max_distance + 1
-    ).tolist()

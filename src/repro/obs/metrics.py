@@ -78,7 +78,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down.  Thread-safe (see :class:`Counter`)."""
+    """The last value ``set``.  Thread-safe (see :class:`Counter`)."""
 
     __slots__ = ("value", "_lock")
     kind = "gauge"
@@ -90,14 +90,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
 
     def as_json(self):
         return self.value
@@ -193,10 +185,9 @@ class Histogram:
     def observe(self, value: float, weight: int = 1) -> None:
         """Record ``value``; ``weight`` observes it ``weight`` times at once.
 
-        Weighted observation is how pre-aggregated counts (the columnar
-        engine's hit-depth arrays, one engine batch of thousands of
-        accesses at one amortized latency) flush in without a Python-level
-        loop per event.  NaN values, NaN/negative weights and negative
+        Weighted observation is how a pre-aggregated count (one serving
+        batch of thousands of accesses at one amortized latency) flushes
+        in without a Python-level loop per event.  NaN values, NaN/negative weights and negative
         values in the log-linear layout are rejected loudly: binning them
         anywhere would corrupt every downstream percentile.  ``weight=0``
         is a no-op by design.
@@ -323,40 +314,32 @@ class MetricsRegistry:
     existing name with a different instrument type raises.
     """
 
-    def __init__(self, namespace: str = ""):
-        if namespace and not _NAME_RE.match(namespace):
-            raise ValueError(f"invalid metrics namespace {namespace!r}")
-        self.namespace = namespace
+    def __init__(self):
         self._help: Dict[str, str] = {}
         self._kind: Dict[str, str] = {}
         self._instruments: Dict[Tuple[str, LabelPairs], object] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _full_name(self, name: str) -> str:
-        full = f"{self.namespace}_{name}" if self.namespace else name
-        if not _NAME_RE.match(full):
-            raise ValueError(f"invalid metric name {full!r}")
-        return full
-
     def _get_or_create(self, factory, kind: str, name: str,
                        help: str, labels, *args):
-        full = self._full_name(name)
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
         frozen = _freeze_labels(labels)
         with self._lock:
-            existing_kind = self._kind.get(full)
+            existing_kind = self._kind.get(name)
             if existing_kind is not None and existing_kind != kind:
                 raise ValueError(
-                    f"metric {full!r} already registered as {existing_kind}"
+                    f"metric {name!r} already registered as {existing_kind}"
                 )
-            key = (full, frozen)
+            key = (name, frozen)
             instrument = self._instruments.get(key)
             if instrument is None:
                 instrument = factory(*args)
                 self._instruments[key] = instrument
-                self._kind[full] = kind
+                self._kind[name] = kind
                 if help:
-                    self._help[full] = help
+                    self._help[name] = help
             return instrument
 
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ from ..cache.cache import SetAssociativeCache
 
 __all__ = [
     "disabled_overhead_ratio",
-    "measure_counters_overhead",
     "measure_overhead",
 ]
 
@@ -157,61 +156,3 @@ def disabled_overhead_ratio(
         )
     return ratio
 
-
-def measure_counters_overhead(
-    accesses: int = 200_000,
-    num_sets: int = 64,
-    assoc: int = 16,
-    lanes: int = 4,
-    repeats: int = 5,
-):
-    """Return ``(plain_sec, counters_sec, ratio, misses_match)``.
-
-    Applied to the columnar engine's ``counters=True`` accumulation over
-    one shared :class:`~repro.engine.columnar.ColumnarTrace`, plus a
-    bit-equality check that turning counters on changed no miss count.
-
-    Measurement discipline differs from :func:`measure_overhead` in two
-    ways, both because the numpy runs are memory-bound and the effect
-    being measured is a few percent: timing uses ``process_time`` (CPU
-    seconds — the budget is about the *compute* the counter path adds,
-    and wall clock on a shared box swings more than the effect), and the
-    reported ratio is the **minimum of the per-round paired ratios**
-    ``counters_i / plain_i``.  Each round times the two variants back to
-    back, so slow phases (cache contention, frequency shifts) hit both
-    sides of a pair roughly equally and cancel in the ratio; the min
-    over rounds is then the cleanest-round estimate of the true cost.
-    ``make smoke-analytics`` holds it to the same 5 % budget as disabled
-    tracing.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    from ..engine.columnar import BatchSimulator, ColumnarTrace
-
-    addresses = _addresses(accesses, num_sets, assoc)
-    trace = ColumnarTrace(addresses, num_sets)
-    population = []
-    for lane in range(lanes):
-        entries = [(i * (lane + 1)) % assoc for i in range(assoc)]
-        population.append(entries + [lane % assoc])
-    simulator = BatchSimulator(num_sets, assoc, population)
-    # Untimed warmup pass per variant: first-call numpy/table setup must
-    # not be billed to either side.
-    plain = simulator.run(trace)
-    with_counters = simulator.run(trace, counters=True)
-    misses_match = bool((plain == with_counters).all())
-    best_plain = float("inf")
-    best_counters = float("inf")
-    ratio = float("inf")
-    for _ in range(repeats):
-        started = time.process_time()
-        simulator.run(trace)
-        plain_sec = time.process_time() - started
-        started = time.process_time()
-        simulator.run(trace, counters=True)
-        counters_sec = time.process_time() - started
-        best_plain = min(best_plain, plain_sec)
-        best_counters = min(best_counters, counters_sec)
-        if plain_sec > 0:
-            ratio = min(ratio, counters_sec / plain_sec)
-    return best_plain, best_counters, ratio, misses_match

@@ -54,36 +54,6 @@ class TestSaturatingCounter:
         with pytest.raises(TypeError):
             SaturatingCounter(bits=3, init=1.5)
 
-    def test_normalized_rails(self):
-        c = SaturatingCounter(bits=3)
-        assert c.normalized() == 0.0
-        for _ in range(10):
-            c.increment()
-        assert c.normalized() == 1.0  # exactly +1 at the high rail
-        for _ in range(20):
-            c.decrement()
-        assert c.normalized() == -1.0  # exactly -1 at the low rail
-
-    def test_normalized_is_monotone_and_bounded(self):
-        c = SaturatingCounter(bits=4)
-        seen = []
-        for _ in range(20):
-            seen.append(c.normalized())
-            c.increment()
-        assert all(-1.0 <= v <= 1.0 for v in seen)
-        assert seen == sorted(seen)
-
-    @given(bits=st.integers(1, 12), ups=st.integers(0, 50),
-           downs=st.integers(0, 50))
-    @settings(max_examples=100)
-    def test_normalized_always_in_unit_interval(self, bits, ups, downs):
-        c = SaturatingCounter(bits=bits)
-        for _ in range(ups):
-            c.increment()
-        for _ in range(downs):
-            c.decrement()
-        assert -1.0 <= c.normalized() <= 1.0
-
 
 class TestLeaderAssignment:
     def test_counts(self):

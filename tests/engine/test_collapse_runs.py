@@ -164,14 +164,6 @@ def test_collapse_shrinks_depth_on_skew():
     assert coll_depth < plain_depth / 4
 
 
-def test_counters_reject_collapsed_trace():
-    stream = skewed_stream(2000)
-    sim = BatchSimulator(16, 4, [IPVS4[0]], warmup=0)
-    trace = ColumnarTrace(stream, 16, collapse_runs=True)
-    with pytest.raises(ValueError, match="collapse_runs"):
-        sim.run(trace, counters=True)
-
-
 def test_empty_and_single_access_collapse():
     sim = BatchSimulator(16, 4, [IPVS4[0]], warmup=0)
     assert int(sim.run(ColumnarTrace([], 16, collapse_runs=True))[0]) == 0

@@ -307,9 +307,8 @@ class TestSegmented:
     def test_rejects_miss_indices_counters_and_feed(self):
         trace = ColumnarTrace([[1, 2], [3]], 4)
         simulator = BatchSimulator(4, 2, [(0, 0, 1)])
-        for kwargs in ({"collect_miss_indices": True}, {"counters": True}):
-            with pytest.raises(ValueError, match="need one stream"):
-                simulator.run(trace, **kwargs)
+        with pytest.raises(ValueError, match="need one stream"):
+            simulator.run(trace, collect_miss_indices=True)
         for streams in (trace, [[1, 2], [3]]):
             with pytest.raises(ValueError, match="one address stream"):
                 simulator.feed(streams)

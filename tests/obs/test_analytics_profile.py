@@ -10,10 +10,7 @@ import random
 import pytest
 
 from repro.obs.analytics import profile_trace
-from repro.obs.analytics.profile import (
-    per_set_reuse_histogram_fast,
-    stack_distances,
-)
+from repro.obs.analytics.profile import stack_distances
 from repro.trace import (
     Trace,
     per_set_reuse_histogram,
@@ -72,12 +69,6 @@ class TestOracleEquality:
                 window.discard(a)
                 assert dist[i] == len(window)
             seen_at[a] = i
-
-    def test_reuse_fast_helper_matches(self):
-        addresses = mixed_stream(2_000, 256, seed=9)
-        assert per_set_reuse_histogram_fast(addresses, 4) == (
-            per_set_reuse_histogram(Trace(addresses), 4)
-        )
 
     def test_accepts_trace_object(self):
         addresses = mixed_stream(500, 64, seed=4)
@@ -155,32 +146,3 @@ class TestEdgeCasesAndValidation:
         assert "-1" in payload["stack_distance_histogram"]
         json.dumps(payload)  # JSON-safe end to end
 
-
-class TestColumnarTraceInput:
-    def test_rejects_layouts_without_every_access(self):
-        """A collapsed trace keeps one entry per run and a segmented one
-        keeps indices local to each stream: neither scatters back."""
-        from repro.engine.columnar import ColumnarTrace
-
-        addresses = mixed_stream(1_500, 200, seed=13)
-        for trace in (ColumnarTrace(addresses, 8, collapse_runs=True),
-                      ColumnarTrace([addresses, addresses[:700]], 8)):
-            with pytest.raises(ValueError, match="uncollapsed single"):
-                profile_trace(trace)
-
-    def test_columnar_trace_infers_sets_and_matches(self):
-        from repro.engine.columnar import ColumnarTrace
-
-        addresses = mixed_stream(1_500, 200, seed=13)
-        trace = ColumnarTrace(addresses, num_sets=8)
-        from_columnar = profile_trace(trace)
-        from_raw = profile_trace(addresses, num_sets=8)
-        assert from_columnar.num_sets == 8
-        assert (
-            from_columnar.stack_distance_histogram()
-            == from_raw.stack_distance_histogram()
-        )
-        assert (
-            from_columnar.per_set_reuse_histogram()
-            == from_raw.per_set_reuse_histogram()
-        )

@@ -73,7 +73,6 @@ class TestPselMonotonicity:
         for tag in range(50):
             cache.access(_address(leader0, tag))
         assert policy.selector.psel.value == policy.selector.psel.hi == 7
-        assert policy.selector.psel.normalized() == 1.0
 
 
 class TestDuelFlips:

@@ -63,10 +63,41 @@ class TestCommands:
         assert "fitness (mean speedup over LRU):" in out
 
     def test_trace_stats(self, capsys):
+        from repro.eval.config import default_config
+        from repro.trace import stack_distance_histogram
+        from repro.workloads import get_benchmark
+
         assert main(["trace-stats", "429.mcf", "--length", "4000"]) == 0
         out = capsys.readouterr().out
         assert "429.mcf" in out
         assert "footprint" in out
+        # Every per-simpoint line, the cold and reuse percentages
+        # included, as the pure-Python oracle's histogram gives them.
+        benchmark = get_benchmark("429.mcf")
+        config = default_config(trace_length=4000)
+        expected = []
+        for trace, weight in zip(
+            benchmark.traces(config.trace_length, config.capacity_blocks),
+            benchmark.weights(),
+        ):
+            histogram = stack_distance_histogram(trace, max_distance=4096)
+            cold = histogram.get(-1, 0)
+            reuses = len(trace) - cold
+            expected.append(
+                f"  {trace.name} (weight {weight:.2f}): "
+                f"{len(trace):,} accesses, footprint {trace.footprint():,}, "
+                f"cold {cold / len(trace):.1%}"
+            )
+            assert reuses
+            for threshold in (64, 256, 1024, 4096):
+                mass = sum(
+                    c for d, c in histogram.items() if 0 <= d < threshold
+                )
+                expected.append(
+                    f"    reuse within stack distance {threshold:>5}: "
+                    f"{mass / reuses:.1%}"
+                )
+        assert out.splitlines()[1:] == expected
 
     def test_trace_stats_unknown_benchmark(self):
         with pytest.raises(ValueError):
