@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden conformance corpus.
+"""Regenerate the three committed golden corpora.
 
-The corpus (``tests/goldens/conformance_goldens.json``) pins exact miss
-counts for every registered policy on the deterministic golden matrix
-(:func:`repro.verify.goldens.golden_matrix`).  ``repro verify`` and the
-test suite fail on any drift, so this script is the *only* sanctioned way
-to move those numbers — run it after an intentional behaviour change,
-inspect the diff (it names every policy/stream/geometry that moved), and
-commit the result together with the change that caused it.
+The corpora (``tests/goldens/{conformance,columnar,serving}_goldens.json``,
+described in :mod:`repro.verify.goldens`) pin exact results of every
+registered policy, of the columnar and set-dueling engines and of the
+serving scenario.  ``repro verify`` and the test suite fail on any drift,
+so this script is the *only* sanctioned way to move those numbers: run it
+after an intentional behaviour change, read what it prints (each
+corpus's path, its cell count and every entry that moved, as old -> new)
+and commit the result together with the change that caused it.  It
+refuses to write a corpus whose engines disagree.
 
-A provenance manifest sidecar records the code digest, git revision and
-kernel modes of the regeneration.
+A provenance manifest sidecar next to each corpus records the code
+digest, git revision and kernel modes of the regeneration.
 
 Usage::
 
-    python scripts/regen_goldens.py [--out PATH] [--check]
+    python scripts/regen_goldens.py [--check]
 
-``--check`` verifies the committed corpus against a fresh recomputation
+``--check`` verifies the committed corpora against a fresh recomputation
 and exits 1 on drift without writing anything (the CI mode).
 """
 
@@ -27,48 +29,26 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.verify.goldens import (  # noqa: E402
-    DEFAULT_GOLDENS_PATH,
-    check_columnar_goldens,
-    check_golden_corpus,
-    check_serving_goldens,
-    golden_matrix,
-    load_golden_corpus,
-    write_columnar_golden_corpus,
-    write_golden_corpus,
-    write_serving_golden_corpus,
+    CORPORA,
+    check_corpus,
+    write_corpus,
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help=f"corpus path (default: {DEFAULT_GOLDENS_PATH})",
-    )
-    parser.add_argument(
         "--check", action="store_true",
-        help="verify the committed corpus instead of rewriting it",
+        help="verify the committed corpora instead of rewriting them",
     )
-    parser.add_argument(
-        "--no-manifest", action="store_true",
-        help="skip the provenance manifest sidecar",
-    )
-    parser.add_argument(
-        "--skip-columnar", action="store_true",
-        help="leave the columnar kernel-identity corpus untouched",
-    )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.check:
-        drift, checked = check_golden_corpus(args.out)
-        if not args.skip_columnar and args.out is None:
-            col_drift, col_checked = check_columnar_goldens()
-            drift = drift + col_drift
-            checked += col_checked
-        if args.out is None:
-            srv_drift, srv_checked = check_serving_goldens()
-            drift = drift + srv_drift
-            checked += srv_checked
+        drift, checked = [], 0
+        for corpus in CORPORA:
+            lines, count = check_corpus(corpus)
+            drift += lines
+            checked += count
         if drift:
             print(f"golden corpus drift ({len(drift)} entries):",
                   file=sys.stderr)
@@ -78,43 +58,12 @@ def main() -> int:
         print(f"golden corpus OK: {checked} entries match")
         return 0
 
-    previous = {}
-    target = args.out or DEFAULT_GOLDENS_PATH
-    try:
-        previous = load_golden_corpus(target).get("entries", {})
-    except (FileNotFoundError, ValueError):
-        pass
-    path = write_golden_corpus(target, with_manifest=not args.no_manifest)
-    current = load_golden_corpus(path)["entries"]
-    changed = {
-        k: (previous.get(k), v)
-        for k, v in current.items()
-        if previous.get(k) != v
-    }
-    removed = sorted(set(previous) - set(current))
-    print(f"wrote {path}: {len(current)} entries "
-          f"({len(golden_matrix())} cells)")
-    if changed:
-        print(f"{len(changed)} entries changed:")
-        for key in sorted(changed):
-            old, new = changed[key]
+    for corpus in CORPORA:
+        moved = write_corpus(corpus)
+        print(f"wrote {corpus.path}: {len(corpus.cells())} cells, "
+              f"{len(moved)} entries moved")
+        for key, (old, new) in moved.items():
             print(f"  {key}: {old} -> {new}")
-    if removed:
-        print(f"{len(removed)} entries removed:")
-        for key in removed:
-            print(f"  {key}")
-    if not changed and not removed:
-        print("no changes (corpus already matched)")
-    if not args.skip_columnar and args.out is None:
-        col_path = write_columnar_golden_corpus(
-            with_manifest=not args.no_manifest
-        )
-        print(f"wrote {col_path} (columnar kernel-identity corpus)")
-    if args.out is None:
-        srv_path = write_serving_golden_corpus(
-            with_manifest=not args.no_manifest
-        )
-        print(f"wrote {srv_path} (serving scenario corpus)")
     return 0
 
 

@@ -199,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially fuzz registered policies against the "
                     "reference oracles over the deterministic stream family, "
                     "check per-access invariants, LUT-vs-walk kernel "
-                    "identity, Belady dominance and the committed golden "
-                    "corpus.  Failures are shrunk to minimal replayable "
-                    "counterexample artifacts.  Exit code 1 on any failure.",
+                    "identity, Belady dominance and the three committed "
+                    "golden corpora.  Failures are shrunk to minimal "
+                    "replayable counterexample artifacts.  Exit code 1 on "
+                    "any failure.",
     )
     verify_target = verify.add_mutually_exclusive_group()
     verify_target.add_argument(
@@ -241,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--no-goldens", action="store_true",
         help="skip the golden-corpus drift check",
-    )
-    verify.add_argument(
-        "--goldens", default=None, metavar="PATH",
-        help="golden corpus path (default: tests/goldens/"
-             "conformance_goldens.json)",
     )
     verify.add_argument(
         "--report", default=None, metavar="PATH",
@@ -684,7 +680,11 @@ def _cmd_verify(args) -> int:
     from .verify.conformance import DEFAULT_FUZZ_BUDGET
 
     if args.replay is not None:
-        divergence = replay_artifact(args.replay)
+        try:
+            divergence = replay_artifact(args.replay)
+        except (OSError, ValueError) as exc:
+            print(f"cannot replay {args.replay}: {exc}", file=sys.stderr)
+            return 2
         if divergence is None:
             print(f"{args.replay}: no longer reproduces (fixed, or flaky)")
             return 0
@@ -712,7 +712,6 @@ def _cmd_verify(args) -> int:
         artifact_dir=args.artifact_dir,
         seeds=args.seeds,
         check_goldens=not args.no_goldens,
-        goldens_path=args.goldens,
         check_every=check_every,
     )
     print(report.summary())

@@ -48,6 +48,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..obs.provenance import build_manifest, write_atomic, write_manifest
 from ..obs.spans import current_recorder, profiled, span
 from ..policies.registry import make_policy, policy_factory
 from ..workloads.spec import SPEC_BENCHMARKS, SpecBenchmark, benchmark_names
@@ -260,22 +261,12 @@ class ResultCache:
         produced it.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"schema": CACHE_SCHEMA, "key": key, "result": _result_to_dict(result)}
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
+            write_atomic(path, json.dumps(payload, separators=(",", ":")))
         except OSError:  # pragma: no cover - cache dir unwritable
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             return
         if manifest is not None:
-            from ..obs.provenance import write_manifest
-
             write_manifest(path, manifest)
 
     def manifest_for(self, key: str) -> Optional[dict]:
@@ -641,8 +632,6 @@ def _pooled_job(
 
 def _job_manifest(job: "_Job", config: ExperimentConfig, seconds: float) -> dict:
     """Provenance sidecar payload for one freshly simulated cache entry."""
-    from ..obs.provenance import build_manifest
-
     return build_manifest(
         config=config,
         policy=job.policy,

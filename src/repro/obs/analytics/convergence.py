@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from ..provenance import write_atomic
 
 __all__ = [
     "CONVERGENCE_SCHEMA",
@@ -136,13 +137,11 @@ class ConvergenceLog:
         }
 
     def _write(self) -> None:
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as handle:
-                json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.path)
+            write_atomic(
+                self.path,
+                json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
+            )
         except OSError as exc:
             if not self._warned:
                 self._warned = True
@@ -152,10 +151,6 @@ class ConvergenceLog:
                     "convergence log %s unwritable (%s); disabling",
                     self.path, exc,
                 )
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
 
 def read_convergence(path: Union[str, Path]) -> List[dict]:

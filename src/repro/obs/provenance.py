@@ -11,6 +11,7 @@ and stable across processes.
 
 from __future__ import annotations
 
+import contextlib
 import getpass
 import hashlib
 import json
@@ -30,6 +31,7 @@ __all__ = [
     "config_hash",
     "git_revision",
     "manifest_path_for",
+    "write_atomic",
     "write_manifest",
 ]
 
@@ -170,6 +172,27 @@ def manifest_path_for(path: Union[str, Path]) -> Path:
     return path.with_name(f"{stem}.manifest.json")
 
 
+def write_atomic(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``.
+
+    Readers never see a torn file.  Creates the parent directory; on
+    ``OSError`` the temp file is removed and the error re-raised, so each
+    caller keeps its own policy (log, swallow or raise).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+    return path
+
+
 def write_manifest(path: Union[str, Path], manifest: dict) -> Path:
     """Atomically write ``manifest`` as the sidecar of ``path``.
 
@@ -177,17 +200,10 @@ def write_manifest(path: Union[str, Path], manifest: dict) -> Path:
     must never die because its provenance record could not be written.
     """
     target = manifest_path_for(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, target)
+        write_atomic(
+            target, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
     except OSError as exc:  # pragma: no cover - unwritable target
         logger.warning("could not write manifest %s: %s", target, exc)
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
     return target

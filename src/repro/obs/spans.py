@@ -52,6 +52,8 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+from .provenance import write_atomic
+
 __all__ = [
     "SPAN_SCHEMA",
     "SpanRecorder",
@@ -339,13 +341,7 @@ class SpanRecorder:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_folded(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w") as handle:
-            handle.write(self.to_folded())
-        os.replace(tmp, path)
-        return path
+        return write_atomic(path, self.to_folded())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SpanRecorder({len(self.records)} spans, "
@@ -354,14 +350,9 @@ class SpanRecorder:
 
 def write_chrome_trace(path: Union[str, Path], trace: dict) -> Path:
     """Atomically write a Chrome trace dict as JSON; returns the path."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w") as handle:
-        json.dump(trace, handle, separators=(",", ":"))
-        handle.write("\n")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        path, json.dumps(trace, separators=(",", ":")) + "\n"
+    )
 
 
 class profiled:

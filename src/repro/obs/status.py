@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from .provenance import write_atomic
+
 __all__ = [
     "STATUS_SCHEMA",
     "StatusPublisher",
@@ -107,22 +109,16 @@ class StatusPublisher:
     # ------------------------------------------------------------------
     def _write(self) -> bool:
         self._state["updated_at"] = time.time()
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as handle:
-                json.dump(self._state, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.path)
+            write_atomic(
+                self.path,
+                json.dumps(self._state, indent=2, sort_keys=True) + "\n",
+            )
         except OSError as exc:
             if not self._warned:
                 self._warned = True
                 logger.warning("could not publish run status to %s: %s",
                                self.path, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             return False
         self.writes += 1
         return True

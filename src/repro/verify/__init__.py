@@ -17,7 +17,8 @@ The subsystem has five layers, each usable on its own:
     replayable JSON artifacts.
 :mod:`repro.verify.conformance` / :mod:`repro.verify.goldens`
     The per-policy fuzz driver, the aggregate ``repro verify`` report,
-    and the committed golden miss-count corpus with drift detection.
+    and the three committed golden corpora (conformance, columnar,
+    serving), which one checker and one writer serve.
 """
 
 from .conformance import (
@@ -38,15 +39,7 @@ from .differential import (
     diff_stream,
     run_differential,
 )
-from .goldens import (
-    check_golden_corpus,
-    check_serving_goldens,
-    compute_goldens,
-    golden_matrix,
-    serving_golden_matrix,
-    write_golden_corpus,
-    write_serving_golden_corpus,
-)
+from .goldens import CORPORA, Corpus, check_corpus, write_corpus
 from .invariants import (
     Invariant,
     check_invariants,
@@ -62,7 +55,9 @@ from .shrink import (
 from .streams import STREAM_GENERATORS, generate_stream, stream_names
 
 __all__ = [
+    "CORPORA",
     "ConformanceReport",
+    "Corpus",
     "Divergence",
     "Invariant",
     "LRUStackOracle",
@@ -73,27 +68,22 @@ __all__ = [
     "build_oracle",
     "build_policy",
     "check_belady_dominance",
-    "check_golden_corpus",
+    "check_corpus",
     "check_invariants",
     "check_lut_walk_equality",
-    "check_serving_goldens",
-    "compute_goldens",
     "default_invariants",
     "diff_stream",
     "generate_stream",
-    "golden_matrix",
     "load_artifact",
     "oracle_for",
     "policy_kwargs",
     "replay_artifact",
     "run_differential",
-    "serving_golden_matrix",
     "shrink_stream",
     "stream_names",
     "verify_all",
     "verify_policy",
     "write_artifact",
     "write_conformance_manifest",
-    "write_golden_corpus",
-    "write_serving_golden_corpus",
+    "write_corpus",
 ]

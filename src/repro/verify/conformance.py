@@ -16,10 +16,10 @@ checking the oracle differential, the per-access invariant battery, the
 LUT-vs-walk kernel identity, ``run_trace``'s engine-vs-per-access
 identity and Belady dominance; any failure is shrunk
 (:mod:`repro.verify.shrink`) and written as a replayable artifact.
-:func:`verify_all` aggregates every policy plus the golden-corpus drift
-check (:mod:`repro.verify.goldens`) and records a provenance manifest via
-:mod:`repro.obs.provenance` so each conformance run names its kernel
-modes, seeds and code digest.
+:func:`verify_all` aggregates every policy plus the drift check of the
+three golden corpora (:mod:`repro.verify.goldens`) and records a
+provenance manifest via :mod:`repro.obs.provenance` so each conformance
+run names its kernel modes, seeds and code digest.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class ConformanceReport:
 
     def summary(self) -> str:
         lines = [r.summary() for r in self.reports]
-        if self.goldens_checked:
+        if self.goldens_checked or self.golden_drift:
             if self.golden_drift:
                 lines.append(
                     f"goldens: {len(self.golden_drift)} drift(s):"
@@ -503,11 +503,11 @@ def verify_all(
     artifact_dir: Optional[str] = None,
     seeds: Sequence[int] = (0, 1),
     check_goldens: bool = True,
-    goldens_path: Optional[str] = None,
     check_every: int = 1,
 ) -> ConformanceReport:
-    """Verify every (or the named) registered policies plus the goldens."""
-    from .goldens import check_golden_corpus
+    """Verify every (or the named) registered policies plus the three
+    golden corpora."""
+    from .goldens import CORPORA, check_corpus
 
     started = time.perf_counter()
     report = ConformanceReport()
@@ -525,24 +525,11 @@ def verify_all(
                 )
             )
     if check_goldens:
-        with span("verify.goldens"):
-            drift, checked = check_golden_corpus(goldens_path)
-        report.golden_drift = drift
-        report.goldens_checked = checked
-        # The columnar corpus rides the same gate (only when the default
-        # corpus location is in use — an explicit path points at the main
-        # corpus only).
-        if goldens_path is None:
-            from .goldens import check_columnar_goldens, check_serving_goldens
-
-            with span("verify.columnar_goldens"):
-                col_drift, col_checked = check_columnar_goldens()
-            report.golden_drift = report.golden_drift + col_drift
-            report.goldens_checked += col_checked
-            with span("verify.serving_goldens"):
-                srv_drift, srv_checked = check_serving_goldens()
-            report.golden_drift = report.golden_drift + srv_drift
-            report.goldens_checked += srv_checked
+        for corpus in CORPORA:
+            with span("verify.goldens", corpus=corpus.name):
+                drift, checked = check_corpus(corpus)
+            report.golden_drift.extend(drift)
+            report.goldens_checked += checked
     report.wall_time_sec = time.perf_counter() - started
     return report
 

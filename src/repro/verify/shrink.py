@@ -17,9 +17,10 @@ repro committed to a bug report keeps working as the code evolves.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
+
+from ..obs.provenance import write_atomic
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -120,19 +121,16 @@ def write_artifact(
     }
     if extra:
         payload.update(extra)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def load_artifact(path: Union[str, Path]) -> dict:
     with open(path) as handle:
         artifact = json.load(handle)
+    if not isinstance(artifact, dict):
+        raise ValueError(f"{path}: artifact is not a JSON object")
     if artifact.get("schema") != ARTIFACT_SCHEMA:
         raise ValueError(
             f"{path}: unknown artifact schema {artifact.get('schema')!r}"

@@ -10,7 +10,7 @@ from repro.obs import (
     manifest_path_for,
     write_manifest,
 )
-from repro.obs.provenance import MANIFEST_SCHEMA
+from repro.obs.provenance import MANIFEST_SCHEMA, write_atomic
 
 import pytest
 
@@ -79,3 +79,19 @@ class TestSidecar:
         )
         # No temp file left behind.
         assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_atomic_write_failure_raises_and_leaves_no_temp_file(
+        self, tmp_path
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file")
+        with pytest.raises(OSError):
+            write_atomic(blocker / "out.json", "{}")
+        # The target is a directory: the temp file is written, and the
+        # failed replace must remove it.
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "dir.json", "{}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "blocker", "dir.json"
+        ]

@@ -4,6 +4,7 @@ import json
 
 from repro.cli import main
 from repro.verify.conformance import policy_kwargs
+from repro.verify.goldens import CONFORMANCE
 from repro.verify.shrink import write_artifact
 
 
@@ -50,15 +51,17 @@ class TestVerifyCommand:
         assert recorded["conformance"]["policies"] == ["lru"]
         assert "kernels" in recorded and "code_version" in recorded
 
-    def test_golden_drift_fails_with_nonzero_exit(self, tmp_path, capsys):
+    def test_golden_drift_fails_with_nonzero_exit(
+        self, tmp_path, capsys, monkeypatch
+    ):
         bad = tmp_path / "goldens.json"
         bad.write_text(json.dumps({
             "schema": "repro-goldens/1",
             "entries": {"lru|zipf-hot|s0|8x4|n1000": -1},
         }))
+        monkeypatch.setattr(CONFORMANCE, "path", bad)
         code = main([
             "verify", "--policy", "lru", "--quick", "--fuzz-budget", "600",
-            "--goldens", str(bad),
         ])
         out = capsys.readouterr().out
         assert code == 1
@@ -81,3 +84,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "no longer reproduces" in out
+
+    def test_replay_of_non_object_artifact_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code = main(["verify", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot replay {path}: ")
+        assert "not a JSON object" in err
+
+    def test_replay_of_missing_artifact_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "absent.json"
+        code = main(["verify", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot replay {path}: ")

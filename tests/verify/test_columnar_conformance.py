@@ -3,9 +3,11 @@
 Two layers of pinning: the differential checks compare columnar against
 walk *and* LUT (misses, miss indices, final positions) on live streams,
 and the committed golden corpus freezes exact miss counts per (kind,
-stream, geometry, engine) so any engine divergence — including one that
-affects all engines identically-wrongly — shows up as drift.  Its duel
-cells pin :func:`repro.engine.scalar.simulate_duel` (misses and PSEL).
+stream, geometry) and recomputes them through every engine, so any
+engine divergence — including one that affects all engines
+identically-wrongly — shows up as drift.  Its duel cells pin
+:func:`repro.engine.scalar.simulate_duel` (misses and PSEL).  The corpus
+runs the shared drift battery (``golden_battery.py``).
 """
 
 import json
@@ -15,15 +17,14 @@ import pytest
 import repro.engine.scalar as scalar_engine
 from repro.engine.columnar import columnar_supported
 from repro.verify.differential import check_columnar_equality
-from repro.verify.goldens import (
-    COLUMNAR_GOLDEN_BATCH,
-    DEFAULT_COLUMNAR_GOLDENS_PATH,
-    check_columnar_goldens,
-    columnar_golden_key,
-    columnar_golden_matrix,
-    compute_columnar_golden,
-)
+from repro.verify.goldens import COLUMNAR, COLUMNAR_GOLDEN_BATCH, check_corpus
 from repro.verify.streams import generate_stream
+
+from .golden_battery import (
+    CommittedCorpusChecks,
+    DriftChecks,
+    RegenerationChecks,
+)
 
 
 def stream_for(num_sets, assoc, name="random-uniform", seed=11, n=2500):
@@ -53,42 +54,38 @@ class TestDifferentialChecks:
         assert check_columnar_equality(8, 4, [0] * 5, []) is None
 
 
-class TestColumnarGoldens:
+class TestColumnarGoldens(CommittedCorpusChecks):
+    corpus = COLUMNAR
+
     def test_matrix_shape(self):
-        matrix = columnar_golden_matrix()
+        matrix = COLUMNAR.cells()
         kinds = {cell[0] for cell in matrix}
         assert kinds == {"ipv", "duel"}
         assocs = {cell[4] for cell in matrix}
         assert {2, 4, 8, 16} <= assocs
         # Prime chunk size: every stream exercises ragged batch tails.
         assert COLUMNAR_GOLDEN_BATCH == 193
-        keys = [columnar_golden_key(cell) for cell in matrix]
+        keys = [COLUMNAR.key(cell) for cell in matrix]
         assert len(keys) == len(set(keys))
 
-    def test_committed_corpus_matches(self):
-        assert DEFAULT_COLUMNAR_GOLDENS_PATH.exists(), (
-            "columnar golden corpus missing; run scripts/regen_goldens.py"
-        )
-        drift, checked = check_columnar_goldens()
-        assert drift == [], drift
-        assert checked == len(columnar_golden_matrix())
-
     def test_engines_agree_on_one_cell(self):
-        cell = columnar_golden_matrix()[0]
-        columnar = compute_columnar_golden(cell, engine="columnar")
-        walk = compute_columnar_golden(cell, engine="walk")
-        lut = compute_columnar_golden(cell, engine="lut")
+        cell = COLUMNAR.cells()[0]
+        assert COLUMNAR.engines(cell) == ("columnar", "walk", "lut")
+        columnar, walk, lut = (
+            COLUMNAR.compute(cell, engine) for engine in COLUMNAR.engines(cell)
+        )
         assert columnar == walk == lut
 
     def test_duel_cell_pins_psel(self):
-        duel_cells = [c for c in columnar_golden_matrix() if c[0] == "duel"]
+        duel_cells = [c for c in COLUMNAR.cells() if c[0] == "duel"]
         assert duel_cells, "matrix must include multi-lane PSEL duels"
-        result = compute_columnar_golden(duel_cells[0], engine="simulate_duel")
-        scalar = compute_columnar_golden(duel_cells[0], engine="scalar")
+        assert COLUMNAR.engines(duel_cells[0]) == ("simulate_duel", "scalar")
+        result = COLUMNAR.compute(duel_cells[0], "simulate_duel")
+        scalar = COLUMNAR.compute(duel_cells[0], "scalar")
         assert result == scalar
         assert "psel" in result and "misses" in result
         with pytest.raises(ValueError, match="no engine 'columnar'"):
-            compute_columnar_golden(duel_cells[0], engine="columnar")
+            COLUMNAR.compute(duel_cells[0], "columnar")
 
     def test_duel_cells_pin_the_follower_pass(self, monkeypatch):
         """Followers that never switch vectors drift every duel cell's
@@ -100,18 +97,25 @@ class TestColumnarGoldens:
             return starts[:1], picks[:1]
 
         monkeypatch.setattr(scalar_engine, "duel_selections", never_switch)
-        with open(DEFAULT_COLUMNAR_GOLDENS_PATH) as handle:
-            committed = json.load(handle)["entries"]
+        committed = json.loads(COLUMNAR.path.read_text())["entries"]
         duel_keys = []
-        for cell in columnar_golden_matrix():
+        for cell in COLUMNAR.cells():
             if cell[0] != "duel":
                 continue
-            key = columnar_golden_key(cell)
+            key = COLUMNAR.key(cell)
             duel_keys.append(key)
-            result = compute_columnar_golden(cell, engine="simulate_duel")
+            result = COLUMNAR.compute(cell, "simulate_duel")
             assert result["psel"] == committed[key]["psel"], key
             assert result["misses"] != committed[key]["misses"], key
-        drift, _ = check_columnar_goldens()
+        drift, _ = check_corpus(COLUMNAR)
         assert len(drift) == len(duel_keys), drift
         for key, line in zip(duel_keys, drift):
             assert line.startswith(f"{key}: simulate_duel "), line
+
+
+class TestColumnarDriftDetection(DriftChecks):
+    corpus = COLUMNAR
+
+
+class TestColumnarRegeneration(RegenerationChecks):
+    corpus = COLUMNAR

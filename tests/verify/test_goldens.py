@@ -1,96 +1,80 @@
-"""The committed golden corpus: it matches, and tampering is named."""
+"""The conformance golden corpus, and regeneration of all three corpora.
 
+The drift battery itself lives in ``golden_battery.py``; this module
+binds it to the conformance corpus and adds what is particular to it.
+"""
+
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.verify.goldens import (
-    DEFAULT_GOLDENS_PATH,
-    GOLDEN_SCHEMA,
-    check_golden_corpus,
-    compute_golden,
-    golden_key,
-    golden_matrix,
-    load_golden_corpus,
-    write_golden_corpus,
+from repro.verify.goldens import COLUMNAR, CONFORMANCE, CORPORA
+
+from .golden_battery import (
+    CommittedCorpusChecks,
+    DriftChecks,
+    RegenerationChecks,
+)
+
+REGEN_SCRIPT = (
+    Path(__file__).resolve().parents[2] / "scripts" / "regen_goldens.py"
 )
 
 
-class TestCommittedCorpus:
-    def test_corpus_file_is_committed(self):
-        assert DEFAULT_GOLDENS_PATH.exists(), (
-            "tests/goldens/conformance_goldens.json must be committed; "
-            "regenerate with scripts/regen_goldens.py"
-        )
-
-    def test_corpus_matches_current_behaviour(self):
-        drift, checked = check_golden_corpus()
-        assert drift == [], "\n".join(drift)
-        assert checked == len(golden_matrix())
+class TestCommittedCorpus(CommittedCorpusChecks):
+    corpus = CONFORMANCE
 
     def test_every_registry_policy_is_pinned(self):
         from repro.policies.registry import policy_names
 
-        pinned = {cell[0] for cell in golden_matrix()}
+        pinned = {cell[0] for cell in CONFORMANCE.cells()}
         assert pinned == set(policy_names())
 
-    def test_schema_and_metadata(self):
-        payload = load_golden_corpus()
-        assert payload["schema"] == GOLDEN_SCHEMA
-        assert payload["n"] > 0
-        assert len(payload["entries"]) == len(golden_matrix())
+
+class TestDriftDetection(DriftChecks):
+    corpus = CONFORMANCE
 
 
-class TestDriftDetection:
-    def test_tampered_entry_is_named(self, tmp_path):
-        payload = load_golden_corpus()
-        key = golden_key(golden_matrix()[0])
-        payload["entries"][key] += 1
-        tampered = tmp_path / "goldens.json"
-        tampered.write_text(json.dumps(payload))
-        drift, _ = check_golden_corpus(tampered)
-        assert len(drift) == 1
-        assert key in drift[0] and "misses" in drift[0]
-
-    def test_missing_corpus_is_drift_not_pass(self, tmp_path):
-        drift, checked = check_golden_corpus(tmp_path / "absent.json")
-        assert checked == 0
-        assert drift and "missing" in drift[0]
-
-    def test_stale_extra_entry_is_drift(self, tmp_path):
-        payload = load_golden_corpus()
-        payload["entries"]["ghost|zipf-hot|s0|8x4|n1000"] = 123
-        stale = tmp_path / "goldens.json"
-        stale.write_text(json.dumps(payload))
-        drift, _ = check_golden_corpus(stale)
-        assert any("no longer in the matrix" in d for d in drift)
-
-    def test_unknown_schema_is_drift(self, tmp_path):
-        bad = tmp_path / "goldens.json"
-        bad.write_text('{"schema": "other/1", "entries": {}}')
-        drift, checked = check_golden_corpus(bad)
-        assert checked == 0 and drift
-
-
-class TestRegeneration:
-    def test_write_then_check_roundtrip(self, tmp_path):
-        path = write_golden_corpus(
-            tmp_path / "fresh.json", with_manifest=True
-        )
-        drift, checked = check_golden_corpus(path)
-        assert drift == [] and checked == len(golden_matrix())
-        # Provenance manifest sidecar rides along.
-        manifest = path.with_name("fresh.manifest.json")
-        assert manifest.exists()
-        recorded = json.loads(manifest.read_text())
-        assert recorded["goldens"]["entries"] == checked
+class TestRegeneration(RegenerationChecks):
+    corpus = CONFORMANCE
 
     def test_compute_golden_is_deterministic(self):
-        cell = golden_matrix()[0]
-        assert compute_golden(cell) == compute_golden(cell)
+        cell = CONFORMANCE.cells()[0]
+        assert (CONFORMANCE.compute(cell, "cache")
+                == CONFORMANCE.compute(cell, "cache"))
 
     @pytest.mark.parametrize("policy", ["belady"])
     def test_future_policies_compute(self, policy):
         cell = (policy, "zipf-hot", 0, 8, 4, 300)
-        misses = compute_golden(cell)
+        misses = CONFORMANCE.compute(cell, "cache")
         assert 0 < misses <= 300
+
+
+def test_regen_prints_each_moved_entry(tmp_path, monkeypatch, capsys):
+    """A plain regeneration names every entry it moves, in every corpus."""
+    spec = importlib.util.spec_from_file_location("regen_goldens",
+                                                  REGEN_SCRIPT)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    for corpus in CORPORA:
+        copy = tmp_path / corpus.path.name
+        copy.write_text(corpus.path.read_text())
+        monkeypatch.setattr(corpus, "path", copy)
+    payload = json.loads(COLUMNAR.path.read_text())
+    key = COLUMNAR.key(COLUMNAR.cells()[-1])
+    value = payload["entries"][key]
+    bumped = dict(value, misses=[value["misses"][0] + 1]
+                  + value["misses"][1:])
+    payload["entries"][key] = bumped
+    COLUMNAR.path.write_text(json.dumps(payload))
+
+    assert regen.main([]) == 0
+    out = capsys.readouterr().out
+    assert f"  {key}: {bumped} -> {value}\n" in out
+    for corpus in CORPORA:
+        moved = 1 if corpus is COLUMNAR else 0
+        assert (f"wrote {corpus.path}: {len(corpus.cells())} cells, "
+                f"{moved} entries moved") in out
+    assert json.loads(COLUMNAR.path.read_text())["entries"][key] == value
