@@ -37,6 +37,7 @@ def main():
     # the adaptation lag proportionate (same saturation-to-traffic ratio).
     policy = DGIPPRPolicy(64, 16, ipvs=[pmru, plru], counter_bits=8)
     cache = SetAssociativeCache(64, 16, policy, block_size=1)
+    psel = policy.selector.counters["psel"]
 
     print(f"{'access':>8}  {'phase':<9} {'selected vector':<14} {'PSEL':>6} {'miss rate':>9}")
     window_misses = 0
@@ -48,7 +49,7 @@ def main():
             phase = "friendly" if ((i // PHASE) % 2 == 0) else "thrash"
             print(
                 f"{i + 1:>8}  {phase:<9} {policy.active_ipv().name:<14} "
-                f"{policy.selector.psel.value:>6} {window_misses / window:>9.3f}"
+                f"{psel.value:>6} {window_misses / window:>9.3f}"
             )
             window_misses = 0
 

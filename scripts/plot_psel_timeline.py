@@ -82,8 +82,8 @@ def main():
     parser.add_argument("--every", type=int, default=50,
                         help="sample the counters every N accesses")
     parser.add_argument("--counter", default=None,
-                        help="which counter to chart (default: first seen; "
-                             "psel, pair01, pair23, meta)")
+                        help="which counter to chart (default: first "
+                             "seen; the selector's counter names)")
     parser.add_argument("--csv", default=None, metavar="PATH",
                         help="write all samples as CSV")
     parser.add_argument("--png", default=None, metavar="PATH",
@@ -100,7 +100,8 @@ def main():
         seed=config.seed,
     )
     policy = make_policy(args.policy, args.sets, args.assoc)
-    if getattr(policy, "selector", None) is None:
+    selector = getattr(policy, "selector", None)
+    if selector is None or selector.num_policies < 2:
         parser.error(f"{args.policy} has no set-dueling selector")
 
     sink = ListSink()

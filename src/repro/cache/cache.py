@@ -95,11 +95,16 @@ class SetAssociativeCache:
         Returns the tracer for chaining.  Policy introspection handles —
         ``position_of`` (recency positions for the position-before/after
         fields) and ``selector`` (set-dueling state for duel-flip and PSEL
-        events) — are resolved once here, never on the hot path.
+        events) — are resolved once here, never on the hot path.  A
+        selector over one policy duels nothing, so its events name no
+        policy, as for a policy without a selector.
         """
         self._tracer = tracer
         self._position_of = getattr(self.policy, "position_of", None)
-        self._selector = getattr(self.policy, "selector", None)
+        selector = getattr(self.policy, "selector", None)
+        if selector is not None and selector.num_policies < 2:
+            selector = None
+        self._selector = selector
         return tracer
 
     def detach_tracer(self):

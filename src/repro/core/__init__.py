@@ -1,13 +1,6 @@
 """Core primitives: PLRU tree, IPVs, recency stacks and set-dueling."""
 
-from .dueling import (
-    BracketSelector,
-    DuelSelector,
-    SaturatingCounter,
-    TournamentSelector,
-    assign_leader_sets,
-    make_selector,
-)
+from .dueling import DuelSelector, SaturatingCounter, assign_leader_sets
 from .ipv import IPV, lip_ipv, lru_ipv, mru_pessimistic_ipv, random_ipv
 from .plru import (
     PLRUTree,
@@ -46,10 +39,7 @@ __all__ = [
     "RecencyStack",
     "SaturatingCounter",
     "DuelSelector",
-    "TournamentSelector",
-    "BracketSelector",
     "assign_leader_sets",
-    "make_selector",
     "GIPLR_VECTOR",
     "GIPPR_WI_VECTOR",
     "GIPPR_WN1_PERLBENCH",

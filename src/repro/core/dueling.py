@@ -1,30 +1,28 @@
 """Set-dueling machinery (Section 2.3 background, Section 3.5 usage).
 
 Set-dueling (Qureshi et al.) dedicates a few *leader sets* to each candidate
-policy and lets a saturating counter track which leader group misses less;
+policy and lets saturating counters track which leader group misses less;
 all remaining *follower sets* adopt the winning policy.
 
-Two selectors are provided:
+One selector, :class:`DuelSelector`, duels any power-of-two number of
+policies as a bracket of counters:
 
-* :class:`DuelSelector` — two policies, one PSEL counter (as in DIP and
-  2-DGIPPR; the paper uses a single 11-bit counter).
-* :class:`TournamentSelector` — four policies via Loh-style multi-set
-  dueling: two pair counters plus a meta-counter (4-DGIPPR; three 11-bit
-  counters total).
+* one policy: no leaders and no counters; every set runs policy 0 (GIPPR
+  and classic PLRU are DGIPPR with one vector);
+* two policies: one PSEL counter (DIP, DRRIP and 2-DGIPPR; the paper uses
+  a single 11-bit counter);
+* four policies: Loh's multi-set dueling, two pair counters plus a
+  meta-counter (4-DGIPPR; three 11-bit counters in all);
+* eight or more: the same bracket one level deeper per doubling, for the
+  paper's "more vectors give diminishing returns" ablation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-__all__ = [
-    "SaturatingCounter",
-    "assign_leader_sets",
-    "DuelSelector",
-    "TournamentSelector",
-    "make_selector",
-]
+__all__ = ["SaturatingCounter", "assign_leader_sets", "DuelSelector"]
 
 
 class SaturatingCounter:
@@ -118,201 +116,114 @@ def assign_leader_sets(
     return assignment
 
 
+#: The paper's counter names; larger brackets name theirs by level and group.
+_COUNTER_NAMES = {2: ["psel"], 4: ["pair01", "pair23", "meta"]}
+
+
 class DuelSelector:
-    """Two-policy set-dueling with a single PSEL counter.
+    """Set-dueling among ``num_policies`` policies, a power of two.
 
-    A miss in a policy-0 leader set increments the counter; a miss in a
-    policy-1 leader set decrements it.  Followers run policy 0 while the
-    counter is negative (policy 0 has missed less), else policy 1 — the
-    convention of Qureshi et al. as restated in Section 2.3.
+    The counters form a bracket.  Level 0 duels adjacent policies (0 with
+    1, 2 with 3, ...), level 1 duels adjacent pairs, and so on up to one
+    root counter.  A miss in a leader set of policy ``p`` moves the one
+    counter of ``p``'s group at every level: up when ``p`` sits in the
+    group's first half, down when in its second.  Followers run the policy
+    reached by walking down from the root and taking the first half while
+    a counter is negative (it has missed less), else the second.  With two
+    policies that is the PSEL rule of Qureshi et al.; with four it is
+    Loh's pair and meta counters.
+
+    :attr:`counters` names every counter once, level by level: ``psel``
+    for two policies, ``pair01``, ``pair23`` and ``meta`` for four,
+    ``level<l>_<g>`` otherwise.  Counters move only through
+    :meth:`record_miss`, which keeps the followers' pick cached and walks
+    the bracket again only when a counter on the missing leader's path
+    changes sign.
     """
-
-    num_policies = 2
 
     def __init__(
         self,
         num_sets: int,
+        num_policies: int = 2,
         leaders_per_policy: Optional[int] = None,
         counter_bits: int = 11,
         seed: int = 0xDEAD,
     ):
+        if num_policies < 1 or num_policies & (num_policies - 1):
+            raise ValueError(
+                f"set-dueling needs a power-of-two policy count, "
+                f"got {num_policies}"
+            )
+        self.num_policies = num_policies
+        # One policy has nothing to duel: no leaders, every set follows.
         self.leaders = assign_leader_sets(
-            num_sets, 2, leaders_per_policy, seed=seed
+            num_sets, num_policies, leaders_per_policy, seed=seed
+        ) if num_policies > 1 else [-1] * num_sets
+        self._levels: List[List[SaturatingCounter]] = []
+        groups = num_policies // 2
+        while groups:
+            self._levels.append(
+                [SaturatingCounter(counter_bits) for _ in range(groups)]
+            )
+            groups //= 2
+        names = _COUNTER_NAMES.get(num_policies) or [
+            f"level{level}_{group}"
+            for level, counters in enumerate(self._levels)
+            for group in range(len(counters))
+        ]
+        self.counters: Dict[str, SaturatingCounter] = dict(
+            zip(names, (c for counters in self._levels for c in counters))
         )
-        self.psel = SaturatingCounter(counter_bits)
+        # Per leader policy: (counter, counts up?) at every level.
+        self._paths = [
+            tuple(
+                (counters[policy >> (level + 1)], not policy >> level & 1)
+                for level, counters in enumerate(self._levels)
+            )
+            for policy in range(num_policies)
+        ]
+        self._pick = self._walk()
+
+    def _walk(self) -> int:
+        pick = 0
+        for counters in reversed(self._levels):
+            pick = 2 * pick + (counters[pick].value >= 0)
+        return pick
 
     def leader_policy(self, set_index: int) -> int:
         """Leader policy for a set, or -1 when the set is a follower."""
         return self.leaders[set_index]
 
     def record_miss(self, set_index: int) -> None:
+        """Count a miss in ``set_index``; follower misses change nothing."""
         leader = self.leaders[set_index]
-        if leader == 0:
-            self.psel.increment()
-        elif leader == 1:
-            self.psel.decrement()
+        if leader < 0:
+            return
+        # SaturatingCounter's steps, inlined: the engines call this once
+        # per leader miss.  Only a sign change can move the pick.
+        flipped = False
+        for counter, up in self._paths[leader]:
+            value = counter.value
+            if up:
+                if value < counter.hi:
+                    counter.value = value + 1
+                    if value == -1:
+                        flipped = True
+            elif value > counter.lo:
+                counter.value = value - 1
+                if not value:
+                    flipped = True
+        if flipped:
+            self._pick = self._walk()
 
     def selected(self) -> int:
         """Policy currently followed by the follower sets."""
-        return 0 if self.psel.value < 0 else 1
+        return self._pick
 
     def policy_for_set(self, set_index: int) -> int:
         leader = self.leaders[set_index]
-        return leader if leader >= 0 else self.selected()
+        return leader if leader >= 0 else self._pick
 
-
-class TournamentSelector:
-    """Four-policy multi-set dueling (Loh), used by 4-DGIPPR.
-
-    Policies 0/1 duel on one counter and 2/3 on another; a meta-counter
-    duels the two pairs (incremented by misses in pair-{0,1} leaders,
-    decremented by misses in pair-{2,3} leaders).  Followers run the winner
-    of the winning pair.  Total state: three 11-bit counters per cache.
-    """
-
-    num_policies = 4
-
-    def __init__(
-        self,
-        num_sets: int,
-        leaders_per_policy: Optional[int] = None,
-        counter_bits: int = 11,
-        seed: int = 0xDEAD,
-    ):
-        self.leaders = assign_leader_sets(
-            num_sets, 4, leaders_per_policy, seed=seed
-        )
-        self.pair01 = SaturatingCounter(counter_bits)
-        self.pair23 = SaturatingCounter(counter_bits)
-        self.meta = SaturatingCounter(counter_bits)
-
-    def leader_policy(self, set_index: int) -> int:
-        return self.leaders[set_index]
-
-    def record_miss(self, set_index: int) -> None:
-        leader = self.leaders[set_index]
-        if leader < 0:
-            return
-        if leader == 0:
-            self.pair01.increment()
-        elif leader == 1:
-            self.pair01.decrement()
-        elif leader == 2:
-            self.pair23.increment()
-        else:
-            self.pair23.decrement()
-        if leader in (0, 1):
-            self.meta.increment()
-        else:
-            self.meta.decrement()
-
-    def selected(self) -> int:
-        if self.meta.value < 0:
-            return 0 if self.pair01.value < 0 else 1
-        return 2 if self.pair23.value < 0 else 3
-
-    def policy_for_set(self, set_index: int) -> int:
-        leader = self.leaders[set_index]
-        return leader if leader >= 0 else self.selected()
-
-
-class BracketSelector:
-    """Generalized multi-set dueling for any power-of-two policy count.
-
-    Extends the Loh tournament to ``P = 2**m`` policies with a full bracket
-    of saturating counters: level 0 duels adjacent policies, level 1 duels
-    adjacent pairs, and so on.  A leader miss updates the counter of its
-    group at every level.  This exists for the paper's "beyond four vectors
-    yields diminishing returns" ablation (Section 3.5); the paper itself
-    stops at four.
-    """
-
-    def __init__(
-        self,
-        num_sets: int,
-        num_policies: int,
-        leaders_per_policy: Optional[int] = None,
-        counter_bits: int = 11,
-        seed: int = 0xDEAD,
-    ):
-        if num_policies < 2 or num_policies & (num_policies - 1):
-            raise ValueError("BracketSelector needs a power-of-two policy count")
-        self.num_policies = num_policies
-        self.leaders = assign_leader_sets(
-            num_sets, num_policies, leaders_per_policy, seed=seed
-        )
-        self.levels: List[List[SaturatingCounter]] = []
-        groups = num_policies // 2
-        while groups >= 1:
-            self.levels.append([SaturatingCounter(counter_bits) for _ in range(groups)])
-            groups //= 2
-
-    def leader_policy(self, set_index: int) -> int:
-        return self.leaders[set_index]
-
-    def record_miss(self, set_index: int) -> None:
-        leader = self.leaders[set_index]
-        if leader < 0:
-            return
-        group = leader
-        for counters in self.levels:
-            if group & 1:
-                counters[group >> 1].decrement()
-            else:
-                counters[group >> 1].increment()
-            group >>= 1
-
-    def selected(self) -> int:
-        # Walk the bracket from the root down, picking the less-missing side.
-        group = 0
-        for counters in reversed(self.levels):
-            group = (group << 1) | (0 if counters[group].value < 0 else 1)
-        return group
-
-    def policy_for_set(self, set_index: int) -> int:
-        leader = self.leaders[set_index]
-        return leader if leader >= 0 else self.selected()
-
-
-def make_selector(
-    num_sets: int,
-    num_policies: int,
-    leaders_per_policy: Optional[int] = None,
-    counter_bits: int = 11,
-    seed: int = 0xDEAD,
-):
-    """Build the appropriate selector for a power-of-two policy count.
-
-    For a single policy a trivial constant selector is returned so that
-    static GIPPR and dynamic DGIPPR share one code path.  Two and four
-    policies use the paper's exact schemes; larger powers of two use the
-    generalized bracket (ablation only).  ``leaders_per_policy=None``
-    takes :func:`default_leaders_per_policy`, as every selector does.
-    """
-    if num_policies == 1:
-        return _ConstantSelector()
-    if num_policies == 2:
-        return DuelSelector(num_sets, leaders_per_policy, counter_bits, seed)
-    if num_policies == 4:
-        return TournamentSelector(num_sets, leaders_per_policy, counter_bits, seed)
-    return BracketSelector(
-        num_sets, num_policies, leaders_per_policy, counter_bits, seed
-    )
-
-
-class _ConstantSelector:
-    """Degenerate selector for the static single-vector case."""
-
-    num_policies = 1
-
-    def leader_policy(self, set_index: int) -> int:
-        return -1
-
-    def record_miss(self, set_index: int) -> None:
-        pass
-
-    def selected(self) -> int:
-        return 0
-
-    def policy_for_set(self, set_index: int) -> int:
-        return 0
+    def state_bits(self) -> int:
+        """Counter bits stored once per cache (Section 3.6)."""
+        return sum(c.bits for c in self.counters.values())

@@ -5,7 +5,9 @@ GA's one-shot :func:`repro.ga.fitness.simulate_misses_plru_ipv` is a
 single :meth:`~ScalarStreamSimulator.feed` over the whole trace, and the
 serving front-end (:mod:`repro.serve`) feeds bounded batches forever,
 carrying the cache state across them.  :func:`simulate_duel` runs a
-whole set-dueling (DGIPPR) trace on the same loop in three passes.
+whole tree-PLRU policy trace on the same loop in three passes: DGIPPR,
+and classic PLRU and GIPPR as DGIPPR with one vector (no leader sets, so
+one follower feed).
 
 Per access it performs exactly the transitions of ``kernel="lut"``
 (table lookups through :func:`repro.kernels.tables.resolve_kernel`) or,
@@ -354,8 +356,11 @@ def simulate_duel(
 ) -> int:
     """Measured misses of a set-dueling run over ``vectors`` (DGIPPR).
 
-    ``selector`` (:func:`repro.core.dueling.make_selector`) names the
-    leader sets and advances exactly as in the per-access run.  Leader sets
+    ``selector`` (a :class:`repro.core.dueling.DuelSelector` over
+    ``len(vectors)`` policies) names the leader sets and advances exactly
+    as in the per-access run.  Without leader sets (one vector, as for
+    PLRU and GIPPR, or fewer sets than vectors) the whole trace is one
+    follower feed.  Leader sets
     always run their own vector and PSEL moves only on leader-set misses,
     so the run splits exactly into three passes on the scalar loop:
 
@@ -374,11 +379,14 @@ def simulate_duel(
             f"{len(vectors)} vectors for a selector over "
             f"{selector.num_policies} policies"
         )
+    if max(selector.leaders, default=-1) < 0:
+        # No leader sets: the selector never moves, one follower feed.
+        return ScalarStreamSimulator(
+            num_sets, assoc, vectors[selector.selected()], warmup, kernel
+        ).feed(addresses, miss_indices)
     addresses = np.asarray(addresses, dtype=np.int64)
     mask = num_sets - 1
-    roles = np.array(
-        [selector.leader_policy(s) for s in range(num_sets)], dtype=np.int64
-    )[addresses & mask]
+    roles = np.array(selector.leaders, dtype=np.int64)[addresses & mask]
     found = [np.empty(0, dtype=np.int64)]
     for policy, entries in enumerate(vectors):
         group = np.flatnonzero(roles == policy)

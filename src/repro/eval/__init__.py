@@ -17,7 +17,6 @@ from .parallel import (
     default_cache_dir,
     run_matrix,
 )
-from .dueling_trace import DuelTrace, record_duel
 from .ipc import estimate_ipc, ipc_speedup
 from .multicore import CoreResult, MulticoreResult, run_multicore
 from .sweeps import crossover_size, miss_ratio_curve
@@ -56,8 +55,6 @@ __all__ = [
     "MulticoreResult",
     "run_multicore",
     "estimate_ipc",
-    "DuelTrace",
-    "record_duel",
     "ipc_speedup",
     "miss_ratio_curve",
     "crossover_size",

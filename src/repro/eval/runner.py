@@ -13,11 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cache.cache import SetAssociativeCache
 from ..core.plru import is_power_of_two
-from ..engine.scalar import (
-    ScalarStreamSimulator,
-    simulate_duel,
-    simulate_misses_lru_ipv,
-)
+from ..engine.scalar import simulate_duel, simulate_misses_lru_ipv
 from ..policies.base import ReplacementPolicy
 from ..policies.lru import TrueLRUPolicy
 from ..policies.pdp import PDPPolicy, simulate_pdp
@@ -121,16 +117,6 @@ def _lru_engine(policy, addresses, warmup, miss_indices):
     )
 
 
-def _plru_engine(policy, addresses, warmup, miss_indices):
-    ipv = getattr(policy, "ipv", None)
-    # Classic tree PLRU (no ``ipv``) is the all-zeros vector.
-    entries = ipv.entries if ipv is not None else (0,) * (policy.assoc + 1)
-    return ScalarStreamSimulator(
-        policy.num_sets, policy.assoc, entries, warmup,
-        kernel=policy.kernel_mode,
-    ).feed(addresses, miss_indices)
-
-
 def _duel_engine(policy, addresses, warmup, miss_indices):
     return simulate_duel(
         addresses, policy.num_sets, policy.assoc,
@@ -142,8 +128,8 @@ def _duel_engine(policy, addresses, warmup, miss_indices):
 #: Whole-trace engines by exact policy type (subclasses change behaviour).
 _ENGINES = {
     TrueLRUPolicy: _lru_engine,
-    TreePLRUPolicy: _plru_engine,
-    GIPPRPolicy: _plru_engine,
+    TreePLRUPolicy: _duel_engine,
+    GIPPRPolicy: _duel_engine,
     DGIPPRPolicy: _duel_engine,
     DRRIPPolicy: simulate_drrip,
     PDPPolicy: simulate_pdp,

@@ -30,8 +30,8 @@ index so a reader can reassemble the per-access story.  The kinds:
     ``value`` the previously selected one.
 ``psel_sample``
     A sampled saturating-counter value (every ``psel_every`` accesses).
-    ``label`` names the counter (``psel``, ``pair01``, ``pair23``,
-    ``meta``), ``value`` is the raw signed value.
+    ``label`` names the counter as the selector's ``counters`` does,
+    ``value`` is the raw signed value.
 
 Events serialize to compact JSON objects with ``None`` fields omitted;
 :data:`EVENT_SCHEMA` documents required/optional fields per kind and

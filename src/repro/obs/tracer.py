@@ -27,28 +27,13 @@ PSEL timelines are the stream of ``psel_sample`` events themselves; set
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from .events import TraceEvent
 from .metrics import MetricsRegistry
 from .sinks import ListSink, SamplingFilter
 
 __all__ = ["Tracer", "replay_counts", "registry_from_events"]
-
-
-def _psel_counters(selector) -> Dict[str, object]:
-    """Name → SaturatingCounter map for any known selector shape."""
-    out: Dict[str, object] = {}
-    for name in ("psel", "pair01", "pair23", "meta"):
-        counter = getattr(selector, name, None)
-        if counter is not None and hasattr(counter, "value"):
-            out[name] = counter
-    levels = getattr(selector, "levels", None)
-    if levels:  # BracketSelector: levels[l][g]
-        for level_index, counters in enumerate(levels):
-            for group, counter in enumerate(counters):
-                out[f"level{level_index}_{group}"] = counter
-    return out
 
 
 class Tracer:
@@ -199,7 +184,7 @@ class Tracer:
             return
         if access % self.psel_every:
             return
-        for name, counter in _psel_counters(selector).items():
+        for name, counter in selector.counters.items():
             self._count("psel_sample")
             self._write(TraceEvent(
                 "psel_sample", access, label=name, value=counter.value,

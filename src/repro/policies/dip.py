@@ -80,8 +80,9 @@ class DIPPolicy(ReplacementPolicy):
         ipv = lru_ipv(assoc)
         self._stacks = [RecencyStack(assoc, ipv) for _ in range(num_sets)]
         # Policy 0 = classic MRU insertion, policy 1 = BIP.
-        self.selector = DuelSelector(num_sets, leaders_per_policy, psel_bits, seed)
-        self._psel_bits = psel_bits
+        self.selector = DuelSelector(
+            num_sets, 2, leaders_per_policy, psel_bits, seed
+        )
         self._fill_count = 0
 
     def victim(self, set_index: int, ctx: AccessContext) -> int:
@@ -107,4 +108,4 @@ class DIPPolicy(ReplacementPolicy):
         return self.assoc * math.log2(self.assoc)
 
     def global_state_bits(self) -> int:
-        return self._psel_bits
+        return self.selector.state_bits()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..core.dueling import make_selector
+from ..core.dueling import DuelSelector
 from .base import AccessContext
 from .rrip import _RRIPBase
 
@@ -104,10 +104,9 @@ class DynamicIPVRRIPPolicy(_RRIPBase):
             _validate_rrv(rrv, rrpv_bits) for rrv in rrvs
         ]
         self.name = f"{len(self.rrvs)}-dipv-rrip"
-        self.selector = make_selector(
+        self.selector = DuelSelector(
             num_sets, len(self.rrvs), leaders_per_policy, counter_bits, seed
         )
-        self._counter_bits = counter_bits
 
     def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
         rrv = self.rrvs[self.selector.policy_for_set(set_index)]
@@ -125,4 +124,4 @@ class DynamicIPVRRIPPolicy(_RRIPBase):
         return self.rrvs[self.selector.selected()]
 
     def global_state_bits(self) -> int:
-        return max(len(self.rrvs) - 1, 0) * self._counter_bits
+        return self.selector.state_bits()

@@ -1,18 +1,26 @@
 """Tree-PLRU family: classic PLRU, GIPPR and dynamic DGIPPR.
 
-This is the paper's main contribution (Section 3).  All three policies keep
-exactly ``k - 1`` plru bits per set — less than one bit per block for a
-16-way cache — and differ only in how they map re-references and insertions
-onto PseudoLRU recency-stack positions:
+This is the paper's main contribution (Section 3).  The three policies are
+one mechanism: exactly ``k - 1`` plru bits per set — less than one bit per
+block for a 16-way cache — and insertion/promotion vectors that map
+re-references and insertions onto PseudoLRU recency-stack positions
+through the Figure 9 ``set_position`` primitive.  With several vectors,
+set-dueling picks the one the follower sets run (Section 3.5).
 
-* :class:`TreePLRUPolicy` — classic PLRU: promote to PMRU, insert at PMRU.
-* :class:`GIPPRPolicy` — a single evolved IPV drives insertion/promotion via
-  the Figure 9 ``set_position`` primitive.
-* :class:`DGIPPRPolicy` — set-dueling between 2 or 4 evolved IPVs (Section
-  3.5) while sharing one set of plru bits across vectors, exactly as the
-  paper specifies.
+:class:`DGIPPRPolicy` is that mechanism, and the other two are it with one
+vector:
 
-All three dispatch to the precompiled transition tables of
+* :class:`TreePLRUPolicy` — classic PLRU, the all-zeros vector: promote to
+  PMRU, insert at PMRU (Figures 5 and 6).
+* :class:`GIPPRPolicy` — a single evolved IPV (Section 3.4).
+* :class:`DGIPPRPolicy` — set-dueling between 2 or 4 evolved IPVs while
+  sharing one set of plru bits across vectors, exactly as the paper
+  specifies.
+
+A one-vector policy has a selector with no leaders and no counters, and
+its hooks never consult it.
+
+The hooks dispatch to the precompiled transition tables of
 :mod:`repro.kernels` when available (``kernel="auto"``, the default):
 victim selection and the composed hit/fill transitions become single
 ``array('H')`` lookups instead of ``log2(k)`` bit-walks.  ``kernel="walk"``
@@ -25,124 +33,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.dueling import make_selector
-from ..core.ipv import IPV
-from ..core.plru import find_plru, position, promote, set_position
+from ..core.dueling import DuelSelector
+from ..core.ipv import IPV, lru_ipv
+from ..core.plru import find_plru, position, set_position
 from ..kernels import resolve_kernel
 from .base import AccessContext, ReplacementPolicy
 
 __all__ = ["TreePLRUPolicy", "GIPPRPolicy", "DGIPPRPolicy"]
-
-
-class TreePLRUPolicy(ReplacementPolicy):
-    """Classic tree-based PseudoLRU (Section 3.1, Figures 5 and 6)."""
-
-    name = "plru"
-
-    def __init__(self, num_sets: int, assoc: int, kernel: str = "auto"):
-        super().__init__(num_sets, assoc)
-        self._state: List[int] = [0] * num_sets
-        # Classic PLRU is the all-zeros vector: promote == set_position(0).
-        self._tables = resolve_kernel(kernel, assoc, None)
-        self.kernel_mode = "lut" if self._tables is not None else "walk"
-        if self._tables is not None:
-            self._shift = self._tables.log2k
-            self._victim_t = self._tables.victim
-            self._touch_t = self._tables.hit  # == fill: both promote to PMRU
-            self._pos_t = self._tables.pos
-
-    def victim(self, set_index: int, ctx: AccessContext) -> int:
-        if self._tables is not None:
-            return self._victim_t[self._state[set_index]]
-        return find_plru(self._state[set_index], self.assoc)
-
-    def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        if self._tables is not None:
-            self._state[set_index] = self._touch_t[
-                (self._state[set_index] << self._shift) | way
-            ]
-            return
-        self._state[set_index] = promote(self._state[set_index], way, self.assoc)
-
-    def on_fill(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        self.on_hit(set_index, way, ctx)
-
-    def position_of(self, set_index: int, way: int) -> int:
-        if self._tables is not None:
-            return self._pos_t[(self._state[set_index] << self._shift) | way]
-        return position(self._state[set_index], way, self.assoc)
-
-    def state_bits_per_set(self) -> float:
-        return self.assoc - 1
-
-
-class GIPPRPolicy(ReplacementPolicy):
-    """Genetic Insertion and Promotion for PseudoLRU Replacement (§3.4).
-
-    A block re-referenced at PLRU position ``i`` has its position set to
-    ``V[i]``; an incoming block's position is set to ``V[k]``.  Because
-    ``set_position`` rewrites the leaf-to-root path bits, other blocks'
-    positions shift in a more drastic way than under true LRU — the reason
-    the paper evolves PLRU-specific vectors.
-    """
-
-    name = "gippr"
-
-    def __init__(
-        self, num_sets: int, assoc: int, ipv: IPV = None, kernel: str = "auto"
-    ):
-        super().__init__(num_sets, assoc)
-        if ipv is None:
-            from ..core.vectors import GIPPR_WI_VECTOR
-
-            ipv = GIPPR_WI_VECTOR
-        if ipv.k != assoc:
-            raise ValueError(f"IPV is for {ipv.k}-way sets, cache is {assoc}-way")
-        self.ipv = ipv
-        self._promo = ipv.entries[:assoc]
-        self._insert = ipv.entries[assoc]
-        self._state: List[int] = [0] * num_sets
-        self._tables = resolve_kernel(kernel, assoc, ipv.entries)
-        self.kernel_mode = "lut" if self._tables is not None else "walk"
-        if self._tables is not None:
-            self._shift = self._tables.log2k
-            self._victim_t = self._tables.victim
-            self._hit_t = self._tables.hit
-            self._fill_t = self._tables.fill
-            self._pos_t = self._tables.pos
-
-    def victim(self, set_index: int, ctx: AccessContext) -> int:
-        if self._tables is not None:
-            return self._victim_t[self._state[set_index]]
-        return find_plru(self._state[set_index], self.assoc)
-
-    def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        state = self._state[set_index]
-        if self._tables is not None:
-            self._state[set_index] = self._hit_t[(state << self._shift) | way]
-            return
-        pos = position(state, way, self.assoc)
-        self._state[set_index] = set_position(
-            state, way, self._promo[pos], self.assoc
-        )
-
-    def on_fill(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        if self._tables is not None:
-            self._state[set_index] = self._fill_t[
-                (self._state[set_index] << self._shift) | way
-            ]
-            return
-        self._state[set_index] = set_position(
-            self._state[set_index], way, self._insert, self.assoc
-        )
-
-    def position_of(self, set_index: int, way: int) -> int:
-        if self._tables is not None:
-            return self._pos_t[(self._state[set_index] << self._shift) | way]
-        return position(self._state[set_index], way, self.assoc)
-
-    def state_bits_per_set(self) -> float:
-        return self.assoc - 1
 
 
 class DGIPPRPolicy(ReplacementPolicy):
@@ -182,10 +79,11 @@ class DGIPPRPolicy(ReplacementPolicy):
                 )
         self.ipvs = ipvs
         self.name = f"{len(ipvs)}-dgippr"
-        self.selector = make_selector(
+        self.selector = DuelSelector(
             num_sets, len(ipvs), leaders_per_policy, counter_bits, seed
         )
-        self._counter_bits = counter_bits
+        # The hooks ask the selector only when there is something to duel.
+        self._duel = self.selector if len(ipvs) > 1 else None
         self._promos = [ipv.entries[:assoc] for ipv in ipvs]
         self._inserts = [ipv.entries[assoc] for ipv in ipvs]
         self._state: List[int] = [0] * num_sets
@@ -209,30 +107,37 @@ class DGIPPRPolicy(ReplacementPolicy):
         return find_plru(self._state[set_index], self.assoc)
 
     def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        ipv_index = self.selector.policy_for_set(set_index)
-        state = self._state[set_index]
+        vector = 0
+        if self._duel is not None:
+            vector = self._duel.policy_for_set(set_index)
+        states = self._state
         if self._tables is not None:
-            self._state[set_index] = self._hit_ts[ipv_index][
-                (state << self._shift) | way
+            states[set_index] = self._hit_ts[vector][
+                (states[set_index] << self._shift) | way
             ]
             return
+        state = states[set_index]
         pos = position(state, way, self.assoc)
-        self._state[set_index] = set_position(
-            state, way, self._promos[ipv_index][pos], self.assoc
+        states[set_index] = set_position(
+            state, way, self._promos[vector][pos], self.assoc
         )
 
     def on_miss(self, set_index: int, ctx: AccessContext) -> None:
-        self.selector.record_miss(set_index)
+        if self._duel is not None:
+            self._duel.record_miss(set_index)
 
     def on_fill(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        ipv_index = self.selector.policy_for_set(set_index)
+        vector = 0
+        if self._duel is not None:
+            vector = self._duel.policy_for_set(set_index)
+        states = self._state
         if self._tables is not None:
-            self._state[set_index] = self._fill_ts[ipv_index][
-                (self._state[set_index] << self._shift) | way
+            states[set_index] = self._fill_ts[vector][
+                (states[set_index] << self._shift) | way
             ]
             return
-        self._state[set_index] = set_position(
-            self._state[set_index], way, self._inserts[ipv_index], self.assoc
+        states[set_index] = set_position(
+            states[set_index], way, self._inserts[vector], self.assoc
         )
 
     def active_ipv(self) -> IPV:
@@ -248,6 +153,39 @@ class DGIPPRPolicy(ReplacementPolicy):
         return self.assoc - 1
 
     def global_state_bits(self) -> int:
-        # One 11-bit counter for 2 vectors, three for 4 (Section 3.6); the
-        # generalized bracket uses num_policies - 1 counters.
-        return max(len(self.ipvs) - 1, 0) * self._counter_bits
+        # One 11-bit counter for 2 vectors, three for 4 (Section 3.6).
+        return self.selector.state_bits()
+
+
+class TreePLRUPolicy(DGIPPRPolicy):
+    """Classic tree-based PseudoLRU (Section 3.1, Figures 5 and 6).
+
+    Promotion and insertion both go to PMRU: the all-zeros vector, since
+    ``promote`` is exactly ``set_position(state, way, 0)``.
+    """
+
+    def __init__(self, num_sets: int, assoc: int, kernel: str = "auto"):
+        super().__init__(num_sets, assoc, [lru_ipv(assoc)], kernel=kernel)
+        self.name = "plru"
+
+
+class GIPPRPolicy(DGIPPRPolicy):
+    """Genetic Insertion and Promotion for PseudoLRU Replacement (§3.4).
+
+    A block re-referenced at PLRU position ``i`` has its position set to
+    ``V[i]``; an incoming block's position is set to ``V[k]``.  Because
+    ``set_position`` rewrites the leaf-to-root path bits, other blocks'
+    positions shift in a more drastic way than under true LRU — the reason
+    the paper evolves PLRU-specific vectors.
+    """
+
+    def __init__(
+        self, num_sets: int, assoc: int, ipv: IPV = None, kernel: str = "auto"
+    ):
+        if ipv is None:
+            from ..core.vectors import GIPPR_WI_VECTOR
+
+            ipv = GIPPR_WI_VECTOR
+        super().__init__(num_sets, assoc, [ipv], kernel=kernel)
+        self.name = "gippr"
+        self.ipv = ipv

@@ -132,9 +132,8 @@ class DRRIPPolicy(_RRIPBase):
         super().__init__(num_sets, assoc, rrpv_bits)
         # Policy 0 = SRRIP, policy 1 = BRRIP.
         self.selector = DuelSelector(
-            num_sets, leaders_per_policy, psel_bits, seed=seed
+            num_sets, 2, leaders_per_policy, psel_bits, seed
         )
-        self._psel_bits = psel_bits
         self._fill_count = 0
 
     def on_miss(self, set_index: int, ctx: AccessContext) -> None:
@@ -151,7 +150,7 @@ class DRRIPPolicy(_RRIPBase):
                 self._fill(set_index, way, self.max_rrpv)
 
     def global_state_bits(self) -> int:
-        return self._psel_bits
+        return self.selector.state_bits()
 
 
 def simulate_drrip(

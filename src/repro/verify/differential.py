@@ -362,14 +362,8 @@ def check_segmented_equality(
 
 def _selector_counters(selector) -> tuple:
     """Every counter value of a set-dueling selector, plus its pick."""
-    counters = [
-        getattr(selector, name).value
-        for name in ("psel", "pair01", "pair23", "meta")
-        if hasattr(selector, name)
-    ]
-    for level in getattr(selector, "levels", ()):
-        counters.extend(c.value for c in level)
-    return tuple(counters), selector.selected()
+    values = {name: c.value for name, c in selector.counters.items()}
+    return values, selector.selected()
 
 
 def check_engine_equality(

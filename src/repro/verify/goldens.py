@@ -292,15 +292,15 @@ class _ColumnarCorpus(Corpus):
         misses: List[int] = []
         psels: List[int] = []
         if engine == "simulate_duel":
-            from ..core.dueling import make_selector
+            from ..core.dueling import DuelSelector
             from ..engine.scalar import simulate_duel
 
             for pair in pairs:
-                selector = make_selector(num_sets, 2)
+                selector = DuelSelector(num_sets, 2)
                 misses.append(simulate_duel(
                     accesses, num_sets, assoc, pair, selector, warmup
                 ))
-                psels.append(selector.psel.value)
+                psels.append(selector.counters["psel"].value)
             return {"misses": misses, "psel": psels}
         from ..cache.cache import SetAssociativeCache
         from ..core.ipv import IPV
@@ -321,7 +321,7 @@ class _ColumnarCorpus(Corpus):
                 if not hit and i >= warmup:
                     count += 1
             misses.append(count)
-            psels.append(policy.selector.psel.value)
+            psels.append(policy.selector.counters["psel"].value)
         return {"misses": misses, "psel": psels}
 
 

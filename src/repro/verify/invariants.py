@@ -30,9 +30,7 @@ Per-run checks (:mod:`repro.verify.differential`)
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
-
-from ..core.dueling import SaturatingCounter
+from typing import Iterable, List, Optional
 
 __all__ = [
     "Invariant",
@@ -43,7 +41,6 @@ __all__ = [
     "StatsConsistencyInvariant",
     "default_invariants",
     "check_invariants",
-    "iter_selector_counters",
 ]
 
 
@@ -124,25 +121,6 @@ class PositionBijectivityInvariant(Invariant):
         return None
 
 
-def iter_selector_counters(selector) -> Iterator[SaturatingCounter]:
-    """Yield every saturating counter a set-dueling selector owns.
-
-    Understands the three production selector shapes: ``DuelSelector``
-    (``psel``), ``TournamentSelector`` (``pair01``/``pair23``/``meta``) and
-    ``BracketSelector`` (``levels``); the constant selector has none.
-    """
-    if selector is None:
-        return
-    for attr in ("psel", "pair01", "pair23", "meta"):
-        counter = getattr(selector, attr, None)
-        if isinstance(counter, SaturatingCounter):
-            yield counter
-    for level in getattr(selector, "levels", ()) or ():
-        for counter in level:
-            if isinstance(counter, SaturatingCounter):
-                yield counter
-
-
 class PselBoundsInvariant(Invariant):
     """Every selector counter stays within its saturation rails."""
 
@@ -150,7 +128,9 @@ class PselBoundsInvariant(Invariant):
 
     def check(self, cache) -> Optional[str]:
         selector = getattr(cache.policy, "selector", None)
-        for counter in iter_selector_counters(selector):
+        if selector is None:
+            return None
+        for counter in selector.counters.values():
             if not counter.lo <= counter.value <= counter.hi:
                 return (
                     f"selector counter value {counter.value} outside "

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.dueling import make_selector
+from ..core.dueling import DuelSelector
 from ..core.ipv import IPV, lru_ipv
 from ..core.plru import all_positions, set_position
 from ..core.vectors import DGIPPR4_WI_VECTORS, GIPPR_WI_VECTOR
@@ -228,7 +228,7 @@ class PLRUPositionsOracle(OracleCache):
                     f"oracle is {assoc}-way"
                 )
         self.ipvs = ipvs
-        self.selector = make_selector(
+        self.selector = DuelSelector(
             num_sets, len(ipvs), leaders_per_policy, counter_bits, seed
         )
         self._state: List[int] = [0] * num_sets

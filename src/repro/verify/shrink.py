@@ -138,17 +138,44 @@ def load_artifact(path: Union[str, Path]) -> dict:
     return artifact
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The fields a replay reads, with the type each must have.
+_REPLAY_FIELDS = (
+    ("policy", "a string", lambda v: isinstance(v, str)),
+    ("num_sets", "an integer", _is_int),
+    ("assoc", "an integer", _is_int),
+    ("accesses", "a list of integers",
+     lambda v: isinstance(v, list) and all(map(_is_int, v))),
+)
+
+
+def _check_replay_fields(artifact: dict) -> None:
+    """Raise :class:`ValueError` naming the first missing or mistyped
+    field a replay needs."""
+    for name, kind, valid in _REPLAY_FIELDS:
+        if name not in artifact:
+            raise ValueError(f"artifact has no {name!r} field")
+        if not valid(artifact[name]):
+            raise ValueError(f"artifact field {name!r} is not {kind}")
+
+
 def replay_artifact(artifact: Union[str, Path, dict]):
     """Re-run the differential check recorded in an artifact.
 
     Returns the reproduced :class:`~repro.verify.differential.Divergence`
     (``None`` means the bug no longer reproduces — fixed, or flaky).
+    Raises :class:`ValueError` naming the field when ``policy``,
+    ``num_sets``, ``assoc`` or ``accesses`` is missing or mistyped.
     """
     from .conformance import build_oracle, build_policy
     from .differential import diff_stream
 
     if not isinstance(artifact, dict):
         artifact = load_artifact(artifact)
+    _check_replay_fields(artifact)
     payload = artifact
 
     def policy_factory():

@@ -1,17 +1,14 @@
-"""Tests for set-dueling: counters, leader assignment, selectors."""
+"""Tests for set-dueling: counters, leader assignment, the selector."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dueling import (
-    BracketSelector,
     DuelSelector,
     SaturatingCounter,
-    TournamentSelector,
     assign_leader_sets,
     default_leaders_per_policy,
-    make_selector,
 )
 
 
@@ -106,10 +103,12 @@ class TestLeaderAssignment:
     def test_tiny_geometry_selectors_construct(self):
         # Seed code raised here (max(1, ...) forced 1 leader/policy while
         # needed=4 > num_sets=2); now all sets become followers.
-        sel = TournamentSelector(2)
+        sel = DuelSelector(2, 4)
         assert [sel.leader_policy(s) for s in range(2)] == [-1, -1]
         sel.record_miss(0)  # follower miss: counters must not move
-        assert (sel.pair01.value, sel.pair23.value, sel.meta.value) == (0, 0, 0)
+        assert tuple(
+            sel.counters[name].value for name in ("pair01", "pair23", "meta")
+        ) == (0, 0, 0)
         assert sel.policy_for_set(0) == sel.selected()
         duel = DuelSelector(1)
         assert duel.policy_for_set(0) == duel.selected()
@@ -146,14 +145,14 @@ class TestDuelSelector:
     def test_follower_misses_do_not_move_counter(self):
         sel = DuelSelector(256, leaders_per_policy=8)
         follower = next(s for s in range(256) if sel.leader_policy(s) == -1)
-        before = sel.psel.value
+        before = sel.counters["psel"].value
         sel.record_miss(follower)
-        assert sel.psel.value == before
+        assert sel.counters["psel"].value == before
 
 
 class TestTournamentSelector:
     def _selector(self):
-        return TournamentSelector(512, leaders_per_policy=8)
+        return DuelSelector(512, 4, leaders_per_policy=8)
 
     def _leaders(self, sel, policy):
         return [s for s in range(512) if sel.leader_policy(s) == policy]
@@ -180,13 +179,13 @@ class TestTournamentSelector:
 class TestBracketSelector:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            BracketSelector(512, 6)
+            DuelSelector(512, 6)
 
     @pytest.mark.parametrize("num_policies", [2, 4, 8])
     @pytest.mark.parametrize("winner_mod", [0, 1])
     def test_quietest_policy_wins(self, num_policies, winner_mod):
         winner = (num_policies - 1) if winner_mod else 0
-        sel = BracketSelector(1024, num_policies, leaders_per_policy=4)
+        sel = DuelSelector(1024, num_policies, leaders_per_policy=4)
         for policy in range(num_policies):
             if policy == winner:
                 continue
@@ -195,57 +194,119 @@ class TestBracketSelector:
                 sel.record_miss(s)
         assert sel.selected() == winner
 
-    def test_matches_tournament_for_four(self):
-        """Bracket and Loh tournament agree on every single-winner scenario."""
-        for winner in range(4):
-            bracket = BracketSelector(512, 4, leaders_per_policy=8, seed=42)
-            loh = TournamentSelector(512, leaders_per_policy=8, seed=42)
-            for policy in range(4):
-                if policy == winner:
-                    continue
-                leaders = [
-                    s for s in range(512) if bracket.leader_policy(s) == policy
-                ]
-                for s in leaders * 20:
-                    bracket.record_miss(s)
-                    loh.record_miss(s)
-            assert bracket.selected() == loh.selected() == winner
-
 
 class TestMakeSelector:
+    """Making a selector: policy counts and default leaders."""
+
     def test_single_policy_constant(self):
-        sel = make_selector(64, 1)
+        sel = DuelSelector(64, 1)
         assert sel.selected() == 0
         assert sel.policy_for_set(5) == 0
         sel.record_miss(5)  # no-op
-
-    def test_dispatch(self):
-        assert isinstance(make_selector(512, 2), DuelSelector)
-        assert isinstance(make_selector(512, 4), TournamentSelector)
-        assert isinstance(make_selector(512, 8), BracketSelector)
+        assert sel.leaders == [-1] * 64 and sel.counters == {}
 
     def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            make_selector(512, 6)
+        for count in (0, 6):
+            with pytest.raises(ValueError):
+                DuelSelector(512, count)
 
     @pytest.mark.parametrize("num_sets", [1, 2, 8, 64, 512, 4096])
     @pytest.mark.parametrize("num_policies", [2, 4, 8])
     def test_default_leaders_match_selector_default(
         self, num_sets, num_policies
     ):
-        """Without a leader count, make_selector assigns the same leaders
-        as the selector classes (and DGIPPRPolicy) do by default."""
-        if num_policies == 2:
-            direct = DuelSelector(num_sets)
-        elif num_policies == 4:
-            direct = TournamentSelector(num_sets)
-        else:
-            direct = BracketSelector(num_sets, num_policies)
-        assert make_selector(num_sets, num_policies).leaders == direct.leaders
+        """Without a leader count, the selector (and so DGIPPRPolicy)
+        assigns default_leaders_per_policy leaders to each policy."""
+        direct = assign_leader_sets(
+            num_sets, num_policies,
+            default_leaders_per_policy(num_sets, num_policies),
+        )
+        assert DuelSelector(num_sets, num_policies).leaders == direct
 
     def test_default_keeps_followers(self):
-        leaders = make_selector(64, 4).leaders
+        leaders = DuelSelector(64, 4).leaders
         assert sum(p >= 0 for p in leaders) == 4 * default_leaders_per_policy(
             64, 4
         ) == 8
         assert leaders.count(-1) == 56
+
+
+def reference_counters(num_policies):
+    """The duelling counters as ``name -> (first group, second group)``.
+
+    Two policies: the PSEL counter of Qureshi et al.  Four: Loh's pair
+    counters and the meta-counter that duels the pairs.  Eight: the same
+    tournament one round deeper (pairs, quads, then the two halves).
+    """
+    if num_policies == 2:
+        return {"psel": ({0}, {1})}
+    if num_policies == 4:
+        return {
+            "pair01": ({0}, {1}),
+            "pair23": ({2}, {3}),
+            "meta": ({0, 1}, {2, 3}),
+        }
+    counters = {}
+    size, level = 2, 0
+    while size <= num_policies:
+        for group, first in enumerate(range(0, num_policies, size)):
+            half = first + size // 2
+            counters[f"level{level}_{group}"] = (
+                set(range(first, half)), set(range(half, first + size))
+            )
+        size, level = size * 2, level + 1
+    return counters
+
+
+def reference_duel(num_policies, bits, leaders, misses):
+    """Counter values and follower pick after each miss, by the rules.
+
+    A leader miss of policy ``p`` counts up every counter whose first
+    group holds ``p`` and down every counter whose second group does,
+    saturating at the ``bits``-bit rails; follower misses count nothing.
+    Followers start from all policies and keep the first group of the
+    counter duelling their candidates while it is negative (the first
+    group missed less), else the second, until one policy is left.
+    """
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    groups = reference_counters(num_policies)
+    values = dict.fromkeys(groups, 0)
+    for set_index in misses:
+        p = leaders[set_index]
+        if p >= 0:
+            for name, (first, second) in groups.items():
+                if p in first:
+                    values[name] = min(hi, values[name] + 1)
+                elif p in second:
+                    values[name] = max(lo, values[name] - 1)
+        candidates = set(range(num_policies))
+        while len(candidates) > 1:
+            name = next(n for n, (a, b) in groups.items()
+                        if a | b == candidates)
+            first, second = groups[name]
+            candidates = first if values[name] < 0 else second
+        yield dict(values), min(candidates)
+
+
+class TestBracketAgainstReference:
+    @given(
+        num_policies=st.sampled_from([2, 4, 8]),
+        bits=st.integers(1, 4),
+        misses=st.lists(st.integers(0, 63), max_size=200),
+    )
+    @settings(max_examples=200)
+    def test_counters_and_pick_after_every_miss(
+        self, num_policies, bits, misses
+    ):
+        sel = DuelSelector(64, num_policies, leaders_per_policy=3,
+                           counter_bits=bits)
+        assert list(sel.counters) == list(reference_counters(num_policies))
+        expected = reference_duel(num_policies, bits, sel.leaders, misses)
+        for set_index, (values, pick) in zip(misses, expected):
+            sel.record_miss(set_index)
+            got = {name: c.value for name, c in sel.counters.items()}
+            assert (got, sel.selected()) == (values, pick)
+            leader = sel.leader_policy(set_index)
+            assert sel.policy_for_set(set_index) == (
+                leader if leader >= 0 else pick
+            )

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core.dueling import DuelSelector, TournamentSelector
+from repro.core.dueling import DuelSelector
 from repro.core.ipv import IPV, lip_ipv, lru_ipv
 from repro.core.vectors import DGIPPR4_WI_VECTORS
 from repro.engine.scalar import (
@@ -30,13 +30,13 @@ def make_stream(n, footprint, seed=11):
 @pytest.mark.parametrize("kernel", ["walk", "auto"])
 def test_set_entries_switches_vector_and_keeps_state(kernel):
     """Switching between feeds equals a cache whose vector changes at the
-    same accesses (an all-follower duel with PSEL forced per phase)."""
+    same accesses (a one-vector oracle given the next vector per phase)."""
     vectors = [lru_ipv(4), lip_ipv(4)]
-    oracle = PLRUPositionsOracle(16, 4, vectors, leaders_per_policy=0)
+    oracle = PLRUPositionsOracle(16, 4, vectors[:1])
     simulator = ScalarStreamSimulator(16, 4, vectors[0].entries, kernel=kernel)
     stream = make_stream(4000, 16 * 4 * 3)
     for pick, lo, hi in ((0, 0, 900), (1, 900, 2500), (0, 2500, 4000)):
-        oracle.selector.psel.value = -1 if pick == 0 else 0
+        oracle.ipvs = [vectors[pick]]
         simulator.set_entries(vectors[pick].entries)
         assert simulator.feed(stream[lo:hi]) == oracle.run(stream[lo:hi])
     assert simulator.entries == tuple(vectors[0].entries)
@@ -62,7 +62,7 @@ def test_duel_selections_starts_after_the_miss():
         selector, [s for s, _ in misses], [i for _, i in misses]
     )
     assert (starts, picks) == ([0, 4, 21], [1, 0, 1])
-    assert selector.psel.value == 0
+    assert selector.counters["psel"].value == 0
 
 
 @pytest.mark.parametrize("warmup", [0, 1000, 3999])
@@ -77,7 +77,7 @@ def test_simulate_duel_matches_oracle(warmup):
         for i, block in enumerate(stream[warmup:])
         if not oracle.access(block)[0]
     ]
-    selector = TournamentSelector(16)
+    selector = DuelSelector(16, 4)
     indices = []
     misses = simulate_duel(
         stream, 16, 16, [v.entries for v in DGIPPR4_WI_VECTORS], selector,
@@ -85,10 +85,10 @@ def test_simulate_duel_matches_oracle(warmup):
     )
     assert misses == len(want_indices)
     assert indices == want_indices
-    assert [c.value for c in (selector.pair01, selector.pair23,
-                              selector.meta)] == [
-        c.value for c in (oracle.selector.pair01, oracle.selector.pair23,
-                          oracle.selector.meta)
+    assert [selector.counters[n].value for n in ("pair01", "pair23",
+                                                 "meta")] == [
+        oracle.selector.counters[n].value for n in ("pair01", "pair23",
+                                                    "meta")
     ]
 
 
@@ -97,7 +97,7 @@ def test_simulate_duel_rejects_fewer_vectors_than_policies():
     vectors = [lru_ipv(4).entries, lip_ipv(4).entries]
     with pytest.raises(ValueError, match="2 vectors .* over 4 policies"):
         simulate_duel(
-            make_stream(500, 64), 16, 4, vectors, TournamentSelector(16), 0
+            make_stream(500, 64), 16, 4, vectors, DuelSelector(16, 4), 0
         )
 
 

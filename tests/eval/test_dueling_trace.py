@@ -1,10 +1,12 @@
-"""Tests for the set-dueling instrumentation."""
+"""Set-dueling adaptivity over a phased trace (Section 3.5), and mixes."""
+
+import functools
 
 import pytest
 
+from repro.cache import SetAssociativeCache
 from repro.core.ipv import IPV
-from repro.eval.dueling_trace import DuelTrace, record_duel
-from repro.policies import DGIPPRPolicy, TreePLRUPolicy
+from repro.policies import DGIPPRPolicy
 from repro.trace import concatenate, noisy_loop, stack_distance
 
 PHASE = 20_000
@@ -18,42 +20,38 @@ def phased_trace():
     return concatenate([friendly, thrash, friendly.slice(0, PHASE)], name="p")
 
 
-class TestRecordDuel:
-    def test_rejects_non_duelling_policy(self):
-        with pytest.raises(ValueError):
-            record_duel(TreePLRUPolicy(64, 16), phased_trace(), 64, 16)
+@functools.lru_cache(maxsize=1)
+def follower_picks():
+    """The followers' vector after every access of a PMRU-vs-PLRU-insertion
+    duel over the friendly / thrash / friendly phases."""
+    pmru = IPV([0] * 17, name="pmru")
+    plru = IPV([0] * 16 + [15], name="plru-ins")
+    policy = DGIPPRPolicy(64, 16, ipvs=[pmru, plru], counter_bits=8)
+    cache = SetAssociativeCache(64, 16, policy, block_size=1)
+    picks = []
+    for address, pc in phased_trace():
+        cache.access(address, pc=pc)
+        picks.append(policy.selector.selected())
+    return tuple(picks)
 
-    def test_tracks_phase_flips(self):
-        pmru = IPV([0] * 17, name="pmru")
-        plru = IPV([0] * 16 + [15], name="plru-ins")
-        policy = DGIPPRPolicy(64, 16, ipvs=[pmru, plru], counter_bits=8)
-        duel = record_duel(policy, phased_trace(), 64, 16, sample_every=256)
-        # The duel must switch at least once into the thrash phase and the
-        # occupancies must cover both policies.
-        assert duel.switch_count >= 1
-        occupancy = duel.occupancy()
-        assert set(occupancy) <= {0, 1}
+
+def switch_points(picks):
+    return [i for i in range(1, len(picks)) if picks[i] != picks[i - 1]]
+
+
+class TestDuelAdaptivity:
+    def test_both_vectors_govern_the_followers(self):
+        picks = follower_picks()
+        occupancy = {v: picks.count(v) / len(picks) for v in set(picks)}
+        assert len(switch_points(picks)) >= 1
+        assert set(occupancy) == {0, 1}
         assert sum(occupancy.values()) == pytest.approx(1.0)
 
-    def test_flip_latency(self):
-        pmru = IPV([0] * 17, name="pmru")
-        plru = IPV([0] * 16 + [15], name="plru-ins")
-        policy = DGIPPRPolicy(64, 16, ipvs=[pmru, plru], counter_bits=8)
-        duel = record_duel(policy, phased_trace(), 64, 16, sample_every=256)
-        latencies = duel.flip_latency([PHASE])
+    def test_switches_within_thrash_phase(self):
         # The thrash phase starting at PHASE must trigger a switch within
         # the phase (the adaptivity claim of Section 3.5).
-        assert latencies[0] is not None
-        assert latencies[0] < PHASE
-
-    def test_occupancy_static_run(self):
-        duel = DuelTrace(switches=[(0, 1)], accesses=100, final_selected=1)
-        assert duel.switch_count == 0
-        assert duel.occupancy() == {1: 1.0}
-
-    def test_flip_latency_no_switch(self):
-        duel = DuelTrace(switches=[(0, 0)], accesses=100, final_selected=0)
-        assert duel.flip_latency([50]) == [None]
+        after = [i for i in switch_points(follower_picks()) if i >= PHASE]
+        assert after and after[0] - PHASE < PHASE
 
 
 class TestMixes:

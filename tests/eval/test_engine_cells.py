@@ -44,13 +44,7 @@ FIELDS = (
 
 def selector_state(selector):
     """Every counter value of a set-dueling selector, plus its pick."""
-    counters = [
-        getattr(selector, name).value
-        for name in ("psel", "pair01", "pair23", "meta")
-        if hasattr(selector, name)
-    ]
-    for level in getattr(selector, "levels", ()):
-        counters.extend(c.value for c in level)
+    counters = [c.value for c in selector.counters.values()]
     return counters, selector.selected()
 
 

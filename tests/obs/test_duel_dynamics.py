@@ -65,14 +65,15 @@ class TestPselMonotonicity:
         )
         # Every miss increments until saturation, so the timeline climbs.
         assert timeline[-1] > timeline[0]
-        assert timeline[-1] <= policy.selector.psel.hi
+        assert timeline[-1] <= policy.selector.counters["psel"].hi
 
     def test_counter_saturates_at_rail(self):
         cache, policy = _dueling_cache(counter_bits=4)  # hi = 7
         leader0 = _leader_set(policy.selector, 0)
         for tag in range(50):
             cache.access(_address(leader0, tag))
-        assert policy.selector.psel.value == policy.selector.psel.hi == 7
+        psel = policy.selector.counters["psel"]
+        assert psel.value == psel.hi == 7
 
 
 class TestDuelFlips:

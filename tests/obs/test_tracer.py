@@ -157,3 +157,65 @@ class TestValidation:
     def test_negative_psel_every_rejected(self):
         with pytest.raises(ValueError):
             Tracer(psel_every=-1)
+
+
+def _traced_run_jsonl(policy_name, path):
+    """One traced ``run_trace`` (PSEL sampled every 100 accesses) over a
+    duel-flip stream, written as JSONL to ``path``."""
+    from repro.eval.config import ExperimentConfig
+    from repro.eval.runner import run_trace
+    from repro.obs import JSONLSink
+    from repro.trace.record import Trace
+    from repro.verify.streams import generate_stream
+
+    config = ExperimentConfig(
+        num_sets=NUM_SETS, assoc=ASSOC, warmup_fraction=0.25,
+        apply_env_scale=False,
+    )
+    trace = Trace(
+        generate_stream("duel-flip", 1, 4000, NUM_SETS, ASSOC), name="pin"
+    )
+    with JSONLSink(path) as sink:
+        run_trace(
+            make_policy(policy_name, NUM_SETS, ASSOC), trace, config,
+            tracer=Tracer(sink=sink, psel_every=100),
+        )
+    return path.read_bytes()
+
+
+class TestTracedRunOutput:
+    """The event stream of a traced run, byte for byte.
+
+    A renamed PSEL label, or a ``policy`` field on the events of a
+    single-vector policy, changes the digest; the labels and the absent
+    field are also checked on their own so a failure says which.
+    """
+
+    DIGESTS = {
+        "plru": "0b4ec751a5c303c3",
+        "gippr": "3afc64565db98ea1",
+        "dgippr": "a2726f4c430cf649",
+        "drrip": "257290d5b056641a",
+        "dip": "f0364de48247ee3a",
+    }
+    LABELS = {
+        "plru": set(),
+        "gippr": set(),
+        "dgippr": {"pair01", "pair23", "meta"},
+        "drrip": {"psel"},
+        "dip": {"psel"},
+    }
+
+    @pytest.mark.parametrize("policy_name", sorted(DIGESTS))
+    def test_event_stream_is_unchanged(self, policy_name, tmp_path):
+        import hashlib
+        import json
+
+        data = _traced_run_jsonl(policy_name, tmp_path / "events.jsonl")
+        events = [json.loads(line) for line in data.splitlines()]
+        labels = {e["label"] for e in events if e["kind"] == "psel_sample"}
+        assert labels == self.LABELS[policy_name]
+        with_policy = [e for e in events if "policy" in e]
+        assert bool(with_policy) == bool(labels)
+        digest = hashlib.sha256(data).hexdigest()[:16]
+        assert digest == self.DIGESTS[policy_name]

@@ -88,13 +88,18 @@ class TestVerifyCommand:
     def test_replay_of_non_object_artifact_is_a_usage_error(
         self, tmp_path, capsys
     ):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        code = main(["verify", "--replay", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"cannot replay {path}: ")
-        assert "not a JSON object" in err
+        for name, text, message in (
+            ("list.json", "[1, 2]", "not a JSON object"),
+            ("fields.json", '{"schema": "repro-counterexample/1"}',
+             "'policy'"),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            code = main(["verify", "--replay", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"cannot replay {path}: ")
+            assert message in err
 
     def test_replay_of_missing_artifact_is_a_usage_error(
         self, tmp_path, capsys

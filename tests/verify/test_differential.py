@@ -43,7 +43,7 @@ class BuggyGIPPR(GIPPRPolicy):
     def on_hit(self, set_index, way, ctx):
         state = self._state[set_index]
         pos = position(state, way, self.assoc)
-        target = min(self.assoc - 1, self._promo[pos] + 1)
+        target = min(self.assoc - 1, self.ipv.promotion(pos) + 1)
         self._state[set_index] = set_position(
             state, way, target, self.assoc
         )
@@ -197,6 +197,19 @@ class TestArtifacts:
         path.write_text('{"schema": "other/9"}')
         with pytest.raises(ValueError):
             load_artifact(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("policy", None), ("num_sets", "8"), ("assoc", True),
+        ("accesses", [0, "1"]),
+    ])
+    def test_replay_names_a_missing_or_mistyped_field(self, field, value):
+        artifact = {"policy": "lru", "num_sets": 8, "assoc": 4,
+                    "accesses": [0, 1, 2]}
+        with pytest.raises(ValueError, match=repr(field)):
+            replay_artifact({k: v for k, v in artifact.items() if k != field})
+        with pytest.raises(ValueError, match=repr(field)):
+            replay_artifact(dict(artifact, **{field: value}))
+        assert replay_artifact(artifact) is None
 
 
 class TestRunLevelChecks:

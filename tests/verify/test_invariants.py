@@ -12,7 +12,6 @@ from repro.verify.invariants import (
     TagUniquenessInvariant,
     check_invariants,
     default_invariants,
-    iter_selector_counters,
 )
 
 
@@ -84,7 +83,7 @@ class TestPositionBijectivity:
 class TestPselBounds:
     def test_out_of_rails_counter_detected(self):
         cache = warm(build_cache("dgippr"))
-        counters = list(iter_selector_counters(cache.policy.selector))
+        counters = list(cache.policy.selector.counters.values())
         assert counters  # DGIPPR has a selector with counters
         counters[0].value = counters[0].hi + 1
         violation = PselBoundsInvariant().check(cache)
