@@ -462,19 +462,23 @@ def _cmd_evolve(args) -> int:
         profiled(args.profile, folded=args.profile_folded)
         if profiling else contextlib.nullcontext()
     )
-    with scope:
-        result = evolve_ipv(
-            evaluator,
-            population_size=args.population,
-            generations=args.generations,
-            seed=args.seed,
-            workers=args.workers,
-            status_path=args.status_json,
-            convergence_path=args.convergence_json,
-            on_generation=lambda g, f: logger.info(
-                "generation %d: best fitness %.4f", g, f
-            ),
-        )
+    try:
+        with scope:
+            result = evolve_ipv(
+                evaluator,
+                population_size=args.population,
+                generations=args.generations,
+                seed=args.seed,
+                workers=args.workers,
+                status_path=args.status_json,
+                convergence_path=args.convergence_json,
+                on_generation=lambda g, f: logger.info(
+                    "generation %d: best fitness %.4f", g, f
+                ),
+            )
+    except ValueError as exc:
+        print(f"cannot evolve: {exc}", file=sys.stderr)
+        return 2
     if args.profile:
         logger.info("span profile written to %s", args.profile)
     if args.profile_folded:

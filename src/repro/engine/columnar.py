@@ -2,11 +2,15 @@
 
 The transition-table kernels made the per-access policy math O(1),
 which left the Python interpreter loop over accesses as the hot-path
-bottleneck.  This module removes that loop: tags, PLRU state words and
-per-set fill counts live in 2-D/3-D numpy arrays indexed
-``[lane, set(, way)]`` — a *lane* is one IPV, nothing more than its
-``k + 1`` entries — and whole batches of accesses are applied with
-``np.take``/fancy indexing.  Every transition is the path write
+bottleneck.  This module removes that loop: tags and PLRU state words
+live in 2-D/3-D numpy arrays indexed ``[lane, set(, way)]`` — a *lane*
+is one IPV, nothing more than its ``k + 1`` entries — and whole batches
+of accesses are applied with ``np.take``/fancy indexing.  Fill counts
+are kept per set, shared by every lane: a set with a free way has
+evicted nothing in any lane, so in each lane it holds exactly the
+distinct blocks it has seen, filled into ways ``0, 1, ...`` in
+first-touch order, and every lane hits, misses and cold-fills it
+alike.  Every transition is the path write
 ``(state & ~path_mask[way]) | path_bits[way][target]`` over the per-``k``
 tables of :func:`repro.kernels.tables.base_tables` (the memoized Figure
 5/7/9 walks), with ``target`` read from the lane's IPV, so no lane needs
@@ -71,13 +75,6 @@ __all__ = [
 #: sweep: throughput is flat from ~16k up (the transpose is
 #: bincount/argsort-bound), so the smallest flat point wins on memory.
 DEFAULT_BATCH_ACCESSES = 1 << 16
-
-#: ``kernel="auto"`` batches through the columnar engine only at or above
-#: this many lanes — below it the per-run numpy setup outweighs the
-#: amortized trace pass and the scalar LUT path wins (bench-kernels
-#: ``population_scaling`` row: the crossover sits between 2 and 8 lanes
-#: on every host measured).
-DEFAULT_AUTO_MIN_LANES = 4
 
 #: Scalar-spill tuning for collapsed traces.  Run collapsing flattens
 #: single-hot-key columns, but a set where *two* hot keys interleave
@@ -455,7 +452,7 @@ class BatchSimulator:
         self._stream = {
             "state": np.zeros((L, S), dtype=np.int64),
             "tags": np.full((L, S, k), -1, dtype=np.int64),
-            "nfill": np.zeros((L, S), dtype=np.int32),
+            "nfill": np.zeros(S, dtype=np.int32),
             "pos": 0,
             "misses": np.zeros(L, dtype=np.int64),
         }
@@ -544,7 +541,7 @@ class BatchSimulator:
         if state is None:
             state = np.zeros((L, C), dtype=np.int64)
             tags = np.full((L, C, k), -1, dtype=trace.addr_dtype)
-            nfill = np.zeros((L, C), dtype=np.int32)
+            nfill = np.zeros(C, dtype=np.int32)
         col_misses = np.zeros((L, C), dtype=np.int64)
         lane_rows = np.arange(L)[:, None]
         miss_lanes: List = []
@@ -560,7 +557,7 @@ class BatchSimulator:
             # C-contiguous: (lane, column c, way 0) is flat_base[lane, c].
             st = state[:, cols]
             tg = tags.take(cols, axis=1)
-            nf = nfill[:, cols]
+            nf = nfill[cols]
             cm = np.zeros((L, cols.size), dtype=np.int64)
             flat_base = (lane_rows * cols.size + np.arange(cols.size)) * k
             # Collapsed chunks with a pathologically deep tail (a couple
@@ -579,11 +576,15 @@ class BatchSimulator:
                         >= _SPILL_MIN_STEPS):
                     depth_cap = int(thin[0])
                     spill_widths = widths_all
-            # One segment-max pass replaces a per-step rep reduce.
-            rep_max = None
+            # One segment-max pass per chunk sorts its steps by their
+            # longest run: 0 (single accesses), 1 (runs shorter than 2k)
+            # or 2 (a run of 2k or more, which needs the cycle fold).
+            run_kind = [0] * depth_cap
             if rep_by_step is not None and depth_cap:
-                rep_max = np.maximum.reduceat(
-                    rep_by_step, offsets[:depth_cap]
+                reps = rep_by_step.astype(np.int64)
+                rep_max = np.maximum.reduceat(rep_by_step, offsets[:depth_cap])
+                run_kind = (
+                    (rep_max > 1).astype(np.int8) + (rep_max >= two_k)
                 ).tolist()
             for j in range(depth_cap):
                 o0, o1 = int(offsets[j]), int(offsets[j + 1])
@@ -591,17 +592,16 @@ class BatchSimulator:
                 addr = addr_by_step[o0:o1]
                 gidx = gidx_by_step[o0:o1]
                 stj = st[:, :w]
-                nfj = nf[:, :w]
+                nfj = nf[:w]
                 # One [L, w, k] compare, decoded as words (_hit_decoder)
                 # instead of any/argmax reduces over the short way axis.
-                # A miss fills the next cold way, else the victim.
+                # A miss fills the column's next cold way, else the victim.
                 room = nfj < k
                 is_hit, way = decode(
                     tg[:, :w, :] == addr[None, :, None],
                     np.where(room, nfj, victim_t.take(stj)),
                 )
                 miss = ~is_hit
-                cold = miss & room
                 sw = (stj << shift) | way
                 # The one transition (see _LaneTables): the way moves n
                 # steps along its lane's promotion orbit, from the row of
@@ -610,10 +610,13 @@ class BatchSimulator:
                 # is n = rep, folded onto the orbit's cycle past the
                 # stored 2k positions.
                 row = row_base + np.where(is_hit, pos_t.take(sw), k)
-                if rep_max is not None and rep_max[j] > 1:
-                    n = rep_by_step[o0:o1].astype(np.int64)
-                    e = entry_t.take(row)
-                    n = np.where(n < two_k, n, e + (n - e) % cycle_t.take(row))
+                if run_kind[j]:
+                    n = reps[o0:o1]
+                    if run_kind[j] == 2:
+                        e = entry_t.take(row)
+                        n = np.where(
+                            n < two_k, n, e + (n - e) % cycle_t.take(row)
+                        )
                     target = orbit_t.take(row * two_k + n)
                 else:
                     target = first_t.take(row)
@@ -625,7 +628,8 @@ class BatchSimulator:
                 # [L, w] indices take `addr` cyclically, i.e. per column.
                 tg.put(flat_base[:, :w] + way, addr)
                 stj[...] = new_state
-                nfj += cold
+                # Lanes agree wherever there is room: lane 0 stands for all.
+                nfj += room & miss[0]
                 measured = miss & (gidx >= warmup)[None, :]
                 cm[:, :w] += measured
                 if collect_miss_indices:
@@ -643,9 +647,12 @@ class BatchSimulator:
                     miss_gidx.append(np.asarray(sp_gidx, dtype=np.int64))
             state[:, cols] = st
             tags[:, cols, :] = tg
-            nfill[:, cols] = nf
+            nfill[cols] = nf
             col_misses[:, cols] += cm
+        # Verification hooks: the lanes' final PLRU words, and the fill
+        # count of each column, which every lane shares.
         self.final_state = state
+        self.final_fills = nfill
         misses = col_misses.reshape(L, -1, S).sum(axis=2)
         if trace.lengths is None:
             misses = misses[:, 0]
@@ -700,11 +707,13 @@ class BatchSimulator:
         ).tolist()
         for ci in range(ncols):
             steps_c = col_depths[ci] - depth_cap
+            # Every lane starts from, and cold-fills up to, the same count.
+            nf0 = int(nf[ci])
             for lane in range(self.lanes):
                 orbit, entry, cycle = t.orbits[t.lane_unique[lane]]
                 s = int(st[lane, ci])
                 tag_list = tg[lane, ci].tolist()
-                nfv = int(nf[lane, ci])
+                nfv = nf0
                 missed = 0
                 for jr in range(steps_c):
                     o = offs_rel[jr] + ci
@@ -734,8 +743,8 @@ class BatchSimulator:
                     s = (s & keep_w[w]) | bits_w[w][orbit[p0][r]]
                 st[lane, ci] = s
                 tg[lane, ci] = tag_list
-                nf[lane, ci] = nfv
                 cm[lane, ci] += missed
+            nf[ci] = nfv
         return rows, gidxs
 
     def positions(self, lane: int):

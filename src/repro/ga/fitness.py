@@ -12,8 +12,11 @@ of times, so the hot loops run on plain lists and ints.  The PLRU simulator
 is one ``feed`` of :class:`~repro.engine.scalar.ScalarStreamSimulator`,
 which steps the precompiled transition tables of :mod:`repro.kernels`
 (O(1) ``array('H')`` lookups in place of three ``log2(k)`` bit-walks per
-access) or the bit-walk reference; populations go through the columnar
-batch engine instead (:meth:`FitnessEvaluator.evaluate_many`).
+access) or the bit-walk reference.  PLRU batches go through the
+columnar engine instead (:meth:`FitnessEvaluator.evaluate_many`), down
+to one IPV: one lane over a memoized layout costs less than the tables
+one scalar LUT run compiles.  :meth:`FitnessEvaluator.evaluate` stays on
+the scalar loop, a second engine to check the batches against.
 
 Workload sharing: generated traces, their MLP instruction positions and
 the baseline LRU miss counts are memoized at module level keyed by the
@@ -30,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ipv import IPV, lru_ipv
 from ..engine.columnar import (
-    DEFAULT_AUTO_MIN_LANES,
     BatchSimulator,
     ColumnarTrace,
     columnar_supported,
@@ -263,9 +265,9 @@ class FitnessEvaluator:
         clustering actually matters.
     kernel:
         Kernel selection for the PLRU substrate: ``"auto"`` (transition
-        tables when available; :meth:`evaluate_many` batches of at least
-        :data:`~repro.engine.columnar.DEFAULT_AUTO_MIN_LANES` IPVs go
-        columnar), ``"lut"`` (demand tables), ``"walk"`` (force the
+        tables when available; every :meth:`evaluate_many` batch, one IPV
+        included, goes columnar when the engine supports the
+        associativity), ``"lut"`` (demand tables), ``"walk"`` (force the
         bit-walk reference) or ``"columnar"`` (the numpy batch engine;
         :meth:`evaluate_many` then shares one columnar trace pass across
         the whole population).  All choices are bit-identical.
@@ -463,23 +465,21 @@ class FitnessEvaluator:
     # pass serves every IPV lane, so a GA generation amortizes trace
     # decoding across the whole population.
     # ------------------------------------------------------------------
-    def _columnar_batchable(self, lanes: int) -> bool:
-        """Can (and should) a batch of ``lanes`` IPVs go columnar?
+    def _columnar_batchable(self) -> bool:
+        """Can batches go columnar?
 
         ``kernel="columnar"`` always says yes (the engine raises its own
-        clear error for an unsupported geometry).  ``"auto"`` opts in only
-        when the engine supports the associativity and the batch is big
-        enough to amortize the numpy setup; MLP-aware fitness stays scalar
-        (it needs per-miss indices fed through the position model, a
-        per-lane post-pass not worth the gather today).
+        clear error for an unsupported geometry).  ``"auto"`` opts in
+        whenever the engine supports the associativity, for any batch
+        size; MLP-aware fitness stays scalar (it needs per-miss indices
+        fed through the position model, a per-lane post-pass not worth
+        the gather today).
         """
         if self.substrate != "plru" or self.mlp_model is not None:
             return False
         if self.kernel == "columnar":
             return True
-        if self.kernel != "auto" or lanes < DEFAULT_AUTO_MIN_LANES:
-            return False
-        return columnar_supported(self.config.assoc)
+        return self.kernel == "auto" and columnar_supported(self.config.assoc)
 
     def _columnar_trace(self, indices: range):
         """The segmented layout of workloads ``indices``, via the memo.
@@ -521,7 +521,7 @@ class FitnessEvaluator:
                     f"got {len(entries)}"
                 )
             _validate_ipv_entries(entries, self.config.assoc)
-        if not self._columnar_batchable(len(batch)):
+        if not self._columnar_batchable():
             return [self.evaluate(entries) for entries in batch]
         cfg = self.config
         simulator = BatchSimulator(

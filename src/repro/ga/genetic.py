@@ -117,6 +117,8 @@ def evolve_ipv(
     ``initial_population_size`` defaults to 5x the steady population,
     echoing the paper's 20 000 -> 4 000 schedule.  ``seeds`` inject known
     vectors (the paper seeds its pgapack stage with earlier GA winners).
+    An empty population or a negative generation count raises
+    ``ValueError`` before any fitness is evaluated.
 
     ``status_path`` publishes a live ``run-status.json`` per generation
     (``None`` falls back to ``$REPRO_STATUS_PATH``; unset disables it);
@@ -140,11 +142,24 @@ def evolve_ipv(
     ``convergence_path`` are additionally persisted as an atomically
     rewritten JSON log that ``repro obs analyze`` renders.
     """
+    if population_size < 1:
+        raise ValueError(
+            f"population_size must be at least 1, got {population_size}"
+        )
+    if generations < 0:
+        raise ValueError(
+            f"generations must be non-negative, got {generations}"
+        )
+    if initial_population_size is None:
+        initial_population_size = 5 * population_size
+    elif initial_population_size < 1:
+        raise ValueError(
+            f"initial_population_size must be at least 1, "
+            f"got {initial_population_size}"
+        )
     k = evaluator.k
     length = k + 1
     rng = random.Random(seed)
-    if initial_population_size is None:
-        initial_population_size = 5 * population_size
     population: List[Tuple[int, ...]] = [
         tuple(s.entries) for s in (seeds or []) if s.k == k
     ]

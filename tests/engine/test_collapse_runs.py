@@ -16,6 +16,7 @@ import pytest
 from repro.core.ipv import lip_ipv, lru_ipv
 from repro.core.plru import position, set_position
 from repro.engine.columnar import BatchSimulator, ColumnarTrace
+from repro.engine.scalar import ScalarStreamSimulator
 from repro.kernels.tables import base_tables, promotion_orbit
 
 # IPV zoo: recency extremes, a pure promotion 4-cycle, a 2-cycle with a
@@ -242,3 +243,82 @@ def test_spill_triggers_on_interleaved_hot_keys():
     sim._spill_tail = spy
     sim.run(trace)
     assert calls, "interleaved hot keys must route through the spill"
+
+
+# ----------------------------------------------------------------------
+# The fold boundary: only steps holding a run of >= 2k accesses fold it
+# onto the orbit's cycle; shorter runs read the stored 2k positions.
+# ----------------------------------------------------------------------
+FOLD_SETS = 8
+
+
+def fold_boundary_stream(k, rounds=24, seed=5):
+    """Set-major rounds: sets 0-2 carry runs, sets 3-7 single accesses.
+
+    Round ``r`` gives the run sets runs of ``2k - 1``, ``2k`` or
+    ``2k + 1`` accesses, all three at once, or none, so after collapsing
+    some steps' longest run sits just below the fold, some exactly on it
+    and some just past it, each next to run-free columns.  Every set
+    draws from ``k + 2`` keys, so hits, cold fills and evictions all
+    occur, and consecutive entries of a set never share a key.
+    """
+    rng = random.Random(seed)
+    lengths = [(2 * k - 1,), (2 * k,), (2 * k + 1,),
+               (2 * k - 1, 2 * k, 2 * k + 1), (1,)]
+    last = [None] * FOLD_SETS
+    out = []
+    for r in range(rounds):
+        pattern = lengths[r % len(lengths)]
+        for s in range(FOLD_SETS):
+            key = last[s]
+            while key == last[s]:
+                key = s + FOLD_SETS * rng.randrange(k + 2)
+            last[s] = key
+            out.extend([key] * (pattern[s % len(pattern)] if s < 3 else 1))
+    return out
+
+
+def scalar_reference(stream, k, lanes, warmup):
+    """Per lane: the walk's measured misses and final positions."""
+    results = []
+    for entries in lanes:
+        sim = ScalarStreamSimulator(FOLD_SETS, k, entries, warmup,
+                                    kernel="walk")
+        misses = sim.feed(stream)
+        positions = [[position(s, w, k) for w in range(k)]
+                     for s in sim._states]
+        results.append((misses, positions))
+    return results
+
+
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_fold_boundary_runs_match_scalar(k):
+    stream = fold_boundary_stream(k)
+    rng = random.Random(k)
+    lanes = [tuple(lru_ipv(k).entries), tuple(lip_ipv(k).entries)]
+    lanes += [tuple(rng.randrange(k) for _ in range(k + 1))
+              for _ in range(3)]
+    lanes += [lanes[2], lanes[0]]  # duplicate IPVs
+    warmup = len(stream) // 5
+    trace = ColumnarTrace(stream, FOLD_SETS, collapse_runs=True)
+    # The layout really straddles the fold: steps whose longest run is
+    # 2k - 1, 2k and 2k + 1, each beside run-free columns.
+    (chunk,) = trace.chunks
+    offsets = chunk.step_offsets
+    step_reps = [chunk.rep_by_step[offsets[j]:offsets[j + 1]]
+                 for j in range(chunk.max_depth)]
+    for longest in (2 * k - 1, 2 * k, 2 * k + 1):
+        assert any(r.max() == longest and r.min() == 1 for r in step_reps)
+    expected = scalar_reference(stream, k, lanes, warmup)
+
+    sim = BatchSimulator(FOLD_SETS, k, lanes, warmup=warmup)
+    cold = sim.run(trace)
+    assert [(int(cold[lane]), sim.positions(lane).tolist())
+            for lane in range(len(lanes))] == expected
+
+    sim = BatchSimulator(FOLD_SETS, k, lanes, warmup=warmup)
+    fed = 0
+    for base in range(0, len(stream), 53):  # chunks split runs too
+        fed += sim.feed(stream[base:base + 53], collapse_runs=True)
+    assert [(int(fed[lane]), sim.positions(lane).tolist())
+            for lane in range(len(lanes))] == expected

@@ -25,6 +25,7 @@ from repro.engine.columnar import (
     _hit_decoder,
     simulate_misses_plru_columnar,
 )
+from repro.engine.scalar import ScalarStreamSimulator
 from repro.ga.fitness import simulate_misses_plru_ipv
 from repro.kernels import tables as ktables
 from repro.policies import GIPPRPolicy
@@ -189,6 +190,39 @@ class TestMultiLane:
         assert simulator._tables.unique == 120
         assert ktables.kernel_counters()["compiles"] == compiles
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_fill_counts_are_per_set(self, collapse):
+        """A set with a free way has evicted nothing in any lane, so every
+        lane holds the same number of lines in it: the one fill count
+        per set that the engine keeps, after a run and a chunked feed."""
+        num_sets, assoc = 16, 8
+        rng = random.Random(29)
+        # Set s draws from s + 1 keys, mostly the first, often repeated:
+        # most sets end partly filled, a few full and evicting.
+        stream = []
+        while len(stream) < 6000:
+            s = min(int(rng.expovariate(0.15)), num_sets - 1)
+            key = s + num_sets * min(int(rng.expovariate(0.7)), s)
+            stream.extend([key] * rng.choice([1, 1, 2, 5]))
+        lanes = [stress_ipv(assoc, salt=salt) for salt in range(5)]
+        lanes.append(lanes[1])  # duplicate IPV
+        resident = []
+        for entries in lanes:
+            walk = ScalarStreamSimulator(num_sets, assoc, entries,
+                                         kernel="walk")
+            walk.feed(stream)
+            resident.append([len(ways) for ways in walk._tag_to_way])
+        assert all(lines == resident[0] for lines in resident)
+        assert min(resident[0]) < assoc == max(resident[0])
+        simulator = BatchSimulator(num_sets, assoc, lanes)
+        simulator.run(ColumnarTrace(stream, num_sets, batch_accesses=1000,
+                                    collapse_runs=collapse))
+        assert simulator.final_fills.tolist() == resident[0]
+        for base in range(0, len(stream), 777):
+            simulator.feed(stream[base:base + 777], batch_accesses=300,
+                           collapse_runs=collapse)
+        assert simulator._stream["nfill"].tolist() == resident[0]
 
     def test_multi_lane_miss_indices(self):
         num_sets, assoc = 8, 4

@@ -307,34 +307,45 @@ class TestColumnarKernel:
         assert len(runs[0]) == 5
         assert batched == [evaluator.evaluate(ipv) for ipv in population]
 
-    def test_evaluate_many_auto_batches_only_large(self, config):
+    def test_auto_batches_small_batches_columnar(self, config, monkeypatch):
+        """kernel="auto" sends one- and two-lane batches to the columnar
+        engine too: one BatchSimulator per batch, no table compiled, and
+        the fitnesses of the scalar evaluate, exactly."""
+        from repro.engine.columnar import BatchSimulator
+        from repro.kernels import kernel_counters
+
+        built = []
+        init = BatchSimulator.__init__
+
+        def count_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "__init__", count_init)
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="auto"
         )
-        small = [lru_ipv(16)] * 2
-        large = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
-                 IPV([0] * 16 + [15])]
-        assert not evaluator._columnar_batchable(len(small))
-        assert evaluator._columnar_batchable(len(large))
-        assert evaluator.evaluate_many(large) == [
-            evaluator.evaluate(ipv) for ipv in large
-        ]
-
-    def test_min_lanes_gates_auto_batching(self, config):
-        from repro.engine.columnar import DEFAULT_AUTO_MIN_LANES
-
-        evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto"
-        )
-        assert evaluator._columnar_batchable(DEFAULT_AUTO_MIN_LANES)
-        assert not evaluator._columnar_batchable(DEFAULT_AUTO_MIN_LANES - 1)
+        rng = random.Random(12)
+        for lanes in (1, 2):
+            # Fresh random vectors: none is in the LUT cache yet, so a
+            # scalar run would have to compile its tables.
+            batch = [
+                IPV([rng.randrange(16) for _ in range(17)])
+                for _ in range(lanes)
+            ]
+            built.clear()
+            compiles = kernel_counters()["compiles"]
+            batched = evaluator.evaluate_many(batch)
+            assert len(built) == 1
+            assert kernel_counters()["compiles"] == compiles
+            assert batched == [evaluator.evaluate(ipv) for ipv in batch]
 
     def test_evaluate_many_falls_back_scalar(self, config):
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, substrate="lru"
         )
         population = [lru_ipv(16), lip_ipv(16)]
-        assert not evaluator._columnar_batchable(len(population))
+        assert not evaluator._columnar_batchable()
         assert evaluator.evaluate_many(population) == [
             evaluator.evaluate(ipv) for ipv in population
         ]

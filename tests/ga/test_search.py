@@ -103,6 +103,22 @@ class TestGeneticAlgorithm:
         )
         assert result.best_fitness >= evaluator.evaluate(strong) - 1e-9
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"population_size": 0}, "population_size must be at least 1"),
+        ({"population_size": -3}, "population_size must be at least 1"),
+        ({"generations": -1}, "generations must be non-negative"),
+        ({"initial_population_size": 0},
+         "initial_population_size must be at least 1"),
+    ])
+    def test_rejects_empty_population_or_negative_generations(
+        self, kwargs, message
+    ):
+        """Bad sizes raise before any fitness is evaluated."""
+        stub = _StubEvaluator(k=4)
+        with pytest.raises(ValueError, match=message):
+            evolve_ipv(stub, **{"population_size": 4, **kwargs})
+        assert stub.calls == 0
+
 
 class TestParallelism:
     def test_ga_workers_match_serial(self, evaluator):

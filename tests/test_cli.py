@@ -62,6 +62,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fitness (mean speedup over LRU):" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--population", "0", "population_size must be at least 1, got 0"),
+        ("--generations", "-1", "generations must be non-negative, got -1"),
+    ])
+    def test_evolve_rejects_bad_sizes(self, capsys, flag, value, message):
+        code = main([
+            "evolve", "--benchmarks", "462.libquantum", "--length", "2000",
+            flag, value,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot evolve: {message}"]
+        assert "fitness" not in captured.out
+
     def test_trace_stats(self, capsys):
         from repro.eval.config import default_config
         from repro.trace import stack_distance_histogram
