@@ -307,12 +307,11 @@ class TestColumnarKernel:
         assert len(runs[0]) == 5
         assert batched == [evaluator.evaluate(ipv) for ipv in population]
 
-    def test_auto_batches_small_batches_columnar(self, config, monkeypatch):
-        """kernel="auto" sends one- and two-lane batches to the columnar
-        engine too: one BatchSimulator per batch, no table compiled, and
-        the fitnesses of the scalar evaluate, exactly."""
+    def test_evaluate_many_auto_batches_every_size(self, config, monkeypatch):
+        """kernel="auto" sends every PLRU batch, one lane included, to the
+        columnar engine: one BatchSimulator per batch, and the fitnesses
+        of the scalar evaluate, exactly."""
         from repro.engine.columnar import BatchSimulator
-        from repro.kernels import kernel_counters
 
         built = []
         init = BatchSimulator.__init__
@@ -325,20 +324,42 @@ class TestColumnarKernel:
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, kernel="auto"
         )
+        assert evaluator._columnar_batchable()
         rng = random.Random(12)
+        large = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
+                 IPV([0] * 16 + [15])]
+        for batch in (
+            [IPV([rng.randrange(16) for _ in range(17)])],
+            [IPV([rng.randrange(16) for _ in range(17)]) for _ in range(2)],
+            large,
+        ):
+            built.clear()
+            batched = evaluator.evaluate_many(batch)
+            assert len(built) == 1
+            assert batched == [evaluator.evaluate(ipv) for ipv in batch]
+
+    def test_auto_small_batches_compile_no_tables(self, config):
+        """One- and two-lane kernel="auto" batches of fresh vectors leave
+        the table-compile counter unchanged, where a scalar evaluate of
+        the same vector compiles its tables."""
+        from repro.kernels import kernel_counters
+
+        evaluator = FitnessEvaluator(
+            ["429.mcf"], config=config, kernel="auto"
+        )
+        # A seed of its own: no other test has put these vectors in the
+        # LUT cache, so a scalar run would have to compile their tables.
+        rng = random.Random(13)
         for lanes in (1, 2):
-            # Fresh random vectors: none is in the LUT cache yet, so a
-            # scalar run would have to compile its tables.
             batch = [
                 IPV([rng.randrange(16) for _ in range(17)])
                 for _ in range(lanes)
             ]
-            built.clear()
             compiles = kernel_counters()["compiles"]
-            batched = evaluator.evaluate_many(batch)
-            assert len(built) == 1
+            evaluator.evaluate_many(batch)
             assert kernel_counters()["compiles"] == compiles
-            assert batched == [evaluator.evaluate(ipv) for ipv in batch]
+        evaluator.evaluate(batch[0])
+        assert kernel_counters()["compiles"] > compiles
 
     def test_evaluate_many_falls_back_scalar(self, config):
         evaluator = FitnessEvaluator(
